@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonInvertible, NotCirculant
+from .errors import NonInvertible, NotCirculant, Overflow
 
 DIM = 5
 
@@ -179,9 +179,14 @@ def multiply(u: PentaComplex, v: PentaComplex) -> PentaComplex:
     """Ring product: convolution of the component vectors modulo 5.
 
     Terms are grouped into swap-symmetric pairs so that multiply(u, v) and
-    multiply(v, u) are bit-identical, not merely equal to rounding.
+    multiply(v, u) are bit-identical, not merely equal to rounding.  A
+    product outside the floating-point range raises Overflow.
     """
-    return PentaComplex(*_mul_comps(u.components, v.components))
+    comps = _mul_comps(u.components, v.components)
+    try:
+        return PentaComplex(*comps)
+    except ValueError as exc:
+        raise Overflow("product exceeds the floating-point range") from exc
 
 
 def _mul_comps(a: tuple, b: tuple) -> tuple:

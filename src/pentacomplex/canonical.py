@@ -116,6 +116,15 @@ def _from_canon_comps(w: tuple) -> tuple:
     )
 
 
+# _to_canon_comps as a matrix, for arrays of elements (one per row)
+_CANON = np.array([
+    [1.0] * DIM,
+    [1.0, P, P2, P2, P],
+    [0.0, Q, Q2, -Q2, -Q],
+    [1.0, P2, P, P, P2],
+    [0.0, Q2, -Q, Q, -Q2],
+])
+
 E_PLUS = PentaComplex(*_E_PLUS)
 E1 = PentaComplex(*_E1)
 E1_TILDE = PentaComplex(*_TE1)

@@ -29,11 +29,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> float:
-    # json emits repr(float), which round-trips exactly
-    return float(x)
-
-
 def _read_payload(args) -> object:
     if args.input is None:
         return None
@@ -397,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--path", required=True, help="JSON path file")
     sp.add_argument("--fn", required=True, help=f"one of {sorted(BUILTIN_FUNCTIONS)}")
     sp.add_argument("--pole", help="JSON array of 5 reals")
-    sp.add_argument("--samples", type=int, default=4096)
+    sp.add_argument("--samples", type=int, default=4096,
+                    help="total quadrature node budget, spread evenly over the "
+                         "segments (composite Gauss-Legendre)")
     sp.add_argument("--output", "-o")
     sp.add_argument("--tol", type=float)
     sp.set_defaults(fn_impl=_cmd_integrate, input=None)

@@ -1,8 +1,10 @@
 """Path integration of 5-complex functions and the pole/residue identity.
 
-Paths are polylines in 5-space.  Integrals use the composite midpoint rule
-over the ring product f(u) du, accumulated in vertex order so results are
-schedule-independent.  A closed loop around a pole u0 picks up
+Paths are polylines in 5-space.  Integrals use composite Gauss-Legendre
+quadrature: each segment's share of the node budget is split into panels of
+at most PANEL nodes.  The sum runs in canonical coordinates, where the ring
+product f(u) du splits into one real integral on the line and one ordinary
+complex integral on each plane.  A closed loop around a pole u0 picks up
 2*pi*f(u0)*(~e1*n1 + ~e2*n2) where n_k is the winding number of the loop's
 projection onto canonical plane k around the projected pole — the azimuthal
 angles are the only cyclic coordinates, so only the ~e_k directions survive.
@@ -10,21 +12,27 @@ angles are the only cyclic coordinates, so only the ~e_k directions survive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from .algebra import PentaComplex, _mul_comps, inverse
-from .canonical import E1, E1_TILDE, E2, E2_TILDE, E_PLUS, rotated_coords
-from .errors import (EvaluationFailed, NonInvertible, NonInvertibleOnPath,
-                     OnBoundary, PoleOnPath)
+import numpy as np
+
+from .algebra import DIM, TAU_INV_REL, PentaComplex
+from .analytic import Evaluator, _call
+from .canonical import (_CANON, _ROT, E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
+                        _from_canon_comps, rotated_coords)
+from .elementary import ARRAY_LIFT, LIFT_RANGE
+from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
 TWO_PI = 2.0 * math.pi
 
 # projected pole/point must stay this far from every projected edge
 TAU_EDGE = 1e-9
 
-Evaluator = Callable[[PentaComplex], PentaComplex]
+# most Gauss-Legendre nodes in one panel; a segment with n nodes is cut into
+# ceil(n / PANEL) panels of equal width
+PANEL = 8
 
 
 @dataclass(frozen=True)
@@ -71,36 +79,23 @@ class PlaneProjection:
     closed: bool = False
 
 
+def _vertex_array(path: Path) -> np.ndarray:
+    return np.array([v.components for v in path.vertices])
+
+
 def project(path: Path, k: int) -> PlaneProjection:
     """Project every vertex onto canonical plane k (k = 1 or 2)."""
     if k not in (1, 2):
         raise ValueError(f"plane index must be 1 or 2, got {k}")
-    pts = []
-    for v in path.vertices:
-        xi = rotated_coords(v)
-        pts.append((xi.xi1, xi.eta1) if k == 1 else (xi.xi2, xi.eta2))
-    return PlaneProjection(points=tuple(pts), plane=k, closed=path.closed)
+    xy = _vertex_array(path) @ _ROT[2 * k - 1:2 * k + 1].T
+    return PlaneProjection(points=tuple(map(tuple, xy.tolist())), plane=k,
+                           closed=path.closed)
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
     """Plane-k coordinates of a single element."""
     xi = rotated_coords(u)
     return (xi.xi1, xi.eta1) if k == 1 else (xi.xi2, xi.eta2)
-
-
-def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
-                            b: tuple[float, float]) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx = bx - ax
-    dy = by - ay
-    seg_sq = dx * dx + dy * dy
-    if seg_sq == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_sq
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def winding(point: tuple[float, float], polygon: PlaneProjection,
@@ -114,52 +109,139 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     """
     if not polygon.closed:
         raise ValueError("winding number needs a closed polygon")
-    pts = polygon.points
-    n = len(pts)
-    px, py = point
-    for i in range(n):
-        if _point_segment_distance(point, pts[i], pts[(i + 1) % n]) <= tol:
-            raise OnBoundary(f"point {point} is within {tol} of edge {i}")
-    total = 0.0
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        ax -= px
-        ay -= py
-        bx -= px
-        by -= py
-        total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
-    return round(total / TWO_PI)
+    a = np.array(polygon.points, dtype=float) - np.array(point, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    d = b - a
+    seg_sq = (d * d).sum(axis=1)
+    # nearest point of each edge to the origin (the point); a zero-length
+    # edge is its own nearest point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(seg_sq == 0.0, 0.0, np.clip(-(a * d).sum(axis=1) / seg_sq, 0.0, 1.0))
+    near = a + t[:, None] * d
+    close = np.hypot(near[:, 0], near[:, 1]) <= tol
+    if close.any():
+        raise OnBoundary(f"point {point} is within {tol} of edge {int(close.argmax())}")
+    angles = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+                        a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1])
+    return round(float(angles.sum()) / TWO_PI)
 
 
-def _call(f: Evaluator, u: PentaComplex) -> PentaComplex:
-    try:
-        return f(u)
-    except Exception as exc:
-        raise EvaluationFailed(f"evaluator raised at {u!r}: {exc}") from exc
+@functools.lru_cache(maxsize=PANEL)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes (ascending) and weights on [0, 1].
+
+    The nodes are the roots of P_n, found by Newton's method on the
+    three-term recurrence from the guesses cos(pi*(k - 1/4)/(n + 1/2));
+    for n <= PANEL five steps reach roundoff, so the last steps only
+    re-evaluate P_n' at the converged nodes for the weights.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    nodes = (x + 1.0) / 2.0
+    weights = 1.0 / ((1.0 - x * x) * dp * dp)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite rule on [0, 1] with n nodes: ceil(n / PANEL) equal panels
+    whose orders differ by at most one."""
+    panels = -(-n // PANEL)
+    base, extra = divmod(n, panels)
+    nodes, weights = [], []
+    for first, count, order in ((0, extra, base + 1), (extra, panels - extra, base)):
+        if count:
+            x, w = _gauss_legendre(order)
+            left = np.arange(first, first + count)[:, None]
+            nodes.append(((left + x) / panels).ravel())
+            weights.append(np.tile(w / panels, count))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _planes(a: np.ndarray) -> np.ndarray:
+    """Columns (v1, tv1, v2, tv2) of canonical rows as complex (z1, z2), a view."""
+    return a[:, 1:].view(np.complex128)
+
+
+def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
+    """Canonical components of f at every node (rows of `nodes`, whose
+    canonical coordinates are `canon`)."""
+    ufunc = ARRAY_LIFT.get(id(f))
+    if ufunc is not None and np.abs(canon).max() <= LIFT_RANGE:
+        out = np.empty_like(canon)
+        out[:, 0] = ufunc(canon[:, 0])
+        _planes(out)[:] = ufunc(_planes(canon))
+        return out
+    out = np.empty_like(nodes)
+    for i, comps in enumerate(nodes.tolist()):
+        out[i] = _call(f, PentaComplex(*comps)).components
+    return out @ _CANON.T
+
+
+def _divide(du: np.ndarray, rel: np.ndarray, rel_c: np.ndarray) -> np.ndarray:
+    """du * (u - u0)^-1 in canonical coordinates; rel holds u - u0 per node
+    and rel_c its canonical coordinates.  Every node gets inverse's
+    divisor-of-zero test."""
+    tol = TAU_INV_REL * np.sqrt((rel * rel).sum(axis=1))
+    radius_sq = rel_c[:, 1::2] ** 2 + rel_c[:, 2::2] ** 2
+    bad = (np.abs(rel_c[:, 0]) <= tol) | (radius_sq <= (tol * tol)[:, None]).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
+                                  f"of zero at quadrature node {i}")
+    out = np.empty_like(du)
+    out[:, 0] = du[:, 0] / rel_c[:, 0]
+    _planes(out)[:] = _planes(du) / _planes(rel_c)
+    return out
+
+
+@dataclass(frozen=True)
+class _PoleIntegrand:
+    """The integrand f(u) * (u - pole)^-1 of the pole identity; integrate
+    applies the kernel to all nodes at once in canonical coordinates."""
+
+    f: Evaluator
+    pole: PentaComplex
 
 
 def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaComplex:
-    """Midpoint-rule integral of f(u) du along the polyline.
+    """Integral of f(u) du along the polyline by composite Gauss-Legendre
+    quadrature with samples_per_segment nodes on every segment.
 
-    Each segment is subdivided uniformly; du is the exact subsegment vector
-    and the sum is accumulated in vertex order.
+    The nodes of a segment are split into panels of at most PANEL nodes;
+    du is the segment vector scaled by each node's weight.
     """
     if samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be >= 1, got {samples_per_segment}")
-    acc = (0.0, 0.0, 0.0, 0.0, 0.0)
-    inv_n = 1.0 / samples_per_segment
-    for a, b in path.segments():
-        ac = a.components
-        bc = b.components
-        du = tuple((bc[i] - ac[i]) * inv_n for i in range(5))
-        for s in range(samples_per_segment):
-            frac = (s + 0.5) * inv_n
-            mid = PentaComplex(*(ac[i] + (bc[i] - ac[i]) * frac for i in range(5)))
-            val = _call(f, mid)
-            contrib = _mul_comps(val.components, du)
-            acc = tuple(acc[i] + contrib[i] for i in range(5))
-    return PentaComplex(*acc)
+    pole = None
+    if isinstance(f, _PoleIntegrand):
+        f, pole = f.f, f.pole
+    verts = _vertex_array(path)
+    ends = np.roll(verts, -1, axis=0) if path.closed else verts[1:]
+    starts = verts[:len(ends)]
+    steps = ends - starts
+    t, w = _segment_rule(samples_per_segment)
+    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
+    du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
+    origin = np.zeros(DIM) if pole is None else np.array(pole.components)
+    rel = nodes - origin
+    canon = np.concatenate((rel, du)) @ _CANON.T
+    rel_c, kernel = canon[:len(nodes)], canon[len(nodes):]
+    if pole is not None:
+        kernel = _divide(kernel, rel, rel_c)
+    values = _evaluate(f, nodes, rel_c + _CANON @ origin)
+    line = float((values[:, 0] * kernel[:, 0]).sum())
+    z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()
+    comps = _from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag))
+    if not all(math.isfinite(x) for x in comps):
+        raise Overflow("integral exceeds the floating-point range")
+    return PentaComplex(*comps)
 
 
 def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
@@ -167,10 +249,12 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
                     tol_edge: float = TAU_EDGE) -> tuple[PentaComplex, PentaComplex]:
     """Both sides of the pole identity for a closed loop around u0.
 
-    lhs is the quadrature of f(u) * (u - u0)^-1 du over the loop; rhs is
-    2*pi*f(u0)*(~e1*n1 + ~e2*n2) with n_k the winding number of the loop's
-    plane-k projection around the projected pole.  The loop must avoid the
-    divisor-of-zero sets of u - u0 (vplus = 0 or either plane radius 0).
+    lhs is the composite Gauss-Legendre quadrature of f(u) * (u - u0)^-1 du
+    over the loop, with `samples` the total node budget spread evenly over
+    the segments; rhs is 2*pi*f(u0)*(~e1*n1 + ~e2*n2) with n_k the winding
+    number of the loop's plane-k projection around the projected pole.  The
+    loop must avoid the divisor-of-zero sets of u - u0 (vplus = 0 or either
+    plane radius 0); a node on them raises NonInvertibleOnPath.
     """
     if not path.closed:
         raise ValueError("the pole identity needs a closed path")
@@ -181,23 +265,8 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
         except OnBoundary as exc:
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     n1, n2 = windings
-
-    def integrand(u: PentaComplex) -> PentaComplex:
-        try:
-            inv = inverse(u - u0)
-        except NonInvertible as exc:
-            raise NonInvertibleOnPath(
-                f"u - u0 is a divisor of zero at a sample point: {exc}") from exc
-        return _call(f, u) * inv
-
     per_segment = max(1, round(samples / len(path.segments())))
-    try:
-        lhs = integrate(integrand, path, per_segment)
-    except EvaluationFailed as exc:
-        cause = exc.__cause__
-        if isinstance(cause, NonInvertibleOnPath):
-            raise cause
-        raise
+    lhs = integrate(_PoleIntegrand(f, u0), path, per_segment)
     rhs = TWO_PI * (_call(f, u0) * (n1 * E1_TILDE + n2 * E2_TILDE))
     return lhs, rhs
 

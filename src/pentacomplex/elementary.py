@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import PentaComplex, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5,
                         _from_canon_comps, _to_canon_comps)
@@ -159,6 +161,17 @@ def sinh(u: PentaComplex) -> PentaComplex:
     except OverflowError as exc:
         raise Overflow("sinh overflows") from exc
     return _build(w)
+
+
+# Array forms of the builtins above, keyed by id of the scalar function: the
+# one numpy ufunc that acts on the line (real) and on each plane (complex).
+# While every canonical coordinate stays within LIFT_RANGE no builtin
+# overflows (e^700 is about 1e304, and reassembly sums five such terms
+# scaled by at most 0.4), so there the array forms are finite exactly where
+# the scalar functions return a value.
+ARRAY_LIFT = {id(exp): np.exp, id(sin): np.sin, id(cos): np.cos,
+              id(sinh): np.sinh, id(cosh): np.cosh}
+LIFT_RANGE = 700.0
 
 
 @dataclass(frozen=True)

@@ -538,6 +538,19 @@ def _suite_residues(c: _Checker):
         if e0 > 1e-9:
             c.check(e0 / max(e1, 1e-300) >= 3.0,
                     f"halving reduced error only {e0:.2e} -> {e1:.2e}")
+
+    # Gauss-Legendre order: on a 16-gon each added node per segment cuts the
+    # error by two orders of magnitude, down to roundoff at 8 nodes
+    path = contour.plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+    errors = []
+    for sps in (1, 2, 3, 4, 8):
+        lhs, rhs = contour.residue_formula(elementary.exp, path, u0, samples=sps * 16)
+        errors.append(max(abs(a - b) for a, b in zip(lhs, rhs)))
+    for e0, e1 in zip(errors[:3], errors[1:4]):
+        if e0 > 1e-12:
+            c.check(e0 / max(e1, 1e-300) >= 50.0,
+                    f"one more node per segment reduced error only {e0:.2e} -> {e1:.2e}")
+    c.check(errors[-1] <= 1e-13, f"8 nodes per segment: |lhs-rhs| = {errors[-1]:.2e}")
     c.check(time.perf_counter() - t0 < 5.0, "residue suite exceeded 5 s")
 
 

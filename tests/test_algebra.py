@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pentacomplex import (H1, H2, H3, H4, ONE, ZERO, NonInvertible,
-                          NotCirculant, PentaComplex, add, basis_product,
+                          NotCirculant, Overflow, PentaComplex, add, basis_product,
                           from_matrix, inverse, multiply, to_matrix)
 from pentacomplex.canonical import E_PLUS
 
@@ -142,6 +142,14 @@ def test_construction_rejects_non_finite():
         PentaComplex(0, math.inf, 0, 0, 0)
     with pytest.raises(ValueError):
         PentaComplex.from_components([1, 2, 3])
+
+
+def test_multiply_overflow_is_typed():
+    big = PentaComplex(1e200, 0, 0, 0, 0)
+    with pytest.raises(Overflow):
+        multiply(big, big)
+    with pytest.raises(Overflow):
+        big * PentaComplex(0, 0, 0, 0, 1e200)
 
 
 def test_immutability():

@@ -40,6 +40,12 @@ def test_inv_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "NonInvertible"
 
 
+def test_mul_overflow_is_domain_error(capsys):
+    code, _, err = run(capsys, "mul", "[1e200,0,0,0,0]", "[1e200,0,0,0,0]")
+    assert code == 2
+    assert json.loads(err)["error"] == "Overflow"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "mul", "[0,1,0,0,0]")  # missing operand
     assert code == 1

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pentacomplex import (ONE, ZERO, NonInvertibleOnPath, OnBoundary, Path,
-                          PentaComplex, PoleOnPath, exp, integrate, multiply,
-                          plane_circle, project, project_point,
-                          residue_formula, sin, winding)
+from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
+                          OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
+                          contour, cosh, exp, integrate, multiply, plane_circle,
+                          project, project_point, residue_formula, sin, winding)
 from pentacomplex.canonical import E1, E1_TILDE, E2, E2_TILDE, E_PLUS
 from pentacomplex.contour import PlaneProjection
 
@@ -162,6 +162,41 @@ def test_residue_quadrature_converges_second_order():
             assert e0 / e1 >= 3.0, errors
 
 
+def test_residue_quadrature_gauss_legendre_order():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+    errors = []
+    for sps in (1, 2, 3, 4):
+        lhs, rhs = residue_formula(exp, loop, u0, samples=sps * 16)
+        errors.append(dev(lhs, rhs))
+    for e0, e1 in zip(errors, errors[1:]):
+        if e0 > 1e-12:
+            assert e0 / e1 >= 50.0, errors
+    lhs, rhs = residue_formula(exp, loop, u0, samples=8 * 16)
+    assert dev(lhs, rhs) <= 1e-13
+
+
+def test_gauss_legendre_nodes_match_golub_welsch():
+    from numpy.polynomial.legendre import leggauss
+
+    for n in range(1, contour.PANEL + 1):
+        x, w = contour._gauss_legendre(n)
+        want_x, want_w = leggauss(n)
+        assert np.abs(x - (want_x + 1) / 2).max() <= 1e-15
+        assert np.abs(w - want_w / 2).max() <= 1e-15
+
+
+def test_segment_rule_keeps_the_node_budget():
+    for n in (1, 5, 8, 9, 20, 4096):
+        t, w = contour._segment_rule(n)
+        assert len(t) == len(w) == n
+        assert np.all(np.diff(t) > 0) and 0 < t[0] and t[-1] < 1
+        # panels of at least n // ceil(n / PANEL) nodes are exact to this degree
+        order = n // -(-n // contour.PANEL)
+        for k in range(2 * order):
+            assert abs(w @ t ** k - 1 / (k + 1)) <= 1e-13, (n, k)
+
+
 def test_residue_pole_on_path():
     u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
     loop = plane_circle(u0, 1, 1.0, 0.8, 0.7)
@@ -191,3 +226,126 @@ def test_plane_circle_validation():
         plane_circle(ZERO, 1, -1.0)
     with pytest.raises(ValueError):
         plane_circle(ZERO, 1, 1.0, vertices=2)
+
+
+def both_planes_loop(u0, radius=1.0, offset=0.7, vertices=64):
+    """Loop winding once around u0 in both canonical planes."""
+    base = u0 + offset * E_PLUS
+    return Path(tuple(base + radius * math.cos(t) * (E1 + E2)
+                      + radius * math.sin(t) * (E1_TILDE + E2_TILDE)
+                      for t in (TWO_PI * i / vertices for i in range(vertices))),
+                closed=True)
+
+
+def test_builtin_array_path_matches_scalar_callable_path():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loops = {
+        "plane-1": plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=64),
+        "plane-2": plane_circle(u0, 2, 1.0, 0.8, 0.7, vertices=64),
+        "both": both_planes_loop(u0),
+    }
+    for f in (exp, sin, cosh):
+        scalar_f = lambda u, f=f: f(u)  # noqa: E731 -- not in the array-lift table
+        for name, loop in loops.items():
+            lhs, rhs = residue_formula(f, loop, u0, samples=512)
+            want, _ = residue_formula(scalar_f, loop, u0, samples=512)
+            assert dev(lhs, want) <= 1e-13, (f.__name__, name)
+            assert dev(lhs, rhs) <= 1e-12, (f.__name__, name)
+            assert dev(integrate(f, loop, 4), integrate(scalar_f, loop, 4)) <= 1e-13
+
+
+def scalar_winding(point, polygon, tol=contour.TAU_EDGE):
+    """The per-edge Python loop that winding() vectorizes, kept as its reference."""
+
+    def point_segment_distance(p, a, b):
+        ax, ay = a
+        bx, by = b
+        px, py = p
+        dx = bx - ax
+        dy = by - ay
+        seg_sq = dx * dx + dy * dy
+        if seg_sq == 0.0:
+            return math.hypot(px - ax, py - ay)
+        t = ((px - ax) * dx + (py - ay) * dy) / seg_sq
+        t = min(1.0, max(0.0, t))
+        return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+    pts = polygon.points
+    n = len(pts)
+    px, py = point
+    for i in range(n):
+        if point_segment_distance(point, pts[i], pts[(i + 1) % n]) <= tol:
+            raise OnBoundary(f"point {point} is within {tol} of edge {i}")
+    total = 0.0
+    for i in range(n):
+        ax, ay = pts[i]
+        bx, by = pts[(i + 1) % n]
+        ax -= px
+        ay -= py
+        bx -= px
+        by -= py
+        total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
+    return round(total / TWO_PI)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OnBoundary as exc:
+        return str(exc)
+
+
+def test_vectorized_winding_matches_scalar_loop():
+    rng = np.random.default_rng(61)
+    polygons = []
+    for _ in range(40):  # random vertices: mostly self-crossing
+        n = int(rng.integers(3, 24))
+        polygons.append(tuple(map(tuple, rng.uniform(-1, 1, (n, 2)).tolist())))
+    for step in (2, 3):  # star polygons {7/2}, {7/3}
+        polygons.append(tuple((math.cos(TWO_PI * step * i / 7), math.sin(TWO_PI * step * i / 7))
+                              for i in range(7)))
+    polygons.append(((0.25, -0.5),) * 4)  # every edge has zero length
+    for pts in polygons:
+        poly = PlaneProjection(points=pts, plane=1, closed=True)
+        queries = [tuple(q) for q in rng.uniform(-1.2, 1.2, (25, 2)).tolist()]
+        queries += [(0.0, 0.0), pts[0],
+                    ((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2)]
+        for q in queries:
+            assert outcome(winding, q, poly) == outcome(scalar_winding, q, poly), (pts, q)
+
+
+def test_residue_non_invertible_on_path_for_every_evaluator():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    # zero line offset: vplus of u - u0 vanishes at every node, which is
+    # tested before any evaluator runs
+    loop = plane_circle(u0, 2, 1.0, line_offset=0.0, other_offset=0.7)
+    for f in (exp, lambda u: ONE):
+        with pytest.raises(NonInvertibleOnPath):
+            residue_formula(f, loop, u0, samples=256)
+
+
+def test_evaluator_errors_become_evaluation_failed():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+
+    def broken(u):
+        raise ZeroDivisionError("boom")
+
+    with pytest.raises(EvaluationFailed) as info:
+        residue_formula(broken, loop, u0, samples=64)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    with pytest.raises(EvaluationFailed):
+        integrate(broken, loop, 2)
+
+
+def test_array_path_overflow_raises_like_scalar_path():
+    # vplus around 800: e^vplus overflows on the line
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15) + 800.0 * E_PLUS
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+    errors = []
+    for f in (exp, lambda u: exp(u)):
+        with pytest.raises(EvaluationFailed) as info:
+            residue_formula(f, loop, u0, samples=64)
+        assert isinstance(info.value.__cause__, Overflow)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
