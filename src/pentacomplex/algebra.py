@@ -27,19 +27,33 @@ class PentaComplex:
     """Immutable 5-component hypercomplex number.
 
     Components are validated to be finite at construction; NaN/infinity never
-    enter the ring.  All arithmetic returns new instances.
+    enter the ring.  All arithmetic returns new instances, and a result
+    beyond the floating-point range raises Overflow.
     """
 
     __slots__ = ("x0", "x1", "x2", "x3", "x4")
 
     def __init__(self, x0=0.0, x1=0.0, x2=0.0, x3=0.0, x4=0.0):
-        for name, val in zip(self.__slots__, (x0, x1, x2, x3, x4)):
-            val = float(val)
-            if not math.isfinite(val):
-                raise ValueError(f"component {name} is not finite: {val!r}")
-            object.__setattr__(self, name, val)
+        x0 = float(x0)
+        x1 = float(x1)
+        x2 = float(x2)
+        x3 = float(x3)
+        x4 = float(x4)
+        # x*0.0 is 0.0 for finite x and NaN for NaN/inf: one test for all five
+        if x0 * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 + x4 * 0.0 != 0.0:
+            for name, val in zip(self.__slots__, (x0, x1, x2, x3, x4)):
+                if not math.isfinite(val):
+                    raise ValueError(f"component {name} is not finite: {val!r}")
+        _set_x0(self, x0)
+        _set_x1(self, x1)
+        _set_x2(self, x2)
+        _set_x3(self, x3)
+        _set_x4(self, x4)
 
     def __setattr__(self, name, value):
+        raise AttributeError("PentaComplex is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PentaComplex is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -80,22 +94,22 @@ class PentaComplex:
 
     def __add__(self, other):
         if isinstance(other, PentaComplex):
-            return PentaComplex(self.x0 + other.x0, self.x1 + other.x1,
-                                self.x2 + other.x2, self.x3 + other.x3,
-                                self.x4 + other.x4)
+            return _result(self.x0 + other.x0, self.x1 + other.x1,
+                           self.x2 + other.x2, self.x3 + other.x3,
+                           self.x4 + other.x4)
         if isinstance(other, (int, float)):
-            return PentaComplex(self.x0 + other, self.x1, self.x2, self.x3, self.x4)
+            return _result(self.x0 + other, self.x1, self.x2, self.x3, self.x4)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, PentaComplex):
-            return PentaComplex(self.x0 - other.x0, self.x1 - other.x1,
-                                self.x2 - other.x2, self.x3 - other.x3,
-                                self.x4 - other.x4)
+            return _result(self.x0 - other.x0, self.x1 - other.x1,
+                           self.x2 - other.x2, self.x3 - other.x3,
+                           self.x4 - other.x4)
         if isinstance(other, (int, float)):
-            return PentaComplex(self.x0 - other, self.x1, self.x2, self.x3, self.x4)
+            return _result(self.x0 - other, self.x1, self.x2, self.x3, self.x4)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -108,8 +122,8 @@ class PentaComplex:
         if isinstance(other, PentaComplex):
             return multiply(self, other)
         if isinstance(other, (int, float)):
-            return PentaComplex(self.x0 * other, self.x1 * other, self.x2 * other,
-                                self.x3 * other, self.x4 * other)
+            return _result(self.x0 * other, self.x1 * other, self.x2 * other,
+                           self.x3 * other, self.x4 * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -155,6 +169,20 @@ class PentaComplex:
         return cls.from_components(data)
 
 
+# the slot descriptors' setters, which bypass the immutability guard
+_set_x0, _set_x1, _set_x2, _set_x3, _set_x4 = (
+    PentaComplex.__dict__[name].__set__ for name in PentaComplex.__slots__)
+
+
+def _result(*comps: float) -> PentaComplex:
+    """Element from computed components; a non-finite one (a result beyond
+    the floating-point range, or a non-finite scalar operand) is Overflow."""
+    try:
+        return PentaComplex(*comps)
+    except ValueError as exc:
+        raise Overflow("result exceeds the floating-point range") from exc
+
+
 ZERO = PentaComplex()
 ONE = PentaComplex(1.0)
 H1 = PentaComplex.basis(1)
@@ -182,11 +210,7 @@ def multiply(u: PentaComplex, v: PentaComplex) -> PentaComplex:
     multiply(v, u) are bit-identical, not merely equal to rounding.  A
     product outside the floating-point range raises Overflow.
     """
-    comps = _mul_comps(u.components, v.components)
-    try:
-        return PentaComplex(*comps)
-    except ValueError as exc:
-        raise Overflow("product exceeds the floating-point range") from exc
+    return _result(*_mul_comps(u.components, v.components))
 
 
 def _mul_comps(a: tuple, b: tuple) -> tuple:
@@ -236,8 +260,6 @@ def inverse(u: PentaComplex, tol: float | None = None) -> PentaComplex:
     component vplus and both plane radii must be nonzero.  Below `tol`
     (default 1e-13 * |u|) the element is declared a divisor of zero.
     """
-    from . import canonical  # deferred: canonical imports PentaComplex from here
-
     if tol is None:
         tol = TAU_INV_REL * abs(u)
     vplus, v1, tv1, v2, tv2 = canonical._to_canon_comps(u.components)
@@ -250,4 +272,8 @@ def inverse(u: PentaComplex, tol: float | None = None) -> PentaComplex:
     if r2sq <= tol * tol:
         raise NonInvertible("plane-2 radius vanishes; divisor of zero")
     w = (1.0 / vplus, v1 / r1sq, -tv1 / r1sq, v2 / r2sq, -tv2 / r2sq)
-    return PentaComplex(*canonical._from_canon_comps(w))
+    return _result(*canonical._from_canon_comps(w))
+
+
+# canonical builds its constants from PentaComplex, so it is imported last
+from . import canonical  # noqa: E402

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import PentaComplex, multiply
-from .canonical import _from_canon_comps, _to_canon_comps
+from .canonical import SQRT5, _from_canon_comps, _to_canon_comps
 from .errors import EvaluationFailed, InsufficientTerms, Overflow, ZeroTail
-
-SQRT5 = math.sqrt(5.0)
 
 FD_STEP_FIRST = 1e-6
 FD_TOL_FIRST = 1e-6

@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import DIM, PentaComplex
 
 SQRT5 = math.sqrt(5.0)
+TWO_PI = 2.0 * math.pi
 
 P = (SQRT5 - 1.0) / 4.0            # cos of the fifth-circle angle
 Q = math.sqrt((5.0 + SQRT5) / 8.0)  # sin of the fifth-circle angle
@@ -100,19 +101,30 @@ def _to_canon_comps(c: tuple) -> tuple:
 
 # canonical basis components: rows scale the (1, h1..h4) coefficients by 2/5
 # (the line row carries an extra 1/2)
+_P4, _P24, _Q4, _Q24 = 0.4 * P, 0.4 * P2, 0.4 * Q, 0.4 * Q2
 _E_PLUS = (0.2, 0.2, 0.2, 0.2, 0.2)
-_E1 = (0.4, 0.4 * P, 0.4 * P2, 0.4 * P2, 0.4 * P)
-_TE1 = (0.0, 0.4 * Q, 0.4 * Q2, -0.4 * Q2, -0.4 * Q)
-_E2 = (0.4, 0.4 * P2, 0.4 * P, 0.4 * P, 0.4 * P2)
-_TE2 = (0.0, 0.4 * Q2, -0.4 * Q, 0.4 * Q, -0.4 * Q2)
+_E1 = (0.4, _P4, _P24, _P24, _P4)
+_TE1 = (0.0, _Q4, _Q24, -_Q24, -_Q4)
+_E2 = (0.4, _P24, _P4, _P4, _P24)
+_TE2 = (0.0, _Q24, -_Q4, _Q4, -_Q24)
 
 
 def _from_canon_comps(w: tuple) -> tuple:
-    """(vplus, v1, tv1, v2, tv2) -> (x0..x4) on raw tuples."""
+    """(vplus, v1, tv1, v2, tv2) -> (x0..x4) on raw tuples.
+
+    Row i is _E_PLUS[i]*vp + _E1[i]*v1 + _TE1[i]*tv1 + _E2[i]*v2 + _TE2[i]*tv2
+    summed left to right, unrolled; a negative coefficient is written as a
+    subtraction and the zero terms of row 0 are kept, so every result is
+    bit-identical to the row formula, signed zeros included.
+    """
     vp, v1, tv1, v2, tv2 = w
-    return tuple(
-        _E_PLUS[i] * vp + _E1[i] * v1 + _TE1[i] * tv1 + _E2[i] * v2 + _TE2[i] * tv2
-        for i in range(DIM)
+    p = 0.2 * vp
+    return (
+        p + 0.4 * v1 + 0.0 * tv1 + 0.4 * v2 + 0.0 * tv2,
+        p + _P4 * v1 + _Q4 * tv1 + _P24 * v2 + _Q24 * tv2,
+        p + _P24 * v1 + _Q24 * tv1 + _P4 * v2 - _Q4 * tv2,
+        p + _P24 * v1 - _Q24 * tv1 + _P4 * v2 + _Q4 * tv2,
+        p + _P4 * v1 - _Q4 * tv1 + _P24 * v2 - _Q24 * tv2,
     )
 
 
@@ -184,8 +196,8 @@ def rotated_coords(u: PentaComplex) -> RotatedCoords:
     Related to the canonical variables by vplus = sqrt(5)*xiplus and
     v_k = sqrt(5/2)*xi_k, tv_k = sqrt(5/2)*eta_k.
     """
-    xi = _ROT @ np.asarray(u.components)
-    return RotatedCoords(*xi)
+    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    return RotatedCoords(vp / SQRT5, _SQ25 * v1, _SQ25 * tv1, _SQ25 * v2, _SQ25 * tv2)
 
 
 def irreducible_rep(u: PentaComplex) -> IrreducibleRep:

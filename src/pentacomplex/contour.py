@@ -21,11 +21,9 @@ import numpy as np
 from .algebra import DIM, TAU_INV_REL, PentaComplex
 from .analytic import Evaluator, _call
 from .canonical import (_CANON, _ROT, E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
-                        _from_canon_comps, rotated_coords)
+                        TWO_PI, _from_canon_comps, rotated_coords)
 from .elementary import ARRAY_LIFT, LIFT_RANGE
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
-
-TWO_PI = 2.0 * math.pi
 
 # projected pole/point must stay this far from every projected edge
 TAU_EDGE = 1e-9

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import PentaComplex
+from .canonical import SQRT5
 from .errors import DomainTooLarge
-
-SQRT5 = math.sqrt(5.0)
 
 #: roots of a^2 + a - 1 = 0 and b^2 + 5b + 5 = 0 used by the radical forms
 RADICAL_A = (SQRT5 - 1.0) / 2.0

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PentaComplex, multiply
-from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5,
+from .algebra import PentaComplex, _result, multiply
+from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
                         _from_canon_comps, _to_canon_comps)
 from .errors import FormDomain, LogDomain, NonInvertible, Overflow, PowDomain
-from .geometry import SQRT2, TWO_PI, odd_fifth_root, polar_form
+from .geometry import SQRT2, odd_fifth_root, polar_form
 
 # direction of the log(sqrt2/tan(thetaplus)) term in the exponent assembly
 _H_ALL = PentaComplex(0.0, 1.0, 1.0, 1.0, 1.0)
@@ -36,10 +36,7 @@ def _exp_guarded(x: float) -> float:
 
 def _build(w: tuple) -> PentaComplex:
     # canonical components near the float ceiling can overflow on reassembly
-    try:
-        return PentaComplex(*_from_canon_comps(w))
-    except ValueError as exc:
-        raise Overflow("result exceeds the floating-point range") from exc
+    return _result(*_from_canon_comps(w))
 
 
 def exp(u: PentaComplex) -> PentaComplex:
@@ -54,28 +51,24 @@ def exp(u: PentaComplex) -> PentaComplex:
 
 
 def log(u: PentaComplex) -> PentaComplex:
-    """Principal logarithm, assembled from amplitude and angles.
+    """Principal logarithm, computed on the canonical components:
+    log(vplus) on the line and log(rho_k) + i*phi_k on each plane, with
+    phi_k in [0, 2*pi).  Requires vplus > 0 and both plane radii nonzero;
+    exp(log(u)) == u on that domain.
 
-    log u = log(rho) + (h1+h2+h3+h4)/5 * log(sqrt2/tan(thetaplus))
-          + psi-mix * log(tan(psi1)) + ~e1*phi1 + ~e2*phi2,
-    with phi_k in [0, 2*pi).  Requires vplus > 0 and both plane radii
-    nonzero; exp(log(u)) == u on that domain.
+    The paper's route through the amplitude and the tangents of thetaplus
+    and psi1 is `exponential_form`; the tests cross-check the two.
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     tol = 1e-13 * abs(u)
     if vp <= tol:
         raise LogDomain(f"vplus = {vp:.3e} is not positive")
-    if math.hypot(v1, tv1) <= tol or math.hypot(v2, tv2) <= tol:
+    rho1 = math.hypot(v1, tv1)
+    rho2 = math.hypot(v2, tv2)
+    if rho1 <= tol or rho2 <= tol:
         raise LogDomain("a plane radius vanishes")
-    pf = polar_form(u)
-    log_tan_theta = math.log(SQRT2 / math.tan(pf.require("thetaplus")))
-    log_tan_psi = math.log(math.tan(pf.require("psi1")))
-    out = PentaComplex.scalar(math.log(pf.rho))
-    out = out + (1.0 / 5.0) * log_tan_theta * _H_ALL
-    out = out + log_tan_psi * _PSI_MIX
-    out = out + pf.require("phi1") * E1_TILDE
-    out = out + pf.require("phi2") * E2_TILDE
-    return out
+    return _build((math.log(vp), math.log(rho1), math.atan2(tv1, v1) % TWO_PI,
+                   math.log(rho2), math.atan2(tv2, v2) % TWO_PI))
 
 
 def pow_real(u: PentaComplex, m: float) -> PentaComplex:

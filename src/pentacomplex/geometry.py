@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import _to_canon_comps
+from .canonical import SQRT5, TWO_PI, _to_canon_comps
 from .errors import AngleUndefined
 
-TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
-SQRT5 = math.sqrt(5.0)
 
 # an angle is declared undefined when its defining radius is below this
 # fraction of the modulus

@@ -18,14 +18,11 @@ import numpy as np
 from . import analytic, contour, cosexp, elementary, geometry, polyfactor
 from .algebra import (ONE, PentaComplex, basis_product, inverse, multiply,
                       to_matrix)
-from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, CanonicalForm,
-                        canonical_multiply, from_canonical, irreducible_rep,
-                        rotation_matrix, to_canonical)
+from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, SQRT5, TWO_PI,
+                        CanonicalForm, canonical_multiply, from_canonical,
+                        irreducible_rep, rotation_matrix, to_canonical)
 from .errors import Degenerate
 from .geometry import modulus_product_bound, polar_form
-
-SQRT5 = math.sqrt(5.0)
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass

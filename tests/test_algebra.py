@@ -152,10 +152,61 @@ def test_multiply_overflow_is_typed():
         big * PentaComplex(0, 0, 0, 0, 1e200)
 
 
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda: PentaComplex(1.7e308) + PentaComplex(1.7e308), id="add"),
+    pytest.param(lambda: 1.7e308 + PentaComplex(1.7e308), id="radd"),
+    pytest.param(lambda: PentaComplex(-1.7e308) - PentaComplex(1.7e308), id="sub"),
+    pytest.param(lambda: -1.7e308 - PentaComplex(1.7e308), id="rsub"),
+    pytest.param(lambda: PentaComplex(1e200) * 1e200, id="mul"),
+    pytest.param(lambda: 1e200 * PentaComplex(1e200), id="rmul"),
+    pytest.param(lambda: PentaComplex(1e300) / 1e-300, id="truediv"),
+])
+def test_operator_overflow_is_typed(op):
+    with pytest.raises(Overflow):
+        op()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(5))
+def test_construction_names_the_non_finite_component(k, bad):
+    comps = [1.0, 2.0, 3.0, 4.0, 5.0]
+    comps[k] = bad
+    with pytest.raises(ValueError) as info:
+        PentaComplex(*comps)
+    assert not isinstance(info.value, Overflow)
+    assert str(info.value) == f"component x{k} is not finite: {bad!r}"
+
+
+def test_construction_names_the_first_non_finite_component():
+    with pytest.raises(ValueError, match="component x1 is not finite: inf"):
+        PentaComplex(0, math.inf, math.nan, 0, -math.inf)
+
+
+def test_construction_accepts_numbers_and_numeric_strings():
+    u = PentaComplex(1, np.float64(2.5), np.int64(3), np.float32(0.5), "-1e3")
+    assert u.components == (1.0, 2.5, 3.0, 0.5, -1000.0)
+    assert all(type(x) is float for x in u.components)
+    assert PentaComplex().components == (0.0,) * 5
+    with pytest.raises(ValueError):
+        PentaComplex("one")
+
+
 def test_immutability():
     u = PentaComplex(1, 2, 3, 4, 5)
     with pytest.raises(AttributeError):
         u.x0 = 7.0
+
+
+def test_every_component_is_immutable():
+    u = PentaComplex(1, 2, 3, 4, 5)
+    for name in ("x0", "x1", "x2", "x3", "x4"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, 7.0)
+        with pytest.raises(AttributeError):
+            delattr(u, name)
+    with pytest.raises(AttributeError):
+        u.extra = 1.0
+    assert u.components == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 def test_operators_and_serialization():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from pentacomplex import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
                           canonical_basis, canonical_multiply, from_canonical,
                           irreducible_rep, multiply, rotated_coords,
                           rotation_matrix, to_canonical, to_matrix)
+from pentacomplex.canonical import (_E1, _E2, _E_PLUS, _TE1, _TE2,
+                                   _from_canon_comps)
 
 P = CONSTANTS.p
 Q = CONSTANTS.q
@@ -141,6 +144,38 @@ def test_rotated_coords_unit_and_scaling():
         norm = math.sqrt(xi.xiplus ** 2 + xi.xi1 ** 2 + xi.eta1 ** 2
                          + xi.xi2 ** 2 + xi.eta2 ** 2)
         assert abs(norm - abs(u)) <= 1e-13 * scale
+
+
+def _from_canon_rows(w):
+    """The per-row sum formula that _from_canon_comps unrolls."""
+    vp, v1, tv1, v2, tv2 = w
+    return tuple(_E_PLUS[i] * vp + _E1[i] * v1 + _TE1[i] * tv1 + _E2[i] * v2 + _TE2[i] * tv2
+                 for i in range(5))
+
+
+def test_from_canon_comps_is_bit_identical_to_row_formula():
+    rng = np.random.default_rng(16)
+    mags = 10.0 ** rng.uniform(-10, 10, (100_000, 5))
+    signs = rng.choice([-1.0, 1.0], (100_000, 5))
+    for w in (mags * signs).tolist():
+        assert _from_canon_comps(w) == _from_canon_rows(w), w
+    # the zero terms of row 0 are kept, so signed zeros match too
+    for w in [(-0.0, -0.0, 0.0, -0.0, 0.0), (-0.0, -0.0, -0.0, -0.0, -0.0),
+              (-1e-323, -0.0, 1.0, -1e-323, 2.0), (0.0, -0.0, -0.0, 0.0, -0.0)]:
+        got, want = _from_canon_comps(w), _from_canon_rows(w)
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+        assert got == want
+
+
+def test_rotated_coords_match_rotation_matrix():
+    T = rotation_matrix()
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        u = PentaComplex(*(rng.choice([-1.0, 1.0], 5) * 10.0 ** rng.uniform(-10, 10, 5)))
+        xi = dataclasses.astuple(rotated_coords(u))
+        want = T @ np.asarray(u.components)
+        assert np.abs(np.asarray(xi) - want).max() <= 1e-15 * abs(u)
+        assert abs(math.hypot(*xi) - abs(u)) <= 1e-15 * abs(u)
 
 
 def test_irreducible_rep_unit():

@@ -87,6 +87,31 @@ def test_log_unit_and_roundtrips():
         assert dev(log(exp(u)), u) <= 1e-10 * max(1.0, abs(u))
 
 
+def test_log_agrees_with_exponential_form_route():
+    # log works on the canonical components; the paper's route assembles it
+    # from the amplitude and the tangents of thetaplus and psi1
+    rng = np.random.default_rng(48)
+    for u in log_domain_sample(rng, 2000):
+        ef = exponential_form(u)
+        want = math.log(ef.amplitude) + ef.exponent()
+        assert dev(log(u), want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("small", ["vplus", "rho2"])
+def test_exp_log_round_trip_with_a_small_canonical_part(small):
+    rng = np.random.default_rng(49)
+    for _ in range(200):
+        vp, r1, r2 = rng.uniform(0.5, 2.0, 3)
+        a1, a2 = rng.uniform(0.0, 2 * math.pi, 2)
+        if small == "vplus":
+            vp *= 1e-6
+        else:
+            r2 *= 1e-6
+        u = from_canonical(CanonicalForm(vp, r1 * math.cos(a1), r1 * math.sin(a1),
+                                         r2 * math.cos(a2), r2 * math.sin(a2)))
+        assert dev(exp(log(u)), u) <= 1e-14 * abs(u)
+
+
 def test_log_domain_errors():
     with pytest.raises(LogDomain):
         log(E_PLUS)  # plane radii vanish
