@@ -9,6 +9,8 @@ also a 5x5 circulant matrix acting on the components.
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import truediv
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,8 +21,6 @@ DIM = 5
 
 # from_matrix accepts matrices this far (absolute) from exactly circulant
 TAU_CIRC = 1e-12
-# inverse() declares a divisor of zero below this relative size
-TAU_INV_REL = 1e-13
 
 
 class PentaComplex:
@@ -136,8 +136,8 @@ class PentaComplex:
         return NotImplemented
 
     def __abs__(self) -> float:
-        return math.sqrt(self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2
-                         + self.x3 * self.x3 + self.x4 * self.x4)
+        # hypot scales internally, so no square under- or overflows
+        return math.hypot(self.x0, self.x1, self.x2, self.x3, self.x4)
 
     def __eq__(self, other):
         if isinstance(other, PentaComplex):
@@ -253,26 +253,19 @@ def from_matrix(m: np.ndarray, tol: float = TAU_CIRC) -> PentaComplex:
     return PentaComplex.from_components(first)
 
 
+# 1/x on the line and 1/z on each plane
+_recip = partial(truediv, 1.0)
+
+
 def inverse(u: PentaComplex, tol: float | None = None) -> PentaComplex:
     """Multiplicative inverse via the canonical decomposition.
 
     The inverse exists iff no canonical part is annihilated: the line
-    component vplus and both plane radii must be nonzero.  Below `tol`
-    (default 1e-13 * |u|) the element is declared a divisor of zero.
+    component vplus and both plane radii must be nonzero.  At or below
+    `tol` (default canonical.TAU_REL * |u|) the element is declared a
+    divisor of zero.
     """
-    if tol is None:
-        tol = TAU_INV_REL * abs(u)
-    vplus, v1, tv1, v2, tv2 = canonical._to_canon_comps(u.components)
-    r1sq = v1 * v1 + tv1 * tv1
-    r2sq = v2 * v2 + tv2 * tv2
-    if abs(vplus) <= tol:
-        raise NonInvertible(f"vplus = {vplus:.3e} vanishes; divisor of zero")
-    if r1sq <= tol * tol:
-        raise NonInvertible("plane-1 radius vanishes; divisor of zero")
-    if r2sq <= tol * tol:
-        raise NonInvertible("plane-2 radius vanishes; divisor of zero")
-    w = (1.0 / vplus, v1 / r1sq, -tv1 / r1sq, v2 / r2sq, -tv2 / r2sq)
-    return _result(*canonical._from_canon_comps(w))
+    return canonical._lift(u, _recip, _recip, NonInvertible, tol)
 
 
 # canonical builds its constants from PentaComplex, so it is imported last

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import PentaComplex, multiply
+from .algebra import PentaComplex, _result, multiply
 from .canonical import SQRT5, _from_canon_comps, _to_canon_comps
 from .errors import EvaluationFailed, InsufficientTerms, Overflow, ZeroTail
 
@@ -78,11 +78,8 @@ class ConvergenceReport:
 def series_eval(s: PowerSeries, u: PentaComplex) -> PentaComplex:
     """Horner evaluation of the series over the ring."""
     acc = PentaComplex()
-    try:
-        for a in reversed(s.coeffs):
-            acc = multiply(acc, u) + a
-    except (OverflowError, ValueError) as exc:
-        raise Overflow("series evaluation overflows") from exc
+    for a in reversed(s.coeffs):
+        acc = multiply(acc, u) + a
     return acc
 
 
@@ -95,31 +92,20 @@ def series_eval_components(s: PowerSeries, u: PentaComplex) -> PentaComplex:
     accp = 0.0
     acc1 = 0j
     acc2 = 0j
-    try:
-        for a in reversed(s.coeffs):
-            sp = coefficient_spectrum(a)
-            accp = accp * vp + sp.aplus
-            acc1 = acc1 * z1 + complex(sp.a1, sp.at1)
-            acc2 = acc2 * z2 + complex(sp.a2, sp.at2)
-    except OverflowError as exc:
-        raise Overflow("series evaluation overflows") from exc
-    return PentaComplex(*_from_canon_comps((accp, acc1.real, acc1.imag,
-                                            acc2.real, acc2.imag)))
+    for a in reversed(s.coeffs):
+        ap, a1, at1, a2, at2 = _to_canon_comps(a.components)
+        accp = accp * vp + ap
+        acc1 = acc1 * z1 + complex(a1, at1)
+        acc2 = acc2 * z2 + complex(a2, at2)
+    # float and complex arithmetic overflow to inf rather than raising
+    return _result(*_from_canon_comps((accp, acc1.real, acc1.imag,
+                                       acc2.real, acc2.imag)))
 
 
 def coefficient_spectrum(a: PentaComplex) -> CoefficientSpectrum:
-    """Component sums weighted by cos/sin of the fifth-circle angles.
-
-    Coincides with the canonical transform of `a`; computed here through
-    trigonometric calls so the two routes stay independent.
-    """
-    comps = a.components
-    aplus = math.fsum(comps)
-    a1 = sum(comps[p] * math.cos(2.0 * math.pi * p / 5.0) for p in range(5))
-    at1 = sum(comps[p] * math.sin(2.0 * math.pi * p / 5.0) for p in range(5))
-    a2 = sum(comps[p] * math.cos(4.0 * math.pi * p / 5.0) for p in range(5))
-    at2 = sum(comps[p] * math.sin(4.0 * math.pi * p / 5.0) for p in range(5))
-    return CoefficientSpectrum(aplus=aplus, a1=a1, at1=at1, a2=a2, at2=at2)
+    """The canonical transform of `a`: its line sum and the two plane
+    pairs (component sums weighted by cos/sin of the fifth-circle angles)."""
+    return CoefficientSpectrum(*_to_canon_comps(a.components))
 
 
 def _tail_ratios(values: list[float], window: int, label: str) -> list[float]:
@@ -146,10 +132,10 @@ def convergence_radii(s: PowerSeries, window: int = RATIO_WINDOW) -> Convergence
         raise InsufficientTerms(
             f"need at least {window + 2} coefficients for window {window}, got {len(s.coeffs)}")
     mods = [abs(a) for a in s.coeffs]
-    spectra = [coefficient_spectrum(a) for a in s.coeffs]
-    pmods = [abs(sp.aplus) for sp in spectra]
-    m1 = [math.hypot(sp.a1, sp.at1) for sp in spectra]
-    m2 = [math.hypot(sp.a2, sp.at2) for sp in spectra]
+    spectra = [_to_canon_comps(a.components) for a in s.coeffs]
+    pmods = [abs(ap) for ap, _, _, _, _ in spectra]
+    m1 = [math.hypot(a1, at1) for _, a1, at1, _, _ in spectra]
+    m2 = [math.hypot(a2, at2) for _, _, _, a2, at2 in spectra]
 
     overall = [r / SQRT5 for r in _tail_ratios(mods, window, "overall")]
     plus = _tail_ratios(pmods, window, "line")
@@ -181,7 +167,9 @@ def taylor_coefficients(s: PowerSeries, u0: PentaComplex, kmax: int) -> PowerSer
             for l in range(k, n):
                 acc = acc + math.comb(l, k) * multiply(s.coeffs[l], powers[l - k])
             out.append(acc)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
+        # a binomial coefficient beyond the float range (from about 1030
+        # terms on); the ring arithmetic raises Overflow itself
         raise Overflow("Taylor recentering overflows") from exc
     return PowerSeries(tuple(out))
 

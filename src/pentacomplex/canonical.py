@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DIM, PentaComplex
+from .algebra import DIM, PentaComplex, _result
+from .errors import NonInvertible, Overflow
 
 SQRT5 = math.sqrt(5.0)
 TWO_PI = 2.0 * math.pi
@@ -24,6 +25,10 @@ P = (SQRT5 - 1.0) / 4.0            # cos of the fifth-circle angle
 Q = math.sqrt((5.0 + SQRT5) / 8.0)  # sin of the fifth-circle angle
 P2 = 2.0 * P * P - 1.0             # cos of twice the angle
 Q2 = 2.0 * P * Q                   # sin of twice the angle
+
+# a canonical part at or below this fraction of |u| counts as zero: the
+# cutoff of the divisor-of-zero guard and the default of polar_form's angles
+TAU_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,43 @@ def _from_canon_comps(w: tuple) -> tuple:
         p + _P24 * v1 - _Q24 * tv1 + _P4 * v2 + _Q4 * tv2,
         p + _P4 * v1 - _Q4 * tv1 + _P24 * v2 - _Q24 * tv2,
     )
+
+
+def _guard(u: PentaComplex, vp: float | None, r1: float, r2: float,
+           error: type, tol: float | None = None) -> None:
+    """The divisor-of-zero guard: raise `error` unless both plane radii
+    exceed `tol` (default TAU_REL * |u|) and so does vplus, in absolute
+    value for NonInvertible and in value (the logarithm's domain) for any
+    other error.  vp=None leaves the line untested."""
+    if tol is None:
+        tol = TAU_REL * abs(u)
+    if vp is not None:
+        if error is NonInvertible:
+            if abs(vp) <= tol:
+                raise error(f"vplus = {vp:.3e} vanishes; divisor of zero")
+        elif vp <= tol:
+            raise error(f"vplus = {vp:.3e} is not positive")
+    if r1 <= tol or r2 <= tol:
+        raise error(f"plane-{1 if r1 <= tol else 2} radius vanishes; divisor of zero")
+
+
+def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
+          tol: float | None = None) -> PentaComplex:
+    """The element with line_fn(vplus) on the line and plane_fn(v_k + i*tv_k)
+    on each plane.  With an error class `domain`, u first passes the guard;
+    a result beyond the floating-point range raises Overflow."""
+    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    z1 = complex(v1, tv1)
+    z2 = complex(v2, tv2)
+    try:
+        if domain is not None:
+            _guard(u, vp, abs(z1), abs(z2), domain, tol)
+        wp = line_fn(vp)
+        w1 = plane_fn(z1)
+        w2 = plane_fn(z2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise Overflow("result exceeds the floating-point range") from exc
+    return _result(*_from_canon_comps((wp, w1.real, w1.imag, w2.real, w2.imag)))
 
 
 # _to_canon_comps as a matrix, for arrays of elements (one per row)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DIM, TAU_INV_REL, PentaComplex
+from .algebra import DIM, PentaComplex
 from .analytic import Evaluator, _call
 from .canonical import (_CANON, _ROT, E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
-                        TWO_PI, _from_canon_comps, rotated_coords)
+                        TAU_REL, TWO_PI, _from_canon_comps, rotated_coords)
 from .elementary import ARRAY_LIFT, LIFT_RANGE
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
@@ -186,7 +186,7 @@ def _divide(du: np.ndarray, rel: np.ndarray, rel_c: np.ndarray) -> np.ndarray:
     """du * (u - u0)^-1 in canonical coordinates; rel holds u - u0 per node
     and rel_c its canonical coordinates.  Every node gets inverse's
     divisor-of-zero test."""
-    tol = TAU_INV_REL * np.sqrt((rel * rel).sum(axis=1))
+    tol = TAU_REL * np.sqrt((rel * rel).sum(axis=1))
     radius_sq = rel_c[:, 1::2] ** 2 + rel_c[:, 2::2] ** 2
     bad = (np.abs(rel_c[:, 0]) <= tol) | (radius_sq <= (tol * tol)[:, None]).any(axis=1)
     if bad.any():

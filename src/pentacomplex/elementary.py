@@ -9,15 +9,16 @@ domains raise typed errors rather than returning garbage.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PentaComplex, _result, multiply
+from .algebra import PentaComplex, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
-                        _from_canon_comps, _to_canon_comps)
-from .errors import FormDomain, LogDomain, NonInvertible, Overflow, PowDomain
+                        _guard, _lift, _to_canon_comps)
+from .errors import FormDomain, LogDomain, NonInvertible, PowDomain
 from .geometry import SQRT2, odd_fifth_root, polar_form
 
 # direction of the log(sqrt2/tan(thetaplus)) term in the exponent assembly
@@ -27,27 +28,18 @@ _PSI_MIX = PentaComplex(0.0, (SQRT5 + 1.0) / 10.0, -(SQRT5 - 1.0) / 10.0,
                         -(SQRT5 - 1.0) / 10.0, (SQRT5 + 1.0) / 10.0)
 
 
-def _exp_guarded(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise Overflow(f"exp({x}) exceeds the floating-point range") from exc
-
-
-def _build(w: tuple) -> PentaComplex:
-    # canonical components near the float ceiling can overflow on reassembly
-    return _result(*_from_canon_comps(w))
-
-
 def exp(u: PentaComplex) -> PentaComplex:
-    """Exponential: e^vplus on the line, e^v_k*(cos tv_k, sin tv_k) per plane."""
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    e0 = _exp_guarded(vp)
-    e1 = _exp_guarded(v1)
-    e2 = _exp_guarded(v2)
-    w = (e0, e1 * math.cos(tv1), e1 * math.sin(tv1),
-         e2 * math.cos(tv2), e2 * math.sin(tv2))
-    return _build(w)
+    """Exponential: e^vplus on the line and e^z_k on each plane."""
+    return _lift(u, math.exp, cmath.exp)
+
+
+_TWO_PI_J = complex(0.0, TWO_PI)
+
+
+def _log_plane(z: complex) -> complex:
+    # the angle moved from (-pi, pi] to [0, 2*pi); adding 0j turns -0.0 into 0.0
+    w = cmath.log(z)
+    return w + (_TWO_PI_J if w.imag < 0.0 else 0j)
 
 
 def log(u: PentaComplex) -> PentaComplex:
@@ -59,16 +51,7 @@ def log(u: PentaComplex) -> PentaComplex:
     The paper's route through the amplitude and the tangents of thetaplus
     and psi1 is `exponential_form`; the tests cross-check the two.
     """
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    tol = 1e-13 * abs(u)
-    if vp <= tol:
-        raise LogDomain(f"vplus = {vp:.3e} is not positive")
-    rho1 = math.hypot(v1, tv1)
-    rho2 = math.hypot(v2, tv2)
-    if rho1 <= tol or rho2 <= tol:
-        raise LogDomain("a plane radius vanishes")
-    return _build((math.log(vp), math.log(rho1), math.atan2(tv1, v1) % TWO_PI,
-                   math.log(rho2), math.atan2(tv2, v2) % TWO_PI))
+    return _lift(u, math.log, _log_plane, LogDomain)
 
 
 def pow_real(u: PentaComplex, m: float) -> PentaComplex:
@@ -77,83 +60,32 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
     Integer m works for any u (negative m needs invertibility); non-integer m
     needs the logarithm domain.  phi_k follows the principal branch [0, 2*pi).
     """
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     if isinstance(m, int) or float(m).is_integer():
         n = int(m)
-        if n < 0:
-            tol = 1e-13 * abs(u)
-            if abs(vp) <= tol or math.hypot(v1, tv1) <= tol or math.hypot(v2, tv2) <= tol:
-                raise NonInvertible("negative power of a divisor of zero")
-        try:
-            wp = vp ** n
-            z1 = complex(v1, tv1) ** n
-            z2 = complex(v2, tv2) ** n
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise Overflow(f"power {n} overflows") from exc
-        w = (wp, z1.real, z1.imag, z2.real, z2.imag)
-        if not all(math.isfinite(x) for x in w):
-            raise Overflow(f"power {n} overflows")
-        return _build(w)
-    rho1 = math.hypot(v1, tv1)
-    rho2 = math.hypot(v2, tv2)
-    tol = 1e-13 * abs(u)
-    if vp <= tol or rho1 <= tol or rho2 <= tol:
-        raise PowDomain("non-integer power needs vplus > 0 and nonzero plane radii")
-    phi1 = math.atan2(tv1, v1) % TWO_PI
-    phi2 = math.atan2(tv2, v2) % TWO_PI
-    try:
-        wp = vp ** m
-        r1m = rho1 ** m
-        r2m = rho2 ** m
-    except OverflowError as exc:
-        raise Overflow(f"power {m} overflows") from exc
-    w = (wp, r1m * math.cos(m * phi1), r1m * math.sin(m * phi1),
-         r2m * math.cos(m * phi2), r2m * math.sin(m * phi2))
-    return _build(w)
+        power = lambda x: x ** n  # noqa: E731 -- float and complex alike
+        return _lift(u, power, power, NonInvertible if n < 0 else None)
+
+    def plane(z: complex) -> complex:
+        rho, phi = cmath.polar(z)
+        return cmath.rect(rho ** m, m * (phi % TWO_PI))
+
+    return _lift(u, lambda x: x ** m, plane, PowDomain)
 
 
 def cos(u: PentaComplex) -> PentaComplex:
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    try:
-        w = (math.cos(vp),
-             math.cos(v1) * math.cosh(tv1), -math.sin(v1) * math.sinh(tv1),
-             math.cos(v2) * math.cosh(tv2), -math.sin(v2) * math.sinh(tv2))
-    except OverflowError as exc:
-        raise Overflow("cos overflows") from exc
-    return _build(w)
+    return _lift(u, math.cos, cmath.cos)
 
 
 def sin(u: PentaComplex) -> PentaComplex:
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    try:
-        w = (math.sin(vp),
-             math.sin(v1) * math.cosh(tv1), math.cos(v1) * math.sinh(tv1),
-             math.sin(v2) * math.cosh(tv2), math.cos(v2) * math.sinh(tv2))
-    except OverflowError as exc:
-        raise Overflow("sin overflows") from exc
-    return _build(w)
+    return _lift(u, math.sin, cmath.sin)
 
 
 def cosh(u: PentaComplex) -> PentaComplex:
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    try:
-        w = (math.cosh(vp),
-             math.cosh(v1) * math.cos(tv1), math.sinh(v1) * math.sin(tv1),
-             math.cosh(v2) * math.cos(tv2), math.sinh(v2) * math.sin(tv2))
-    except OverflowError as exc:
-        raise Overflow("cosh overflows") from exc
-    return _build(w)
+    return _lift(u, math.cosh, cmath.cosh)
 
 
 def sinh(u: PentaComplex) -> PentaComplex:
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    try:
-        w = (math.sinh(vp),
-             math.sinh(v1) * math.cos(tv1), math.cosh(v1) * math.sin(tv1),
-             math.sinh(v2) * math.cos(tv2), math.cosh(v2) * math.sin(tv2))
-    except OverflowError as exc:
-        raise Overflow("sinh overflows") from exc
-    return _build(w)
+    return _lift(u, math.sinh, cmath.sinh)
 
 
 # Array forms of the builtins above, keyed by id of the scalar function: the
@@ -195,13 +127,7 @@ def exponential_form(u: PentaComplex) -> ExponentialForm:
     """Exponential form of u; defined for 0 < thetaplus < pi/2 (i.e. vplus > 0)
     with both plane radii nonzero."""
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    tol = 1e-13 * abs(u)
-    rho1 = math.hypot(v1, tv1)
-    rho2 = math.hypot(v2, tv2)
-    if vp <= tol:
-        raise FormDomain(f"vplus = {vp:.3e} is not positive")
-    if rho1 <= tol or rho2 <= tol:
-        raise FormDomain("a plane radius vanishes")
+    _guard(u, vp, math.hypot(v1, tv1), math.hypot(v2, tv2), FormDomain)
     pf = polar_form(u)
     return ExponentialForm(
         amplitude=pf.rho,
@@ -225,11 +151,9 @@ def trigonometric_form(u: PentaComplex) -> PentaComplex:
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     d = abs(u)
-    tol = 1e-13 * d
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
-    if rho1 <= tol or rho2 <= tol:
-        raise FormDomain("a plane radius vanishes")
+    _guard(u, None, rho1, rho2, FormDomain)
     cot_theta = vp / (SQRT2 * rho1)
     cot_psi = rho2 / rho1
     phi1 = math.atan2(tv1, v1) % TWO_PI

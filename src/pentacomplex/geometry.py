@@ -14,14 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import SQRT5, TWO_PI, _to_canon_comps
+from .canonical import SQRT5, TAU_REL, TWO_PI, _to_canon_comps
 from .errors import AngleUndefined
 
 SQRT2 = math.sqrt(2.0)
-
-# an angle is declared undefined when its defining radius is below this
-# fraction of the modulus
-TAU_ANG_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,11 @@ def odd_fifth_root(x: float) -> float:
     return math.copysign(abs(x) ** 0.2, x)
 
 
+def _amplitude(vp: float, rho1: float, rho2: float) -> float:
+    # the fifth root taken factor by factor, so nothing under- or overflows
+    return math.copysign(abs(vp) ** 0.2 * rho1 ** 0.4 * rho2 ** 0.4, vp)
+
+
 def amplitude(u: PentaComplex) -> float:
     """Sign-preserving fifth root of vplus * rho1^2 * rho2^2.
 
@@ -75,7 +76,7 @@ def amplitude(u: PentaComplex) -> float:
     submultiplicative up to sqrt(5)).
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    return odd_fifth_root(vp * (v1 * v1 + tv1 * tv1) * (v2 * v2 + tv2 * tv2))
+    return _amplitude(vp, math.hypot(v1, tv1), math.hypot(v2, tv2))
 
 
 def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
@@ -83,17 +84,17 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
 
     d, rho, rho1, rho2 are always returned.  phi_k needs rho_k > 0, psi1
     needs rho1^2 + rho2^2 > 0 and thetaplus needs vplus^2 + rho1^2 > 0; the
-    cutoff is `tol` (default 1e-13 * d).  All angles come from the
+    cutoff is `tol` (default TAU_REL * d).  All angles come from the
     two-argument arctangent: phi_k in [0, 2*pi), psi1 in [0, pi/2],
     thetaplus in [0, pi].
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     d = abs(u)
     if tol is None:
-        tol = TAU_ANG_REL * d
+        tol = TAU_REL * d
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
-    rho = odd_fifth_root(vp * rho1 * rho1 * rho2 * rho2)
+    rho = _amplitude(vp, rho1, rho2)
 
     undefined: dict = {}
     phi1 = phi2 = psi1 = thetaplus = None

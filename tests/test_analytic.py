@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pentacomplex import (ONE, ZERO, EvaluationFailed, InsufficientTerms,
-                          PentaComplex, PowerSeries, ZeroTail,
+                          Overflow, PentaComplex, PowerSeries, ZeroTail,
                           check_cr_relations, check_second_order,
                           coefficient_spectrum, convergence_radii, exp,
                           inverse, multiply, series_eval,
@@ -57,6 +57,17 @@ def test_coefficient_spectrum_examples():
     assert abs(sp.at1 - math.sin(2 * math.pi / 5)) <= 1e-15
 
 
+def trig_spectrum(a):
+    # the component sums weighted by cos/sin of the fifth-circle angles,
+    # an independent route to the canonical transform
+    comps = a.components
+    return (math.fsum(comps),
+            sum(comps[p] * math.cos(2.0 * math.pi * p / 5.0) for p in range(5)),
+            sum(comps[p] * math.sin(2.0 * math.pi * p / 5.0) for p in range(5)),
+            sum(comps[p] * math.cos(4.0 * math.pi * p / 5.0) for p in range(5)),
+            sum(comps[p] * math.sin(4.0 * math.pi * p / 5.0) for p in range(5)))
+
+
 def test_coefficient_spectrum_matches_canonical_transform():
     rng = np.random.default_rng(53)
     for _ in range(200):
@@ -64,8 +75,17 @@ def test_coefficient_spectrum_matches_canonical_transform():
         sp = coefficient_spectrum(a)
         c = to_canonical(a)
         got = (sp.aplus, sp.a1, sp.at1, sp.a2, sp.at2)
-        want = (c.vplus, c.v1, c.tv1, c.v2, c.tv2)
+        assert got == (c.vplus, c.v1, c.tv1, c.v2, c.tv2)
+        want = trig_spectrum(a)
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * max(1.0, abs(a))
+
+
+def test_series_evaluators_overflow_is_typed():
+    s = PowerSeries(tuple(ONE for _ in range(40)))
+    u = PentaComplex.scalar(1e10)
+    for evaluate in (series_eval, series_eval_components):
+        with pytest.raises(Overflow):
+            evaluate(s, u)
 
 
 def test_convergence_radii_geometric():

@@ -9,7 +9,7 @@ from pentacomplex import (H1, ONE, ZERO, CanonicalForm, FormDomain, LogDomain,
                           from_canonical, inverse, log,
                           modulus_amplitude_relation, multiply, pow_real, sin,
                           sinh, to_canonical, to_matrix, trigonometric_form)
-from pentacomplex.canonical import E_PLUS
+from pentacomplex.canonical import E_PLUS, _from_canon_comps, _to_canon_comps
 from pentacomplex.selftest import _matrix_exp
 
 
@@ -228,3 +228,107 @@ def test_modulus_amplitude_relation():
     for u in log_domain_sample(rng, 200):
         d, rhs = modulus_amplitude_relation(u)
         assert abs(d - rhs) <= 1e-10 * max(1.0, d)
+
+
+# the hand-written line and plane formulas the lift replaced, on canonical
+# components (vp, v1, tv1, v2, tv2)
+HAND_FORMULAS = {
+    exp: lambda vp, v1, tv1, v2, tv2: (
+        math.exp(vp), math.exp(v1) * math.cos(tv1), math.exp(v1) * math.sin(tv1),
+        math.exp(v2) * math.cos(tv2), math.exp(v2) * math.sin(tv2)),
+    cos: lambda vp, v1, tv1, v2, tv2: (
+        math.cos(vp), math.cos(v1) * math.cosh(tv1), -math.sin(v1) * math.sinh(tv1),
+        math.cos(v2) * math.cosh(tv2), -math.sin(v2) * math.sinh(tv2)),
+    sin: lambda vp, v1, tv1, v2, tv2: (
+        math.sin(vp), math.sin(v1) * math.cosh(tv1), math.cos(v1) * math.sinh(tv1),
+        math.sin(v2) * math.cosh(tv2), math.cos(v2) * math.sinh(tv2)),
+    cosh: lambda vp, v1, tv1, v2, tv2: (
+        math.cosh(vp), math.cosh(v1) * math.cos(tv1), math.sinh(v1) * math.sin(tv1),
+        math.cosh(v2) * math.cos(tv2), math.sinh(v2) * math.sin(tv2)),
+    sinh: lambda vp, v1, tv1, v2, tv2: (
+        math.sinh(vp), math.sinh(v1) * math.cos(tv1), math.cosh(v1) * math.sin(tv1),
+        math.sinh(v2) * math.cos(tv2), math.cosh(v2) * math.sin(tv2)),
+}
+
+
+def lift_inputs(rng, n):
+    # canonical coordinates within |699|: mixed large and small scales,
+    # plus signed zeros in every position
+    out = []
+    for _ in range(n):
+        scale = rng.choice([1e-3, 1.0, 30.0, 699.0], size=5)
+        coords = rng.uniform(-1.0, 1.0, 5) * scale
+        out.append(from_canonical(CanonicalForm(*coords)))
+    for signs in range(32):
+        out.append(PentaComplex(*(-0.0 if signs >> k & 1 else 0.0 for k in range(5))))
+        out.append(from_canonical(CanonicalForm(
+            *(-0.0 if signs >> k & 1 else 0.0 for k in range(3)), 0.5, -0.25)))
+    return out
+
+
+@pytest.mark.parametrize("f", list(HAND_FORMULAS), ids=lambda f: f.__name__)
+def test_lift_is_bit_identical_to_hand_formulas(f):
+    rng = np.random.default_rng(70)
+    for u in lift_inputs(rng, 4000):
+        c = _to_canon_comps(u.components)
+        assert max(map(abs, c)) <= 700.0
+        want = _from_canon_comps(HAND_FORMULAS[f](*c))
+        assert [x.hex() for x in f(u)] == [x.hex() for x in want], u
+
+
+def near_divisor(part):
+    # plane 2 is (0.8, -0.3); the named part is 1e-14 * |u| (the cutoff is
+    # 1e-13 * |u|), the others are of order one
+    base = from_canonical(CanonicalForm(1.0, 0.6, 0.4, 0.8, -0.3))
+    small = 1e-14 * abs(base)
+    if part == "plane1":
+        return from_canonical(CanonicalForm(1.0, small * 0.6, small * 0.8, 0.8, -0.3))
+    return from_canonical(CanonicalForm(1.0, 0.6, 0.4, small * 0.6, small * 0.8))
+
+
+GUARDED = [
+    (inverse, NonInvertible),
+    (lambda u: pow_real(u, -2), NonInvertible),
+    (log, LogDomain),
+    (lambda u: pow_real(u, 0.5), PowDomain),
+    (exponential_form, FormDomain),
+    (trigonometric_form, FormDomain),
+]
+
+
+@pytest.mark.parametrize("f, error", GUARDED)
+def test_guard_raises_each_functions_own_error(f, error):
+    for u in (E_PLUS, near_divisor("plane1"), near_divisor("plane2")):
+        with pytest.raises(error):
+            f(u)
+
+
+def test_guard_line_test_depends_on_the_error_class():
+    minus_one = PentaComplex.scalar(-1.0)
+    # vplus < 0: outside the logarithm's domain ...
+    for f, error in ((log, LogDomain), (lambda u: pow_real(u, 0.5), PowDomain),
+                     (exponential_form, FormDomain)):
+        with pytest.raises(error):
+            f(minus_one)
+    # ... but invertible, and inside the trigonometric form's domain
+    assert dev(inverse(minus_one), minus_one) <= 1e-15
+    assert dev(pow_real(minus_one, -3), minus_one) <= 1e-15
+    assert dev(trigonometric_form(minus_one), minus_one) <= 1e-14
+    # a line part of 1e-14 * |u| is a divisor of zero for every guarded function
+    u = from_canonical(CanonicalForm(1e-14, 0.6, 0.4, 0.8, -0.3))
+    for f, error in GUARDED[:5]:
+        with pytest.raises(error):
+            f(u)
+
+
+def test_negative_power_beyond_the_float_range_is_overflow():
+    # the line power raises OverflowError ...
+    with pytest.raises(Overflow) as info:
+        pow_real(1e-215 * from_canonical(CanonicalForm(1.0, 0.6, 0.4, 0.8, -0.3)), -3)
+    assert isinstance(info.value.__cause__, OverflowError)
+    # ... and a plane power whose cube underflows to 0 raises ZeroDivisionError
+    # (plane 1 is 1e-8 * |u|, well above the divisor-of-zero cutoff)
+    u = from_canonical(CanonicalForm(1e-100, 0.6e-108, 0.8e-108, 0.8e-100, -0.3e-100))
+    with pytest.raises(Overflow) as info:
+        pow_real(u, -3)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
