@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from numbers import Real
 from operator import truediv
 from typing import Iterable, Sequence
 
@@ -28,10 +29,11 @@ class PentaComplex:
 
     Components are validated to be finite at construction; NaN/infinity never
     enter the ring.  All arithmetic returns new instances, and a result
-    beyond the floating-point range raises Overflow.
+    beyond the floating-point range raises Overflow.  The components are
+    stored as one tuple of floats.
     """
 
-    __slots__ = ("x0", "x1", "x2", "x3", "x4")
+    __slots__ = ("components",)
 
     def __init__(self, x0=0.0, x1=0.0, x2=0.0, x3=0.0, x4=0.0):
         x0 = float(x0)
@@ -41,20 +43,19 @@ class PentaComplex:
         x4 = float(x4)
         # x*0.0 is 0.0 for finite x and NaN for NaN/inf: one test for all five
         if x0 * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 + x4 * 0.0 != 0.0:
-            for name, val in zip(self.__slots__, (x0, x1, x2, x3, x4)):
+            for k, val in enumerate((x0, x1, x2, x3, x4)):
                 if not math.isfinite(val):
-                    raise ValueError(f"component {name} is not finite: {val!r}")
-        _set_x0(self, x0)
-        _set_x1(self, x1)
-        _set_x2(self, x2)
-        _set_x3(self, x3)
-        _set_x4(self, x4)
+                    raise ValueError(f"component x{k} is not finite: {val!r}")
+        _set_components(self, (x0, x1, x2, x3, x4))
 
     def __setattr__(self, name, value):
         raise AttributeError("PentaComplex is immutable")
 
     def __delattr__(self, name):
         raise AttributeError("PentaComplex is immutable")
+
+    def __reduce__(self):
+        return (PentaComplex, self.components)
 
     # -- constructors ------------------------------------------------------
 
@@ -80,9 +81,11 @@ class PentaComplex:
 
     # -- accessors ---------------------------------------------------------
 
-    @property
-    def components(self) -> tuple[float, float, float, float, float]:
-        return (self.x0, self.x1, self.x2, self.x3, self.x4)
+    x0 = property(lambda self: self.components[0], doc="Coefficient of 1.")
+    x1 = property(lambda self: self.components[1], doc="Coefficient of h1.")
+    x2 = property(lambda self: self.components[2], doc="Coefficient of h2.")
+    x3 = property(lambda self: self.components[3], doc="Coefficient of h3.")
+    x4 = property(lambda self: self.components[4], doc="Coefficient of h4.")
 
     def __getitem__(self, k: int) -> float:
         return self.components[k]
@@ -93,51 +96,65 @@ class PentaComplex:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        x0, x1, x2, x3, x4 = self.components
         if isinstance(other, PentaComplex):
-            return _result(self.x0 + other.x0, self.x1 + other.x1,
-                           self.x2 + other.x2, self.x3 + other.x3,
-                           self.x4 + other.x4)
-        if isinstance(other, (int, float)):
-            return _result(self.x0 + other, self.x1, self.x2, self.x3, self.x4)
-        return NotImplemented
+            y0, y1, y2, y3, y4 = other.components
+            return _result(x0 + y0, x1 + y1, x2 + y2, x3 + y3, x4 + y4)
+        if type(other) is not float:
+            if not isinstance(other, Real):
+                return NotImplemented
+            other = _scalar(other)
+        return _result(x0 + other, x1, x2, x3, x4)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        x0, x1, x2, x3, x4 = self.components
         if isinstance(other, PentaComplex):
-            return _result(self.x0 - other.x0, self.x1 - other.x1,
-                           self.x2 - other.x2, self.x3 - other.x3,
-                           self.x4 - other.x4)
-        if isinstance(other, (int, float)):
-            return _result(self.x0 - other, self.x1, self.x2, self.x3, self.x4)
-        return NotImplemented
+            y0, y1, y2, y3, y4 = other.components
+            return _result(x0 - y0, x1 - y1, x2 - y2, x3 - y3, x4 - y4)
+        if type(other) is not float:
+            if not isinstance(other, Real):
+                return NotImplemented
+            other = _scalar(other)
+        return _result(x0 - other, x1, x2, x3, x4)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return PentaComplex(-self.x0, -self.x1, -self.x2, -self.x3, -self.x4)
+        x0, x1, x2, x3, x4 = self.components
+        return _result(-x0, -x1, -x2, -x3, -x4)
 
     def __mul__(self, other):
-        if isinstance(other, PentaComplex):
-            return multiply(self, other)
-        if isinstance(other, (int, float)):
-            return _result(self.x0 * other, self.x1 * other, self.x2 * other,
-                           self.x3 * other, self.x4 * other)
-        return NotImplemented
+        if type(other) is not float:
+            if isinstance(other, PentaComplex):
+                return multiply(self, other)
+            if not isinstance(other, Real):
+                return NotImplemented
+            other = _scalar(other)
+        x0, x1, x2, x3, x4 = self.components
+        return _result(x0 * other, x1 * other, x2 * other, x3 * other, x4 * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
         if isinstance(other, PentaComplex):
             return multiply(self, inverse(other))
-        return NotImplemented
+        if type(other) is not float:
+            if not isinstance(other, Real):
+                return NotImplemented
+            other = _scalar(other)
+        return self * (1.0 / other)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, Real):
+            return NotImplemented
+        return inverse(self) * other
 
     def __abs__(self) -> float:
         # hypot scales internally, so no square under- or overflows
-        return math.hypot(self.x0, self.x1, self.x2, self.x3, self.x4)
+        return math.hypot(*self.components)
 
     def __eq__(self, other):
         if isinstance(other, PentaComplex):
@@ -150,8 +167,7 @@ class PentaComplex:
     # -- presentation ------------------------------------------------------
 
     def __repr__(self):
-        return (f"PentaComplex({self.x0!r}, {self.x1!r}, {self.x2!r}, "
-                f"{self.x3!r}, {self.x4!r})")
+        return "PentaComplex({!r}, {!r}, {!r}, {!r}, {!r})".format(*self.components)
 
     def __str__(self):
         parts = [format(self.x0, ".17g")]
@@ -169,18 +185,30 @@ class PentaComplex:
         return cls.from_components(data)
 
 
-# the slot descriptors' setters, which bypass the immutability guard
-_set_x0, _set_x1, _set_x2, _set_x3, _set_x4 = (
-    PentaComplex.__dict__[name].__set__ for name in PentaComplex.__slots__)
+# the slot's setter, which bypasses the immutability guard
+_set_components = PentaComplex.__dict__["components"].__set__
+_new = object.__new__
 
 
 def _result(*comps: float) -> PentaComplex:
-    """Element from computed components; a non-finite one (a result beyond
-    the floating-point range, or a non-finite scalar operand) is Overflow."""
+    """The one trusted constructor: an element from computed float
+    components, stored as they are; a non-finite one (a result beyond the
+    floating-point range, or a non-finite scalar operand) is Overflow."""
+    x0, x1, x2, x3, x4 = comps
+    if x0 * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 + x4 * 0.0 != 0.0:
+        raise Overflow("result exceeds the floating-point range")
+    u = _new(PentaComplex)
+    _set_components(u, comps)
+    return u
+
+
+def _scalar(x: Real) -> float:
+    """A real scalar operand as float; an int beyond the float range is
+    Overflow."""
     try:
-        return PentaComplex(*comps)
-    except ValueError as exc:
-        raise Overflow("result exceeds the floating-point range") from exc
+        return float(x)
+    except OverflowError as exc:
+        raise Overflow("scalar operand exceeds the floating-point range") from exc
 
 
 ZERO = PentaComplex()
@@ -210,14 +238,9 @@ def multiply(u: PentaComplex, v: PentaComplex) -> PentaComplex:
     multiply(v, u) are bit-identical, not merely equal to rounding.  A
     product outside the floating-point range raises Overflow.
     """
-    return _result(*_mul_comps(u.components, v.components))
-
-
-def _mul_comps(a: tuple, b: tuple) -> tuple:
-    """Convolution product on raw component tuples (hot-path helper)."""
-    a0, a1, a2, a3, a4 = a
-    b0, b1, b2, b3, b4 = b
-    return (
+    a0, a1, a2, a3, a4 = u.components
+    b0, b1, b2, b3, b4 = v.components
+    return _result(
         a0 * b0 + (a1 * b4 + a4 * b1) + (a2 * b3 + a3 * b2),
         (a0 * b1 + a1 * b0) + (a2 * b4 + a4 * b2) + a3 * b3,
         (a0 * b2 + a2 * b0) + a1 * b1 + (a3 * b4 + a4 * b3),

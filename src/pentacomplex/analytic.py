@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .algebra import PentaComplex, _result, multiply
 from .canonical import SQRT5, _from_canon_comps, _to_canon_comps
-from .errors import EvaluationFailed, InsufficientTerms, Overflow, ZeroTail
+from .errors import EvaluationFailed, InsufficientTerms, ZeroTail
 
 FD_STEP_FIRST = 1e-6
 FD_TOL_FIRST = 1e-6
@@ -161,16 +161,11 @@ def taylor_coefficients(s: PowerSeries, u0: PentaComplex, kmax: int) -> PowerSer
     for _ in range(max(0, n - 1)):
         powers.append(multiply(powers[-1], u0))
     out = []
-    try:
-        for k in range(kmax + 1):
-            acc = PentaComplex()
-            for l in range(k, n):
-                acc = acc + math.comb(l, k) * multiply(s.coeffs[l], powers[l - k])
-            out.append(acc)
-    except OverflowError as exc:
-        # a binomial coefficient beyond the float range (from about 1030
-        # terms on); the ring arithmetic raises Overflow itself
-        raise Overflow("Taylor recentering overflows") from exc
+    for k in range(kmax + 1):
+        acc = PentaComplex()
+        for l in range(k, n):
+            acc = acc + math.comb(l, k) * multiply(s.coeffs[l], powers[l - k])
+        out.append(acc)
     return PowerSeries(tuple(out))
 
 
@@ -222,8 +217,8 @@ def _call(f: Evaluator, u: PentaComplex) -> PentaComplex:
 
 def _shifted(point: PentaComplex, axis: int, delta: float) -> PentaComplex:
     comps = list(point.components)
-    comps[axis] += delta
-    return PentaComplex(*comps)
+    comps[axis] += float(delta)
+    return _result(*comps)
 
 
 def check_cr_relations(f: Evaluator, point: PentaComplex,

@@ -89,19 +89,22 @@ class IrreducibleRep:
 
 
 def _to_canon_comps(c: tuple) -> tuple:
-    """(x0..x4) -> (vplus, v1, tv1, v2, tv2) on raw tuples."""
+    """(x0..x4) -> (vplus, v1, tv1, v2, tv2) on raw tuples.  Components near
+    the float ceiling can take a coordinate beyond the floating-point range,
+    which raises Overflow."""
     x0, x1, x2, x3, x4 = c
     s14 = x1 + x4
     d14 = x1 - x4
     s23 = x2 + x3
     d23 = x2 - x3
-    return (
-        x0 + s14 + s23,
-        x0 + P * s14 + P2 * s23,
-        Q * d14 + Q2 * d23,
-        x0 + P2 * s14 + P * s23,
-        Q2 * d14 - Q * d23,
-    )
+    vp = x0 + s14 + s23
+    v1 = x0 + P * s14 + P2 * s23
+    tv1 = Q * d14 + Q2 * d23
+    v2 = x0 + P2 * s14 + P * s23
+    tv2 = Q2 * d14 - Q * d23
+    if vp * 0.0 + v1 * 0.0 + tv1 * 0.0 + v2 * 0.0 + tv2 * 0.0 != 0.0:
+        raise Overflow("canonical coordinates exceed the floating-point range")
+    return vp, v1, tv1, v2, tv2
 
 
 # canonical basis components: rows scale the (1, h1..h4) coefficients by 2/5
@@ -133,14 +136,23 @@ def _from_canon_comps(w: tuple) -> tuple:
     )
 
 
+def _modulus(u: PentaComplex) -> float:
+    """|u|, raising Overflow where it exceeds the floating-point range."""
+    d = abs(u)
+    if d == math.inf:
+        raise Overflow("modulus exceeds the floating-point range")
+    return d
+
+
 def _guard(u: PentaComplex, vp: float | None, r1: float, r2: float,
            error: type, tol: float | None = None) -> None:
     """The divisor-of-zero guard: raise `error` unless both plane radii
     exceed `tol` (default TAU_REL * |u|) and so does vplus, in absolute
     value for NonInvertible and in value (the logarithm's domain) for any
-    other error.  vp=None leaves the line untested."""
+    other error.  vp=None leaves the line untested.  A modulus beyond the
+    floating-point range leaves no cutoff and raises Overflow."""
     if tol is None:
-        tol = TAU_REL * abs(u)
+        tol = TAU_REL * _modulus(u)
     if vp is not None:
         if error is NonInvertible:
             if abs(vp) <= tol:

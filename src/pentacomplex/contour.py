@@ -15,15 +15,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .algebra import DIM, PentaComplex
+from .algebra import DIM, PentaComplex, _result
 from .analytic import Evaluator, _call
 from .canonical import (_CANON, _ROT, E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
                         TAU_REL, TWO_PI, _from_canon_comps, rotated_coords)
 from .elementary import ARRAY_LIFT, LIFT_RANGE
-from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
+from .errors import NonInvertibleOnPath, OnBoundary, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
 TAU_EDGE = 1e-9
@@ -78,7 +79,9 @@ class PlaneProjection:
 
 
 def _vertex_array(path: Path) -> np.ndarray:
-    return np.array([v.components for v in path.vertices])
+    verts = path.vertices
+    flat = chain.from_iterable(v.components for v in verts)
+    return np.fromiter(flat, float, DIM * len(verts)).reshape(-1, DIM)
 
 
 def project(path: Path, k: int) -> PlaneProjection:
@@ -163,7 +166,8 @@ def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _planes(a: np.ndarray) -> np.ndarray:
-    """Columns (v1, tv1, v2, tv2) of canonical rows as complex (z1, z2), a view."""
+    """Columns 1-4 of rows of five as two complex columns, a view: (z1, z2)
+    of canonical rows, (x1 + i*x2, x3 + i*x4) of component rows."""
     return a[:, 1:].view(np.complex128)
 
 
@@ -176,19 +180,20 @@ def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
         out[:, 0] = ufunc(canon[:, 0])
         _planes(out)[:] = ufunc(_planes(canon))
         return out
-    out = np.empty_like(nodes)
-    for i, comps in enumerate(nodes.tolist()):
-        out[i] = _call(f, PentaComplex(*comps)).components
-    return out @ _CANON.T
+    values = [_call(f, _result(*c)).components for c in nodes.tolist()]
+    return np.array(values) @ _CANON.T
 
 
 def _divide(du: np.ndarray, rel: np.ndarray, rel_c: np.ndarray) -> np.ndarray:
     """du * (u - u0)^-1 in canonical coordinates; rel holds u - u0 per node
     and rel_c its canonical coordinates.  Every node gets inverse's
     divisor-of-zero test."""
-    tol = TAU_REL * np.sqrt((rel * rel).sum(axis=1))
-    radius_sq = rel_c[:, 1::2] ** 2 + rel_c[:, 2::2] ** 2
-    bad = (np.abs(rel_c[:, 0]) <= tol) | (radius_sq <= (tol * tol)[:, None]).any(axis=1)
+    # moduli by hypot (a complex abs is one), so no square under- or
+    # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4)
+    pairs = np.abs(_planes(rel))
+    tol = TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
+    radii = np.abs(_planes(rel_c))
+    bad = (np.abs(rel_c[:, 0]) <= tol) | (radii <= tol[:, None]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
         raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
@@ -236,10 +241,7 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     values = _evaluate(f, nodes, rel_c + _CANON @ origin)
     line = float((values[:, 0] * kernel[:, 0]).sum())
     z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()
-    comps = _from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag))
-    if not all(math.isfinite(x) for x in comps):
-        raise Overflow("integral exceeds the floating-point range")
-    return PentaComplex(*comps)
+    return _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
 
 
 def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,

@@ -64,6 +64,7 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
         n = int(m)
         power = lambda x: x ** n  # noqa: E731 -- float and complex alike
         return _lift(u, power, power, NonInvertible if n < 0 else None)
+    m = float(m)  # a numpy exponent would make numpy components
 
     def plane(z: complex) -> complex:
         rho, phi = cmath.polar(z)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import SQRT5, TAU_REL, TWO_PI, _to_canon_comps
+from .canonical import SQRT5, TAU_REL, TWO_PI, _modulus, _to_canon_comps
 from .errors import AngleUndefined
 
 SQRT2 = math.sqrt(2.0)
@@ -82,14 +82,15 @@ def amplitude(u: PentaComplex) -> float:
 def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
     """Full polar decomposition of u.
 
-    d, rho, rho1, rho2 are always returned.  phi_k needs rho_k > 0, psi1
-    needs rho1^2 + rho2^2 > 0 and thetaplus needs vplus^2 + rho1^2 > 0; the
-    cutoff is `tol` (default TAU_REL * d).  All angles come from the
-    two-argument arctangent: phi_k in [0, 2*pi), psi1 in [0, pi/2],
-    thetaplus in [0, pi].
+    d, rho, rho1, rho2 are always returned; a canonical coordinate or a
+    modulus beyond the floating-point range raises Overflow.  phi_k needs
+    rho_k > 0, psi1 needs rho1^2 + rho2^2 > 0 and thetaplus needs
+    vplus^2 + rho1^2 > 0; the cutoff is `tol` (default TAU_REL * d).  All
+    angles come from the two-argument arctangent: phi_k in [0, 2*pi), psi1
+    in [0, pi/2], thetaplus in [0, pi].
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    d = abs(u)
+    d = _modulus(u)
     if tol is None:
         tol = TAU_REL * d
     rho1 = math.hypot(v1, tv1)

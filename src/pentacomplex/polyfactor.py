@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import PentaComplex, inverse, multiply
+from .algebra import PentaComplex, _result, inverse, multiply
 from .analytic import coefficient_spectrum
 from .canonical import _from_canon_comps
 from .errors import (Degenerate, InvalidPairing, NoConvergence,
@@ -230,8 +230,7 @@ def component_roots(cp: ComponentPolynomials, max_iter: int = MAX_ITER) -> RootS
 
 
 def _assemble(vroot: complex, z1: complex, z2: complex) -> PentaComplex:
-    return PentaComplex(*_from_canon_comps((vroot.real, z1.real, z1.imag,
-                                            z2.real, z2.imag)))
+    return _result(*_from_canon_comps((vroot.real, z1.real, z1.imag, z2.real, z2.imag)))
 
 
 def assemble_roots(rs: RootSet,
@@ -257,7 +256,9 @@ def assemble_roots(rs: RootSet,
         if abs(v.imag) > TAU_REAL * scale:
             raise InvalidPairing(
                 f"line root {v} is complex; conjugate pairs form quadratic factors")
-        out.append(_assemble(v, rs.plane1_roots[i1], rs.plane2_roots[i2]))
+        # complex() keeps the components float for a RootSet of numpy scalars
+        out.append(_assemble(complex(v), complex(rs.plane1_roots[i1]),
+                             complex(rs.plane2_roots[i2])))
     return out
 
 
@@ -313,10 +314,10 @@ def factor(poly: PentaPolynomial, max_iter: int = MAX_ITER) -> list[Factor]:
         bsum2 = -(z2a + z2b)
         cprod1 = z1a * z1b
         cprod2 = z2a * z2b
-        b = PentaComplex(*_from_canon_comps((-2.0 * vpair.real, bsum1.real, bsum1.imag,
-                                             bsum2.real, bsum2.imag)))
-        c = PentaComplex(*_from_canon_comps((abs(vpair) ** 2, cprod1.real, cprod1.imag,
-                                             cprod2.real, cprod2.imag)))
+        b = _result(*_from_canon_comps((-2.0 * vpair.real, bsum1.real, bsum1.imag,
+                                        bsum2.real, bsum2.imag)))
+        c = _result(*_from_canon_comps((abs(vpair) ** 2, cprod1.real, cprod1.imag,
+                                        cprod2.real, cprod2.imag)))
         factors.append(QuadraticFactor(b=b, c=c))
     return factors
 

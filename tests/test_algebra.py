@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -222,3 +224,92 @@ def test_operators_and_serialization():
     # ring division is multiplication by the inverse
     q = u / H1
     assert max(abs(a - b) for a, b in zip(multiply(q, H1), u)) <= 1e-12
+
+
+def test_pickle_and_copy_round_trip():
+    u = PentaComplex(1.5, -0.0, 3e-300, -4e300, 5.0)
+    copies = [pickle.loads(pickle.dumps(u, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(u), copy.deepcopy(u), copy.deepcopy([u])[0]]
+    for v in copies:
+        assert type(v) is PentaComplex
+        assert bits(v) == bits(u)
+        with pytest.raises(AttributeError):
+            v.x0 = 7.0
+
+
+def bits(u):
+    """The components' bit patterns (tells -0.0 from 0.0) after checking
+    that each is exactly a float."""
+    assert all(type(x) is float for x in u.components), u.components
+    return np.array(u.components).view(np.int64).tolist()
+
+
+def operator_results(u, v, s):
+    """Every arithmetic operator with an element or the scalar s on each side."""
+    return [u + v, u - v, u * v, u / v, -u, abs(u) * u,
+            u + s, s + u, u - s, s - u, u * s, s * u, u / s, s / u]
+
+
+SCALARS = [2, -3, 0.5, np.float64(2.5), np.int64(3), np.float32(0.25),
+           np.int8(-2), True]
+
+
+@pytest.mark.parametrize("s", SCALARS, ids=lambda s: f"{type(s).__name__}({s})")
+def test_operator_components_are_exactly_float(s):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        u, v = rand(rng), rand(rng)
+        for r in operator_results(u, v, s):
+            # bit-identical to the validated public constructor's element
+            assert bits(r) == bits(PentaComplex(*r.components))
+    assert bits(s / u) == bits(inverse(u) * float(s))
+
+
+def test_multiply_is_bit_identical_to_the_convolution_with_signed_zeros():
+    rng = np.random.default_rng(11)
+    signed = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e300]
+    for _ in range(500):
+        a = tuple(rng.choice(signed, 5).tolist()) if rng.random() < 0.3 \
+            else tuple(rng.uniform(-10, 10, 5).tolist())
+        b = tuple(rng.uniform(-10, 10, 5).tolist())
+        a0, a1, a2, a3, a4 = a
+        b0, b1, b2, b3, b4 = b
+        want = PentaComplex(
+            a0 * b0 + (a1 * b4 + a4 * b1) + (a2 * b3 + a3 * b2),
+            (a0 * b1 + a1 * b0) + (a2 * b4 + a4 * b2) + a3 * b3,
+            (a0 * b2 + a2 * b0) + a1 * b1 + (a3 * b4 + a4 * b3),
+            (a0 * b3 + a3 * b0) + (a1 * b2 + a2 * b1) + a4 * b4,
+            (a0 * b4 + a4 * b0) + (a1 * b3 + a3 * b1) + a2 * b2)
+        got = multiply(PentaComplex(*a), PentaComplex(*b))
+        assert bits(got) == bits(want)
+        assert bits(multiply(PentaComplex(*b), PentaComplex(*a))) == bits(want)
+
+
+HUGE = math.comb(1040, 520)  # about 1e311, beyond the float range
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda u: HUGE * u, id="rmul"),
+    pytest.param(lambda u: u * HUGE, id="mul"),
+    pytest.param(lambda u: u + HUGE, id="add"),
+    pytest.param(lambda u: HUGE + u, id="radd"),
+    pytest.param(lambda u: u - HUGE, id="sub"),
+    pytest.param(lambda u: HUGE - u, id="rsub"),
+    pytest.param(lambda u: u / HUGE, id="truediv"),
+    pytest.param(lambda u: HUGE / u, id="rtruediv"),
+])
+def test_int_scalar_beyond_the_float_range_is_overflow(op):
+    with pytest.raises(Overflow):
+        op(PentaComplex(1e-300))
+
+
+def test_non_real_operands_are_refused():
+    u = PentaComplex(1, 2, 3, 4, 5)
+    for other in (1j, "2", None, [1.0]):
+        with pytest.raises(TypeError):
+            u * other
+        with pytest.raises(TypeError):
+            other + u
+        with pytest.raises(TypeError):
+            other / u

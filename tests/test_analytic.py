@@ -176,6 +176,20 @@ def test_first_order_relations_counterexample():
     assert report.groups[0].deviation > 0.5  # dP0/dx0 = 1 against zeros
 
 
+def test_shifted_points_have_float_components():
+    seen = []
+
+    def f(u):
+        seen.append(u)
+        return multiply(u, u)
+
+    point = PentaComplex(0.1, 0.2, 0.3, 0.4, 0.5)
+    check_cr_relations(f, point, step=np.float64(1e-6))
+    check_second_order(f, point, step=np.float32(3e-4))
+    assert len(seen) == 10 + 5 * (5 * 3 + 10 * 4)  # per component: 5 diagonal, 10 mixed
+    for u in seen:
+        assert all(type(x) is float for x in u.components), u
+
 def test_relation_reports_serialize():
     report = check_cr_relations(lambda u: u, PentaComplex(1, 0, 0, 0, 0))
     d = report.to_dict()

@@ -7,7 +7,7 @@ from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
                           contour, cosh, exp, integrate, multiply, plane_circle,
                           project, project_point, residue_formula, sin, winding)
-from pentacomplex.canonical import E1, E1_TILDE, E2, E2_TILDE, E_PLUS
+from pentacomplex.canonical import _CANON, E1, E1_TILDE, E2, E2_TILDE, E_PLUS
 from pentacomplex.contour import PlaneProjection
 
 TWO_PI = 2 * math.pi
@@ -349,3 +349,55 @@ def test_array_path_overflow_raises_like_scalar_path():
         assert isinstance(info.value.__cause__, Overflow)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+def loop_evaluate(f, nodes):
+    """The per-row loop the callable path replaced, kept as its reference."""
+    out = np.empty_like(nodes)
+    for i, comps in enumerate(nodes.tolist()):
+        out[i] = f(PentaComplex(*comps)).components
+    return out @ _CANON.T
+
+
+def test_callable_path_is_bit_identical_to_the_per_row_loop():
+    rng = np.random.default_rng(67)
+    nodes = rng.uniform(-2.0, 2.0, (257, 5))
+    nodes[:8] = rng.choice([0.0, -0.0, 1.0, -1.0], (8, 5))
+    for f in (lambda u: multiply(u, u) + 3.0 * u, lambda u: exp(u), lambda u: -u):
+        got = contour._evaluate(f, nodes, nodes @ _CANON.T)
+        assert got.tobytes() == loop_evaluate(f, nodes).tobytes()
+
+
+def test_vertex_array_is_the_row_list():
+    path = plane_circle(PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15), 2, 1.0, vertices=97)
+    want = np.array([v.components for v in path.vertices])
+    got = contour._vertex_array(path)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_callable_nodes_and_results_have_float_components():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    seen = []
+
+    def f(u):
+        seen.append(u)
+        return multiply(u, u)
+
+    lhs, rhs = residue_formula(f, plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16), u0,
+                               samples=64)
+    val = integrate(f, Path((ZERO, ONE + E1), closed=False), 8)
+    assert len(seen) == 64 + 1 + 8
+    for u in seen + [lhs, rhs, val]:
+        assert all(type(x) is float for x in u.components), u
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-170])
+def test_pole_divisor_test_is_scale_safe(s):
+    # along u = t*a, t from s to 2s, (u - 0)^-1 du = dt/t: the integral is log 2
+    a = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
+    path = Path((s * a, (2.0 * s) * a), closed=False)
+    pole_integral = contour._PoleIntegrand(lambda u: ONE, ZERO)
+    assert dev(integrate(pole_integral, path, 16), scalar(math.log(2.0))) <= 1e-14
+    # the divisor-of-zero set is still found at that scale (vplus = 0 on E1)
+    with pytest.raises(NonInvertibleOnPath):
+        integrate(pole_integral, Path((s * E1, (2.0 * s) * E1), closed=False), 16)

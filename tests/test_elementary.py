@@ -160,6 +160,17 @@ def test_pow_non_integer():
         pow_real(E_PLUS, 1.5)
 
 
+
+@pytest.mark.parametrize("m, same", [(np.float64(0.5), 0.5), (np.float64(-1.5), -1.5),
+                                     (np.int64(3), 3), (np.int64(-2), -2),
+                                     (np.float64(3.0), 3)])
+def test_pow_real_numpy_exponent_gives_float_components(m, same):
+    rng = np.random.default_rng(46)
+    for u in log_domain_sample(rng, 50):
+        got = pow_real(u, m)
+        assert all(type(x) is float for x in got.components)
+        assert got.components == pow_real(u, same).components
+
 def test_trig_zero_values():
     assert dev(cos(ZERO), ONE) <= 1e-15
     assert dev(sin(ZERO), ZERO) <= 1e-15

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentacomplex import (AngleUndefined, CanonicalForm, PentaComplex,
-                          PentaError, amplitude, exp, exponential_form,
-                          from_canonical, inverse, log, polar_form, pow_real,
+from pentacomplex import (AngleUndefined, CanonicalForm, Overflow,
+                          PentaComplex, PentaError, amplitude, exp,
+                          exponential_form, from_canonical, inverse, log,
+                          polar_form, pow_real, sin, to_canonical,
                           trigonometric_form)
 
 BASE = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
@@ -118,3 +119,24 @@ def test_log_and_inverse_are_scale_equivariant(u, k):
             assert getattr(spf, name) is None
         else:
             assert abs(spf.require(name) - angle) <= 4e-15
+
+
+# finite elements whose canonical coordinates or modulus are not: vplus =
+# x0 + x1 overflows in the first; the second's canonical coordinates are
+# finite (up to 1.66e308) but its modulus is not
+CEILING = [PentaComplex(1.7e308, 1.7e308, 0.0, 0.0, 0.0),
+           PentaComplex(0.0, -1.45e308, 1.1e308, 4e307, 0.0)]
+
+
+@pytest.mark.parametrize("u", CEILING, ids=["vplus", "modulus"])
+def test_components_near_the_float_ceiling_are_overflow(u):
+    for f in (inverse, log, polar_form, exponential_form, trigonometric_form):
+        with pytest.raises(Overflow):
+            f(u)
+
+
+def test_canonical_coordinates_beyond_the_float_range_are_overflow():
+    # math.sin(inf) would raise a raw ValueError
+    for f in (exp, sin, to_canonical):
+        with pytest.raises(Overflow):
+            f(CEILING[0])
