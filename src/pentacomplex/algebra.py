@@ -145,7 +145,11 @@ class PentaComplex:
             if not isinstance(other, Real):
                 return NotImplemented
             other = _scalar(other)
-        return self * (1.0 / other)
+        try:
+            other = 1.0 / other
+        except ZeroDivisionError:
+            raise NonInvertible("division by a zero scalar, a divisor of zero") from None
+        return self * other
 
     def __rtruediv__(self, other):
         if not isinstance(other, Real):

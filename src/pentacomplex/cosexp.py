@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import PentaComplex
 from .canonical import SQRT5
-from .errors import DomainTooLarge
+from .errors import DomainTooLarge, Overflow
 
 #: roots of a^2 + a - 1 = 0 and b^2 + 5b + 5 = 0 used by the radical forms
 RADICAL_A = (SQRT5 - 1.0) / 2.0
@@ -80,9 +80,12 @@ def g5_closed(k: int, y: float) -> float:
     if not 0 <= k <= 4:
         raise ValueError(f"index must be 0..4, got {k}")
     total = 0.0
-    for l in range(5):
-        ang = 2.0 * math.pi * l / 5.0
-        total += math.exp(y * math.cos(ang)) * math.cos(y * math.sin(ang) - ang * k)
+    try:
+        for l in range(5):
+            ang = 2.0 * math.pi * l / 5.0
+            total += math.exp(y * math.cos(ang)) * math.cos(y * math.sin(ang) - ang * k)
+    except OverflowError:
+        raise Overflow(f"g5{k}({y}) exceeds the floating-point range") from None
     return total / 5.0
 
 
@@ -95,9 +98,12 @@ _S5B = math.sqrt(5.0 + RADICAL_B)
 def _g5_radical_doubled(k: int, y: float) -> float:
     """Value of g_{5k}(2y) from the a,b-radical expressions."""
     a = RADICAL_A
-    e2 = math.exp(2.0 * y) / 5.0
-    ea = math.exp(a * y) / 5.0
-    em = math.exp(-(1.0 + a) * y) / 5.0
+    try:
+        e2 = math.exp(2.0 * y) / 5.0
+        ea = math.exp(a * y) / 5.0
+        em = math.exp(-(1.0 + a) * y) / 5.0
+    except OverflowError:
+        raise Overflow(f"g5{k}({2.0 * y}) exceeds the floating-point range") from None
     c1 = math.cos(_SB * y)
     s1 = math.sin(_SB * y)
     c2 = math.cos(_S5B * y)
@@ -154,9 +160,12 @@ def exp_h1_plus_h4(y: float) -> PentaComplex:
     constant, h1+h4 and h2+h3 directions.
     """
     a = RADICAL_A
-    e2 = math.exp(2.0 * y) / 5.0
-    ea = math.exp(a * y) / 5.0
-    em = math.exp(-(1.0 + a) * y) / 5.0
+    try:
+        e2 = math.exp(2.0 * y) / 5.0
+        ea = math.exp(a * y) / 5.0
+        em = math.exp(-(1.0 + a) * y) / 5.0
+    except OverflowError:
+        raise Overflow(f"exp((h1 + h4) * {y}) exceeds the floating-point range") from None
     c0 = e2 + 2.0 * ea + 2.0 * em
     c14 = e2 + a * ea - (a + 1.0) * em
     c23 = e2 - (a + 1.0) * ea + a * em

@@ -71,7 +71,8 @@ class NonInvertibleOnPath(PentaError):
 
 
 class NoConvergence(PentaError):
-    """Iterative root finding did not converge within the iteration cap."""
+    """Root finding failed: a non-finite root, a root that fails the
+    backward-error gate, or a complex line root without its conjugate."""
 
 
 class InvalidPairing(PentaError):

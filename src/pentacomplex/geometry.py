@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
 from .canonical import SQRT5, TAU_REL, TWO_PI, _modulus, _to_canon_comps
-from .errors import AngleUndefined
+from .errors import AngleUndefined, Overflow
 
 SQRT2 = math.sqrt(2.0)
 
@@ -76,15 +76,22 @@ def amplitude(u: PentaComplex) -> float:
     submultiplicative up to sqrt(5)).
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    return _amplitude(vp, math.hypot(v1, tv1), math.hypot(v2, tv2))
+    rho1 = math.hypot(v1, tv1)
+    rho2 = math.hypot(v2, tv2)
+    if rho1 == math.inf or rho2 == math.inf:
+        # a radius beyond the float range: the 0.4 power of the halved radius;
+        # the result is at most |u| (weighted AM-GM), so it is finite
+        return math.copysign(abs(vp) ** 0.2 * math.hypot(0.5 * v1, 0.5 * tv1) ** 0.4
+                             * math.hypot(0.5 * v2, 0.5 * tv2) ** 0.4 * 4.0 ** 0.4, vp)
+    return _amplitude(vp, rho1, rho2)
 
 
 def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
     """Full polar decomposition of u.
 
-    d, rho, rho1, rho2 are always returned; a canonical coordinate or a
-    modulus beyond the floating-point range raises Overflow.  phi_k needs
-    rho_k > 0, psi1 needs rho1^2 + rho2^2 > 0 and thetaplus needs
+    d, rho, rho1, rho2 are always returned; a canonical coordinate, a plane
+    radius or a modulus beyond the floating-point range raises Overflow.
+    phi_k needs rho_k > 0, psi1 needs rho1^2 + rho2^2 > 0 and thetaplus needs
     vplus^2 + rho1^2 > 0; the cutoff is `tol` (default TAU_REL * d).  All
     angles come from the two-argument arctangent: phi_k in [0, 2*pi), psi1
     in [0, pi/2], thetaplus in [0, pi].
@@ -95,6 +102,8 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
         tol = TAU_REL * d
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
+    if rho1 == math.inf or rho2 == math.inf:
+        raise Overflow("a plane radius exceeds the floating-point range")
     rho = _amplitude(vp, rho1, rho2)
 
     undefined: dict = {}

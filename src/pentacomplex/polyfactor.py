@@ -6,11 +6,16 @@ from each component; any bijective pairing works, so a degree-m polynomial
 with simple roots and real line roots has (m!)^2 distinct factorizations
 into linear factors.  Complex-conjugate line-root pairs cannot be real ring
 elements and are emitted as real quadratic factors instead.
+
+The component roots are the eigenvalues of each polynomial's balanced
+companion matrix (`np.roots`), which is backward stable; one backward-error
+gate checks every root.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -22,14 +27,14 @@ from .canonical import _from_canon_comps
 from .errors import (Degenerate, InvalidPairing, NoConvergence,
                      NonInvertible, NonInvertibleLeading)
 
-MAX_ITER = 200
-# residual gate: |p(root)| <= RESIDUAL_REL * ||coefficient vector||
-RESIDUAL_REL = 1e-10
-# line roots with |imag| below this (times scale) count as real
+# line roots with |imag| at most this (times 1 + max |line root|) count as real
 TAU_REAL = 1e-8
-# conjugate partners must match within this (times scale); loose enough to
-# survive the O(sqrt(eps)) cluster splitting of repeated real roots
-TAU_CONJ = 1e-7
+# backward-error gate: each root z of a degree-m component polynomial p must
+# meet |p(z)| <= GATE * m * eps * sum_j s_j |z|^(m-j), s_j the largest
+# |coefficient j| over the three components; 2 * m * eps * sum_j s_j |z|^(m-j)
+# bounds the rounding of Horner's rule itself
+GATE = 64
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -156,77 +161,60 @@ def decompose(poly: PentaPolynomial) -> ComponentPolynomials:
     return ComponentPolynomials(pplus=tuple(pplus), p1=tuple(p1), p2=tuple(p2))
 
 
-def _aberth(coeffs: np.ndarray, max_iter: int = MAX_ITER) -> np.ndarray:
-    """Simultaneous root iteration for a monic polynomial (descending
-    complex coefficients), Newton-polished."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    m = coeffs.size - 1
-    norm = float(np.linalg.norm(coeffs))
-    if m == 1:
-        return np.array([-coeffs[1]])
-    dcoeffs = coeffs[:-1] * np.arange(m, 0, -1)
-    radius = 1.0 + float(np.abs(coeffs[1:]).max())
-    angles = 2.0 * np.pi * np.arange(m) / m + 0.4
-    z = radius * np.exp(1j * angles)
-    converged = False
-    for _ in range(max_iter):
-        pz = np.polyval(coeffs, z)
-        if np.abs(pz).max() <= 1e-13 * norm:
-            converged = True
-            break
-        dpz = np.polyval(dcoeffs, z)
-        dpz = np.where(dpz == 0, 1e-300, dpz)
-        w = pz / dpz
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        delta = w / denom
-        z = z - delta
-        if np.abs(delta).max() <= 1e-14 * (1.0 + np.abs(z).max()):
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(f"no convergence after {max_iter} iterations")
-    for _ in range(2):
-        pz = np.polyval(coeffs, z)
-        dpz = np.polyval(dcoeffs, z)
-        step = np.where(dpz == 0, 0.0, pz / np.where(dpz == 0, 1.0, dpz))
-        z = z - step
-    resid = float(np.abs(np.polyval(coeffs, z)).max())
-    if resid > RESIDUAL_REL * norm:
-        raise NoConvergence(f"residual {resid:.3e} above {RESIDUAL_REL * norm:.3e}")
-    return z
+def _check_gate(p: np.ndarray, z: np.ndarray, scale: np.ndarray) -> None:
+    """Raise NoConvergence unless every root z of p (descending coefficients)
+    passes the backward-error gate.  Where |z| > 1 the reversed polynomial
+    is evaluated at 1/z, so no power overflows; both sides are divided by
+    the largest coefficient, so no sum overflows."""
+    if not np.isfinite(z).all():
+        raise NoConvergence("the companion matrix has a non-finite eigenvalue")
+    top = scale.max()
+    p, scale = p / top, scale / top
+    outer = np.abs(z) > 1.0
+    w = z.copy()
+    w[outer] = 1.0 / z[outer]
+    resid = np.where(outer, np.abs(np.polyval(p[::-1], w)), np.abs(np.polyval(p, w)))
+    mag = np.where(outer, np.polyval(scale[::-1], np.abs(w)), np.polyval(scale, np.abs(w)))
+    bound = GATE * (p.size - 1) * EPS * mag
+    bad = np.flatnonzero(resid > bound)
+    if bad.size:
+        k = bad[0]
+        raise NoConvergence(f"root {complex(z[k])} fails the backward-error gate: "
+                            f"|p(z)| = {resid[k]:.3e} above {bound[k]:.3e}, "
+                            f"relative to the largest coefficient")
 
 
 def _sorted_roots(z: np.ndarray) -> tuple[complex, ...]:
     return tuple(sorted((complex(r) for r in z), key=lambda r: (r.real, r.imag)))
 
 
-def _check_conjugate_pairs(roots: Sequence[complex]) -> None:
-    scale = 1.0 + max(abs(r) for r in roots)
-    pending = [r for r in roots if abs(r.imag) > TAU_CONJ * scale]
-    while pending:
-        r = pending.pop()
-        match = min(pending, key=lambda s: abs(s - r.conjugate()), default=None)
-        if match is None or abs(match - r.conjugate()) > TAU_CONJ * scale:
-            raise NoConvergence(
-                f"line root {r} lacks a conjugate partner within tolerance")
-        pending.remove(match)
+def component_roots(cp: ComponentPolynomials) -> RootSet:
+    """Roots of all three component polynomials: the eigenvalues of each
+    one's balanced companion matrix (`np.roots`).
 
-
-def component_roots(cp: ComponentPolynomials, max_iter: int = MAX_ITER) -> RootSet:
-    """Roots of all three component polynomials.
-
-    Residuals are gated at 1e-10 of the coefficient norm; line roots are
-    verified to pair up with their conjugates.
+    Every root passes the backward-error gate (see GATE) or NoConvergence
+    is raised.  The line polynomial is real, so its companion matrix is real
+    and complex line roots come in exact conjugate pairs.
     """
-    vroots = _sorted_roots(_aberth(np.array(cp.pplus), max_iter))
-    r1 = _sorted_roots(_aberth(np.array(cp.p1), max_iter))
-    r2 = _sorted_roots(_aberth(np.array(cp.p2), max_iter))
-    _check_conjugate_pairs(vroots)
-    return RootSet(vplus_roots=vroots, plane1_roots=r1, plane2_roots=r2)
+    polys = (np.array(cp.pplus, dtype=float), np.array(cp.p1, dtype=complex),
+             np.array(cp.p2, dtype=complex))
+    scale = np.abs(np.array(polys)).max(axis=0)
+    roots = []
+    for p in polys:
+        try:
+            z = np.roots(p).astype(complex)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"companion eigenvalues failed: {exc}") from exc
+        _check_gate(p, z, scale)
+        roots.append(_sorted_roots(z))
+    return RootSet(*roots)
+
+
+def _line_is_real(rs: RootSet) -> list[bool]:
+    """The one classification of line roots: real where |imag| is at most
+    TAU_REAL * (1 + max |line root|)."""
+    scale = 1.0 + max(abs(r) for r in rs.vplus_roots)
+    return [abs(r.imag) <= TAU_REAL * scale for r in rs.vplus_roots]
 
 
 def _assemble(vroot: complex, z1: complex, z2: complex) -> PentaComplex:
@@ -249,11 +237,11 @@ def assemble_roots(rs: RootSet,
         idx = sorted(tr[pos] for tr in pairing)
         if idx != list(range(n)):
             raise InvalidPairing(f"{name} indices are not a permutation of 0..{n - 1}")
-    scale = 1.0 + max(abs(r) for r in rs.vplus_roots)
+    real = _line_is_real(rs)
     out = []
     for iv, i1, i2 in pairing:
         v = rs.vplus_roots[iv]
-        if abs(v.imag) > TAU_REAL * scale:
+        if not real[iv]:
             raise InvalidPairing(
                 f"line root {v} is complex; conjugate pairs form quadratic factors")
         # complex() keeps the components float for a RootSet of numpy scalars
@@ -275,34 +263,28 @@ def _closest_modulus_pair(pool: list[complex]) -> tuple[int, int]:
     return best
 
 
-def factor(poly: PentaPolynomial, max_iter: int = MAX_ITER) -> list[Factor]:
+def factor(poly: PentaPolynomial) -> list[Factor]:
     """Deterministic default factorization.
 
-    Component roots are sorted by (re, im) and paired index-wise.  A
-    complex-conjugate pair of line roots becomes one quadratic factor; the
-    two plane roots accompanying it are the closest-by-modulus unused pair
-    in each plane.
+    Component roots are sorted by (re, im) and paired index-wise.  Each
+    complex line root in the upper half-plane and its exact conjugate become
+    one quadratic factor; the two plane roots accompanying it are the
+    closest-by-modulus unused pair in each plane.
     """
-    rs = component_roots(decompose(poly), max_iter)
-    m = poly.degree
-    scale = 1.0 + max(abs(r) for r in rs.vplus_roots)
+    rs = component_roots(decompose(poly))
+    real = _line_is_real(rs)
+    pending = [v for v, r in zip(rs.vplus_roots, real) if not r]
+    if Counter(pending) != Counter(v.conjugate() for v in pending):
+        raise NoConvergence("complex line roots are not in exact conjugate pairs")
     pool1 = list(rs.plane1_roots)
     pool2 = list(rs.plane2_roots)
     factors: list[Factor] = []
-    skip = False
-    for i, v in enumerate(rs.vplus_roots):
-        if skip:
-            skip = False
-            continue
-        if abs(v.imag) <= TAU_REAL * scale:
+    for v, is_real in zip(rs.vplus_roots, real):
+        if is_real:
             factors.append(LinearFactor(_assemble(v, pool1.pop(0), pool2.pop(0))))
             continue
-        # conjugate partner is adjacent after the (re, im) sort
-        if i + 1 >= m or abs(rs.vplus_roots[i + 1] - v.conjugate()) > TAU_REAL * scale:
-            raise NoConvergence(f"line root {v} lacks an adjacent conjugate partner")
-        skip = True
-        vpair = complex(0.5 * (v.real + rs.vplus_roots[i + 1].real),
-                        abs(0.5 * (v.imag - rs.vplus_roots[i + 1].imag)))
+        if v.imag < 0:
+            continue    # its conjugate makes the quadratic factor
         i1, j1 = _closest_modulus_pair(pool1)
         z1a, z1b = pool1[i1], pool1[j1]
         del pool1[j1], pool1[i1]
@@ -314,9 +296,9 @@ def factor(poly: PentaPolynomial, max_iter: int = MAX_ITER) -> list[Factor]:
         bsum2 = -(z2a + z2b)
         cprod1 = z1a * z1b
         cprod2 = z2a * z2b
-        b = _result(*_from_canon_comps((-2.0 * vpair.real, bsum1.real, bsum1.imag,
+        b = _result(*_from_canon_comps((-2.0 * v.real, bsum1.real, bsum1.imag,
                                         bsum2.real, bsum2.imag)))
-        c = _result(*_from_canon_comps((abs(vpair) ** 2, cprod1.real, cprod1.imag,
+        c = _result(*_from_canon_comps((abs(v) ** 2, cprod1.real, cprod1.imag,
                                         cprod2.real, cprod2.imag)))
         factors.append(QuadraticFactor(b=b, c=c))
     return factors
@@ -343,13 +325,13 @@ def expand_factors(factors: Sequence[Factor]) -> PentaPolynomial:
     return PentaPolynomial(tuple(poly[1:]))
 
 
-def count_factorizations(poly: PentaPolynomial, max_iter: int = MAX_ITER) -> int:
+def count_factorizations(poly: PentaPolynomial) -> int:
     """Number of distinct unordered linear factorizations: (m!)^2.
 
     Defined only when every component root is simple and every line root is
     real; anything else raises Degenerate.
     """
-    rs = component_roots(decompose(poly), max_iter)
+    rs = component_roots(decompose(poly))
     m = poly.degree
     if m == 1:
         return 1
@@ -360,7 +342,6 @@ def count_factorizations(poly: PentaPolynomial, max_iter: int = MAX_ITER) -> int
             for j in range(i + 1, m):
                 if abs(roots[i] - roots[j]) <= 1e-6 * scale:
                     raise Degenerate(f"{name} roots {i} and {j} coincide")
-    scale = 1.0 + max(abs(r) for r in rs.vplus_roots)
-    if any(abs(r.imag) > TAU_REAL * scale for r in rs.vplus_roots):
+    if not all(_line_is_real(rs)):
         raise Degenerate("complex line roots: linear factorization count undefined")
     return math.factorial(m) ** 2

@@ -168,6 +168,15 @@ def test_operator_overflow_is_typed(op):
         op()
 
 
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, np.float64(0)], ids=repr)
+def test_division_by_a_zero_scalar_is_non_invertible(zero):
+    # a zero scalar is a divisor of zero, like PentaComplex()
+    with pytest.raises(NonInvertible):
+        PentaComplex(1, 2, 3, 4, 5) / zero
+    with pytest.raises(NonInvertible):
+        PentaComplex(1, 2, 3, 4, 5) / PentaComplex()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("k", range(5))
 def test_construction_names_the_non_finite_component(k, bad):

@@ -189,6 +189,24 @@ def test_factor_command(tmp_path, capsys):
     assert roots == [-1.0, 1.0]
 
 
+def test_factor_command_line_roots_sharing_a_real_part(capsys):
+    # u^4 + 5u^2 + 4 = (u^2 + 1)(u^2 + 4)
+    poly = {"coeffs": [[0] * 5, [5, 0, 0, 0, 0], [0] * 5, [4, 0, 0, 0, 0]]}
+    code, out, _ = run(capsys, "factor", json.dumps(poly))
+    assert code == 0
+    obj = json.loads(out)
+    assert [f["type"] for f in obj["factors"]] == ["quadratic", "quadratic"]
+    assert obj["reconstruction_residual"] <= 1e-14
+
+
+def test_cosexp_table_overflow_exit_code(capsys):
+    code, out, err = run(capsys, "cosexp-table", "--from", "800", "--to", "800",
+                         "--step", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "Overflow"
+
+
 def test_penta_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PENTA_TOL", "10.0")
     code, _, err = run(capsys, "inv", "[1,0,0,0,0]")

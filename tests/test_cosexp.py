@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pentacomplex import (ONE, DomainTooLarge, PentaComplex, PowerKind,
+from pentacomplex import (ONE, DomainTooLarge, Overflow, PentaComplex, PowerKind,
                           cosexp_power, cosexp_values, exp_basis,
                           exp_h1_minus_h4, exp_h1_plus_h4, g5_closed,
                           g5_closed_radical, g5_series, multiply, power_coeffs)
@@ -212,3 +212,18 @@ def test_power_layouts_against_ring_powers():
             G = pc_f.recurrence["G"][m - 1]
             H = pc_f.recurrence["H"][m - 1]
             assert pw == PentaComplex(H, F, G, G, F), n
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(lambda: exp_h1_plus_h4(400.0), id="exp_h1_plus_h4"),
+    pytest.param(lambda: exp_h1_plus_h4(-800.0), id="exp_h1_plus_h4-negative"),
+    pytest.param(lambda: exp_basis(1, 800.0), id="exp_basis"),
+    pytest.param(lambda: cosexp_values(800.0), id="cosexp_values"),
+    pytest.param(lambda: cosexp_power(2, 400.0, 2), id="cosexp_power"),
+    pytest.param(lambda: g5_closed(3, -900.0), id="g5_closed"),
+    pytest.param(lambda: g5_closed_radical(0, 1500.0), id="g5_closed_radical"),
+])
+def test_beyond_the_float_range_is_overflow(f):
+    # math.exp would raise a raw OverflowError
+    with pytest.raises(Overflow):
+        f()

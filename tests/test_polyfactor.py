@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pentacomplex import (H1, ONE, ZERO, Degenerate, InvalidPairing,
-                          LinearFactor, NonInvertibleLeading, PentaComplex,
-                          PentaPolynomial, QuadraticFactor, assemble_roots,
+from pentacomplex import (H1, ONE, ZERO, CanonicalForm, Degenerate,
+                          InvalidPairing, LinearFactor, NoConvergence,
+                          NonInvertibleLeading, PentaComplex, PentaPolynomial,
+                          QuadraticFactor, RootSet, assemble_roots,
                           component_roots, count_factorizations, decompose,
-                          expand_factors, factor, multiply, to_canonical)
+                          expand_factors, factor, from_canonical, multiply,
+                          to_canonical)
+from pentacomplex import polyfactor
 from pentacomplex.canonical import CONSTANTS, E1, E2, E_PLUS
 
 SQRT5 = math.sqrt(5.0)
@@ -203,3 +206,141 @@ def test_sign_pattern_square_identity():
 def test_polynomial_serialization():
     p = u2_minus_1()
     assert PentaPolynomial.from_dict(p.to_dict()) == p
+
+
+def test_factor_line_roots_sharing_a_real_part():
+    # u^4 + 5u^2 + 4 = (u^2 + 1)(u^2 + 4): line roots +-i and +-2i all have
+    # real part 0, so conjugates are not adjacent after the (re, im) sort
+    poly = PentaPolynomial((ZERO, scalar(5.0), ZERO, scalar(4.0)))
+    factors = factor(poly)
+    assert len(factors) == 2 and all(isinstance(f, QuadraticFactor) for f in factors)
+    for a, b in zip(poly.coeffs, expand_factors(factors).coeffs):
+        assert dev(a, b) <= 1e-14
+    # u^3 + u = u(u^2 + 1): a real line root between a conjugate pair
+    poly = PentaPolynomial((ZERO, scalar(1.0), ZERO))
+    factors = factor(poly)
+    assert sorted(type(f).__name__ for f in factors) == ["LinearFactor", "QuadraticFactor"]
+    for a, b in zip(poly.coeffs, expand_factors(factors).coeffs):
+        assert dev(a, b) <= 1e-14
+
+
+def test_factor_double_root_gives_linear_factors():
+    poly = PentaPolynomial.from_scalar_roots([1.0, 1.0])
+    factors = factor(poly)
+    assert len(factors) == 2 and all(isinstance(f, LinearFactor) for f in factors)
+    for f in factors:
+        assert dev(f.root, ONE) <= 1e-7
+    for a, b in zip(poly.coeffs, expand_factors(factors).coeffs):
+        assert dev(a, b) <= 1e-14
+    with pytest.raises(Degenerate):
+        count_factorizations(poly)
+
+
+def test_line_roots_within_tau_real_count_as_real():
+    # a split double root: the conjugate pair within TAU_REAL is real
+    for im, real in ((1e-10, True), (1e-3, False)):
+        rs = RootSet((complex(1, -im), complex(1, im)), (1j, -1j), (2.0, -2.0))
+        if real:
+            roots = assemble_roots(rs, [(0, 0, 0), (1, 1, 1)])
+            assert roots[0].components == from_canonical(
+                CanonicalForm(1.0, 0.0, 1.0, 2.0, 0.0)).components
+        else:
+            with pytest.raises(InvalidPairing):
+                assemble_roots(rs, [(0, 0, 0), (1, 1, 1)])
+
+
+def component_arrays(poly):
+    cp = decompose(poly)
+    return [np.array(cp.pplus, dtype=complex), np.array(cp.p1), np.array(cp.p2)]
+
+
+def factor_components(f):
+    coeffs = (-1.0 * f.root,) if isinstance(f, LinearFactor) else (f.b, f.c)
+    return component_arrays(PentaPolynomial(coeffs))
+
+
+def reconstruction_error(poly, factors):
+    """Largest coefficient residual of expand_factors(factors) on the three
+    component polynomials, coefficient j scaled by the largest, over the
+    components, coefficient j of the product of the factors with their
+    component coefficients replaced by absolute values."""
+    mag = [np.ones(1)] * 3
+    for f in factors:
+        mag = [np.convolve(m, np.abs(c)) for m, c in zip(mag, factor_components(f))]
+    scale = np.max(mag, axis=0)
+    got = component_arrays(expand_factors(factors))
+    want = component_arrays(poly)
+    return max(float(np.max(np.abs(g - w) / scale)) for g, w in zip(got, want))
+
+
+def backward_errors(poly):
+    """|p(z)| / sum_j s_j |z|^(m-j) for every component root z of p, with
+    s_j the largest |coefficient j| over the three components."""
+    comps = component_arrays(poly)
+    s = np.max(np.abs(comps), axis=0)
+    rs = component_roots(decompose(poly))
+    out = []
+    for p, roots in zip(comps, (rs.vplus_roots, rs.plane1_roots, rs.plane2_roots)):
+        z = np.array(roots)
+        out.extend(np.abs(np.polyval(p, z)) / np.polyval(s, np.abs(z)))
+    return np.array(out)
+
+
+def random_poly(rng, m):
+    return PentaPolynomial(tuple(rand(rng, -1.0, 1.0) for _ in range(m)))
+
+
+def known_root_poly(rng, m):
+    # real line roots in [-1, 1], plane roots spread around the unit circle
+    line = rng.uniform(-1.0, 1.0, m)
+    planes = [rng.uniform(0.8, 1.2, m) * np.exp(1j * (rng.uniform(0, 2 * np.pi)
+                                                      + 2 * np.pi * np.arange(m) / m))
+              for _ in range(2)]
+    roots = [from_canonical(CanonicalForm(v, z1.real, z1.imag, z2.real, z2.imag))
+             for v, z1, z2 in zip(line, *planes)]
+    return expand_factors([LinearFactor(r) for r in roots])
+
+
+@pytest.mark.parametrize("m", [32, 64])
+@pytest.mark.parametrize("make", [random_poly, known_root_poly], ids=["random", "known"])
+def test_factor_at_high_degree(m, make):
+    rng = np.random.default_rng(74 + m)
+    for _ in range(3):
+        poly = make(rng, m)
+        factors = factor(poly)
+        assert sum(1 if isinstance(f, LinearFactor) else 2 for f in factors) == m
+        assert reconstruction_error(poly, factors) <= 1e-12
+        assert backward_errors(poly).max() <= polyfactor.GATE * m * polyfactor.EPS
+
+
+def test_gate_rejects_a_moved_root(monkeypatch):
+    poly = random_poly(np.random.default_rng(75), 8)
+    roots = np.roots
+    for target in range(3):
+        calls = []
+
+        def moved(p):
+            z = roots(p).astype(complex)
+            if len(calls) == target:
+                z[0] += 1e-6
+            calls.append(p)
+            return z
+
+        monkeypatch.setattr(np, "roots", moved)
+        with pytest.raises(NoConvergence, match="backward-error gate"):
+            component_roots(decompose(poly))
+        calls.clear()
+        with pytest.raises(NoConvergence, match="backward-error gate"):
+            factor(poly)
+    monkeypatch.setattr(np, "roots", lambda p: np.full(len(p) - 1, np.nan))
+    with pytest.raises(NoConvergence, match="non-finite"):
+        component_roots(decompose(poly))
+    monkeypatch.setattr(np, "roots", roots)
+    component_roots(decompose(poly))
+
+
+def test_factor_rejects_a_complex_line_root_without_its_conjugate(monkeypatch):
+    broken = RootSet((complex(1, -2), complex(1, 1)), (1j, -1j), (2.0, -2.0))
+    monkeypatch.setattr(polyfactor, "component_roots", lambda cp: broken)
+    with pytest.raises(NoConvergence, match="conjugate"):
+        factor(u2_minus_1())

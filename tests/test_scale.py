@@ -2,9 +2,10 @@
 at magnitudes from 1e-300 to 1e300 and next to the divisor-of-zero set."""
 
 import math
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentacomplex import (AngleUndefined, CanonicalForm, Overflow,
@@ -75,8 +76,13 @@ CONTRACT = {
 }
 
 
+# plane radii beyond the float range at a finite modulus
+WIDE_PLANE = from_canonical(CanonicalForm(0.0, 1.5e308, 1.5e308, 0.0, 0.0))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(canonical_parts(), st.floats(-300.0, 300.0))
+@example(WIDE_PLANE, 0.0)
 def test_finite_result_or_typed_error(u, exponent):
     # a PentaComplex result is finite by construction
     u = u * 10.0 ** exponent
@@ -140,3 +146,16 @@ def test_canonical_coordinates_beyond_the_float_range_are_overflow():
     for f in (exp, sin, to_canonical):
         with pytest.raises(Overflow):
             f(CEILING[0])
+
+
+def test_plane_radius_beyond_the_float_range():
+    with pytest.raises(Overflow):
+        polar_form(WIDE_PLANE)
+    # fifth root of vplus * rho1^2 * rho2^2 in decimal arithmetic (28 digits)
+    cf = to_canonical(WIDE_PLANE)
+    d = [Decimal(x) for x in (cf.vplus, cf.v1, cf.tv1, cf.v2, cf.tv2)]
+    prod = abs(d[0]) * (d[1] ** 2 + d[2] ** 2) * (d[3] ** 2 + d[4] ** 2)
+    want = math.copysign(float((prod.ln() / 5).exp()), cf.vplus)
+    got = amplitude(WIDE_PLANE)
+    # the exponents 0.2 and 0.4 miss 1/5 and 2/5 (see above)
+    assert abs(got - want) <= 1e-13 * abs(want)
