@@ -12,11 +12,12 @@ import math
 from functools import partial
 from numbers import Real
 from operator import truediv
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import NonInvertible, NotCirculant, Overflow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DIM = 5
 
@@ -258,6 +259,8 @@ def to_matrix(u: PentaComplex) -> np.ndarray:
 
     Matrix multiplication of two such matrices represents the ring product.
     """
+    import numpy as np
+
     c = u.components
     return np.array([[c[(col - row) % DIM] for col in range(DIM)] for row in range(DIM)])
 
@@ -268,6 +271,8 @@ def from_matrix(m: np.ndarray, tol: float = TAU_CIRC) -> PentaComplex:
     Raises NotCirculant if any row deviates from the cyclically shifted first
     row by more than `tol` (absolute).
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.shape != (DIM, DIM):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
@@ -280,8 +285,16 @@ def from_matrix(m: np.ndarray, tol: float = TAU_CIRC) -> PentaComplex:
     return PentaComplex.from_components(first)
 
 
-# 1/x on the line and 1/z on each plane
+# 1/x on the line
 _recip = partial(truediv, 1.0)
+
+
+def _recip_plane(z: complex) -> complex:
+    """1/z on a plane.  1/z is 0 only where its denominator overflowed (a
+    radius near the float ceiling); halving z first is exact and keeps it
+    finite there."""
+    w = 1.0 / z
+    return w if w else 0.5 / (0.5 * z)
 
 
 def inverse(u: PentaComplex, tol: float | None = None) -> PentaComplex:
@@ -292,7 +305,7 @@ def inverse(u: PentaComplex, tol: float | None = None) -> PentaComplex:
     `tol` (default canonical.TAU_REL * |u|) the element is declared a
     divisor of zero.
     """
-    return canonical._lift(u, _recip, _recip, NonInvertible, tol)
+    return canonical._lift(u, _recip, _recip_plane, NonInvertible, tol)
 
 
 # canonical builds its constants from PentaComplex, so it is imported last

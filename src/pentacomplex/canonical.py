@@ -11,12 +11,14 @@ trigonometric identities are left to the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from .algebra import DIM, PentaComplex, _result
 from .errors import NonInvertible, Overflow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT5 = math.sqrt(5.0)
 TWO_PI = 2.0 * math.pi
@@ -40,7 +42,7 @@ class TransformConstants:
 CONSTANTS = TransformConstants(p=P, q=Q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """Coordinates (vplus, v1, tv1, v2, tv2) of the line and the two planes.
 
@@ -64,7 +66,7 @@ class CanonicalForm:
                    float(data["v2"]), float(data["tv2"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotatedCoords:
     """Orthonormal coordinates (xiplus, xi1, eta1, xi2, eta2).
 
@@ -86,6 +88,29 @@ class IrreducibleRep:
     vplus: float
     v1_block: np.ndarray
     v2_block: np.ndarray
+
+
+_new = object.__new__
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The setters of a frozen slots dataclass's field slots, in field
+    order; they bypass the frozen __setattr__."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+def _record(cls: type, setters: tuple, values) -> object:
+    """The trusted builder of a result record: `values`, in field order,
+    stored through the slot setters without the dataclass __init__ (as
+    algebra._result builds elements)."""
+    rec = _new(cls)
+    for store, value in zip(setters, values):
+        store(rec, value)
+    return rec
+
+
+_CANONICAL_SETTERS = _slot_setters(CanonicalForm)
+_ROTATED_SETTERS = _slot_setters(RotatedCoords)
 
 
 def _to_canon_comps(c: tuple) -> tuple:
@@ -173,7 +198,9 @@ def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
     z2 = complex(v2, tv2)
     try:
         if domain is not None:
-            _guard(u, vp, abs(z1), abs(z2), domain, tol)
+            # hypot, unlike abs(z), returns inf for a radius beyond the float
+            # range, which passes the guard
+            _guard(u, vp, math.hypot(v1, tv1), math.hypot(v2, tv2), domain, tol)
         wp = line_fn(vp)
         w1 = plane_fn(z1)
         w2 = plane_fn(z2)
@@ -181,15 +208,6 @@ def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
         raise Overflow("result exceeds the floating-point range") from exc
     return _result(*_from_canon_comps((wp, w1.real, w1.imag, w2.real, w2.imag)))
 
-
-# _to_canon_comps as a matrix, for arrays of elements (one per row)
-_CANON = np.array([
-    [1.0] * DIM,
-    [1.0, P, P2, P2, P],
-    [0.0, Q, Q2, -Q2, -Q],
-    [1.0, P2, P, P, P2],
-    [0.0, Q2, -Q, Q, -Q2],
-])
 
 E_PLUS = PentaComplex(*_E_PLUS)
 E1 = PentaComplex(*_E1)
@@ -210,7 +228,7 @@ def canonical_basis() -> tuple[PentaComplex, PentaComplex, PentaComplex,
 
 def to_canonical(u: PentaComplex) -> CanonicalForm:
     """Project u onto the real line and the two planes."""
-    return CanonicalForm(*_to_canon_comps(u.components))
+    return _record(CanonicalForm, _CANONICAL_SETTERS, _to_canon_comps(u.components))
 
 
 def from_canonical(c: CanonicalForm) -> PentaComplex:
@@ -230,18 +248,20 @@ def canonical_multiply(c: CanonicalForm, d: CanonicalForm) -> CanonicalForm:
 
 
 _SQ25 = math.sqrt(2.0 / 5.0)
-_ROT = np.array([
-    [_SQ25 / math.sqrt(2.0)] * DIM,
-    [_SQ25 * 1.0, _SQ25 * P, _SQ25 * P2, _SQ25 * P2, _SQ25 * P],
-    [0.0, _SQ25 * Q, _SQ25 * Q2, -_SQ25 * Q2, -_SQ25 * Q],
-    [_SQ25 * 1.0, _SQ25 * P2, _SQ25 * P, _SQ25 * P, _SQ25 * P2],
-    [0.0, _SQ25 * Q2, -_SQ25 * Q, _SQ25 * Q, -_SQ25 * Q2],
-])
+_ROT_ROWS = (
+    (_SQ25 / math.sqrt(2.0),) * DIM,
+    (_SQ25 * 1.0, _SQ25 * P, _SQ25 * P2, _SQ25 * P2, _SQ25 * P),
+    (0.0, _SQ25 * Q, _SQ25 * Q2, -_SQ25 * Q2, -_SQ25 * Q),
+    (_SQ25 * 1.0, _SQ25 * P2, _SQ25 * P, _SQ25 * P, _SQ25 * P2),
+    (0.0, _SQ25 * Q2, -_SQ25 * Q, _SQ25 * Q, -_SQ25 * Q2),
+)
 
 
 def rotation_matrix() -> np.ndarray:
     """Orthonormal 5x5 change of basis onto the rotated axes (rows are the axes)."""
-    return _ROT.copy()
+    import numpy as np
+
+    return np.array(_ROT_ROWS)
 
 
 def rotated_coords(u: PentaComplex) -> RotatedCoords:
@@ -251,7 +271,8 @@ def rotated_coords(u: PentaComplex) -> RotatedCoords:
     v_k = sqrt(5/2)*xi_k, tv_k = sqrt(5/2)*eta_k.
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    return RotatedCoords(vp / SQRT5, _SQ25 * v1, _SQ25 * tv1, _SQ25 * v2, _SQ25 * tv2)
+    return _record(RotatedCoords, _ROTATED_SETTERS,
+                   (vp / SQRT5, _SQ25 * v1, _SQ25 * tv1, _SQ25 * v2, _SQ25 * tv2))
 
 
 def irreducible_rep(u: PentaComplex) -> IrreducibleRep:
@@ -260,6 +281,8 @@ def irreducible_rep(u: PentaComplex) -> IrreducibleRep:
     Equals T @ to_matrix(u) @ T^-1 with T the rotated-frame matrix; each plane
     block is [[v_k, tv_k], [-tv_k, v_k]].
     """
+    import numpy as np
+
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     b1 = np.array([[v1, tv1], [-tv1, v1]])
     b2 = np.array([[v2, tv2], [-tv2, v2]])

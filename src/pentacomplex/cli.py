@@ -5,6 +5,9 @@ codes: 0 success, 1 usage/validation error, 2 domain error (non-invertible
 element, logarithm domain, pole on path, ...).  The PENTA_TOL environment
 variable (or --tol) overrides the default tolerance where a command takes
 one.
+
+Only the commands that use them load analytic, contour, cosexp, polyfactor
+and selftest, so the elementwise commands start without numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import os
 import sys
 
-from . import analytic, contour, cosexp, elementary, polyfactor, selftest
+from . import elementary
 from .algebra import PentaComplex, inverse, multiply
 from .canonical import CanonicalForm, from_canonical, to_canonical
 from .errors import PentaError
@@ -207,6 +210,8 @@ def _cmd_trig(args):
 
 
 def _cmd_cosexp_table(args):
+    from . import cosexp
+
     if args.step <= 0:
         raise UsageError(f"--step must be positive, got {args.step}")
     if args.stop < args.start:
@@ -221,6 +226,8 @@ def _cmd_cosexp_table(args):
 
 
 def _cmd_check_analytic(args):
+    from . import analytic
+
     f = _builtin(args.fn)
     point = _parse_penta_arg(args.point, "point")
     kwargs = {}
@@ -237,6 +244,8 @@ def _cmd_check_analytic(args):
 
 
 def _cmd_integrate(args):
+    from . import contour
+
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -269,6 +278,8 @@ def _cmd_integrate(args):
 
 
 def _cmd_factor(args):
+    from . import polyfactor
+
     payload = _read_payload(args)
     if payload is None:
         if len(args.operands) != 1:
@@ -297,6 +308,8 @@ def _cmd_factor(args):
 
 
 def _cmd_selftest(args):
+    from . import selftest
+
     results = selftest.run_all()
     for r in results:
         print(r.line())

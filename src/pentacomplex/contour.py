@@ -19,11 +19,12 @@ from itertools import chain
 
 import numpy as np
 
+from . import elementary
 from .algebra import DIM, PentaComplex, _result
 from .analytic import Evaluator, _call
-from .canonical import (_CANON, _ROT, E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
-                        TAU_REL, TWO_PI, _from_canon_comps, rotated_coords)
-from .elementary import ARRAY_LIFT, LIFT_RANGE
+from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, P, P2, Q, Q2,
+                        TAU_REL, TWO_PI, _from_canon_comps, rotated_coords,
+                        rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -32,6 +33,28 @@ TAU_EDGE = 1e-9
 # most Gauss-Legendre nodes in one panel; a segment with n nodes is cut into
 # ceil(n / PANEL) panels of equal width
 PANEL = 8
+
+# canonical._to_canon_comps as a matrix, for arrays of elements (one per row)
+_CANON = np.array([
+    [1.0] * DIM,
+    [1.0, P, P2, P2, P],
+    [0.0, Q, Q2, -Q2, -Q],
+    [1.0, P2, P, P, P2],
+    [0.0, Q2, -Q, Q, -Q2],
+])
+# rows are the rotated orthonormal axes
+_ROT = rotation_matrix()
+
+# Array forms of elementary's builtins, keyed by id of the scalar function:
+# the one numpy ufunc that acts on the line (real) and on each plane
+# (complex).  While every canonical coordinate stays within LIFT_RANGE no
+# builtin overflows (e^700 is about 1e304, and reassembly sums five such
+# terms scaled by at most 0.4), so there the array forms are finite exactly
+# where the scalar functions return a value.
+ARRAY_LIFT = {id(elementary.exp): np.exp, id(elementary.sin): np.sin,
+              id(elementary.cos): np.cos, id(elementary.sinh): np.sinh,
+              id(elementary.cosh): np.cosh}
+LIFT_RANGE = 700.0
 
 
 @dataclass(frozen=True)

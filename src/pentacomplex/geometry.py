@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import SQRT5, TAU_REL, TWO_PI, _modulus, _to_canon_comps
+from .canonical import (SQRT5, TAU_REL, TWO_PI, _modulus, _record,
+                        _slot_setters, _to_canon_comps)
 from .errors import AngleUndefined, Overflow
 
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarForm:
     """Modulus, amplitude, radii and angles of one element.
 
@@ -54,19 +55,42 @@ class PolarForm:
         return out
 
 
+_POLAR_SETTERS = _slot_setters(PolarForm)
+
+
 def modulus(u: PentaComplex) -> float:
     """Euclidean norm of the five components."""
     return abs(u)
 
 
+# 2**(k/5) for k = 0..4, each correctly rounded
+_TWO_FIFTHS = tuple(2.0 ** (k / 5) for k in range(5))
+
+
+def _fifth_root(m: float, e: int) -> float:
+    """(m * 2**e)**(1/5) for m in [1/32, 1].  The binary exponent's root is
+    exact (a power of two times a constant), so only m's root carries the
+    error of the exponent 0.2 against 1/5, which |ln m| <= ln 32 keeps below
+    an ulp."""
+    q, k = divmod(e, 5)
+    return math.ldexp(m ** 0.2 * _TWO_FIFTHS[k], q)
+
+
 def odd_fifth_root(x: float) -> float:
     """Real fifth root with the sign of x."""
-    return math.copysign(abs(x) ** 0.2, x)
+    m, e = math.frexp(x)
+    return math.copysign(_fifth_root(abs(m), e), x)
 
 
-def _amplitude(vp: float, rho1: float, rho2: float) -> float:
-    # the fifth root taken factor by factor, so nothing under- or overflows
-    return math.copysign(abs(vp) ** 0.2 * rho1 ** 0.4 * rho2 ** 0.4, vp)
+def _amplitude(vp: float, rho1: float, rho2: float, e: int = 0) -> float:
+    """Sign-preserving fifth root of vp * rho1**2 * rho2**2 * 2**e.  The
+    mantissas and the binary exponents are multiplied apart, so nothing
+    under- or overflows."""
+    m0, e0 = math.frexp(vp)
+    m1, e1 = math.frexp(rho1)
+    m2, e2 = math.frexp(rho2)
+    m = abs(m0) * (m1 * m1) * (m2 * m2)
+    return math.copysign(_fifth_root(m, e + e0 + 2 * (e1 + e2)), vp)
 
 
 def amplitude(u: PentaComplex) -> float:
@@ -78,12 +102,17 @@ def amplitude(u: PentaComplex) -> float:
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
-    if rho1 == math.inf or rho2 == math.inf:
-        # a radius beyond the float range: the 0.4 power of the halved radius;
-        # the result is at most |u| (weighted AM-GM), so it is finite
-        return math.copysign(abs(vp) ** 0.2 * math.hypot(0.5 * v1, 0.5 * tv1) ** 0.4
-                             * math.hypot(0.5 * v2, 0.5 * tv2) ** 0.4 * 4.0 ** 0.4, vp)
-    return _amplitude(vp, rho1, rho2)
+    e = 0
+    # a radius beyond the float range is taken from the halved coordinates
+    # (exactly halved at that size); the result is at most |u| (weighted
+    # AM-GM), so it is finite
+    if rho1 == math.inf:
+        rho1 = math.hypot(0.5 * v1, 0.5 * tv1)
+        e += 2
+    if rho2 == math.inf:
+        rho2 = math.hypot(0.5 * v2, 0.5 * tv2)
+        e += 2
+    return _amplitude(vp, rho1, rho2, e)
 
 
 def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
@@ -124,8 +153,8 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
         thetaplus = math.atan2(SQRT2 * rho1, vp)
     else:
         undefined["thetaplus"] = "vplus and rho1 both vanish"
-    return PolarForm(d=d, rho=rho, rho1=rho1, rho2=rho2, phi1=phi1, phi2=phi2,
-                     psi1=psi1, thetaplus=thetaplus, undefined=undefined)
+    return _record(PolarForm, _POLAR_SETTERS,
+                   (d, rho, rho1, rho2, phi1, phi2, psi1, thetaplus, undefined))
 
 
 def modulus_product_bound(u: PentaComplex, v: PentaComplex) -> tuple[float, float]:

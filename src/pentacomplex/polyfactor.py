@@ -251,16 +251,15 @@ def assemble_roots(rs: RootSet,
 
 
 def _closest_modulus_pair(pool: list[complex]) -> tuple[int, int]:
-    # indices of the two pool entries with the closest moduli
-    best = None
-    best_val = math.inf
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            gap = abs(abs(pool[i]) - abs(pool[j]))
-            if gap < best_val:
-                best_val = gap
-                best = (i, j)
-    return best
+    """Indices i < j of the two pool entries with the closest moduli.  In
+    modulus order (stable, so ties keep index order) the closest pair is
+    adjacent; among equal gaps the smallest (i, j) wins, as in a scan of
+    all pairs."""
+    mods = [abs(z) for z in pool]
+    order = sorted(range(len(pool)), key=mods.__getitem__)
+    _, i, j = min((abs(mods[a] - mods[b]), min(a, b), max(a, b))
+                  for a, b in zip(order, order[1:]))
+    return i, j
 
 
 def factor(poly: PentaPolynomial) -> list[Factor]:

@@ -7,8 +7,8 @@ from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
                           contour, cosh, exp, integrate, multiply, plane_circle,
                           project, project_point, residue_formula, sin, winding)
-from pentacomplex.canonical import _CANON, E1, E1_TILDE, E2, E2_TILDE, E_PLUS
-from pentacomplex.contour import PlaneProjection
+from pentacomplex.canonical import E1, E1_TILDE, E2, E2_TILDE, E_PLUS
+from pentacomplex.contour import _CANON, PlaneProjection
 
 TWO_PI = 2 * math.pi
 

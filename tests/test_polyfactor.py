@@ -344,3 +344,33 @@ def test_factor_rejects_a_complex_line_root_without_its_conjugate(monkeypatch):
     monkeypatch.setattr(polyfactor, "component_roots", lambda cp: broken)
     with pytest.raises(NoConvergence, match="conjugate"):
         factor(u2_minus_1())
+
+
+def closest_pair_by_scan(pool):
+    # every pair in index order; the first with the smallest gap wins
+    best, best_gap = None, math.inf
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            gap = abs(abs(pool[i]) - abs(pool[j]))
+            if gap < best_gap:
+                best, best_gap = (i, j), gap
+    return best
+
+
+def test_closest_modulus_pair_matches_a_scan_of_all_pairs():
+    rng = np.random.default_rng(23)
+    for trial in range(400):
+        m = int(rng.integers(2, 40))
+        # half the pools draw moduli from a few values, so moduli tie; all
+        # moduli lie in [1, 2), where every gap is computed exactly
+        if trial % 2:
+            mods = rng.choice(1.0 + rng.random(3), m)
+        else:
+            mods = 1.0 + rng.random(m)
+        pool = [complex(r * np.cos(t), r * np.sin(t))
+                for r, t in zip(mods, rng.uniform(0.0, 2 * np.pi, m))]
+        i, j = polyfactor._closest_modulus_pair(pool)
+        want = closest_pair_by_scan(pool)
+        assert i < j
+        assert abs(abs(pool[i]) - abs(pool[j])) == abs(abs(pool[want[0]]) - abs(pool[want[1]]))
+        assert (i, j) == want

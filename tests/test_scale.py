@@ -2,7 +2,8 @@
 at magnitudes from 1e-300 to 1e300 and next to the divisor-of-zero set."""
 
 import math
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from pentacomplex import (AngleUndefined, CanonicalForm, Overflow,
                           PentaComplex, PentaError, amplitude, exp,
                           exponential_form, from_canonical, inverse, log,
-                          polar_form, pow_real, sin, to_canonical,
+                          multiply, polar_form, pow_real, sin, to_canonical,
                           trigonometric_form)
+from pentacomplex.geometry import odd_fifth_root
 
 BASE = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
 SCALES = [1e-300, 1e-170, 1e170, 1e300]
@@ -33,9 +35,7 @@ def test_log_inverse_and_polar_form_at_extreme_scales(s):
     assert rel_dev(log(u), log(BASE) + math.log(s)) <= 1e-15
     assert rel_dev(inverse(u), inverse(BASE) * (1.0 / s)) <= 1e-15
     pf, pf1 = polar_form(u), polar_form(BASE)
-    # the exponents 0.2 and 0.4 miss 1/5 and 2/5 by about 1e-17, a relative
-    # error of about 6e-17 * |ln s| (4e-14 at 1e300)
-    assert abs(pf.rho - s * pf1.rho) <= 1e-13 * s * pf1.rho
+    assert abs(pf.rho - s * pf1.rho) <= 1e-15 * s * pf1.rho
     assert pf.rho == amplitude(u)
     for name in ("phi1", "phi2", "psi1", "thetaplus"):
         assert abs(pf.require(name) - pf1.require(name)) <= 1e-15
@@ -78,11 +78,14 @@ CONTRACT = {
 
 # plane radii beyond the float range at a finite modulus
 WIDE_PLANE = from_canonical(CanonicalForm(0.0, 1.5e308, 1.5e308, 0.0, 0.0))
+# the same plane radius with an invertible element (|u| = 1.35e308)
+BIG_PLANE = from_canonical(CanonicalForm(1e307, 1.5e308, 1.5e308, 1e307, 1e307))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(canonical_parts(), st.floats(-300.0, 300.0))
 @example(WIDE_PLANE, 0.0)
+@example(BIG_PLANE, 0.0)
 def test_finite_result_or_typed_error(u, exponent):
     # a PentaComplex result is finite by construction
     u = u * 10.0 ** exponent
@@ -157,5 +160,42 @@ def test_plane_radius_beyond_the_float_range():
     prod = abs(d[0]) * (d[1] ** 2 + d[2] ** 2) * (d[3] ** 2 + d[4] ** 2)
     want = math.copysign(float((prod.ln() / 5).exp()), cf.vplus)
     got = amplitude(WIDE_PLANE)
-    # the exponents 0.2 and 0.4 miss 1/5 and 2/5 (see above)
-    assert abs(got - want) <= 1e-13 * abs(want)
+    assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def fifth_root_reference(x: Decimal) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((abs(x).ln() / 5).exp()) if x else 0.0
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_amplitude_is_accurate_to_a_few_ulp(s):
+    # against the fifth root of vplus * rho1^2 * rho2^2 in 40-digit decimal
+    # arithmetic on the same canonical coordinates
+    rng = random.Random(17)
+    for _ in range(200):
+        u = PentaComplex(*(rng.uniform(-1.0, 1.0) * s for _ in range(5)))
+        cf = to_canonical(u)
+        d = [Decimal(x) for x in (cf.vplus, cf.v1, cf.tv1, cf.v2, cf.tv2)]
+        prod = d[0] * (d[1] ** 2 + d[2] ** 2) * (d[3] ** 2 + d[4] ** 2)
+        want = math.copysign(fifth_root_reference(prod), cf.vplus)
+        assert abs(amplitude(u) - want) <= 4 * math.ulp(want), u
+        x = rng.uniform(-1.0, 1.0) * s
+        want = math.copysign(fifth_root_reference(Decimal(x)), x)
+        assert abs(odd_fifth_root(x) - want) <= math.ulp(want), x
+
+
+def test_inverse_and_log_with_a_plane_radius_beyond_the_float_range():
+    iu = inverse(BIG_PLANE)
+    assert all(map(math.isfinite, iu))
+    one = to_canonical(multiply(BIG_PLANE, iu))
+    assert max(abs(x - 1.0) for x in (one.vplus, one.v1, one.v2)) <= 1e-14
+    assert max(abs(one.tv1), abs(one.tv2)) <= 1e-14
+    cf = to_canonical(BIG_PLANE)
+    # log|z| = log(|z|/2) + log 2, so nothing overflows in the reference
+    want = [math.log(cf.vplus)]
+    for v, tv in ((cf.v1, cf.tv1), (cf.v2, cf.tv2)):
+        want += [math.log(math.hypot(0.5 * v, 0.5 * tv)) + math.log(2.0),
+                 math.atan2(tv, v) % (2 * math.pi)]
+    assert rel_dev(log(BIG_PLANE), from_canonical(CanonicalForm(*want))) <= 1e-15
