@@ -11,7 +11,7 @@ trigonometric identities are left to the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .algebra import DIM, PentaComplex, _result
@@ -42,7 +42,7 @@ class TransformConstants:
 CONSTANTS = TransformConstants(p=P, q=Q)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CanonicalForm:
     """Coordinates (vplus, v1, tv1, v2, tv2) of the line and the two planes.
 
@@ -66,7 +66,7 @@ class CanonicalForm:
                    float(data["v2"]), float(data["tv2"]))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RotatedCoords:
     """Orthonormal coordinates (xiplus, xi1, eta1, xi2, eta2).
 
@@ -88,29 +88,6 @@ class IrreducibleRep:
     vplus: float
     v1_block: np.ndarray
     v2_block: np.ndarray
-
-
-_new = object.__new__
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The setters of a frozen slots dataclass's field slots, in field
-    order; they bypass the frozen __setattr__."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
-def _record(cls: type, setters: tuple, values) -> object:
-    """The trusted builder of a result record: `values`, in field order,
-    stored through the slot setters without the dataclass __init__ (as
-    algebra._result builds elements)."""
-    rec = _new(cls)
-    for store, value in zip(setters, values):
-        store(rec, value)
-    return rec
-
-
-_CANONICAL_SETTERS = _slot_setters(CanonicalForm)
-_ROTATED_SETTERS = _slot_setters(RotatedCoords)
 
 
 def _to_canon_comps(c: tuple) -> tuple:
@@ -199,7 +176,8 @@ def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
     try:
         if domain is not None:
             # hypot, unlike abs(z), returns inf for a radius beyond the float
-            # range, which passes the guard
+            # range, which passes the guard; plane_fn must then return its
+            # value or raise (1/z silently gives 0 there)
             _guard(u, vp, math.hypot(v1, tv1), math.hypot(v2, tv2), domain, tol)
         wp = line_fn(vp)
         w1 = plane_fn(z1)
@@ -228,7 +206,7 @@ def canonical_basis() -> tuple[PentaComplex, PentaComplex, PentaComplex,
 
 def to_canonical(u: PentaComplex) -> CanonicalForm:
     """Project u onto the real line and the two planes."""
-    return _record(CanonicalForm, _CANONICAL_SETTERS, _to_canon_comps(u.components))
+    return CanonicalForm(*_to_canon_comps(u.components))
 
 
 def from_canonical(c: CanonicalForm) -> PentaComplex:
@@ -271,8 +249,7 @@ def rotated_coords(u: PentaComplex) -> RotatedCoords:
     v_k = sqrt(5/2)*xi_k, tv_k = sqrt(5/2)*eta_k.
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    return _record(RotatedCoords, _ROTATED_SETTERS,
-                   (vp / SQRT5, _SQ25 * v1, _SQ25 * tv1, _SQ25 * v2, _SQ25 * tv2))
+    return RotatedCoords(vp / SQRT5, _SQ25 * v1, _SQ25 * tv1, _SQ25 * v2, _SQ25 * tv2)
 
 
 def irreducible_rep(u: PentaComplex) -> IrreducibleRep:

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import PentaComplex, multiply
+from .algebra import PentaComplex, _recip_plane, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
                         _guard, _lift, _to_canon_comps)
 from .errors import FormDomain, LogDomain, NonInvertible, PowDomain
@@ -61,7 +61,15 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
     if isinstance(m, int) or float(m).is_integer():
         n = int(m)
         power = lambda x: x ** n  # noqa: E731 -- float and complex alike
-        return _lift(u, power, power, NonInvertible if n < 0 else None)
+
+        def plane_power(z: complex) -> complex:
+            # for n < 0, z ** n divides 1 by z ** -n and comes back 0 without
+            # an error where that denominator overflows; the reciprocal
+            # taken first keeps the value there
+            w = z ** n
+            return w if w or n >= 0 else _recip_plane(z) ** -n
+
+        return _lift(u, power, plane_power, NonInvertible if n < 0 else None)
     m = float(m)  # a numpy exponent would make numpy components
 
     def plane(z: complex) -> complex:

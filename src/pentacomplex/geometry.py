@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import (SQRT5, TAU_REL, TWO_PI, _modulus, _record,
-                        _slot_setters, _to_canon_comps)
+from .canonical import SQRT5, TAU_REL, TWO_PI, _modulus, _to_canon_comps
 from .errors import AngleUndefined, Overflow
 
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PolarForm:
     """Modulus, amplitude, radii and angles of one element.
 
@@ -53,9 +52,6 @@ class PolarForm:
         if self.undefined:
             out["undefined"] = dict(self.undefined)
         return out
-
-
-_POLAR_SETTERS = _slot_setters(PolarForm)
 
 
 def modulus(u: PentaComplex) -> float:
@@ -153,8 +149,8 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
         thetaplus = math.atan2(SQRT2 * rho1, vp)
     else:
         undefined["thetaplus"] = "vplus and rho1 both vanish"
-    return _record(PolarForm, _POLAR_SETTERS,
-                   (d, rho, rho1, rho2, phi1, phi2, psi1, thetaplus, undefined))
+    return PolarForm(d=d, rho=rho, rho1=rho1, rho2=rho2, phi1=phi1, phi2=phi2,
+                     psi1=psi1, thetaplus=thetaplus, undefined=undefined)
 
 
 def modulus_product_bound(u: PentaComplex, v: PentaComplex) -> tuple[float, float]:

@@ -3,6 +3,7 @@ at magnitudes from 1e-300 to 1e300 and next to the divisor-of-zero set."""
 
 import math
 import random
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 
 import pytest
@@ -66,6 +67,7 @@ CONTRACT = {
     "log": (log, lambda r: True),
     "exp": (exp, lambda r: True),
     "pow_real(0.5)": (lambda u: pow_real(u, 0.5), lambda r: True),
+    "pow_real(-1)": (lambda u: pow_real(u, -1), lambda r: True),
     "pow_real(-3)": (lambda u: pow_real(u, -3), lambda r: True),
     "polar_form": (polar_form, lambda r: all(map(finite, (
         r.d, r.rho, r.rho1, r.rho2, r.phi1, r.phi2, r.psi1, r.thetaplus)))),
@@ -199,3 +201,13 @@ def test_inverse_and_log_with_a_plane_radius_beyond_the_float_range():
         want += [math.log(math.hypot(0.5 * v, 0.5 * tv)) + math.log(2.0),
                  math.atan2(tv, v) % (2 * math.pi)]
     assert rel_dev(log(BIG_PLANE), from_canonical(CanonicalForm(*want))) <= 1e-15
+
+
+def test_negative_integer_power_with_a_plane_radius_beyond_the_float_range():
+    # z ** -1 divides 1 by z, whose denominator overflows to give a silent 0
+    # on plane 1; the true coordinates there are about 3e-309
+    want = to_canonical(inverse(BIG_PLANE))
+    for m in (-1, -1.0):
+        got = to_canonical(pow_real(BIG_PLANE, m))
+        for a, b in zip(astuple(got), astuple(want)):
+            assert abs(a - b) <= 1e-12 * abs(b), m
