@@ -63,11 +63,13 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
         power = lambda x: x ** n  # noqa: E731 -- float and complex alike
 
         def plane_power(z: complex) -> complex:
-            # for n < 0, z ** n divides 1 by z ** -n and comes back 0 without
-            # an error where that denominator overflows; the reciprocal
-            # taken first keeps the value there
+            # for n < 0, z ** n divides 1 by z ** -n and comes back 0 or nan
+            # without an error where that denominator overflows; the
+            # reciprocal taken first keeps the value there
             w = z ** n
-            return w if w or n >= 0 else _recip_plane(z) ** -n
+            if n < 0 and not (w and cmath.isfinite(w)):
+                w = _recip_plane(z) ** -n
+            return w
 
         return _lift(u, power, plane_power, NonInvertible if n < 0 else None)
     m = float(m)  # a numpy exponent would make numpy components
