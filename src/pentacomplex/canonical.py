@@ -210,19 +210,24 @@ def to_canonical(u: PentaComplex) -> CanonicalForm:
 
 
 def from_canonical(c: CanonicalForm) -> PentaComplex:
-    """Assemble e+*vplus + e1*v1 + ~e1*tv1 + e2*v2 + ~e2*tv2."""
-    return PentaComplex(*_from_canon_comps((c.vplus, c.v1, c.tv1, c.v2, c.tv2)))
+    """Assemble e+*vplus + e1*v1 + ~e1*tv1 + e2*v2 + ~e2*tv2.  A result
+    beyond the floating-point range, or a non-finite field, raises
+    Overflow."""
+    w = (float(c.vplus), float(c.v1), float(c.tv1), float(c.v2), float(c.tv2))
+    return _result(*_from_canon_comps(w))
 
 
 def canonical_multiply(c: CanonicalForm, d: CanonicalForm) -> CanonicalForm:
-    """Componentwise product: real scaling plus complex product in each plane."""
-    return CanonicalForm(
-        c.vplus * d.vplus,
-        c.v1 * d.v1 - c.tv1 * d.tv1,
-        c.v1 * d.tv1 + c.tv1 * d.v1,
-        c.v2 * d.v2 - c.tv2 * d.tv2,
-        c.v2 * d.tv2 + c.tv2 * d.v2,
-    )
+    """Componentwise product: real scaling plus complex product in each
+    plane.  A product beyond the floating-point range raises Overflow."""
+    w = (c.vplus * d.vplus,
+         c.v1 * d.v1 - c.tv1 * d.tv1,
+         c.v1 * d.tv1 + c.tv1 * d.v1,
+         c.v2 * d.v2 - c.tv2 * d.tv2,
+         c.v2 * d.tv2 + c.tv2 * d.v2)
+    if w[0] * 0.0 + w[1] * 0.0 + w[2] * 0.0 + w[3] * 0.0 + w[4] * 0.0 != 0.0:
+        raise Overflow("canonical product exceeds the floating-point range")
+    return CanonicalForm(*w)
 
 
 _SQ25 = math.sqrt(2.0 / 5.0)

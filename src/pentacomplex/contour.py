@@ -70,12 +70,22 @@ class Path:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError(f"a path needs at least 2 vertices, got {len(verts)}")
-        pairs = list(zip(verts, verts[1:]))
-        if self.closed:
-            pairs.append((verts[-1], verts[0]))
-        for a, b in pairs:
-            if a.components == b.components:
-                raise ValueError("consecutive path vertices must be distinct")
+        # the vertex components as rows, built once for project and
+        # integrate; not a field, so equality, hash and repr see only vertices
+        arr = np.fromiter(chain.from_iterable(v.components for v in verts), float,
+                          DIM * len(verts)).reshape(-1, DIM)
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
+        ends = np.roll(arr, -1, axis=0) if self.closed else arr[1:]
+        if (arr[:len(ends)] == ends).all(axis=1).any():
+            raise ValueError("consecutive path vertices must be distinct")
+
+    def __getstate__(self):
+        return {"vertices": self.vertices, "closed": self.closed}
+
+    def __setstate__(self, state):
+        # pickle and copy store only the fields and rebuild the array
+        self.__init__(state["vertices"], state["closed"])
 
     def segments(self) -> list[tuple[PentaComplex, PentaComplex]]:
         segs = list(zip(self.vertices, self.vertices[1:]))
@@ -101,17 +111,11 @@ class PlaneProjection:
     closed: bool = False
 
 
-def _vertex_array(path: Path) -> np.ndarray:
-    verts = path.vertices
-    flat = chain.from_iterable(v.components for v in verts)
-    return np.fromiter(flat, float, DIM * len(verts)).reshape(-1, DIM)
-
-
 def project(path: Path, k: int) -> PlaneProjection:
     """Project every vertex onto canonical plane k (k = 1 or 2)."""
     if k not in (1, 2):
         raise ValueError(f"plane index must be 1 or 2, got {k}")
-    xy = _vertex_array(path) @ _ROT[2 * k - 1:2 * k + 1].T
+    xy = path._array @ _ROT[2 * k - 1:2 * k + 1].T
     return PlaneProjection(points=tuple(map(tuple, xy.tolist())), plane=k,
                            closed=path.closed)
 
@@ -133,7 +137,9 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     """
     if not polygon.closed:
         raise ValueError("winding number needs a closed polygon")
-    a = np.array(polygon.points, dtype=float) - np.array(point, dtype=float)
+    pts = polygon.points
+    a = (np.fromiter(chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2)
+         - np.array(point, dtype=float))
     b = np.roll(a, -1, axis=0)
     d = b - a
     seg_sq = (d * d).sum(axis=1)
@@ -203,8 +209,8 @@ def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
         out[:, 0] = ufunc(canon[:, 0])
         _planes(out)[:] = ufunc(_planes(canon))
         return out
-    values = [_call(f, _result(*c)).components for c in nodes.tolist()]
-    return np.array(values) @ _CANON.T
+    values = chain.from_iterable(_call(f, _result(*c)).components for c in nodes.tolist())
+    return np.fromiter(values, float, nodes.size).reshape(-1, DIM) @ _CANON.T
 
 
 def _divide(du: np.ndarray, rel: np.ndarray, rel_c: np.ndarray) -> np.ndarray:
@@ -248,7 +254,7 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     pole = None
     if isinstance(f, _PoleIntegrand):
         f, pole = f.f, f.pole
-    verts = _vertex_array(path)
+    verts = path._array
     ends = np.roll(verts, -1, axis=0) if path.closed else verts[1:]
     starts = verts[:len(ends)]
     steps = ends - starts
@@ -288,7 +294,7 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
         except OnBoundary as exc:
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     n1, n2 = windings
-    per_segment = max(1, round(samples / len(path.segments())))
+    per_segment = max(1, round(samples / len(path.vertices)))
     lhs = integrate(_PoleIntegrand(f, u0), path, per_segment)
     rhs = TWO_PI * (_call(f, u0) * (n1 * E1_TILDE + n2 * E2_TILDE))
     return lhs, rhs

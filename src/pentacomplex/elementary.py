@@ -75,7 +75,13 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
     m = float(m)  # a numpy exponent would make numpy components
 
     def plane(z: complex) -> complex:
-        rho, phi = cmath.polar(z)
+        try:
+            rho, phi = cmath.polar(z)
+        except OverflowError:
+            # a radius beyond the float range: the polar form of z/2 (halved
+            # exactly at that size), whose radius is representable
+            rho, phi = cmath.polar(0.5 * z)
+            return cmath.rect(rho ** m * 2.0 ** m, m * (phi % TWO_PI))
         return cmath.rect(rho ** m, m * (phi % TWO_PI))
 
     return _lift(u, lambda x: x ** m, plane, PowDomain)

@@ -59,6 +59,9 @@ def modulus(u: PentaComplex) -> float:
     return abs(u)
 
 
+# the smallest normal float
+_TINY = 2.0 ** -1022
+
 # 2**(k/5) for k = 0..4, each correctly rounded
 _TWO_FIFTHS = tuple(2.0 ** (k / 5) for k in range(5))
 
@@ -79,9 +82,16 @@ def odd_fifth_root(x: float) -> float:
 
 
 def _amplitude(vp: float, rho1: float, rho2: float, e: int = 0) -> float:
-    """Sign-preserving fifth root of vp * rho1**2 * rho2**2 * 2**e.  The
-    mantissas and the binary exponents are multiplied apart, so nothing
-    under- or overflows."""
+    """Sign-preserving fifth root of vp * rho1**2 * rho2**2 * 2**e.  Where a
+    partial product leaves the normal range, the mantissas and the binary
+    exponents are multiplied apart, so nothing under- or overflows."""
+    r = rho1 * rho2
+    r2 = r * r
+    x = abs(vp) * r2
+    # r2 normal means r is too; x normal and finite means r2 is finite
+    if r2 >= _TINY and _TINY <= x < math.inf:
+        m, ex = math.frexp(x)
+        return math.copysign(_fifth_root(m, e + ex), vp)
     m0, e0 = math.frexp(vp)
     m1, e1 = math.frexp(rho1)
     m2, e2 = math.frexp(rho2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pentacomplex import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
-                          ONE, CanonicalForm, PentaComplex, add,
+                          ONE, CanonicalForm, Overflow, PentaComplex, add,
                           canonical_basis, canonical_multiply, from_canonical,
                           irreducible_rep, multiply, rotated_coords,
                           rotation_matrix, to_canonical, to_matrix)
@@ -104,6 +104,30 @@ def test_canonical_multiply_matches_ring_product():
         scale = max(1.0, max(abs(x) for x in as_tuple(want)))
         assert max(abs(a - b) for a, b in
                    zip(as_tuple(got), as_tuple(want))) <= 1e-12 * scale
+
+
+def test_canonical_product_beyond_the_float_range_is_overflow():
+    big = CanonicalForm(1e200, 1, 1, 1, 1)
+    with pytest.raises(Overflow):
+        canonical_multiply(big, big)
+    plane = CanonicalForm(1, 1e200, 1e200, 1, 1)
+    with pytest.raises(Overflow):
+        canonical_multiply(plane, plane)
+
+
+@pytest.mark.parametrize("form", [
+    CanonicalForm(1.7e308, 1.7e308, 1.7e308, -1.7e308, 1.7e308),
+    CanonicalForm(math.inf, 0.0, 0.0, 0.0, 0.0),
+    CanonicalForm(1.0, 0.0, math.nan, 0.0, 0.0),
+], ids=["reassembly", "inf", "nan"])
+def test_from_canonical_beyond_the_float_range_is_overflow(form):
+    with pytest.raises(Overflow):
+        from_canonical(form)
+
+
+def test_from_canonical_components_are_floats():
+    u = from_canonical(CanonicalForm(np.float64(1.0), 2, np.float64(0.5), -1, 0))
+    assert all(type(x) is float for x in u.components)
 
 
 def test_canonical_addition_is_componentwise():

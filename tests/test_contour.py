@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +40,53 @@ def test_path_validation():
 def test_path_serialization_roundtrip():
     p = Path((ZERO, ONE, 2.0 * ONE + E1), closed=True)
     assert Path.from_dict(p.to_dict()) == p
+
+
+def pair_loop_rejects(verts, closed):
+    """The per-pair Python check that Path's array comparison replaced, kept
+    as its reference."""
+    pairs = list(zip(verts, verts[1:]))
+    if closed:
+        pairs.append((verts[-1], verts[0]))
+    return any(a.components == b.components for a, b in pairs)
+
+
+def path_rejects(verts, closed):
+    try:
+        Path(tuple(verts), closed)
+    except ValueError as exc:
+        assert str(exc) == "consecutive path vertices must be distinct"
+        return True
+    return False
+
+
+def test_path_validation_matches_the_pair_loop():
+    a, b, c = PentaComplex(0.0, 1.0, 0.0, 0.0, 0.0), ONE, ONE + E1
+    neg = PentaComplex(-0.0, 1.0, 0.0, -0.0, 0.0)  # equal to a: -0.0 == 0.0
+    cases = [[a, b], [a, a], [a, neg], [a, b, c], [a, b, a], [a, b, neg],
+             [a, b, b, c], [a, b, c, a], [neg, b, c, a], [a, c, c]]
+    rng = np.random.default_rng(71)
+    for _ in range(200):  # short paths over three values, so repeats are common
+        n = int(rng.integers(2, 7))
+        cases.append([(a, b, neg)[i] for i in rng.integers(0, 3, n)])
+    for verts in cases:
+        for closed in (False, True):
+            assert path_rejects(verts, closed) == pair_loop_rejects(verts, closed), \
+                (verts, closed)
+
+
+def test_path_equality_hash_repr_and_pickle_see_only_the_fields():
+    verts = (ZERO, ONE, 2.0 * ONE + E1)
+    p = Path(verts, closed=True)
+    assert p == Path(list(verts), closed=True) and p != Path(verts, closed=False)
+    assert hash(p) == hash((verts, True))
+    assert repr(p) == f"Path(vertices={verts!r}, closed=True)"
+    # the pickled state is the two fields, as before the array existed
+    assert p.__reduce_ex__(4)[2] == {"vertices": verts, "closed": True}
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+        assert not q._array.flags.writeable
+        assert q._array.tobytes() == p._array.tobytes()
 
 
 def test_project_constant_and_circle():
@@ -310,8 +359,10 @@ def test_vectorized_winding_matches_scalar_loop():
         queries = [tuple(q) for q in rng.uniform(-1.2, 1.2, (25, 2)).tolist()]
         queries += [(0.0, 0.0), pts[0],
                     ((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2)]
+        as_lists = PlaneProjection(points=[list(pt) for pt in pts], plane=1, closed=True)
         for q in queries:
             assert outcome(winding, q, poly) == outcome(scalar_winding, q, poly), (pts, q)
+            assert outcome(winding, q, as_lists) == outcome(winding, q, poly), (pts, q)
 
 
 def test_residue_non_invertible_on_path_for_every_evaluator():
@@ -366,13 +417,18 @@ def test_callable_path_is_bit_identical_to_the_per_row_loop():
     for f in (lambda u: multiply(u, u) + 3.0 * u, lambda u: exp(u), lambda u: -u):
         got = contour._evaluate(f, nodes, nodes @ _CANON.T)
         assert got.tobytes() == loop_evaluate(f, nodes).tobytes()
+        want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
+        assert got.tobytes() == want.tobytes()
 
 
 def test_vertex_array_is_the_row_list():
     path = plane_circle(PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15), 2, 1.0, vertices=97)
     want = np.array([v.components for v in path.vertices])
-    got = contour._vertex_array(path)
+    got = path._array
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 1.0
 
 
 def test_callable_nodes_and_results_have_float_components():

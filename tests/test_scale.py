@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentacomplex import (AngleUndefined, CanonicalForm, Overflow,
-                          PentaComplex, PentaError, amplitude, exp,
+                          PentaComplex, PentaError, amplitude,
+                          canonical_multiply, exp,
                           exponential_form, from_canonical, inverse, log,
                           multiply, polar_form, pow_real, sin, to_canonical,
                           trigonometric_form)
@@ -214,3 +215,13 @@ def test_negative_integer_power_with_a_plane_radius_beyond_the_float_range():
     # z ** -2 and z ** -3 come back nan there; the true powers underflow to 0
     for n in (-2, -3):
         assert pow_real(BIG_PLANE, n) == PentaComplex()
+
+
+def test_square_root_with_a_plane_radius_beyond_the_float_range():
+    # cmath.polar(z) overflows on that plane although the root is about 1e154
+    # the square of root/2 against BIG_PLANE/4: the full square's v1**2
+    # would overflow although its coordinates do not
+    half = to_canonical(0.5 * pow_real(BIG_PLANE, 0.5))
+    square = canonical_multiply(half, half)
+    for a, b in zip(astuple(square), astuple(to_canonical(BIG_PLANE))):
+        assert abs(a - 0.25 * b) <= 1e-12 * abs(0.25 * b)
