@@ -209,10 +209,16 @@ class FirstOrderReport:
 
 
 def _call(f: Evaluator, u: PentaComplex) -> PentaComplex:
+    """f(u); an evaluator that raises, or returns anything but a
+    PentaComplex, raises EvaluationFailed."""
     try:
-        return f(u)
+        value = f(u)
     except Exception as exc:
         raise EvaluationFailed(f"evaluator raised at {u!r}: {exc}") from exc
+    if not isinstance(value, PentaComplex):
+        raise EvaluationFailed(f"evaluator returned {type(value).__name__}, "
+                               f"not PentaComplex, at {u!r}")
+    return value
 
 
 def _shifted(point: PentaComplex, axis: int, delta: float) -> PentaComplex:

@@ -226,7 +226,16 @@ def canonical_multiply(c: CanonicalForm, d: CanonicalForm) -> CanonicalForm:
          c.v2 * d.v2 - c.tv2 * d.tv2,
          c.v2 * d.tv2 + c.tv2 * d.v2)
     if w[0] * 0.0 + w[1] * 0.0 + w[2] * 0.0 + w[3] * 0.0 + w[4] * 0.0 != 0.0:
-        raise Overflow("canonical product exceeds the floating-point range")
+        # a partial product such as v1*v1 can overflow where v1*v1 - tv1*tv1
+        # is representable: the planes again with c's halved, doubled after
+        h1, ht1, h2, ht2 = 0.5 * c.v1, 0.5 * c.tv1, 0.5 * c.v2, 0.5 * c.tv2
+        w = (w[0],
+             2.0 * (h1 * d.v1 - ht1 * d.tv1),
+             2.0 * (h1 * d.tv1 + ht1 * d.v1),
+             2.0 * (h2 * d.v2 - ht2 * d.tv2),
+             2.0 * (h2 * d.tv2 + ht2 * d.v2))
+        if w[0] * 0.0 + w[1] * 0.0 + w[2] * 0.0 + w[3] * 0.0 + w[4] * 0.0 != 0.0:
+            raise Overflow("canonical product exceeds the floating-point range")
     return CanonicalForm(*w)
 
 

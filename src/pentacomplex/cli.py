@@ -264,11 +264,12 @@ def _cmd_integrate(args):
     if args.pole is not None:
         pole = _parse_penta_arg(args.pole, "pole")
         tol = _tol(args)
-        kwargs = {"tol_edge": tol} if tol is not None else {}
+        if tol is None:
+            tol = contour.TAU_EDGE
         lhs, rhs = contour.residue_formula(f, path, pole, samples=args.samples,
-                                           **kwargs)
-        n1 = contour.winding(contour.project_point(pole, 1), contour.project(path, 1))
-        n2 = contour.winding(contour.project_point(pole, 2), contour.project(path, 2))
+                                           tol_edge=tol)
+        n1, n2 = (contour.winding(contour.project_point(pole, k), contour.project(path, k),
+                                  tol=tol) for k in (1, 2))
         _emit_json(args, {"lhs": lhs.to_list(), "rhs": rhs.to_list(),
                           "windings": [n1, n2]})
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
 
 import numpy as np
@@ -102,13 +102,68 @@ class Path:
                    bool(data.get("closed", False)))
 
 
-@dataclass(frozen=True)
 class PlaneProjection:
-    """2D shadow of a path on one canonical plane (unit-length axes)."""
+    """2D shadow of a path on one canonical plane (unit-length axes).
 
-    points: tuple[tuple[float, float], ...]
-    plane: int
-    closed: bool = False
+    The vertices are held as one read-only complex array x + i*y; `points`
+    gives them as (x, y) float tuples, built when read.  Equality, hash and
+    repr are those of the fields (points, plane, closed), and instances are
+    immutable.
+    """
+
+    __slots__ = ("_z", "plane", "closed")
+
+    def __init__(self, points, plane: int, closed: bool = False):
+        try:
+            xy = np.array(points, dtype=float)
+            if xy.shape == (0,):  # no points
+                xy = xy.reshape(0, 2)
+            if xy.ndim != 2 or xy.shape[1] != 2:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError("every projected point needs two real coordinates") from None
+        self._set(xy.view(np.complex128).ravel(), plane, closed)
+
+    def _set(self, z: np.ndarray, plane: int, closed: bool) -> None:
+        z.flags.writeable = False
+        object.__setattr__(self, "_z", z)
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "closed", closed)
+
+    @classmethod
+    def _wrap(cls, z: np.ndarray, plane: int, closed: bool) -> "PlaneProjection":
+        """A projection on the complex vertex array z, which it keeps."""
+        self = object.__new__(cls)
+        self._set(z, plane, closed)
+        return self
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(map(tuple, self._z.view(float).reshape(-1, 2).tolist()))
+
+    def _fields(self) -> tuple:
+        return (self.points, self.plane, self.closed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(points={self.points!r}, plane={self.plane!r}, "
+                f"closed={self.closed!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._fields())
 
 
 def project(path: Path, k: int) -> PlaneProjection:
@@ -116,8 +171,7 @@ def project(path: Path, k: int) -> PlaneProjection:
     if k not in (1, 2):
         raise ValueError(f"plane index must be 1 or 2, got {k}")
     xy = path._array @ _ROT[2 * k - 1:2 * k + 1].T
-    return PlaneProjection(points=tuple(map(tuple, xy.tolist())), plane=k,
-                           closed=path.closed)
+    return PlaneProjection._wrap(xy.view(np.complex128).ravel(), k, path.closed)
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
@@ -133,27 +187,26 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     Computed as the summed subtended angles over 2*pi.  For a simple
     positively oriented loop this is 1 inside and 0 outside; self-crossing
     loops get the full signed count.  Raises OnBoundary if the point is
-    within `tol` of an edge.
+    within `tol` of an edge.  The edge parameters and the angles are
+    quotients of the vertices relative to the point (complex numbers), so
+    they stay in range at scales where products of coordinates under- or
+    overflow (beyond about 1e+-154).
     """
     if not polygon.closed:
         raise ValueError("winding number needs a closed polygon")
-    pts = polygon.points
-    a = (np.fromiter(chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2)
-         - np.array(point, dtype=float))
-    b = np.roll(a, -1, axis=0)
+    x, y = point
+    a = polygon._z - complex(x, y)
+    b = np.roll(a, -1)
     d = b - a
-    seg_sq = (d * d).sum(axis=1)
-    # nearest point of each edge to the origin (the point); a zero-length
-    # edge is its own nearest point
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(seg_sq == 0.0, 0.0, np.clip(-(a * d).sum(axis=1) / seg_sq, 0.0, 1.0))
-    near = a + t[:, None] * d
-    close = np.hypot(near[:, 0], near[:, 1]) <= tol
+    # nearest point of each edge to the origin (the point) at a + t*d, with
+    # t = -(a . d)/|d|^2 = -Re(a/d), clipped (a quotient beyond the float
+    # range clips to an end); a zero-length edge is its own nearest point
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(d == 0.0, 0.0, np.clip(-(a / d).real, 0.0, 1.0))
+    close = np.abs(a + t * d) <= tol
     if close.any():
         raise OnBoundary(f"point {point} is within {tol} of edge {int(close.argmax())}")
-    angles = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
-                        a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1])
-    return round(float(angles.sum()) / TWO_PI)
+    return round(float(np.angle(b / a).sum()) / TWO_PI)
 
 
 @functools.lru_cache(maxsize=PANEL)

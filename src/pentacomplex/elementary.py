@@ -63,10 +63,16 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
         power = lambda x: x ** n  # noqa: E731 -- float and complex alike
 
         def plane_power(z: complex) -> complex:
+            try:
+                w = z ** n
+            except OverflowError:
+                # a partial product such as v1*v1 can overflow where the
+                # power is representable: the power of z/2, scaled back
+                w = (0.5 * z) ** n
+                return complex(math.ldexp(w.real, n), math.ldexp(w.imag, n))
             # for n < 0, z ** n divides 1 by z ** -n and comes back 0 or nan
             # without an error where that denominator overflows; the
             # reciprocal taken first keeps the value there
-            w = z ** n
             if n < 0 and not (w and cmath.isfinite(w)):
                 w = _recip_plane(z) ** -n
             return w

@@ -207,6 +207,13 @@ def test_evaluation_failure_propagates():
         check_cr_relations(broken, PentaComplex(1, 0, 0, 0, 0))
 
 
+def test_evaluator_of_another_type_is_evaluation_failed():
+    for f in (lambda u: 1.0, lambda u: None, lambda u: (1.0, 0.0, 0.0, 0.0, 0.0)):
+        for check in (check_cr_relations, check_second_order):
+            with pytest.raises(EvaluationFailed, match="not PentaComplex"):
+                check(f, PentaComplex(1, 0, 0, 0, 0))
+
+
 def test_second_order_chains():
     rng = np.random.default_rng(56)
     for f in (lambda u: multiply(u, u), exp):

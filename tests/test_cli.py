@@ -160,6 +160,31 @@ def test_integrate_closed_loop(tmp_path, capsys):
     assert max(abs(a - b) for a, b in zip(obj["lhs"], obj["rhs"])) <= 1e-5
 
 
+def test_integrate_pole_windings_use_the_tolerance(tmp_path, capsys, monkeypatch):
+    from pentacomplex import ZERO, plane_circle
+    from pentacomplex.canonical import E2, E_PLUS
+
+    loop = plane_circle(ZERO, 1, 1.0, vertices=8)
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(loop.to_dict()))
+    # the midpoint of edge 0 moved 1e-10 towards the centre in plane 1: the
+    # plane-1 apothem of the loop is sqrt(2/5)*cos(pi/8)
+    mid = 0.5 * (loop.vertices[0] + loop.vertices[1]) - 0.75 * (E_PLUS + E2)
+    pole = (1.0 - 1e-10 / (math.sqrt(0.4) * math.cos(math.pi / 8))) * mid
+    argv = ("integrate", "--path", str(path_file), "--fn", "exp",
+            "--pole", json.dumps(pole.to_list()), "--samples", "64")
+    code, _, err = run(capsys, *argv)
+    assert code == 2  # within the default 1e-9 of the edge
+    assert json.loads(err)["error"] == "PoleOnPath"
+    code, out, _ = run(capsys, *argv, "--tol", "1e-12")
+    assert code == 0
+    assert json.loads(out)["windings"] == [1, 0]
+    monkeypatch.setenv("PENTA_TOL", "1e-12")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["windings"] == [1, 0]
+
+
 def test_integrate_pole_on_path_is_domain_error(tmp_path, capsys):
     from pentacomplex import PentaComplex, plane_circle
     from pentacomplex.canonical import E1

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           contour, cosh, exp, integrate, multiply, plane_circle,
                           project, project_point, residue_formula, sin, winding)
 from pentacomplex.canonical import E1, E1_TILDE, E2, E2_TILDE, E_PLUS
-from pentacomplex.contour import _CANON, PlaneProjection
+from pentacomplex.contour import _CANON, _ROT, PlaneProjection
 
 TWO_PI = 2 * math.pi
 
@@ -138,6 +139,87 @@ def test_winding_double_loop():
     assert winding((0.0, 0.0), poly) == 2
     reversed_poly = PlaneProjection(points=tuple(reversed(pts)), plane=1, closed=True)
     assert winding((0.0, 0.0), reversed_poly) == -2
+
+
+def test_plane_projection_fields_equality_hash_repr_and_pickle():
+    pts = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
+    proj = PlaneProjection(points=pts, plane=1, closed=True)
+    same = (PlaneProjection([list(pt) for pt in pts], 1, True),
+            PlaneProjection(pts, 1, closed=True),
+            PlaneProjection(((1, 1), (-1, 1), (-1, -1)), 1, True),
+            pickle.loads(pickle.dumps(proj)), copy.copy(proj), copy.deepcopy(proj))
+    for other in same:
+        assert other == proj and hash(other) == hash(proj) and repr(other) == repr(proj)
+        assert all(type(x) is float for pt in other.points for x in pt)
+    assert (proj.points, proj.plane, proj.closed) == (pts, 1, True)
+    assert repr(proj) == f"PlaneProjection(points={pts!r}, plane=1, closed=True)"
+    assert PlaneProjection(pts, 1).closed is False
+    assert proj != PlaneProjection(pts, 2, True) and proj != PlaneProjection(pts, 1)
+    assert proj != PlaneProjection(pts[:2], 1, True) and proj != pts
+    assert PlaneProjection((), 1, True).points == ()
+    for name in ("points", "plane", "closed", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(proj, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(proj, name)
+    for bad in ([(1.0, 2.0, 3.0)], [(1.0,)], [(1.0, 2.0), (3.0,)], [[]], [1.0, 2.0],
+                [("x", 1.0)]):
+        with pytest.raises(ValueError):
+            PlaneProjection(bad, 1)
+
+
+def test_project_points_are_the_rotated_rows():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    open_path = Path((u0, u0 + E1, u0 + E2_TILDE), closed=False)
+    for path in (plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=64), both_planes_loop(u0),
+                 open_path):
+        for k in (1, 2):
+            proj = project(path, k)
+            want = tuple(map(tuple, (path._array @ _ROT[2 * k - 1:2 * k + 1].T).tolist()))
+            assert proj.points == want
+            assert proj == PlaneProjection(want, k, path.closed)
+            assert (proj.plane, proj.closed) == (k, path.closed)
+
+
+def winding_outcome(point, polygon, tol):
+    """winding, or the edge an OnBoundary names (its message also quotes
+    the point and the tolerance, which scale)."""
+    try:
+        return winding(point, polygon, tol)
+    except OnBoundary as exc:
+        return str(exc).rsplit(" of ", 1)[1]
+
+
+def test_winding_is_scale_free():
+    rng = np.random.default_rng(62)
+    polygons = [rng.uniform(-1, 1, (int(rng.integers(3, 24)), 2)) for _ in range(30)]
+    polygons.append(np.array([(math.cos(TWO_PI * 3 * i / 7), math.sin(TWO_PI * 3 * i / 7))
+                              for i in range(7)]))
+    tol = 1e-3  # large enough for some queries to touch an edge
+    for pts in polygons:
+        queries = np.concatenate((rng.uniform(-1.2, 1.2, (20, 2)), pts[:1],
+                                  (pts[:1] + pts[1:2]) / 2 + 1e-4))
+        want = [winding_outcome(tuple(q), PlaneProjection(pts, 1, True), tol)
+                for q in queries.tolist()]
+        # powers of two scale every coordinate exactly, from about 1e-300 to 1e300
+        for k in (-996, -700, -300, -60, 60, 300, 700, 996):
+            scale = 2.0 ** k
+            poly = PlaneProjection(pts * scale, 1, True)
+            got = [winding_outcome(tuple(q), poly, tol * scale)
+                   for q in (queries * scale).tolist()]
+            assert got == want, (pts, k)
+
+
+@pytest.mark.parametrize("r", [1e-200, 1e160])
+def test_residue_formula_at_extreme_loop_radius(r):
+    # windings from products of coordinates under- or overflow at this scale
+    u0 = r * PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, r, vertices=64)
+    for f in (lambda u: u, lambda u: ONE):
+        lhs, rhs = residue_formula(f, loop, u0, samples=512, tol_edge=1e-9 * r)
+        want = TWO_PI * (f(u0) * E1_TILDE)
+        assert rhs == want
+        assert dev(lhs, want) <= 1e-12 * abs(want)
 
 
 def test_integrate_constant():
@@ -387,6 +469,16 @@ def test_evaluator_errors_become_evaluation_failed():
     assert isinstance(info.value.__cause__, ZeroDivisionError)
     with pytest.raises(EvaluationFailed):
         integrate(broken, loop, 2)
+
+
+def test_evaluator_of_another_type_is_evaluation_failed():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+    for f in (lambda u: 1.0, lambda u: None, lambda u: (1.0, 0.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(EvaluationFailed, match="not PentaComplex"):
+            residue_formula(f, loop, u0, samples=64)
+        with pytest.raises(EvaluationFailed, match="not PentaComplex"):
+            integrate(f, loop, 2)
 
 
 def test_array_path_overflow_raises_like_scalar_path():

@@ -225,3 +225,24 @@ def test_square_root_with_a_plane_radius_beyond_the_float_range():
     square = canonical_multiply(half, half)
     for a, b in zip(astuple(square), astuple(to_canonical(BIG_PLANE))):
         assert abs(a - 0.25 * b) <= 1e-12 * abs(0.25 * b)
+
+
+def test_square_of_the_root_with_a_plane_radius_beyond_the_float_range():
+    # on plane 1 of the root, v1*v1 overflows although v1*v1 - tv1*tv1 does not
+    root = pow_real(BIG_PLANE, 0.5)
+    c = to_canonical(root)
+    want = astuple(to_canonical(BIG_PLANE))
+    squares = {"ring": to_canonical(multiply(root, root)),
+               "canonical": canonical_multiply(c, c),
+               "pow 2": to_canonical(pow_real(root, 2)),
+               "pow 2.0": to_canonical(pow_real(root, 2.0))}
+    for name, square in squares.items():
+        for a, b in zip(astuple(square), want):
+            assert abs(a - b) <= 1e-12 * abs(b), name
+    # twice the root squares to four times BIG_PLANE, beyond the float range
+    c2 = to_canonical(2.0 * root)
+    with pytest.raises(Overflow):
+        canonical_multiply(c2, c2)
+    for m in (2, 2.0):
+        with pytest.raises(Overflow):
+            pow_real(2.0 * root, m)
