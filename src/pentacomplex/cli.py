@@ -264,8 +264,6 @@ def _cmd_integrate(args):
     if args.pole is not None:
         pole = _parse_penta_arg(args.pole, "pole")
         tol = _tol(args)
-        if tol is None:
-            tol = contour.TAU_EDGE
         lhs, rhs = contour.residue_formula(f, path, pole, samples=args.samples,
                                            tol_edge=tol)
         n1, n2 = (contour.winding(contour.project_point(pole, k), contour.project(path, k),
@@ -408,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pole", help="JSON array of 5 reals")
     sp.add_argument("--samples", type=int, default=4096,
                     help="total quadrature node budget, spread evenly over the "
-                         "segments (composite Gauss-Legendre)")
+                         "segments (composite Gauss-Legendre); with --pole the "
+                         "term f(pole)/(u-pole) is integrated exactly and the "
+                         "nodes see only the smooth remainder")
     sp.add_argument("--output", "-o")
     sp.add_argument("--tol", type=float)
     sp.set_defaults(fn_impl=_cmd_integrate, input=None)

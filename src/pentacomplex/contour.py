@@ -8,6 +8,10 @@ complex integral on each plane.  A closed loop around a pole u0 picks up
 2*pi*f(u0)*(~e1*n1 + ~e2*n2) where n_k is the winding number of the loop's
 projection onto canonical plane k around the projected pole — the azimuthal
 angles are the only cyclic coordinates, so only the ~e_k directions survive.
+Around a pole the singularity is subtracted: f(u0)/(u - u0) is integrated
+exactly on each segment (a logarithm per canonical coordinate) and the
+nodes carry only the remainder (f(u) - f(u0))/(u - u0), which is analytic
+where f is, so the error falls geometrically with the nodes per segment.
 """
 
 from __future__ import annotations
@@ -181,16 +185,18 @@ def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
 
 
 def winding(point: tuple[float, float], polygon: PlaneProjection,
-            tol: float = TAU_EDGE) -> int:
+            tol: float | None = None) -> int:
     """Signed winding number of the closed projected polygon around `point`.
 
     Computed as the summed subtended angles over 2*pi.  For a simple
     positively oriented loop this is 1 inside and 0 outside; self-crossing
     loops get the full signed count.  Raises OnBoundary if the point is
-    within `tol` of an edge.  The edge parameters and the angles are
-    quotients of the vertices relative to the point (complex numbers), so
-    they stay in range at scales where products of coordinates under- or
-    overflow (beyond about 1e+-154).
+    within `tol` of an edge; the default tolerance, None, is TAU_EDGE times
+    the largest distance from the point to a vertex, so it scales with the
+    polygon (the message then quotes TAU_EDGE).  The edge parameters and
+    the angles are quotients of the vertices relative to the point (complex
+    numbers), so they stay in range at scales where products of
+    coordinates under- or overflow (beyond about 1e+-154).
     """
     if not polygon.closed:
         raise ValueError("winding number needs a closed polygon")
@@ -198,14 +204,16 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     a = polygon._z - complex(x, y)
     b = np.roll(a, -1)
     d = b - a
+    cutoff = TAU_EDGE * np.abs(a).max(initial=0.0) if tol is None else tol
     # nearest point of each edge to the origin (the point) at a + t*d, with
     # t = -(a . d)/|d|^2 = -Re(a/d), clipped (a quotient beyond the float
     # range clips to an end); a zero-length edge is its own nearest point
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.where(d == 0.0, 0.0, np.clip(-(a / d).real, 0.0, 1.0))
-    close = np.abs(a + t * d) <= tol
+    close = np.abs(a + t * d) <= cutoff
     if close.any():
-        raise OnBoundary(f"point {point} is within {tol} of edge {int(close.argmax())}")
+        raise OnBoundary(f"point {point} is within {TAU_EDGE if tol is None else tol} "
+                         f"of edge {int(close.argmax())}")
     return round(float(np.angle(b / a).sum()) / TWO_PI)
 
 
@@ -266,33 +274,68 @@ def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
     return np.fromiter(values, float, nodes.size).reshape(-1, DIM) @ _CANON.T
 
 
-def _divide(du: np.ndarray, rel: np.ndarray, rel_c: np.ndarray) -> np.ndarray:
-    """du * (u - u0)^-1 in canonical coordinates; rel holds u - u0 per node
-    and rel_c its canonical coordinates.  Every node gets inverse's
-    divisor-of-zero test."""
-    # moduli by hypot (a complex abs is one), so no square under- or
-    # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4)
-    pairs = np.abs(_planes(rel))
-    tol = TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
+def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
+    """inverse's divisor-of-zero test on every row: rel holds u - u0 at
+    the quadrature nodes and then at the path's vertices (from row `nodes`
+    on), rel_c its canonical coordinates."""
+    # moduli as complex abs (a hypot, and faster than np.hypot), so no
+    # square under- or overflows: |u - u0| = hypot(x0, hypot(hypot(x1, x2),
+    # hypot(x3, x4))), the inner pair read as one complex column
+    norm = np.empty((len(rel), 2))
+    norm[:, 0] = rel[:, 0]
+    norm[:, 1] = np.abs(np.abs(_planes(rel)).view(np.complex128)[:, 0])
+    tol = TAU_REL * np.abs(norm.view(np.complex128)[:, 0])
     radii = np.abs(_planes(rel_c))
-    bad = (np.abs(rel_c[:, 0]) <= tol) | (radii <= tol[:, None]).any(axis=1)
+    bad = np.minimum(np.abs(rel_c[:, 0]), np.minimum(radii[:, 0], radii[:, 1])) <= tol
     if bad.any():
         i = int(bad.argmax())
+        where = f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
         raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
-                                  f"of zero at quadrature node {i}")
-    out = np.empty_like(du)
-    out[:, 0] = du[:, 0] / rel_c[:, 0]
-    _planes(out)[:] = _planes(du) / _planes(rel_c)
+                                  f"of zero at {where}")
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num * den^-1 row by row in canonical coordinates."""
+    out = np.empty_like(num)
+    out[:, 0] = num[:, 0] / den[:, 0]
+    _planes(out)[:] = _planes(num) / _planes(den)
+    return out
+
+
+def _pole_integral(rel_c: np.ndarray) -> np.ndarray:
+    """Canonical coordinates of the exact integral of (u - u0)^-1 du along
+    the polyline whose vertices less u0 have the canonical coordinates
+    rel_c (rows; a closed path repeats its first vertex last).
+
+    A segment contributes the log of the quotient of its end's and start's
+    coordinates: of its modulus on the line (the principal value where the
+    line coordinate changes sign), the principal complex log on each plane
+    (a straight segment turns by less than pi).  Summed over the path the
+    moduli and arguments telescope to those of the two ends, less 2*pi*i
+    per segment whose argument difference wraps.  The vertices must have
+    passed the divisor-of-zero guard, so no log or argument sees 0.
+    """
+    args = np.angle(_planes(rel_c))
+    wraps = np.rint(np.diff(args, axis=0) / TWO_PI).sum(axis=0)
+    ends = rel_c[[0, -1]]
+    # moduli of the last vertex over the first, as mantissas and exponents
+    # so that no quotient leaves the float range
+    mant, expo = np.frexp(np.column_stack((np.abs(ends[:, 0]), np.abs(_planes(ends)))))
+    out = np.empty(DIM)
+    out[[0, 1, 3]] = np.log(mant[1] / mant[0]) + math.log(2.0) * (expo[1] - expo[0])
+    out[[2, 4]] = args[-1] - args[0] - TWO_PI * wraps
     return out
 
 
 @dataclass(frozen=True)
 class _PoleIntegrand:
     """The integrand f(u) * (u - pole)^-1 of the pole identity; integrate
-    applies the kernel to all nodes at once in canonical coordinates."""
+    applies the kernel to all nodes at once in canonical coordinates.
+    f_pole is f(pole) when the caller has it (integrate calls f otherwise)."""
 
     f: Evaluator
     pole: PentaComplex
+    f_pole: PentaComplex | None = None
 
 
 def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaComplex:
@@ -300,13 +343,17 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     quadrature with samples_per_segment nodes on every segment.
 
     The nodes of a segment are split into panels of at most PANEL nodes;
-    du is the segment vector scaled by each node's weight.
+    du is the segment vector scaled by each node's weight.  For the pole
+    integrand f(u) * (u - u0)^-1 the singular part f(u0) * (u - u0)^-1 is
+    integrated exactly, segment by segment, and the nodes see only the
+    smooth remainder (f(u) - f(u0)) * (u - u0)^-1, on which the rule
+    converges geometrically for analytic f.
     """
     if samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be >= 1, got {samples_per_segment}")
     pole = None
     if isinstance(f, _PoleIntegrand):
-        f, pole = f.f, f.pole
+        f, pole, f_pole = f.f, f.pole, f.f_pole
     verts = path._array
     ends = np.roll(verts, -1, axis=0) if path.closed else verts[1:]
     starts = verts[:len(ends)]
@@ -315,28 +362,46 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
     du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
     origin = np.zeros(DIM) if pole is None else np.array(pole.components)
-    rel = nodes - origin
+    if pole is None:
+        rel = nodes
+    else:
+        # the vertices, from the first to the last end, follow the nodes:
+        # one transform and one divisor-of-zero guard for both
+        rel = np.concatenate((nodes, starts, ends[-1:])) - origin
     canon = np.concatenate((rel, du)) @ _CANON.T
-    rel_c, kernel = canon[:len(nodes)], canon[len(nodes):]
+    rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
     if pole is not None:
-        kernel = _divide(kernel, rel, rel_c)
+        _invertible(rel, canon[:len(rel)], len(nodes))
+        kernel = _divide(kernel, rel_c)
+        exact = _pole_integral(canon[len(nodes):len(rel)])
     values = _evaluate(f, nodes, rel_c + _CANON @ origin)
+    if pole is not None:
+        if f_pole is None:
+            f_pole = _call(f, pole)
+        values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
     line = float((values[:, 0] * kernel[:, 0]).sum())
     z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()
-    return _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
+    value = _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
+    if pole is not None:
+        value = value + f_pole * _result(*_from_canon_comps(exact.tolist()))
+    return value
 
 
 def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
                     samples: int = 4096,
-                    tol_edge: float = TAU_EDGE) -> tuple[PentaComplex, PentaComplex]:
+                    tol_edge: float | None = None) -> tuple[PentaComplex, PentaComplex]:
     """Both sides of the pole identity for a closed loop around u0.
 
-    lhs is the composite Gauss-Legendre quadrature of f(u) * (u - u0)^-1 du
-    over the loop, with `samples` the total node budget spread evenly over
-    the segments; rhs is 2*pi*f(u0)*(~e1*n1 + ~e2*n2) with n_k the winding
-    number of the loop's plane-k projection around the projected pole.  The
-    loop must avoid the divisor-of-zero sets of u - u0 (vplus = 0 or either
-    plane radius 0); a node on them raises NonInvertibleOnPath.
+    lhs is the integral of f(u) * (u - u0)^-1 du over the loop: the pole
+    term f(u0) * (u - u0)^-1 integrated exactly on each segment, plus the
+    composite Gauss-Legendre quadrature of the smooth remainder
+    (f(u) - f(u0)) * (u - u0)^-1, with `samples` the total node budget
+    spread evenly over the segments.  rhs is 2*pi*f(u0)*(~e1*n1 + ~e2*n2)
+    with n_k the winding number of the loop's plane-k projection around the
+    projected pole, whose edge tolerance is `tol_edge` (see winding).  f is
+    called once at u0 and once per node.  The loop must avoid the
+    divisor-of-zero sets of u - u0 (vplus = 0 or either plane radius 0); a
+    vertex or node on them raises NonInvertibleOnPath.
     """
     if not path.closed:
         raise ValueError("the pole identity needs a closed path")
@@ -348,8 +413,9 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     n1, n2 = windings
     per_segment = max(1, round(samples / len(path.vertices)))
-    lhs = integrate(_PoleIntegrand(f, u0), path, per_segment)
-    rhs = TWO_PI * (_call(f, u0) * (n1 * E1_TILDE + n2 * E2_TILDE))
+    f_u0 = _call(f, u0)
+    lhs = integrate(_PoleIntegrand(f, u0, f_u0), path, per_segment)
+    rhs = TWO_PI * (f_u0 * (n1 * E1_TILDE + n2 * E2_TILDE))
     return lhs, rhs
 
 

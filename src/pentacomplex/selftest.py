@@ -548,6 +548,17 @@ def _suite_residues(c: _Checker):
             c.check(e0 / max(e1, 1e-300) >= 50.0,
                     f"one more node per segment reduced error only {e0:.2e} -> {e1:.2e}")
     c.check(errors[-1] <= 1e-13, f"8 nodes per segment: |lhs-rhs| = {errors[-1]:.2e}")
+
+    # the same order without a pole, where every node counts: half a 16-gon
+    # as an open path, on which exp integrates to exp(b) - exp(a)
+    path = contour.Path(contour.plane_circle(u0, 2, 1.0, vertices=16).vertices[:9])
+    want = elementary.exp(path.vertices[-1]) - elementary.exp(path.vertices[0])
+    errors = [max(abs(a - b) for a, b in zip(contour.integrate(elementary.exp, path, n), want))
+              for n in (1, 2, 3, 4, 8)]
+    for e0, e1 in zip(errors[:3], errors[1:4]):
+        c.check(e0 / max(e1, 1e-300) >= 50.0,
+                f"pole-free: one more node reduced error only {e0:.2e} -> {e1:.2e}")
+    c.check(errors[-1] <= 1e-14, f"pole-free, 8 nodes per segment: error {errors[-1]:.2e}")
     c.check(time.perf_counter() - t0 < 5.0, "residue suite exceeded 5 s")
 
 

@@ -185,6 +185,20 @@ def test_integrate_pole_windings_use_the_tolerance(tmp_path, capsys, monkeypatch
     assert json.loads(out)["windings"] == [1, 0]
 
 
+def test_integrate_pole_default_tolerance_scales_with_the_loop(tmp_path, capsys):
+    from pentacomplex import PentaComplex, plane_circle
+
+    u0 = 1e-12 * PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(plane_circle(u0, 1, 1e-12, vertices=64).to_dict()))
+    code, out, _ = run(capsys, "integrate", "--path", str(path_file), "--fn", "one",
+                       "--pole", json.dumps(u0.to_list()), "--samples", "64")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["windings"] == [1, 0]
+    assert max(abs(a - b) for a, b in zip(obj["lhs"], obj["rhs"])) <= 1e-13
+
+
 def test_integrate_pole_on_path_is_domain_error(tmp_path, capsys):
     from pentacomplex import PentaComplex, plane_circle
     from pentacomplex.canonical import E1

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -549,3 +550,96 @@ def test_pole_divisor_test_is_scale_safe(s):
     # the divisor-of-zero set is still found at that scale (vplus = 0 on E1)
     with pytest.raises(NonInvertibleOnPath):
         integrate(pole_integral, Path((s * E1, (2.0 * s) * E1), closed=False), 16)
+
+
+def test_pole_term_is_exact_for_a_constant():
+    # f = ONE leaves no remainder: the 16-gon at one node per segment is exact
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+    lhs, rhs = residue_formula(lambda u: ONE, loop, u0, samples=16)
+    assert dev(lhs, rhs) <= 1e-14
+
+
+def jittered_loop(u0, n, rng):
+    """Irregular n-gon winding once around u0 in plane 1: each vertex's
+    radius and angle perturbed."""
+    base = u0 + 0.8 * E_PLUS + 0.7 * E2
+    turns = TWO_PI * (np.arange(n) + rng.uniform(-0.25, 0.25, n)) / n
+    radii = rng.uniform(0.85, 1.15, n)
+    return Path(tuple(base + r * math.cos(t) * E1 + r * math.sin(t) * E1_TILDE
+                      for r, t in zip(radii.tolist(), turns.tolist())), closed=True)
+
+
+def test_residue_on_irregular_loops_at_four_nodes_per_segment():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    rng = np.random.default_rng(90)
+    for n in (16, 64, 256):
+        loop = jittered_loop(u0, n, rng)
+        for f in (exp, sin, lambda u: multiply(u, u)):
+            lhs, rhs = residue_formula(f, loop, u0, samples=4 * n)
+            assert dev(lhs, rhs) <= 1e-12, n
+
+
+def test_residue_when_the_line_part_crosses_the_pole_on_every_segment():
+    # a square in plane 1 whose line offset alternates in sign: every edge's
+    # line coordinate passes vplus(u0), where the pole term is a principal value
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    verts = tuple(u0 + (0.7 if i % 2 == 0 else -0.5) * E_PLUS + 0.7 * E2
+                  + math.cos(TWO_PI * i / 4 + 0.3) * E1
+                  + math.sin(TWO_PI * i / 4 + 0.3) * E1_TILDE for i in range(4))
+    loop = Path(verts, closed=True)
+    for f in (exp, sin, lambda u: multiply(u, u)):
+        lhs, rhs = residue_formula(f, loop, u0, samples=64)
+        assert dev(lhs, rhs) <= 1e-12
+
+
+def test_vertex_on_the_divisor_set_is_non_invertible():
+    # vertex 0 has vplus(u - u0) = 0; the nodes beside it do not
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    verts = tuple(u0 + (0.0 if i == 0 else 0.7) * E_PLUS + 0.7 * E2
+                  + math.cos(TWO_PI * i / 4) * E1 + math.sin(TWO_PI * i / 4) * E1_TILDE
+                  for i in range(4))
+    loop = Path(verts, closed=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonInvertibleOnPath, match="vertex 0"):
+            residue_formula(exp, loop, u0, samples=64)
+        with pytest.raises(NonInvertibleOnPath, match="vertex 0"):
+            integrate(contour._PoleIntegrand(exp, u0), Path(verts[:2], closed=False), 4)
+
+
+def test_non_analytic_evaluator_breaks_the_identity():
+    # with the pole off the loop's centre the remainder of a non-analytic
+    # function integrates to far more than the quadrature error
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=64)
+    pole = u0 + 0.3 * E1
+    for f in (lambda u: scalar(u.components[1]), lambda u: scalar(abs(u))):
+        lhs, rhs = residue_formula(f, loop, pole, samples=256)
+        assert dev(lhs, rhs) >= 1e-2
+
+
+def test_pole_free_quadrature_gauss_legendre_order():
+    # half a 16-gon as an open path: the integral of exp is exp(b) - exp(a)
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    path = Path(plane_circle(u0, 2, 1.0, vertices=16).vertices[:9], closed=False)
+    want = exp(path.vertices[-1]) - exp(path.vertices[0])
+    errors = [dev(integrate(exp, path, n), want) for n in (1, 2, 3, 4, 8)]
+    for e0, e1 in zip(errors[:3], errors[1:4]):
+        assert e0 / max(e1, 1e-300) >= 50.0, errors
+    assert errors[-1] <= 1e-14, errors
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e12])
+def test_default_winding_tolerance_scales_with_the_loop(r):
+    u0 = r * PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, r)
+    for f in (lambda u: u, lambda u: ONE):
+        lhs, rhs = residue_formula(f, loop, u0)
+        want = TWO_PI * (f(u0) * E1_TILDE)
+        assert rhs == want
+        assert dev(lhs, want) <= 1e-12 * abs(want)
+    # an explicit tolerance stays absolute
+    if r < 1:
+        with pytest.raises(PoleOnPath):
+            residue_formula(lambda u: ONE, loop, u0, tol_edge=1e-9)
