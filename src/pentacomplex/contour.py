@@ -193,7 +193,7 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     loops get the full signed count.  Raises OnBoundary if the point is
     within `tol` of an edge; the default tolerance, None, is TAU_EDGE times
     the largest distance from the point to a vertex, so it scales with the
-    polygon (the message then quotes TAU_EDGE).  The edge parameters and
+    polygon; the message quotes the cutoff applied.  The edge parameters and
     the angles are quotients of the vertices relative to the point (complex
     numbers), so they stay in range at scales where products of
     coordinates under- or overflow (beyond about 1e+-154).
@@ -212,8 +212,7 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
         t = np.where(d == 0.0, 0.0, np.clip(-(a / d).real, 0.0, 1.0))
     close = np.abs(a + t * d) <= cutoff
     if close.any():
-        raise OnBoundary(f"point {point} is within {TAU_EDGE if tol is None else tol} "
-                         f"of edge {int(close.argmax())}")
+        raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge {int(close.argmax())}")
     return round(float(np.angle(b / a).sum()) / TWO_PI)
 
 
@@ -278,15 +277,12 @@ def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
     """inverse's divisor-of-zero test on every row: rel holds u - u0 at
     the quadrature nodes and then at the path's vertices (from row `nodes`
     on), rel_c its canonical coordinates."""
-    # moduli as complex abs (a hypot, and faster than np.hypot), so no
-    # square under- or overflows: |u - u0| = hypot(x0, hypot(hypot(x1, x2),
-    # hypot(x3, x4))), the inner pair read as one complex column
-    norm = np.empty((len(rel), 2))
-    norm[:, 0] = rel[:, 0]
-    norm[:, 1] = np.abs(np.abs(_planes(rel)).view(np.complex128)[:, 0])
-    tol = TAU_REL * np.abs(norm.view(np.complex128)[:, 0])
+    # moduli by hypot (a complex abs is one), so no square under- or
+    # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4)
+    pairs = np.abs(_planes(rel))
+    tol = TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
     radii = np.abs(_planes(rel_c))
-    bad = np.minimum(np.abs(rel_c[:, 0]), np.minimum(radii[:, 0], radii[:, 1])) <= tol
+    bad = (np.abs(rel_c[:, 0]) <= tol) | (radii <= tol[:, None]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
         where = f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
@@ -331,11 +327,11 @@ def _pole_integral(rel_c: np.ndarray) -> np.ndarray:
 class _PoleIntegrand:
     """The integrand f(u) * (u - pole)^-1 of the pole identity; integrate
     applies the kernel to all nodes at once in canonical coordinates.
-    f_pole is f(pole) when the caller has it (integrate calls f otherwise)."""
+    f_pole is f(pole), which the caller has already evaluated."""
 
     f: Evaluator
     pole: PentaComplex
-    f_pole: PentaComplex | None = None
+    f_pole: PentaComplex
 
 
 def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaComplex:
@@ -376,8 +372,6 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
         exact = _pole_integral(canon[len(nodes):len(rel)])
     values = _evaluate(f, nodes, rel_c + _CANON @ origin)
     if pole is not None:
-        if f_pole is None:
-            f_pole = _call(f, pole)
         values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
     line = float((values[:, 0] * kernel[:, 0]).sum())
     z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()

@@ -386,7 +386,7 @@ def test_builtin_array_path_matches_scalar_callable_path():
             assert dev(integrate(f, loop, 4), integrate(scalar_f, loop, 4)) <= 1e-13
 
 
-def scalar_winding(point, polygon, tol=contour.TAU_EDGE):
+def scalar_winding(point, polygon, tol=None):
     """The per-edge Python loop that winding() vectorizes, kept as its reference."""
 
     def point_segment_distance(p, a, b):
@@ -405,9 +405,11 @@ def scalar_winding(point, polygon, tol=contour.TAU_EDGE):
     pts = polygon.points
     n = len(pts)
     px, py = point
+    if tol is None:
+        tol = contour.TAU_EDGE * max(math.hypot(x - px, y - py) for x, y in pts)
     for i in range(n):
         if point_segment_distance(point, pts[i], pts[(i + 1) % n]) <= tol:
-            raise OnBoundary(f"point {point} is within {tol} of edge {i}")
+            raise OnBoundary(f"point {point} is within {tol:.3g} of edge {i}")
     total = 0.0
     for i in range(n):
         ax, ay = pts[i]
@@ -445,13 +447,26 @@ def test_vectorized_winding_matches_scalar_loop():
         as_lists = PlaneProjection(points=[list(pt) for pt in pts], plane=1, closed=True)
         for q in queries:
             assert outcome(winding, q, poly) == outcome(scalar_winding, q, poly), (pts, q)
+            assert (outcome(winding, q, poly, 0.05)
+                    == outcome(scalar_winding, q, poly, 0.05)), (pts, q)
             assert outcome(winding, q, as_lists) == outcome(winding, q, poly), (pts, q)
+
+
+def test_on_boundary_message_quotes_the_cutoff_applied():
+    # a unit square scaled by 1e-12 with the point on edge 0: the default
+    # cutoff is TAU_EDGE times the farthest vertex, sqrt(1.25)*1e-12 away
+    square = PlaneProjection(points=[(0.0, 0.0), (1e-12, 0.0), (1e-12, 1e-12), (0.0, 1e-12)],
+                             plane=1, closed=True)
+    with pytest.raises(OnBoundary, match=r"within 1\.12e-21 of edge 0"):
+        winding((0.5e-12, 0.0), square)
+    with pytest.raises(OnBoundary, match=r"within 1e-09 of edge 0"):
+        winding((0.5e-12, 0.0), square, tol=1e-9)
 
 
 def test_residue_non_invertible_on_path_for_every_evaluator():
     u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
-    # zero line offset: vplus of u - u0 vanishes at every node, which is
-    # tested before any evaluator runs
+    # zero line offset: vplus of u - u0 vanishes at every node; the guard
+    # runs after the single call at u0 and before any call at a node
     loop = plane_circle(u0, 2, 1.0, line_offset=0.0, other_offset=0.7)
     for f in (exp, lambda u: ONE):
         with pytest.raises(NonInvertibleOnPath):
@@ -545,7 +560,7 @@ def test_pole_divisor_test_is_scale_safe(s):
     # along u = t*a, t from s to 2s, (u - 0)^-1 du = dt/t: the integral is log 2
     a = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
     path = Path((s * a, (2.0 * s) * a), closed=False)
-    pole_integral = contour._PoleIntegrand(lambda u: ONE, ZERO)
+    pole_integral = contour._PoleIntegrand(lambda u: ONE, ZERO, ONE)
     assert dev(integrate(pole_integral, path, 16), scalar(math.log(2.0))) <= 1e-14
     # the divisor-of-zero set is still found at that scale (vplus = 0 on E1)
     with pytest.raises(NonInvertibleOnPath):
@@ -605,7 +620,7 @@ def test_vertex_on_the_divisor_set_is_non_invertible():
         with pytest.raises(NonInvertibleOnPath, match="vertex 0"):
             residue_formula(exp, loop, u0, samples=64)
         with pytest.raises(NonInvertibleOnPath, match="vertex 0"):
-            integrate(contour._PoleIntegrand(exp, u0), Path(verts[:2], closed=False), 4)
+            integrate(contour._PoleIntegrand(exp, u0, exp(u0)), Path(verts[:2], closed=False), 4)
 
 
 def test_non_analytic_evaluator_breaks_the_identity():
