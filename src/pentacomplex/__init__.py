@@ -38,9 +38,9 @@ __version__ = "0.1.0"
 
 # public names loaded on first access, by module
 _LAZY = {
-    "analytic": ("CoefficientSpectrum", "ConvergenceReport", "FirstOrderReport",
-                 "PowerSeries", "SecondOrderReport", "check_cr_relations",
-                 "check_second_order", "coefficient_spectrum",
+    "analytic": ("CoefficientSpectrum", "ComponentPolynomials", "ConvergenceReport",
+                 "FirstOrderReport", "PowerSeries", "SecondOrderReport",
+                 "check_cr_relations", "check_second_order", "coefficient_spectrum",
                  "convergence_radii", "series_eval", "series_eval_components",
                  "taylor_coefficients"),
     "contour": ("Path", "PlaneProjection", "integrate", "plane_circle", "project",
@@ -49,7 +49,7 @@ _LAZY = {
                "RadicalConstants", "cosexp_power", "cosexp_values", "exp_basis",
                "exp_h1_minus_h4", "exp_h1_plus_h4", "g5_closed",
                "g5_closed_radical", "g5_series", "power_coeffs"),
-    "polyfactor": ("ComponentPolynomials", "LinearFactor", "PentaPolynomial",
+    "polyfactor": ("LinearFactor", "PentaPolynomial",
                    "QuadraticFactor", "RootSet", "assemble_roots",
                    "component_roots", "count_factorizations", "decompose",
                    "expand_factors", "factor"),

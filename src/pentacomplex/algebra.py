@@ -12,9 +12,9 @@ import math
 from functools import partial
 from numbers import Real
 from operator import truediv
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import NonInvertible, NotCirculant, Overflow
+from .errors import EvaluationFailed, NonInvertible, NotCirculant, Overflow
 
 if TYPE_CHECKING:
     import numpy as np
@@ -205,6 +205,22 @@ def _result(*comps: float) -> PentaComplex:
     u = _new(PentaComplex)
     _set_components(u, comps)
     return u
+
+
+Evaluator = Callable[[PentaComplex], PentaComplex]
+
+
+def _call(f: Evaluator, u: PentaComplex) -> PentaComplex:
+    """f(u); an evaluator that raises, or returns anything but a
+    PentaComplex, raises EvaluationFailed."""
+    try:
+        value = f(u)
+    except Exception as exc:
+        raise EvaluationFailed(f"evaluator raised at {u!r}: {exc}") from exc
+    if not isinstance(value, PentaComplex):
+        raise EvaluationFailed(f"evaluator returned {type(value).__name__}, "
+                               f"not PentaComplex, at {u!r}")
+    return value
 
 
 def _scalar(x: Real) -> float:

@@ -2,7 +2,9 @@
 
 A power series with 5-complex coefficients acts independently on the line
 part and on each plane, so it can be evaluated either by ring Horner or by
-three ordinary scalar series on the canonical components.  Analytic
+three ordinary scalar series on the canonical components.  The second,
+`ComponentPolynomials`, is the kernel of every polynomial path here and in
+polyfactor; ring Horner (`series_eval`) is the cross-check.  Analytic
 functions built this way tie the partial derivatives of their five real
 components into five cyclic equality groups (and their second partials into
 25 chains); the checkers here verify those groups by central differences.
@@ -10,14 +12,13 @@ components into five cyclic equality groups (and their second partials into
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
-from .algebra import PentaComplex, _result, multiply
+from .algebra import Evaluator, PentaComplex, _call, _result, multiply
 from .canonical import SQRT5, _from_canon_comps, _to_canon_comps
-from .errors import EvaluationFailed, InsufficientTerms, ZeroTail
+from .errors import InsufficientTerms, ZeroTail
 
 FD_STEP_FIRST = 1e-6
 FD_TOL_FIRST = 1e-6
@@ -28,7 +29,8 @@ RATIO_WINDOW = 8
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Finite list of coefficients a0, a1, ...; evaluation is Horner."""
+    """Finite list of coefficients a0, a1, ...; `series_eval` evaluates it
+    by ring Horner, `series_eval_components` on the canonical components."""
 
     coeffs: tuple[PentaComplex, ...]
 
@@ -53,6 +55,48 @@ class CoefficientSpectrum:
     at1: float
     a2: float
     at2: float
+
+
+@dataclass(frozen=True)
+class ComponentPolynomials:
+    """Scalar component polynomials, coefficients descending: a real one on
+    the line and a complex one per plane.  From polyfactor's `decompose`
+    they are monic; from a series (`series_eval_components`) they are its
+    coefficients reversed, with no implicit leading 1."""
+
+    pplus: tuple[float, ...]
+    p1: tuple[complex, ...]
+    p2: tuple[complex, ...]
+
+    def evaluate(self, u: PentaComplex) -> PentaComplex:
+        """Horner on each canonical component of u, reassembled once; a
+        value beyond the floating-point range raises Overflow."""
+        vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+        z1 = complex(v1, tv1)
+        z2 = complex(v2, tv2)
+        wp = 0.0
+        w1 = w2 = 0j
+        # float and complex arithmetic overflow to inf rather than raising
+        for ap, a1, a2 in zip(self.pplus, self.p1, self.p2):
+            wp = wp * vp + ap
+            w1 = w1 * z1 + a1
+            w2 = w2 * z2 + a2
+        return _assemble(wp, w1, w2)
+
+
+def _component_polys(coeffs: Iterable[PentaComplex]) -> ComponentPolynomials:
+    """The component polynomials of ring coefficients, in their order: one
+    canonical transform per coefficient."""
+    spectra = [_to_canon_comps(a.components) for a in coeffs]
+    return ComponentPolynomials(tuple(sp[0] for sp in spectra),
+                                tuple(complex(sp[1], sp[2]) for sp in spectra),
+                                tuple(complex(sp[3], sp[4]) for sp in spectra))
+
+
+def _assemble(wp: float, w1: complex, w2: complex) -> PentaComplex:
+    """The element with wp on the line and w1, w2 on the planes; a
+    non-finite part raises Overflow."""
+    return _result(*_from_canon_comps((wp, w1.real, w1.imag, w2.real, w2.imag)))
 
 
 @dataclass(frozen=True)
@@ -86,20 +130,7 @@ def series_eval(s: PowerSeries, u: PentaComplex) -> PentaComplex:
 def series_eval_components(s: PowerSeries, u: PentaComplex) -> PentaComplex:
     """Evaluate via the canonical split: one real series on vplus and one
     complex series per plane, reassembled at the end."""
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    z1 = complex(v1, tv1)
-    z2 = complex(v2, tv2)
-    accp = 0.0
-    acc1 = 0j
-    acc2 = 0j
-    for a in reversed(s.coeffs):
-        ap, a1, at1, a2, at2 = _to_canon_comps(a.components)
-        accp = accp * vp + ap
-        acc1 = acc1 * z1 + complex(a1, at1)
-        acc2 = acc2 * z2 + complex(a2, at2)
-    # float and complex arithmetic overflow to inf rather than raising
-    return _result(*_from_canon_comps((accp, acc1.real, acc1.imag,
-                                       acc2.real, acc2.imag)))
+    return _component_polys(reversed(s.coeffs)).evaluate(u)
 
 
 def coefficient_spectrum(a: PentaComplex) -> CoefficientSpectrum:
@@ -131,16 +162,11 @@ def convergence_radii(s: PowerSeries, window: int = RATIO_WINDOW) -> Convergence
     if len(s.coeffs) < window + 2:
         raise InsufficientTerms(
             f"need at least {window + 2} coefficients for window {window}, got {len(s.coeffs)}")
-    mods = [abs(a) for a in s.coeffs]
-    spectra = [_to_canon_comps(a.components) for a in s.coeffs]
-    pmods = [abs(ap) for ap, _, _, _, _ in spectra]
-    m1 = [math.hypot(a1, at1) for _, a1, at1, _, _ in spectra]
-    m2 = [math.hypot(a2, at2) for _, _, _, a2, at2 in spectra]
-
-    overall = [r / SQRT5 for r in _tail_ratios(mods, window, "overall")]
-    plus = _tail_ratios(pmods, window, "line")
-    plane1 = _tail_ratios(m1, window, "plane 1")
-    plane2 = _tail_ratios(m2, window, "plane 2")
+    cp = _component_polys(s.coeffs)
+    overall = [r / SQRT5 for r in _tail_ratios([abs(a) for a in s.coeffs], window, "overall")]
+    plus = _tail_ratios([abs(a) for a in cp.pplus], window, "line")
+    plane1 = _tail_ratios([abs(a) for a in cp.p1], window, "plane 1")
+    plane2 = _tail_ratios([abs(a) for a in cp.p2], window, "plane 2")
     return ConvergenceReport(
         c=statistics.median(overall),
         cplus=statistics.median(plus),
@@ -153,27 +179,33 @@ def convergence_radii(s: PowerSeries, window: int = RATIO_WINDOW) -> Convergence
     )
 
 
+def _taylor(p: Sequence, x, kmax: int) -> list:
+    """Taylor coefficients 0..kmax at x of the scalar polynomial p
+    (coefficients descending): the remainders of repeated synthetic
+    division by (t - x), zero beyond the degree."""
+    p = list(p)
+    out = []
+    for _ in range(kmax + 1):
+        acc = 0.0
+        for j, a in enumerate(p):
+            acc = p[j] = acc * x + a
+        out.append(p.pop() if p else 0.0)
+    return out
+
+
 def taylor_coefficients(s: PowerSeries, u0: PentaComplex, kmax: int) -> PowerSeries:
     """Recentre the series at u0: coefficient k is the k-th termwise
-    derivative at u0 divided by k!, i.e. sum_l C(l, k) a_l u0^(l-k)."""
-    n = len(s.coeffs)
-    powers = [PentaComplex.scalar(1.0)]
-    for _ in range(max(0, n - 1)):
-        powers.append(multiply(powers[-1], u0))
-    out = []
-    for k in range(kmax + 1):
-        acc = PentaComplex()
-        for l in range(k, n):
-            acc = acc + math.comb(l, k) * multiply(s.coeffs[l], powers[l - k])
-        out.append(acc)
-    return PowerSeries(tuple(out))
+    derivative at u0 divided by k!, i.e. sum_l C(l, k) a_l u0^(l-k),
+    computed on each component polynomial."""
+    cp = _component_polys(reversed(s.coeffs))
+    vp, v1, tv1, v2, tv2 = _to_canon_comps(u0.components)
+    parts = zip(_taylor(cp.pplus, vp, kmax), _taylor(cp.p1, complex(v1, tv1), kmax),
+                _taylor(cp.p2, complex(v2, tv2), kmax))
+    return PowerSeries(tuple(_assemble(*w) for w in parts))
 
 
 # ---------------------------------------------------------------------------
 # derivative relation checks
-
-Evaluator = Callable[[PentaComplex], PentaComplex]
-
 
 @dataclass(frozen=True)
 class RelationGroup:
@@ -206,19 +238,6 @@ class FirstOrderReport:
                         "deviation": g.deviation, "passed": g.passed}
                        for g in self.groups],
         }
-
-
-def _call(f: Evaluator, u: PentaComplex) -> PentaComplex:
-    """f(u); an evaluator that raises, or returns anything but a
-    PentaComplex, raises EvaluationFailed."""
-    try:
-        value = f(u)
-    except Exception as exc:
-        raise EvaluationFailed(f"evaluator raised at {u!r}: {exc}") from exc
-    if not isinstance(value, PentaComplex):
-        raise EvaluationFailed(f"evaluator returned {type(value).__name__}, "
-                               f"not PentaComplex, at {u!r}")
-    return value
 
 
 def _shifted(point: PentaComplex, axis: int, delta: float) -> PentaComplex:

@@ -24,8 +24,7 @@ from itertools import chain
 import numpy as np
 
 from . import elementary
-from .algebra import DIM, PentaComplex, _result
-from .analytic import Evaluator, _call
+from .algebra import DIM, Evaluator, PentaComplex, _call, _result
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, P, P2, Q, Q2,
                         TAU_REL, TWO_PI, _from_canon_comps, rotated_coords,
                         rotation_matrix)

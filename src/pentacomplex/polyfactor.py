@@ -7,9 +7,12 @@ with simple roots and real line roots has (m!)^2 distinct factorizations
 into linear factors.  Complex-conjugate line-root pairs cannot be real ring
 elements and are emitted as real quadratic factors instead.
 
-The component roots are the eigenvalues of each polynomial's balanced
-companion matrix (`np.roots`), which is backward stable; one backward-error
-gate checks every root.
+The component polynomials are analytic's `ComponentPolynomials`, the one
+canonical-coefficient kernel: decomposition transforms each coefficient
+once, and expansion multiplies the three component polynomials by
+convolution.  The component roots are the eigenvalues of each polynomial's
+balanced companion matrix (`np.roots`), which is backward stable; one
+backward-error gate checks every root.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import PentaComplex, _result, inverse, multiply
-from .analytic import coefficient_spectrum
-from .canonical import _from_canon_comps
+from .algebra import ONE, PentaComplex, _result, inverse, multiply
+from .analytic import ComponentPolynomials, _assemble, _component_polys
+# kept as a module global: perfbench's traced runs patch it here
+from .analytic import coefficient_spectrum  # noqa: F401
 from .errors import (Degenerate, InvalidPairing, NoConvergence,
                      NonInvertible, NonInvertibleLeading)
 
@@ -73,11 +77,13 @@ class PentaPolynomial:
 
     @classmethod
     def from_scalar_roots(cls, roots: Sequence[float]) -> "PentaPolynomial":
-        """Expand prod (u - r) for real scalar roots r."""
-        poly = [PentaComplex.scalar(1.0)]
+        """Expand prod (u - r) for real scalar roots r.  The three component
+        polynomials are the same real one, so one convolution chain gives
+        them, and each coefficient is the scalar element it stands for."""
+        poly = np.ones(1)
         for r in roots:
-            poly = _poly_mul(poly, [PentaComplex.scalar(1.0), PentaComplex.scalar(-r)])
-        return cls(tuple(poly[1:]))
+            poly = np.convolve(poly, (1.0, -PentaComplex.scalar(r).x0))
+        return cls(tuple(_result(a, 0.0, 0.0, 0.0, 0.0) for a in poly[1:].tolist()))
 
     def to_dict(self) -> dict:
         return {"coeffs": [a.to_list() for a in self.coeffs]}
@@ -85,27 +91,6 @@ class PentaPolynomial:
     @classmethod
     def from_dict(cls, data: dict) -> "PentaPolynomial":
         return cls(tuple(PentaComplex.from_list(a) for a in data["coeffs"]))
-
-
-@dataclass(frozen=True)
-class ComponentPolynomials:
-    """Scalar component polynomials, coefficients descending and monic:
-    a real one on the line and a complex one per plane."""
-
-    pplus: tuple[float, ...]
-    p1: tuple[complex, ...]
-    p2: tuple[complex, ...]
-
-    def evaluate(self, u: PentaComplex) -> PentaComplex:
-        """Evaluate all three on the canonical components of u and reassemble."""
-        from .canonical import _to_canon_comps
-
-        vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-        wp = _horner(self.pplus, vp)
-        z1 = _horner(self.p1, complex(v1, tv1))
-        z2 = _horner(self.p2, complex(v2, tv2))
-        return PentaComplex(*_from_canon_comps((wp, z1.real, z1.imag,
-                                                z2.real, z2.imag)))
 
 
 @dataclass(frozen=True)
@@ -141,24 +126,10 @@ class QuadraticFactor:
 Factor = Union[LinearFactor, QuadraticFactor]
 
 
-def _horner(coeffs, x):
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def decompose(poly: PentaPolynomial) -> ComponentPolynomials:
-    """Project each coefficient onto the line and the two planes."""
-    pplus = [1.0]
-    p1 = [complex(1.0)]
-    p2 = [complex(1.0)]
-    for a in poly.coeffs:
-        sp = coefficient_spectrum(a)
-        pplus.append(sp.aplus)
-        p1.append(complex(sp.a1, sp.at1))
-        p2.append(complex(sp.a2, sp.at2))
-    return ComponentPolynomials(pplus=tuple(pplus), p1=tuple(p1), p2=tuple(p2))
+    """Project each coefficient, after the implicit leading 1, onto the
+    line and the two planes."""
+    return _component_polys((ONE,) + poly.coeffs)
 
 
 def _check_gate(p: np.ndarray, z: np.ndarray, scale: np.ndarray) -> None:
@@ -217,10 +188,6 @@ def _line_is_real(rs: RootSet) -> list[bool]:
     return [abs(r.imag) <= TAU_REAL * scale for r in rs.vplus_roots]
 
 
-def _assemble(vroot: complex, z1: complex, z2: complex) -> PentaComplex:
-    return _result(*_from_canon_comps((vroot.real, z1.real, z1.imag, z2.real, z2.imag)))
-
-
 def assemble_roots(rs: RootSet,
                    pairing: Sequence[tuple[int, int, int]]) -> list[PentaComplex]:
     """Ring roots from an explicit pairing.
@@ -245,7 +212,7 @@ def assemble_roots(rs: RootSet,
             raise InvalidPairing(
                 f"line root {v} is complex; conjugate pairs form quadratic factors")
         # complex() keeps the components float for a RootSet of numpy scalars
-        out.append(_assemble(complex(v), complex(rs.plane1_roots[i1]),
+        out.append(_assemble(complex(v).real, complex(rs.plane1_roots[i1]),
                              complex(rs.plane2_roots[i2])))
     return out
 
@@ -280,7 +247,7 @@ def factor(poly: PentaPolynomial) -> list[Factor]:
     factors: list[Factor] = []
     for v, is_real in zip(rs.vplus_roots, real):
         if is_real:
-            factors.append(LinearFactor(_assemble(v, pool1.pop(0), pool2.pop(0))))
+            factors.append(LinearFactor(_assemble(v.real, pool1.pop(0), pool2.pop(0))))
             continue
         if v.imag < 0:
             continue    # its conjugate makes the quadratic factor
@@ -295,33 +262,25 @@ def factor(poly: PentaPolynomial) -> list[Factor]:
         bsum2 = -(z2a + z2b)
         cprod1 = z1a * z1b
         cprod2 = z2a * z2b
-        b = _result(*_from_canon_comps((-2.0 * v.real, bsum1.real, bsum1.imag,
-                                        bsum2.real, bsum2.imag)))
-        c = _result(*_from_canon_comps((abs(v) ** 2, cprod1.real, cprod1.imag,
-                                        cprod2.real, cprod2.imag)))
-        factors.append(QuadraticFactor(b=b, c=c))
+        factors.append(QuadraticFactor(b=_assemble(-2.0 * v.real, bsum1, bsum2),
+                                       c=_assemble(abs(v) ** 2, cprod1, cprod2)))
     return factors
 
 
-def _poly_mul(p: list[PentaComplex], q: list[PentaComplex]) -> list[PentaComplex]:
-    out = [PentaComplex() for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + multiply(a, b)
-    return out
-
-
 def expand_factors(factors: Sequence[Factor]) -> PentaPolynomial:
-    """Ring-expand a factor list back into a monic polynomial."""
-    poly = [PentaComplex.scalar(1.0)]
+    """Expand a factor list back into a monic polynomial: the three
+    component polynomials are multiplied by convolution, and each product
+    coefficient is reassembled once."""
+    prod = [np.ones(1), np.ones(1, dtype=complex), np.ones(1, dtype=complex)]
     for f in factors:
         if isinstance(f, LinearFactor):
-            poly = _poly_mul(poly, [PentaComplex.scalar(1.0), -f.root])
+            cp = _component_polys((ONE, -f.root))
         elif isinstance(f, QuadraticFactor):
-            poly = _poly_mul(poly, [PentaComplex.scalar(1.0), f.b, f.c])
+            cp = _component_polys((ONE, f.b, f.c))
         else:
             raise TypeError(f"unknown factor type {type(f)!r}")
-    return PentaPolynomial(tuple(poly[1:]))
+        prod = [np.convolve(p, q) for p, q in zip(prod, (cp.pplus, cp.p1, cp.p2))]
+    return PentaPolynomial(tuple(_assemble(*w) for w in zip(*(p[1:].tolist() for p in prod))))
 
 
 def count_factorizations(poly: PentaPolynomial) -> int:

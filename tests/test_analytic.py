@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentacomplex import (ONE, ZERO, EvaluationFailed, InsufficientTerms,
                           Overflow, PentaComplex, PowerSeries, ZeroTail,
@@ -120,6 +122,60 @@ def test_convergence_radii_errors():
     s = PowerSeries(tuple(E1_TILDE for _ in range(12)))
     with pytest.raises(ZeroTail):
         convergence_radii(s)
+
+
+# coefficient components log-uniform in 1e-3..1e3 with either sign
+COMPONENT = st.builds(lambda sign, e: sign * 10.0 ** e,
+                      st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0))
+COEFF = st.builds(PentaComplex, *[COMPONENT] * 5)
+
+
+def point(lo, hi):
+    return st.builds(PentaComplex, *[st.floats(lo, hi)] * 5)
+
+
+def magnitude(coeffs, u):
+    """sum_l |a_l| (sqrt5 |u|)^l, which bounds every term of the series at
+    u (|uv| <= sqrt5 |u| |v| in the ring) and so sets its rounding."""
+    return sum(abs(a) * (math.sqrt(5.0) * abs(u)) ** l for l, a in enumerate(coeffs))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(COEFF, min_size=1, max_size=13), point(-1.0, 1.0))
+def test_component_evaluation_matches_ring_horner(coeffs, u):
+    s = PowerSeries(tuple(coeffs))
+    a = series_eval(s, u)
+    b = series_eval_components(s, u)
+    assert dev(a, b) <= 1e-12 * max(1.0, magnitude(coeffs, u))
+
+
+def ring_taylor(s, u0, kmax):
+    """sum_l C(l, k) a_l u0^(l-k) in ring arithmetic: the reference route."""
+    n = len(s.coeffs)
+    powers = [ONE]
+    for _ in range(max(0, n - 1)):
+        powers.append(multiply(powers[-1], u0))
+    out = []
+    for k in range(kmax + 1):
+        acc = ZERO
+        for l in range(k, n):
+            acc = acc + math.comb(l, k) * multiply(s.coeffs[l], powers[l - k])
+        out.append(acc)
+    return PowerSeries(tuple(out))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(COEFF, min_size=1, max_size=13), point(-0.5, 0.5), st.integers(0, 14))
+def test_taylor_coefficients_match_the_ring_route(coeffs, u0, kmax):
+    s = PowerSeries(tuple(coeffs))
+    got = taylor_coefficients(s, u0, kmax)
+    want = ring_taylor(s, u0, kmax)
+    assert len(got) == len(want) == kmax + 1
+    for k, (a, b) in enumerate(zip(got.coeffs, want.coeffs)):
+        # the k-th derivative's terms, divided by k!
+        scale = sum(math.comb(l, k) * abs(c) * (math.sqrt(5.0) * abs(u0)) ** (l - k)
+                    for l, c in enumerate(coeffs) if l >= k)
+        assert dev(a, b) <= 1e-10 * max(1.0, scale), k
 
 
 def test_taylor_coefficients_binomial():

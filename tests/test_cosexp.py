@@ -1,13 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pentacomplex import (ONE, DomainTooLarge, Overflow, PentaComplex, PowerKind,
                           cosexp_power, cosexp_values, exp_basis,
                           exp_h1_minus_h4, exp_h1_plus_h4, g5_closed,
                           g5_closed_radical, g5_series, multiply, power_coeffs)
-from pentacomplex import elementary
+from pentacomplex import cosexp, elementary
+
+# up to this |y| the values come from the series (cosexp.SERIES_UP_TO)
+SERIES_UP_TO = 2.0
 
 
 def ring_exp_series(u: PentaComplex, nmax=120) -> PentaComplex:
@@ -227,3 +233,65 @@ def test_beyond_the_float_range_is_overflow(f):
     # math.exp would raise a raw OverflowError
     with pytest.raises(Overflow):
         f()
+
+
+def exact_g5(k: int, y: float) -> Fraction:
+    """sum_p y^(k+5p)/(k+5p)! in rational arithmetic, to a relative 1e-40
+    of the first term (the terms decrease at once for |y| <= 2)."""
+    y = Fraction(y)
+    term = y ** k / math.factorial(k)
+    total, n = Fraction(0), k
+    while True:
+        total += term
+        for _ in range(5):
+            n += 1
+            term = term * y / n
+        if abs(term) <= abs(y ** k / math.factorial(k)) / 10 ** 40:
+            return total
+
+
+def small_y():
+    """y on [-SERIES_UP_TO, SERIES_UP_TO], uniform or log-uniform in |y|
+    down to 1e-300, both signs."""
+    log_uniform = st.builds(lambda sign, e: sign * min(SERIES_UP_TO, 10.0 ** e),
+                            st.sampled_from((-1.0, 1.0)),
+                            st.floats(-300.0, math.log10(SERIES_UP_TO)))
+    return st.floats(-SERIES_UP_TO, SERIES_UP_TO) | log_uniform
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(small_y())
+@example(1e-4)
+@example(0.01)
+@example(-0.05)
+@example(SERIES_UP_TO)
+@example(-SERIES_UP_TO)
+def test_values_are_componentwise_accurate_for_small_y(y):
+    # the closed form cancels here: at y = 1e-4 it got g54 wrong in every digit
+    g = cosexp_values(y).g
+    basis = exp_basis(1, y)
+    for k in range(5):
+        want = float(exact_g5(k, y))
+        assert abs(g[k] - want) <= 4 * math.ulp(want), (k, y, g[k], want)
+        assert basis[k] == g[k]
+
+
+def test_series_range():
+    assert cosexp.SERIES_UP_TO == SERIES_UP_TO
+
+
+def test_values_at_zero_are_exact():
+    assert cosexp_values(0.0).g == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert cosexp_values(-0.0).g == (1.0, 0.0, 0.0, 0.0, 0.0)
+    for k in range(1, 5):
+        assert exp_basis(k, 0.0) == ONE
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.floats(SERIES_UP_TO, 700.0, exclude_min=True), st.sampled_from((-1.0, 1.0)))
+def test_values_beyond_the_series_range_are_the_closed_form(r, sign):
+    y = sign * r
+    closed = tuple(g5_closed(k, y) for k in range(5))
+    assert cosexp_values(y).g == closed
+    for k in range(1, 5):
+        assert all(exp_basis(k, y)[(k * m) % 5] == closed[m] for m in range(5))

@@ -87,6 +87,21 @@ def test_cli_mul_loads_no_numpy():
     assert proc.stdout.splitlines() == ["[5.0, 1.0, 2.0, 3.0, 4.0]", "False 0"]
 
 
+def test_contour_loads_neither_analytic_nor_statistics():
+    proc = fresh_python("import sys; import pentacomplex.contour; "
+                        "print('pentacomplex.analytic' in sys.modules, "
+                        "'statistics' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_analytic_and_its_component_polynomials_load_no_numpy():
+    proc = fresh_python("import sys; import pentacomplex as pc; pc.ComponentPolynomials; "
+                        "import pentacomplex.analytic; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_a_lazy_name_loads_its_module_on_first_access():
     proc = fresh_python("import sys; import pentacomplex as pc; "
                         "before = 'pentacomplex.contour' in sys.modules; pc.winding; "
@@ -105,8 +120,10 @@ def test_every_public_name_is_still_exported():
 
 
 def test_lazy_names_are_the_objects_of_their_modules():
-    from pentacomplex import contour, cosexp, polyfactor
+    from pentacomplex import analytic, contour, cosexp, polyfactor
     from pentacomplex.analytic import check_cr_relations
+    assert pentacomplex.ComponentPolynomials is analytic.ComponentPolynomials
+    assert polyfactor.ComponentPolynomials is analytic.ComponentPolynomials
     assert pentacomplex.residue_formula is contour.residue_formula
     assert pentacomplex.factor is polyfactor.factor
     assert pentacomplex.RADICALS is cosexp.RADICALS

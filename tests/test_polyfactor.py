@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentacomplex import (H1, ONE, ZERO, CanonicalForm, Degenerate,
                           InvalidPairing, LinearFactor, NoConvergence,
@@ -75,6 +77,59 @@ def test_component_evaluation_agrees_with_ring_horner():
             a = poly.evaluate(u)
             b = cp.evaluate(u)
             assert dev(a, b) <= 1e-12 * max(1.0, abs(a))
+
+
+# coefficient components log-uniform in 1e-3..1e3 with either sign
+COMPONENT = st.builds(lambda sign, e: sign * 10.0 ** e,
+                      st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0))
+COEFF = st.builds(PentaComplex, *[COMPONENT] * 5)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(COEFF, min_size=1, max_size=12),
+       st.builds(PentaComplex, *[st.floats(-1.5, 1.5)] * 5))
+def test_component_evaluation_matches_ring_horner_property(coeffs, u):
+    poly = PentaPolynomial(tuple(coeffs))
+    a = poly.evaluate(u)
+    b = decompose(poly).evaluate(u)
+    # |a_l u^(m-l)| <= |a_l| (sqrt5 |u|)^(m-l) bounds every Horner term
+    m = len(coeffs)
+    scale = sum(abs(c) * (SQRT5 * abs(u)) ** (m - l) for l, c in enumerate((ONE, *coeffs)))
+    assert dev(a, b) <= 1e-12 * max(1.0, scale)
+
+
+def ring_poly_mul(p, q):
+    """Product of two coefficient lists in ring arithmetic: the reference."""
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + multiply(a, b)
+    return out
+
+
+FACTOR = st.one_of(st.builds(LinearFactor, COEFF), st.builds(QuadraticFactor, COEFF, COEFF))
+
+
+def first_factors_of_degree_at_most(factors, m=12):
+    degrees = np.cumsum([1 if isinstance(f, LinearFactor) else 2 for f in factors])
+    return factors[:int(np.searchsorted(degrees, m, side="right"))]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(FACTOR, min_size=1, max_size=12).map(first_factors_of_degree_at_most))
+def test_expand_factors_matches_the_ring_product(factors):
+    want = [ONE]
+    mag = np.ones(1)
+    for f in factors:
+        coeffs = [ONE, -f.root] if isinstance(f, LinearFactor) else [ONE, f.b, f.c]
+        want = ring_poly_mul(want, coeffs)
+        # coefficient j of the product of the factors' moduli bounds the
+        # terms of coefficient j
+        mag = np.convolve(mag, [SQRT5 * abs(c) for c in coeffs])
+    got = expand_factors(factors).coeffs
+    assert len(got) == len(want) - 1
+    for j, (a, b) in enumerate(zip(got, want[1:]), start=1):
+        assert dev(a, b) <= 1e-12 * max(1.0, mag[j]), j
 
 
 def test_component_roots_u2_minus_1():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentacomplex import (AngleUndefined, CanonicalForm, Overflow,
-                          PentaComplex, PentaError, amplitude,
-                          canonical_multiply, exp,
-                          exponential_form, from_canonical, inverse, log,
-                          multiply, polar_form, pow_real, sin, to_canonical,
+from pentacomplex import (ONE, AngleUndefined, CanonicalForm, Overflow,
+                          PentaComplex, PentaError, PentaPolynomial,
+                          PowerSeries, amplitude, canonical_multiply, decompose,
+                          exp, exponential_form, from_canonical, inverse, log,
+                          multiply, polar_form, pow_real, series_eval,
+                          series_eval_components, sin, to_canonical,
                           trigonometric_form)
 from pentacomplex.geometry import odd_fifth_root
 
@@ -63,6 +64,11 @@ def finite(x):
     return x is None or math.isfinite(x)
 
 
+# u^2 + u + (0.5 + 0.1 h1), as a polynomial and as a series: every
+# evaluation route overflows at |u| = 1e200
+POLY = PentaPolynomial((ONE, PentaComplex(0.5, 0.1)))
+SERIES = PowerSeries((PentaComplex(0.5, 0.1), ONE, ONE))
+
 CONTRACT = {
     "inverse": (inverse, lambda r: True),
     "log": (log, lambda r: True),
@@ -76,6 +82,10 @@ CONTRACT = {
     "exponential_form": (exponential_form, lambda r: all(map(finite, (
         r.amplitude, r.log_tan_theta, r.log_tan_psi, r.phi1, r.phi2)))),
     "trigonometric_form": (trigonometric_form, lambda r: True),
+    "PentaPolynomial.evaluate": (POLY.evaluate, lambda r: True),
+    "ComponentPolynomials.evaluate": (decompose(POLY).evaluate, lambda r: True),
+    "series_eval": (lambda u: series_eval(SERIES, u), lambda r: True),
+    "series_eval_components": (lambda u: series_eval_components(SERIES, u), lambda r: True),
 }
 
 
@@ -89,6 +99,7 @@ BIG_PLANE = from_canonical(CanonicalForm(1e307, 1.5e308, 1.5e308, 1e307, 1e307))
 @given(canonical_parts(), st.floats(-300.0, 300.0))
 @example(WIDE_PLANE, 0.0)
 @example(BIG_PLANE, 0.0)
+@example(ONE, 200.0)
 def test_finite_result_or_typed_error(u, exponent):
     # a PentaComplex result is finite by construction
     u = u * 10.0 ** exponent
