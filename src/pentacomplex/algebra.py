@@ -200,7 +200,11 @@ def _result(*comps: float) -> PentaComplex:
     components, stored as they are; a non-finite one (a result beyond the
     floating-point range, or a non-finite scalar operand) is Overflow."""
     x0, x1, x2, x3, x4 = comps
-    if x0 * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 + x4 * 0.0 != 0.0:
+    # a finite sum times 0.0 is 0.0; NaN (truthy) means a non-finite
+    # component or a finite sum beyond the float range, which the
+    # per-component test tells apart
+    if ((x0 + x1 + x2 + x3 + x4) * 0.0
+            and x0 * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 + x4 * 0.0 != 0.0):
         raise Overflow("result exceeds the floating-point range")
     u = _new(PentaComplex)
     _set_components(u, comps)

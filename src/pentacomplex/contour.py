@@ -12,6 +12,13 @@ Around a pole the singularity is subtracted: f(u0)/(u - u0) is integrated
 exactly on each segment (a logarithm per canonical coordinate) and the
 nodes carry only the remainder (f(u) - f(u0))/(u - u0), which is analytic
 where f is, so the error falls geometrically with the nodes per segment.
+
+A Path memoizes what depends only on its vertices: the two plane
+projections, and the quadrature geometry (nodes, vertex rows and the
+canonical du rows) of the last node count per segment it was integrated
+with.  The memo holds at most those three entries, all read-only arrays;
+it belongs to the instance, so pickle, copy and dataclasses.replace
+start a fresh one.
 """
 
 from __future__ import annotations
@@ -79,7 +86,10 @@ class Path:
                           DIM * len(verts)).reshape(-1, DIM)
         arr.flags.writeable = False
         object.__setattr__(self, "_array", arr)
-        ends = np.roll(arr, -1, axis=0) if self.closed else arr[1:]
+        # project's complex vertex arrays under keys 1 and 2, and
+        # integrate's rule geometry under "rule" (see _geometry)
+        object.__setattr__(self, "_memo", {})
+        ends = _ends(arr, self.closed)
         if (arr[:len(ends)] == ends).all(axis=1).any():
             raise ValueError("consecutive path vertices must be distinct")
 
@@ -87,7 +97,7 @@ class Path:
         return {"vertices": self.vertices, "closed": self.closed}
 
     def __setstate__(self, state):
-        # pickle and copy store only the fields and rebuild the array
+        # pickle and copy store only the fields and rebuild the array and memo
         self.__init__(state["vertices"], state["closed"])
 
     def segments(self) -> list[tuple[PentaComplex, PentaComplex]]:
@@ -169,12 +179,21 @@ class PlaneProjection:
         return (type(self), self._fields())
 
 
+def _ends(rows: np.ndarray, closed: bool) -> np.ndarray:
+    """The end of each segment of a polyline with these vertex rows."""
+    return np.concatenate((rows[1:], rows[:1])) if closed else rows[1:]
+
+
 def project(path: Path, k: int) -> PlaneProjection:
-    """Project every vertex onto canonical plane k (k = 1 or 2)."""
+    """Project every vertex onto canonical plane k (k = 1 or 2); the
+    path's memo keeps the complex vertex array, which the projection wraps."""
     if k not in (1, 2):
         raise ValueError(f"plane index must be 1 or 2, got {k}")
-    xy = path._array @ _ROT[2 * k - 1:2 * k + 1].T
-    return PlaneProjection._wrap(xy.view(np.complex128).ravel(), k, path.closed)
+    z = path._memo.get(k)
+    if z is None:
+        z = (path._array @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
+        path._memo[k] = z
+    return PlaneProjection._wrap(z, k, path.closed)
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
@@ -201,18 +220,20 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
         raise ValueError("winding number needs a closed polygon")
     x, y = point
     a = polygon._z - complex(x, y)
-    b = np.roll(a, -1)
+    b = _ends(a, True)
     d = b - a
     cutoff = TAU_EDGE * np.abs(a).max(initial=0.0) if tol is None else tol
     # nearest point of each edge to the origin (the point) at a + t*d, with
     # t = -(a . d)/|d|^2 = -Re(a/d), clipped (a quotient beyond the float
     # range clips to an end); a zero-length edge is its own nearest point
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.where(d == 0.0, 0.0, np.clip(-(a / d).real, 0.0, 1.0))
+        t = np.minimum(np.maximum(-(a / d).real, 0.0), 1.0)
+    t[d == 0.0] = 0.0
     close = np.abs(a + t * d) <= cutoff
     if close.any():
         raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge {int(close.argmax())}")
-    return round(float(np.angle(b / a).sum()) / TWO_PI)
+    q = b / a
+    return round(float(np.arctan2(q.imag, q.real).sum()) / TWO_PI)
 
 
 @functools.lru_cache(maxsize=PANEL)
@@ -238,9 +259,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=32)
 def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule on [0, 1] with n nodes: ceil(n / PANEL) equal panels
-    whose orders differ by at most one."""
+    whose orders differ by at most one; the arrays are read-only."""
     panels = -(-n // PANEL)
     base, extra = divmod(n, panels)
     nodes, weights = [], []
@@ -250,7 +272,36 @@ def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
             left = np.arange(first, first + count)[:, None]
             nodes.append(((left + x) / panels).ravel())
             weights.append(np.tile(w / panels, count))
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _geometry(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, du_c) of the rule with n nodes on every segment: points
+    holds the nodes, then the vertices from the first segment's start to
+    the last one's end; du_c holds the canonical coordinates of du at each
+    node.  The path's memo keeps both, read-only, for the last n asked for;
+    threads that race on it at most recompute an entry."""
+    memo = path._memo.get("rule")
+    if memo is not None and memo[0] == n:
+        return memo[1], memo[2]
+    verts = path._array
+    ends = _ends(verts, path.closed)
+    starts = verts[:len(ends)]
+    steps = ends - starts
+    t, w = _segment_rule(n)
+    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
+    du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
+    points = np.concatenate((nodes, starts, ends[-1:]))
+    # transformed stacked under points: a one-row product (one segment at
+    # one node) takes another BLAS routine, which may round differently
+    du_c = (np.concatenate((points, du)) @ _CANON.T)[len(points):]
+    points.flags.writeable = False
+    du_c.flags.writeable = False
+    path._memo["rule"] = (n, points, du_c)
+    return points, du_c
 
 
 def _planes(a: np.ndarray) -> np.ndarray:
@@ -277,11 +328,12 @@ def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
     the quadrature nodes and then at the path's vertices (from row `nodes`
     on), rel_c its canonical coordinates."""
     # moduli by hypot (a complex abs is one), so no square under- or
-    # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4)
+    # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4).  fmin skips a
+    # NaN as `or` would, and needs no reduction along the short axis
     pairs = np.abs(_planes(rel))
     tol = TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
     radii = np.abs(_planes(rel_c))
-    bad = (np.abs(rel_c[:, 0]) <= tol) | (radii <= tol[:, None]).any(axis=1)
+    bad = np.fmin(np.abs(rel_c[:, 0]), np.fmin(radii[:, 0], radii[:, 1])) <= tol
     if bad.any():
         i = int(bad.argmax())
         where = f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
@@ -297,7 +349,7 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pole_integral(rel_c: np.ndarray) -> np.ndarray:
+def _pole_integral(rel_c: np.ndarray) -> tuple:
     """Canonical coordinates of the exact integral of (u - u0)^-1 du along
     the polyline whose vertices less u0 have the canonical coordinates
     rel_c (rows; a closed path repeats its first vertex last).
@@ -310,16 +362,19 @@ def _pole_integral(rel_c: np.ndarray) -> np.ndarray:
     per segment whose argument difference wraps.  The vertices must have
     passed the divisor-of-zero guard, so no log or argument sees 0.
     """
-    args = np.angle(_planes(rel_c))
-    wraps = np.rint(np.diff(args, axis=0) / TWO_PI).sum(axis=0)
+    z = _planes(rel_c)
+    args = np.arctan2(z.imag, z.real)
+    wraps = np.rint((args[1:] - args[:-1]) / TWO_PI).sum(axis=0)
     ends = rel_c[[0, -1]]
     # moduli of the last vertex over the first, as mantissas and exponents
     # so that no quotient leaves the float range
-    mant, expo = np.frexp(np.column_stack((np.abs(ends[:, 0]), np.abs(_planes(ends)))))
-    out = np.empty(DIM)
-    out[[0, 1, 3]] = np.log(mant[1] / mant[0]) + math.log(2.0) * (expo[1] - expo[0])
-    out[[2, 4]] = args[-1] - args[0] - TWO_PI * wraps
-    return out
+    moduli = np.empty((2, 3))
+    moduli[:, 0] = np.abs(ends[:, 0])
+    moduli[:, 1:] = np.abs(_planes(ends))
+    mant, expo = np.frexp(moduli)
+    vp, r1, r2 = (np.log(mant[1] / mant[0]) + math.log(2.0) * (expo[1] - expo[0])).tolist()
+    a1, a2 = (args[-1] - args[0] - TWO_PI * wraps).tolist()
+    return vp, r1, a1, r2, a2
 
 
 @dataclass(frozen=True)
@@ -349,26 +404,23 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     pole = None
     if isinstance(f, _PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
-    verts = path._array
-    ends = np.roll(verts, -1, axis=0) if path.closed else verts[1:]
-    starts = verts[:len(ends)]
-    steps = ends - starts
-    t, w = _segment_rule(samples_per_segment)
-    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
-    du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
-    origin = np.zeros(DIM) if pole is None else np.array(pole.components)
+    points, kernel = _geometry(path, samples_per_segment)
+    count = len(kernel)
+    nodes = points[:count]
     if pole is None:
-        rel = nodes
+        origin = np.zeros(DIM)
+        rel = points
     else:
-        # the vertices, from the first to the last end, follow the nodes:
-        # one transform and one divisor-of-zero guard for both
-        rel = np.concatenate((nodes, starts, ends[-1:])) - origin
-    canon = np.concatenate((rel, du)) @ _CANON.T
-    rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
+        # the vertices follow the nodes: one transform and one
+        # divisor-of-zero guard for both
+        origin = np.array(pole.components)
+        rel = points - origin
+    canon = rel @ _CANON.T
+    rel_c = canon[:count]
     if pole is not None:
-        _invertible(rel, canon[:len(rel)], len(nodes))
+        _invertible(rel, canon, count)
         kernel = _divide(kernel, rel_c)
-        exact = _pole_integral(canon[len(nodes):len(rel)])
+        exact = _pole_integral(canon[count:])
     values = _evaluate(f, nodes, rel_c + _CANON @ origin)
     if pole is not None:
         values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
@@ -376,7 +428,7 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()
     value = _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
     if pole is not None:
-        value = value + f_pole * _result(*_from_canon_comps(exact.tolist()))
+        value = value + f_pole * _result(*_from_canon_comps(exact))
     return value
 
 

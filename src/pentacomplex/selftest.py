@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -237,6 +238,13 @@ def _suite_cosexp_triple(c: _Checker):
             _agree(c, closed, radical, 1e-10, f"closed vs radical at k={k}, y={y}")
             _agree(c, series, radical, 1e-10, f"series vs radical at k={k}, y={y}")
     c.check(time.perf_counter() - t0 < 1.0, "triple agreement exceeded 1 s")
+    # _agree is absolute below 1, so the package's values are also held to
+    # 4 ulp of the exact rational series where they come from the series
+    for y in (1e-8, -1e-5, 1e-2, -0.5, 1.5):
+        for k, got in enumerate(cosexp.cosexp_values(y).g):
+            want = sum(Fraction(y) ** n / math.factorial(n) for n in range(k, 60, 5))
+            err = abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+            c.check(err <= 4, f"cosexp_values g5{k}({y}) is {float(err):.3g} ulp off")
 
 
 def suite_cosexp_triple() -> SuiteResult:

@@ -8,6 +8,7 @@ import pytest
 from pentacomplex import (H1, H2, H3, H4, ONE, ZERO, NonInvertible,
                           NotCirculant, Overflow, PentaComplex, add, basis_product,
                           from_matrix, inverse, multiply, to_matrix)
+from pentacomplex import algebra
 from pentacomplex.canonical import E_PLUS
 
 # the ten products of the cyclic basis table, transcribed independently
@@ -322,3 +323,27 @@ def test_non_real_operands_are_refused():
             other + u
         with pytest.raises(TypeError):
             other / u
+
+
+@pytest.mark.parametrize("comps", [
+    (1e308, 1e308, 0.0, 0.0, 0.0),
+    (1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.7e308),
+    (-1.7e308, -1.7e308, 0.0, -1.7e308, 5e-324),
+])
+def test_trusted_constructor_keeps_finite_components_whose_sum_overflows(comps):
+    # the sum of the components leaves the float range, so the cheap test
+    # sees NaN and the per-component test decides
+    u = algebra._result(*comps)
+    assert u.components == comps and type(u) is PentaComplex
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("k", range(5))
+def test_trusted_constructor_rejects_a_non_finite_component(k, bad):
+    for rest in (1.0, 1e308, -1e308):
+        comps = [rest] * 5
+        comps[k] = bad
+        with pytest.raises(Overflow, match="result exceeds the floating-point range"):
+            algebra._result(*comps)
+    with pytest.raises(Overflow):
+        algebra._result(math.inf, -math.inf, 0.0, 0.0, 0.0)

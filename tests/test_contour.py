@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import math
 import pickle
+import sys
+import threading
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -11,7 +14,9 @@ from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
                           contour, cosh, exp, integrate, multiply, plane_circle,
                           project, project_point, residue_formula, sin, winding)
-from pentacomplex.canonical import E1, E1_TILDE, E2, E2_TILDE, E_PLUS
+from pentacomplex.algebra import _result
+from pentacomplex.canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
+                                    _from_canon_comps)
 from pentacomplex.contour import _CANON, _ROT, PlaneProjection
 
 TWO_PI = 2 * math.pi
@@ -658,3 +663,258 @@ def test_default_winding_tolerance_scales_with_the_loop(r):
     if r < 1:
         with pytest.raises(PoleOnPath):
             residue_formula(lambda u: ONE, loop, u0, tol_edge=1e-9)
+
+
+# -- the per-path memo: results bit-identical to the code before it --------
+
+def reference_winding(point, polygon, tol=None):
+    """winding() before the slice concatenation and the trimmed clip, kept
+    as its bit-level reference."""
+    x, y = point
+    a = polygon._z - complex(x, y)
+    b = np.roll(a, -1)
+    d = b - a
+    cutoff = contour.TAU_EDGE * np.abs(a).max(initial=0.0) if tol is None else tol
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(d == 0.0, 0.0, np.clip(-(a / d).real, 0.0, 1.0))
+    close = np.abs(a + t * d) <= cutoff
+    if close.any():
+        raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge {int(close.argmax())}")
+    return round(float(np.angle(b / a).sum()) / TWO_PI)
+
+
+def reference_invertible(rel, rel_c, nodes):
+    pairs = np.abs(contour._planes(rel))
+    tol = contour.TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
+    radii = np.abs(contour._planes(rel_c))
+    bad = (np.abs(rel_c[:, 0]) <= tol) | (radii <= tol[:, None]).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        where = f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
+        raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
+                                  f"of zero at {where}")
+
+
+def reference_pole_integral(rel_c):
+    args = np.angle(contour._planes(rel_c))
+    wraps = np.rint(np.diff(args, axis=0) / TWO_PI).sum(axis=0)
+    ends = rel_c[[0, -1]]
+    mant, expo = np.frexp(np.column_stack((np.abs(ends[:, 0]),
+                                           np.abs(contour._planes(ends)))))
+    out = np.empty(5)
+    out[[0, 1, 3]] = np.log(mant[1] / mant[0]) + math.log(2.0) * (expo[1] - expo[0])
+    out[[2, 4]] = args[-1] - args[0] - TWO_PI * wraps
+    return out
+
+
+def reference_integrate(f, path, n):
+    """integrate() before the memo: the rule, nodes and du rebuilt on every
+    call, np.roll for the segment ends and one transform of all rows."""
+    pole = None
+    if isinstance(f, contour._PoleIntegrand):
+        f, pole, f_pole = f.f, f.pole, f.f_pole
+    verts = path._array
+    ends = np.roll(verts, -1, axis=0) if path.closed else verts[1:]
+    starts = verts[:len(ends)]
+    steps = ends - starts
+    t, w = contour._segment_rule(n)
+    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, 5)
+    du = (w[:, None] * steps[:, None, :]).reshape(-1, 5)
+    origin = np.zeros(5) if pole is None else np.array(pole.components)
+    rel = nodes if pole is None else np.concatenate((nodes, starts, ends[-1:])) - origin
+    canon = np.concatenate((rel, du)) @ _CANON.T
+    rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
+    if pole is not None:
+        reference_invertible(rel, canon[:len(rel)], len(nodes))
+        kernel = contour._divide(kernel, rel_c)
+        exact = reference_pole_integral(canon[len(nodes):len(rel)])
+    values = contour._evaluate(f, nodes, rel_c + _CANON @ origin)
+    if pole is not None:
+        values -= _CANON @ np.array(f_pole.components)
+    line = float((values[:, 0] * kernel[:, 0]).sum())
+    z1, z2 = (contour._planes(values) * contour._planes(kernel)).sum(axis=0).tolist()
+    value = _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
+    if pole is not None:
+        value = value + f_pole * _result(*_from_canon_comps(exact.tolist()))
+    return value
+
+
+def reference_residue_formula(f, path, u0, samples):
+    windings = []
+    for k in (1, 2):
+        z = (path._array @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
+        try:
+            windings.append(reference_winding(project_point(u0, k),
+                                              PlaneProjection._wrap(z, k, True)))
+        except OnBoundary as exc:
+            raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
+    per_segment = max(1, round(samples / len(path.vertices)))
+    f_u0 = f(u0)
+    lhs = reference_integrate(contour._PoleIntegrand(f, u0, f_u0), path, per_segment)
+    return lhs, TWO_PI * (f_u0 * (windings[0] * E1_TILDE + windings[1] * E2_TILDE))
+
+
+def seeded_loops(seed):
+    """Closed loops around seeded poles: plane-1, plane-2, both planes and
+    jittered, with the pole and every loop's vertex count."""
+    rng = np.random.default_rng(seed)
+    for vertices in (3, 16, 64, 257):
+        u0 = PentaComplex(*rng.uniform(-0.5, 0.5, 5))
+        radius = float(rng.uniform(0.3, 2.0))
+        yield u0, plane_circle(u0, 1, radius, vertices=vertices)
+        yield u0, plane_circle(u0, 2, radius, 0.6 * radius, 0.9 * radius, vertices=vertices)
+        yield u0, both_planes_loop(u0, radius, vertices=vertices)
+        yield u0, jittered_loop(u0, vertices, rng)
+
+
+@pytest.mark.parametrize("seed", [301, 302])
+def test_residue_formula_is_bit_identical_to_the_reference(seed):
+    for u0, loop in seeded_loops(seed):
+        for f in (exp, sin, lambda u: multiply(u, u) - 2.0 * u):
+            for samples in (64, 256, 1024):
+                lhs, rhs = residue_formula(f, loop, u0, samples=samples)
+                want_lhs, want_rhs = reference_residue_formula(f, loop, u0, samples)
+                assert lhs.components == want_lhs.components, (seed, samples)
+                assert rhs.components == want_rhs.components, (seed, samples)
+            # a second call reads the memo
+            lhs, _ = residue_formula(f, loop, u0, samples=1024)
+            assert lhs.components == want_lhs.components
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args).components
+    except NonInvertibleOnPath as exc:
+        return str(exc)
+
+
+def test_integrate_and_winding_are_bit_identical_to_the_reference():
+    rng = np.random.default_rng(303)
+    for u0, loop in seeded_loops(304):
+        opened = Path(loop.vertices[:int(rng.integers(2, len(loop.vertices) + 1))],
+                      closed=False)
+        for path in (loop, opened):
+            for n in (1, 2, 5, 9, 17):
+                for f in (cosh, lambda u: u):
+                    assert (integrate(f, path, n).components
+                            == reference_integrate(f, path, n).components)
+                pole = contour._PoleIntegrand(exp, u0, exp(u0))
+                assert (value_or_error(integrate, pole, path, n)
+                        == value_or_error(reference_integrate, pole, path, n))
+        for k in (1, 2):
+            proj = project(loop, k)
+            points = [project_point(u0, k), (0.0, 0.0), *proj.points[:2]]
+            for q in points + [tuple(c) for c in rng.uniform(-2, 2, (10, 2)).tolist()]:
+                for tol in (None, 0.05):
+                    assert (outcome(winding, q, proj, tol)
+                            == outcome(reference_winding, q, proj, tol)), (k, q, tol)
+
+
+def error_of(fn, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_errors_keep_their_type_and_message():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    # a node on the divisor set (vplus of u - u0 is 0 all along the loop)
+    flat = plane_circle(u0, 1, 1.0, line_offset=0.0, other_offset=0.7, vertices=16)
+    # a vertex on it: vertex 2 has vplus(u - u0) = 0
+    verts = tuple(u0 + (0.0 if i == 2 else 0.7) * E_PLUS + 0.7 * E2
+                  + math.cos(TWO_PI * i / 5) * E1 + math.sin(TWO_PI * i / 5) * E1_TILDE
+                  for i in range(5))
+    kinked = Path(verts, closed=True)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+
+    def broken(u):
+        raise ZeroDivisionError("boom")
+
+    errors = []
+    for f, path, pole in ((exp, flat, u0), (exp, kinked, u0),
+                          (lambda u: ONE, loop, u0 + 1.0 * E1)):
+        errors.append(error_of(residue_formula, f, path, pole, samples=64))
+        assert errors[-1] == error_of(reference_residue_formula, f, path, pole, 64)
+    assert errors[0][0] is NonInvertibleOnPath and "quadrature node 0" in errors[0][1]
+    assert errors[1][0] is NonInvertibleOnPath and errors[1][1].endswith("at vertex 2")
+    assert errors[2] == (PoleOnPath, "projected pole touches the plane-1 projection")
+    # the reference calls f bare; these are the messages of _call
+    assert (error_of(residue_formula, broken, loop, u0, samples=64)
+            == (EvaluationFailed, f"evaluator raised at {u0!r}: boom"))
+    assert (error_of(residue_formula, lambda u: 1.0, loop, u0, samples=64)
+            == (EvaluationFailed, f"evaluator returned float, not PentaComplex, at {u0!r}"))
+
+
+def memo_arrays(path):
+    memo = path._memo
+    return [memo[k] for k in (1, 2) if k in memo] + list(memo.get("rule", ())[1:])
+
+
+def test_path_memo_is_read_only_and_bounded():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=64)
+    assert loop._memo == {}
+    for samples in (64, 128, 512, 1024, 4096):
+        residue_formula(exp, loop, u0, samples=samples)
+        assert set(loop._memo) == {1, 2, "rule"}
+        assert loop._memo["rule"][0] == samples // 64
+    points, du_c = loop._memo["rule"][1:]
+    assert points.shape == (64 * 64 + 65, 5) and du_c.shape == (64 * 64, 5)
+    # the same node count reads the memo; another replaces it
+    assert all(a is b for a, b in zip(contour._geometry(loop, 64), (points, du_c)))
+    assert contour._geometry(loop, 2)[0] is loop._memo["rule"][1] is not points
+    for a in memo_arrays(loop):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    # a projection wraps the memo's array rather than copying it
+    assert project(loop, 2)._z is loop._memo[2]
+    for a in contour._segment_rule(9):
+        assert not a.flags.writeable
+
+
+def test_path_memo_is_rebuilt_by_pickle_copy_and_replace():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 2, 1.0, 0.8, 0.7, vertices=32)
+    want = residue_formula(sin, loop, u0, samples=128)
+    opened = dataclasses.replace(loop, closed=False)
+    assert opened._memo == {} and opened._memo is not loop._memo
+    assert (integrate(sin, opened, 4).components
+            == reference_integrate(sin, opened, 4).components)
+    assert project(opened, 1).closed is False and project(loop, 1).closed is True
+    for other in (pickle.loads(pickle.dumps(loop)), copy.copy(loop), copy.deepcopy(loop),
+                  dataclasses.replace(loop)):
+        assert other == loop and other._memo == {} and other._memo is not loop._memo
+        got = residue_formula(sin, other, u0, samples=128)
+        assert [u.components for u in got] == [u.components for u in want]
+        assert set(other._memo) == {1, 2, "rule"}
+        assert all(not a.flags.writeable for a in memo_arrays(other))
+
+
+def test_path_memo_shared_by_threads_gives_the_single_thread_results():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=32)
+    counts = (32, 64, 96, 128)
+    want = {n: reference_residue_formula(exp, loop, u0, n)[0].components for n in counts}
+    mismatches = []
+
+    def work(offset):
+        for i in range(40):  # each thread cycles the counts, so the rule entry churns
+            n = counts[(i + offset) % len(counts)]
+            got = residue_formula(exp, loop, u0, samples=n)[0].components
+            if got != want[n]:
+                mismatches.append(n)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert set(loop._memo) == {1, 2, "rule"}

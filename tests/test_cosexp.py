@@ -295,3 +295,64 @@ def test_values_beyond_the_series_range_are_the_closed_form(r, sign):
     assert cosexp_values(y).g == closed
     for k in range(1, 5):
         assert all(exp_basis(k, y)[(k * m) % 5] == closed[m] for m in range(5))
+
+
+def exact_exp_h1_plus_h4(y: float) -> list[Fraction]:
+    """exp((h1 + h4) y) by the ring series in rational arithmetic: each term
+    is the one before times (h1 + h4) y / n, and h1, h4 shift the component
+    index by +1 and -1 (mod 5).  Summed until a term's components are all
+    below 1e-40 of the term y^2/2 (the smallest leading term), far below an
+    ulp for |y| <= 2."""
+    y = Fraction(y)
+    term = [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)]
+    total = list(term)
+    floor = y * y / 2 / 10 ** 40
+    n = 0
+    while n < 3 or max(map(abs, term)) > floor:
+        n += 1
+        term = [(term[(k - 1) % 5] + term[(k + 1) % 5]) * y / n for k in range(5)]
+        total = [t + s for t, s in zip(total, term)]
+    return total
+
+
+def ulps_off(got: float, want: Fraction) -> Fraction:
+    return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+
+
+@pytest.mark.parametrize("y", [1e-8, -1e-8, 1e-5, -1e-5, 1e-2, -1e-2, 1.0, 2.0])
+def test_exp_h1_plus_h4_is_within_an_ulp_at_small_y(y):
+    # the closed form cancels here: at y = 1e-8 its h2 and h3 components
+    # were off by 1.6 relative, at 1e-5 by 1e-6
+    got = exp_h1_plus_h4(y)
+    for k, want in enumerate(exact_exp_h1_plus_h4(y)):
+        assert ulps_off(got[k], want) <= 1, (k, y)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(small_y())
+@example(SERIES_UP_TO)
+@example(-SERIES_UP_TO)
+@example(1.9999)
+def test_exp_h1_plus_h4_is_componentwise_accurate_and_symmetric_for_small_y(y):
+    got = exp_h1_plus_h4(y)
+    assert got.x1 == got.x4 and got.x2 == got.x3
+    for k, want in enumerate(exact_exp_h1_plus_h4(y)):
+        assert ulps_off(got[k], want) <= 4, (k, y)
+
+
+def closed_exp_h1_plus_h4(y: float) -> tuple:
+    """The closed form exp_h1_plus_h4 keeps beyond the series range."""
+    a = cosexp.RADICAL_A
+    e2 = math.exp(2.0 * y) / 5.0
+    ea = math.exp(a * y) / 5.0
+    em = math.exp(-(1.0 + a) * y) / 5.0
+    c14 = e2 + a * ea - (a + 1.0) * em
+    c23 = e2 - (a + 1.0) * ea + a * em
+    return (e2 + 2.0 * ea + 2.0 * em, c14, c23, c23, c14)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.floats(SERIES_UP_TO, 350.0, exclude_min=True), st.sampled_from((-1.0, 1.0)))
+def test_exp_h1_plus_h4_beyond_the_series_range_is_the_closed_form(r, sign):
+    y = sign * r
+    assert exp_h1_plus_h4(y).components == closed_exp_h1_plus_h4(y)
