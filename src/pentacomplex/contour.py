@@ -12,13 +12,6 @@ Around a pole the singularity is subtracted: f(u0)/(u - u0) is integrated
 exactly on each segment (a logarithm per canonical coordinate) and the
 nodes carry only the remainder (f(u) - f(u0))/(u - u0), which is analytic
 where f is, so the error falls geometrically with the nodes per segment.
-
-A Path memoizes what depends only on its vertices: the two plane
-projections, and the quadrature geometry (nodes, vertex rows and the
-canonical du rows) of the last node count per segment it was integrated
-with.  The memo holds at most those three entries, all read-only arrays;
-it belongs to the instance, so pickle, copy and dataclasses.replace
-start a fresh one.
 """
 
 from __future__ import annotations
@@ -86,9 +79,6 @@ class Path:
                           DIM * len(verts)).reshape(-1, DIM)
         arr.flags.writeable = False
         object.__setattr__(self, "_array", arr)
-        # project's complex vertex arrays under keys 1 and 2, and
-        # integrate's rule geometry under "rule" (see _geometry)
-        object.__setattr__(self, "_memo", {})
         ends = _ends(arr, self.closed)
         if (arr[:len(ends)] == ends).all(axis=1).any():
             raise ValueError("consecutive path vertices must be distinct")
@@ -97,7 +87,7 @@ class Path:
         return {"vertices": self.vertices, "closed": self.closed}
 
     def __setstate__(self, state):
-        # pickle and copy store only the fields and rebuild the array and memo
+        # pickle and copy store only the fields and rebuild the array
         self.__init__(state["vertices"], state["closed"])
 
     def segments(self) -> list[tuple[PentaComplex, PentaComplex]]:
@@ -185,15 +175,11 @@ def _ends(rows: np.ndarray, closed: bool) -> np.ndarray:
 
 
 def project(path: Path, k: int) -> PlaneProjection:
-    """Project every vertex onto canonical plane k (k = 1 or 2); the
-    path's memo keeps the complex vertex array, which the projection wraps."""
+    """Project every vertex onto canonical plane k (k = 1 or 2)."""
     if k not in (1, 2):
         raise ValueError(f"plane index must be 1 or 2, got {k}")
-    z = path._memo.get(k)
-    if z is None:
-        z = (path._array @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
-        path._memo[k] = z
-    return PlaneProjection._wrap(z, k, path.closed)
+    xy = path._array @ _ROT[2 * k - 1:2 * k + 1].T
+    return PlaneProjection._wrap(xy.view(np.complex128).ravel(), k, path.closed)
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
@@ -276,32 +262,6 @@ def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-def _geometry(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, du_c) of the rule with n nodes on every segment: points
-    holds the nodes, then the vertices from the first segment's start to
-    the last one's end; du_c holds the canonical coordinates of du at each
-    node.  The path's memo keeps both, read-only, for the last n asked for;
-    threads that race on it at most recompute an entry."""
-    memo = path._memo.get("rule")
-    if memo is not None and memo[0] == n:
-        return memo[1], memo[2]
-    verts = path._array
-    ends = _ends(verts, path.closed)
-    starts = verts[:len(ends)]
-    steps = ends - starts
-    t, w = _segment_rule(n)
-    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
-    du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
-    points = np.concatenate((nodes, starts, ends[-1:]))
-    # transformed stacked under points: a one-row product (one segment at
-    # one node) takes another BLAS routine, which may round differently
-    du_c = (np.concatenate((points, du)) @ _CANON.T)[len(points):]
-    points.flags.writeable = False
-    du_c.flags.writeable = False
-    path._memo["rule"] = (n, points, du_c)
-    return points, du_c
 
 
 def _planes(a: np.ndarray) -> np.ndarray:
@@ -404,23 +364,26 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     pole = None
     if isinstance(f, _PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
-    points, kernel = _geometry(path, samples_per_segment)
-    count = len(kernel)
-    nodes = points[:count]
+    verts = path._array
+    ends = _ends(verts, path.closed)
+    starts = verts[:len(ends)]
+    steps = ends - starts
+    t, w = _segment_rule(samples_per_segment)
+    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
+    du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
+    origin = np.zeros(DIM) if pole is None else np.array(pole.components)
     if pole is None:
-        origin = np.zeros(DIM)
-        rel = points
+        rel = nodes
     else:
-        # the vertices follow the nodes: one transform and one
-        # divisor-of-zero guard for both
-        origin = np.array(pole.components)
-        rel = points - origin
-    canon = rel @ _CANON.T
-    rel_c = canon[:count]
+        # the vertices, from the first to the last end, follow the nodes:
+        # one transform and one divisor-of-zero guard for both
+        rel = np.concatenate((nodes, starts, ends[-1:])) - origin
+    canon = np.concatenate((rel, du)) @ _CANON.T
+    rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
     if pole is not None:
-        _invertible(rel, canon, count)
+        _invertible(rel, canon[:len(rel)], len(nodes))
         kernel = _divide(kernel, rel_c)
-        exact = _pole_integral(canon[count:])
+        exact = _pole_integral(canon[len(nodes):len(rel)])
     values = _evaluate(f, nodes, rel_c + _CANON @ origin)
     if pole is not None:
         values -= _CANON @ np.array(f_pole.components)  # the smooth remainder

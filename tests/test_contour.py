@@ -1,9 +1,6 @@
 import copy
-import dataclasses
 import math
 import pickle
-import sys
-import threading
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -665,7 +662,7 @@ def test_default_winding_tolerance_scales_with_the_loop(r):
             residue_formula(lambda u: ONE, loop, u0, tol_edge=1e-9)
 
 
-# -- the per-path memo: results bit-identical to the code before it --------
+# -- the trimmed numpy passes: results bit-identical to the code before -----
 
 def reference_winding(point, polygon, tol=None):
     """winding() before the slice concatenation and the trimmed clip, kept
@@ -708,8 +705,8 @@ def reference_pole_integral(rel_c):
 
 
 def reference_integrate(f, path, n):
-    """integrate() before the memo: the rule, nodes and du rebuilt on every
-    call, np.roll for the segment ends and one transform of all rows."""
+    """integrate() before the slice concatenation and the trimmed guard and
+    pole integral: np.roll for the segment ends."""
     pole = None
     if isinstance(f, contour._PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
@@ -776,9 +773,6 @@ def test_residue_formula_is_bit_identical_to_the_reference(seed):
                 want_lhs, want_rhs = reference_residue_formula(f, loop, u0, samples)
                 assert lhs.components == want_lhs.components, (seed, samples)
                 assert rhs.components == want_rhs.components, (seed, samples)
-            # a second call reads the memo
-            lhs, _ = residue_formula(f, loop, u0, samples=1024)
-            assert lhs.components == want_lhs.components
 
 
 def value_or_error(fn, *args):
@@ -845,76 +839,11 @@ def test_errors_keep_their_type_and_message():
             == (EvaluationFailed, f"evaluator returned float, not PentaComplex, at {u0!r}"))
 
 
-def memo_arrays(path):
-    memo = path._memo
-    return [memo[k] for k in (1, 2) if k in memo] + list(memo.get("rule", ())[1:])
-
-
-def test_path_memo_is_read_only_and_bounded():
-    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
-    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=64)
-    assert loop._memo == {}
-    for samples in (64, 128, 512, 1024, 4096):
-        residue_formula(exp, loop, u0, samples=samples)
-        assert set(loop._memo) == {1, 2, "rule"}
-        assert loop._memo["rule"][0] == samples // 64
-    points, du_c = loop._memo["rule"][1:]
-    assert points.shape == (64 * 64 + 65, 5) and du_c.shape == (64 * 64, 5)
-    # the same node count reads the memo; another replaces it
-    assert all(a is b for a, b in zip(contour._geometry(loop, 64), (points, du_c)))
-    assert contour._geometry(loop, 2)[0] is loop._memo["rule"][1] is not points
-    for a in memo_arrays(loop):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a.flat[0] = 1.0
-    # a projection wraps the memo's array rather than copying it
-    assert project(loop, 2)._z is loop._memo[2]
-    for a in contour._segment_rule(9):
-        assert not a.flags.writeable
-
-
-def test_path_memo_is_rebuilt_by_pickle_copy_and_replace():
-    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
-    loop = plane_circle(u0, 2, 1.0, 0.8, 0.7, vertices=32)
-    want = residue_formula(sin, loop, u0, samples=128)
-    opened = dataclasses.replace(loop, closed=False)
-    assert opened._memo == {} and opened._memo is not loop._memo
-    assert (integrate(sin, opened, 4).components
-            == reference_integrate(sin, opened, 4).components)
-    assert project(opened, 1).closed is False and project(loop, 1).closed is True
-    for other in (pickle.loads(pickle.dumps(loop)), copy.copy(loop), copy.deepcopy(loop),
-                  dataclasses.replace(loop)):
-        assert other == loop and other._memo == {} and other._memo is not loop._memo
-        got = residue_formula(sin, other, u0, samples=128)
-        assert [u.components for u in got] == [u.components for u in want]
-        assert set(other._memo) == {1, 2, "rule"}
-        assert all(not a.flags.writeable for a in memo_arrays(other))
-
-
-def test_path_memo_shared_by_threads_gives_the_single_thread_results():
-    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
-    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=32)
-    counts = (32, 64, 96, 128)
-    want = {n: reference_residue_formula(exp, loop, u0, n)[0].components for n in counts}
-    mismatches = []
-
-    def work(offset):
-        for i in range(40):  # each thread cycles the counts, so the rule entry churns
-            n = counts[(i + offset) % len(counts)]
-            got = residue_formula(exp, loop, u0, samples=n)[0].components
-            if got != want[n]:
-                mismatches.append(n)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert mismatches == []
-    assert set(loop._memo) == {1, 2, "rule"}
+def test_segment_rule_is_cached_read_only():
+    for n in (1, 8, 9, 64):
+        t, w = contour._segment_rule(n)
+        assert contour._segment_rule(n)[0] is t and len(t) == len(w) == n
+        for a in (t, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5

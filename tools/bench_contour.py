@@ -1,25 +1,21 @@
-"""Layer timings of the contour workload, for one or more source trees.
+"""Contour rows of perfbench for one or more source trees, as one JSON record.
 
 Usage, from the root of a checkout:
 
     python3 tools/bench_contour.py --src parent=DIR --src change=. --out BENCH.json
     python3 tools/bench_contour.py --smoke --src change=. --out /tmp/bench.json
 
-Each --src LABEL=DIR names a tree whose DIR/src/pentacomplex is timed.  Every
-run is a fresh interpreter that imports the package from that tree and the
-benchmark's contour pool and reference kernel from this checkout's
-perfbench/ (read, never changed).  Runs of the trees alternate, ABBA, for
-PAIRS runs each, so drift of the host's speed falls on all alike.  Within a
-run each call is timed between two runs of perfbench's reference kernel
-and scaled to its REFERENCE_S, as perfbench/run.py does, so the figures
-read as seconds at one fixed host speed.  A row is the median over calls
-within a run, then the median over runs.
-
-Rows: residue_formula per call for builtin and callable evaluators, the
-contour round as items per second, integrate per quadrature node, and
-project and winding per call, on the seed-1 pool at the sample counts
-perfbench's search picks.  --smoke times the first two pool items for two
-rounds, once per tree, to check that the script runs.
+Each --src LABEL=DIR names a checkout.  The script runs that checkout's own
+perfbench/run.py on the contour workload at seed 1, each run a fresh
+process: once with --trace 0, whose last line holds the end-to-end metrics
+(items_per_s and the rest), and once with --trace 1, whose last line holds
+the per-layer rows (contour.residue_formula.builtin.ms, .callable.ms,
+contour.integrate.us_per_node, contour.project.us, contour.winding.us, ...).
+The trees take turns, ABBA, for --pairs rounds, so drift of the host's speed
+falls on all alike.  The record holds the machine, these rows of every run as
+perfbench printed them, and per tree the median of each row over its runs;
+names, units and directions are those of this checkout's BENCHMARK.json.
+--smoke runs each tree once for one second, to check that the script runs.
 """
 
 from __future__ import annotations
@@ -30,93 +26,48 @@ import os
 import statistics
 import subprocess
 import sys
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-# perfbench/run.py imports no package code; importing it also keeps numpy's
-# BLAS single-threaded here and in the runs, as in perfbench
-import run  # noqa: E402
+import run  # noqa: E402  (perfbench/run.py: machine())
 
-# the contour pool's seed, pool rounds per run and runs per tree; --smoke
-# times the first two items for two rounds in one run per tree
-SEED, ROUNDS, PAIRS = 1, 60, 5
-
-# row -> (unit, better)
-ROWS = {
-    "contour.residue_formula.builtin.ms": ("ms", "lower"),
-    "contour.residue_formula.callable.ms": ("ms", "lower"),
-    "contour.items_per_s": ("1/s", "higher"),
-    "contour.integrate.us_per_node": ("us", "lower"),
-    "contour.project.us": ("us", "lower"),
-    "contour.winding.us": ("us", "lower"),
-}
+WORKLOAD, SEED = "contour", 1
 
 
-def child(src: str, smoke: bool) -> dict:
-    """One run: time the contour pool with the package from src."""
-    sys.path.insert(0, os.path.join(src, "src"))
-    import gen
-    import oracles
-    import workloads as wk
+def rows_wanted() -> dict:
+    """name -> (unit, better, trace): every end-to-end metric, from the
+    untraced run, and every contour layer row, from the traced one."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    rows = {m["name"]: (m["unit"], m["better"], 0) for m in spec["end_to_end"]}
+    rows.update((m["name"], (m["unit"], m["better"], 1)) for m in spec["per_layer"]
+                if m["name"].startswith(WORKLOAD + "."))
+    return rows
 
-    from pentacomplex import contour
-    from pentacomplex.algebra import _call
-    if not os.path.samefile(os.path.dirname(os.path.dirname(contour.__file__)),
-                            os.path.join(src, "src")):
-        sys.exit(f"the package was imported from {contour.__file__}, not from {src}")
 
-    pool = gen.contour_pool(SEED)
-    wl = wk.Contour(SEED, oracles.Oracles(), pool=pool[:2] if smoke else pool)
-    clock = time.perf_counter
-
-    def timed(fn, *args) -> float:
-        before = wk.reference(clock)
-        t0 = clock()
-        fn(*args)
-        dt = clock() - t0
-        return dt * run.REFERENCE_S / (0.5 * (before + wk.reference(clock)))
-
-    calls = {"builtin": [], "callable": [], "node": [], "project": [], "winding": []}
-    per_item = [[] for _ in wl.pool]
-    for _ in range(2 if smoke else ROUNDS):
-        for j, prep in enumerate(wl.pool):
-            f = wl.funcs[id(prep)]
-            dt = timed(contour.residue_formula, f, prep.path, prep.pole, prep.samples)
-            calls[wl.tag(prep)].append(dt)
-            per_item[j].append(dt)
-            per_segment = prep.nodes // len(prep.path.segments())
-            pole = contour._PoleIntegrand(f, prep.pole, _call(f, prep.pole))
-            calls["node"].append(timed(contour.integrate, pole, prep.path, per_segment)
-                                 / prep.nodes)
-            for k in (1, 2):
-                calls["project"].append(timed(contour.project, prep.path, k))
-                proj = contour.project(prep.path, k)
-                point = contour.project_point(prep.pole, k)
-                calls["winding"].append(timed(contour.winding, point, proj))
-    med = statistics.median
-    return {
-        "contour.residue_formula.builtin.ms": med(calls["builtin"]) * 1e3,
-        "contour.residue_formula.callable.ms": med(calls["callable"]) * 1e3,
-        "contour.items_per_s": len(per_item) / sum(med(t) for t in per_item),
-        "contour.integrate.us_per_node": med(calls["node"]) * 1e6,
-        "contour.project.us": med(calls["project"]) * 1e6,
-        "contour.winding.us": med(calls["winding"]) * 1e6,
-    }
+def perfbench(tree: str, trace: int, seconds: float, names) -> dict:
+    """The last JSON line of one run of the tree's perfbench/run.py, with
+    only the metrics in names."""
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", WORKLOAD,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if out.returncode:
+        sys.exit(f"{' '.join(cmd)} failed:\n{out.stderr}")
+    line = json.loads(out.stdout.splitlines()[-1])
+    return {"correct": line["correct"], "attempted": line["attempted"],
+            "failed": line["failed"],
+            "metrics": {k: line["metrics"][k]["value"] for k in names}}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
-                   help="a tree to time, under a label; repeat for each tree")
+                   help="a checkout to run, under a label; repeat for each tree")
+    p.add_argument("--pairs", type=int, default=3, help="rounds of runs per tree")
+    p.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds per run")
     p.add_argument("--out", help="write the JSON record here (default: stdout only)")
-    p.add_argument("--smoke", action="store_true", help="two items, two rounds, one run")
-    p.add_argument("--child", help=argparse.SUPPRESS)
+    p.add_argument("--smoke", action="store_true", help="one round of one-second runs")
     args = p.parse_args(argv)
-    if args.child:
-        print(json.dumps(child(args.child, args.smoke)))
-        return 0
-
     if not args.src:
         p.error("give at least one --src LABEL=DIR")
     trees = []
@@ -124,35 +75,34 @@ def main(argv=None) -> int:
         label, sep, path = spec.partition("=")
         if not sep or not label:
             p.error(f"--src takes LABEL=DIR, got {spec!r}")
-        if not os.path.isfile(os.path.join(path, "src", "pentacomplex", "__init__.py")):
-            p.error(f"{path}/src/pentacomplex not found")
+        if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
+            p.error(f"{path}/perfbench/run.py not found")
         trees.append((label, os.path.abspath(path)))
+    pairs, seconds = (1, 1.0) if args.smoke else (args.pairs, args.seconds)
+
+    wanted = rows_wanted()
+    names = {t: [k for k, (_, _, trace) in wanted.items() if trace == t] for t in (0, 1)}
     runs = {label: [] for label, _ in trees}
-    pairs = 1 if args.smoke else PAIRS
     for i in range(pairs):
         for label, path in trees if i % 2 == 0 else trees[::-1]:
-            cmd = [sys.executable, os.path.abspath(__file__), "--child", path]
-            if args.smoke:
-                cmd.append("--smoke")
-            out = subprocess.run(cmd, capture_output=True, text=True)
-            if out.returncode:
-                sys.exit(f"run of {label} failed:\n{out.stderr}")
-            runs[label].append(json.loads(out.stdout.splitlines()[-1]))
+            runs[label].append({f"trace{t}": perfbench(path, t, seconds, names[t])
+                                for t in (0, 1)})
 
     rows = {}
-    for name, (unit, better) in ROWS.items():
-        row = {"unit": unit, "better": better}
+    for name, (unit, better, trace) in wanted.items():
+        row = {"unit": unit, "better": better, "trace": trace}
         for label, _ in trees:
-            row[label] = statistics.median(r[name] for r in runs[label])
+            row[label] = statistics.median(r[f"trace{trace}"]["metrics"][name]
+                                           for r in runs[label])
         rows[name] = row
-    record = {"script": "tools/bench_contour.py", "machine": run.machine(), "seed": SEED,
-              "rounds": 2 if args.smoke else ROUNDS, "pairs": pairs, "smoke": args.smoke,
-              "trees": [label for label, _ in trees], "rows": rows, "runs": runs}
-    text = json.dumps(record, indent=1)
+    record = {"script": "tools/bench_contour.py", "machine": run.machine(),
+              "workload": WORKLOAD, "seed": SEED, "seconds": seconds, "pairs": pairs,
+              "smoke": args.smoke, "trees": [label for label, _ in trees],
+              "rows": rows, "runs": runs}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    width = max(map(len, ROWS))
+            fh.write(json.dumps(record, indent=1) + "\n")
+    width = max(map(len, rows))
     for name, row in rows.items():
         values = "  ".join(f"{label} {row[label]:10.4g}" for label, _ in trees)
         print(f"{name:{width}s}  {values}  {row['unit']}")
