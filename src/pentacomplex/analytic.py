@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Evaluator, PentaComplex, _call, _result, multiply
-from .canonical import SQRT5, _from_canon_comps, _to_canon_comps
+from .canonical import SQRT5, _assemble, _to_canon_comps
 from .errors import InsufficientTerms, ZeroTail
 
 FD_STEP_FIRST = 1e-6
@@ -91,12 +91,6 @@ def _component_polys(coeffs: Iterable[PentaComplex]) -> ComponentPolynomials:
     return ComponentPolynomials(tuple(sp[0] for sp in spectra),
                                 tuple(complex(sp[1], sp[2]) for sp in spectra),
                                 tuple(complex(sp[3], sp[4]) for sp in spectra))
-
-
-def _assemble(wp: float, w1: complex, w2: complex) -> PentaComplex:
-    """The element with wp on the line and w1, w2 on the planes; a
-    non-finite part raises Overflow."""
-    return _result(*_from_canon_comps((wp, w1.real, w1.imag, w2.real, w2.imag)))
 
 
 @dataclass(frozen=True)

@@ -109,14 +109,14 @@ def _to_canon_comps(c: tuple) -> tuple:
     return vp, v1, tv1, v2, tv2
 
 
-# canonical basis components: rows scale the (1, h1..h4) coefficients by 2/5
-# (the line row carries an extra 1/2)
-_P4, _P24, _Q4, _Q24 = 0.4 * P, 0.4 * P2, 0.4 * Q, 0.4 * Q2
-_E_PLUS = (0.2, 0.2, 0.2, 0.2, 0.2)
-_E1 = (0.4, _P4, _P24, _P24, _P4)
-_TE1 = (0.0, _Q4, _Q24, -_Q24, -_Q4)
-_E2 = (0.4, _P24, _P4, _P4, _P24)
-_TE2 = (0.0, _Q24, -_Q4, _Q4, -_Q24)
+# the transform as a matrix: its images of the unit vectors are the columns
+_CANON_ROWS = tuple(zip(*(_to_canon_comps(tuple(float(i == j) for j in range(DIM)))
+                          for i in range(DIM))))
+# canonical basis components: the transform's rows scaled by 2/5 (the line
+# row carries an extra 1/2)
+_E_PLUS, _E1, _TE1, _E2, _TE2 = (tuple(s * x for x in row) for s, row in
+                                 zip((0.2, 0.4, 0.4, 0.4, 0.4), _CANON_ROWS))
+_P4, _P24, _Q4, _Q24 = _E1[1], _E1[2], _TE1[1], _TE1[2]
 
 
 def _from_canon_comps(w: tuple) -> tuple:
@@ -184,6 +184,12 @@ def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
         w2 = plane_fn(z2)
     except (OverflowError, ZeroDivisionError) as exc:
         raise Overflow("result exceeds the floating-point range") from exc
+    return _assemble(wp, w1, w2)
+
+
+def _assemble(wp: float, w1: complex, w2: complex) -> PentaComplex:
+    """The element with wp on the line and w1, w2 on the planes; a
+    non-finite part raises Overflow."""
     return _result(*_from_canon_comps((wp, w1.real, w1.imag, w2.real, w2.imag)))
 
 
@@ -240,13 +246,9 @@ def canonical_multiply(c: CanonicalForm, d: CanonicalForm) -> CanonicalForm:
 
 
 _SQ25 = math.sqrt(2.0 / 5.0)
-_ROT_ROWS = (
-    (_SQ25 / math.sqrt(2.0),) * DIM,
-    (_SQ25 * 1.0, _SQ25 * P, _SQ25 * P2, _SQ25 * P2, _SQ25 * P),
-    (0.0, _SQ25 * Q, _SQ25 * Q2, -_SQ25 * Q2, -_SQ25 * Q),
-    (_SQ25 * 1.0, _SQ25 * P2, _SQ25 * P, _SQ25 * P, _SQ25 * P2),
-    (0.0, _SQ25 * Q2, -_SQ25 * Q, _SQ25 * Q, -_SQ25 * Q2),
-)
+# the transform's rows scaled to unit length (the line row by an extra 1/sqrt2)
+_ROT_ROWS = tuple(tuple(s * x for x in row) for s, row in
+                  zip((_SQ25 / math.sqrt(2.0),) + (_SQ25,) * 4, _CANON_ROWS))
 
 
 def rotation_matrix() -> np.ndarray:

@@ -4,7 +4,8 @@ Numbers travel as JSON arrays of five reals [x0, x1, x2, x3, x4].  Exit
 codes: 0 success, 1 usage/validation error, 2 domain error (non-invertible
 element, logarithm domain, pole on path, ...).  The PENTA_TOL environment
 variable (or --tol) overrides the default tolerance where a command takes
-one.
+one (inv, polar, check-analytic and integrate); it must be a finite number
+>= 0.
 
 Only the commands that use them load analytic, contour, cosexp, polyfactor
 and selftest, so the elementwise commands start without numpy.
@@ -52,11 +53,14 @@ def _read_payload(args) -> object:
 def _parse_penta(obj, what: str = "number") -> PentaComplex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 5:
         raise UsageError(f"{what} must be a JSON array of 5 numbers, got {obj!r}")
-    for x in obj:
+    for i, x in enumerate(obj):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise UsageError(f"{what} components must be numbers, got {x!r}")
-        if not math.isfinite(x):
-            raise UsageError(f"{what} components must be finite, got {x!r}")
+        try:
+            if not math.isfinite(x):
+                raise UsageError(f"{what} components must be finite, got {x!r}")
+        except OverflowError:  # an integer beyond the float range
+            raise UsageError(f"{what} component {i} is beyond the floating-point range") from None
     return PentaComplex(*obj)
 
 
@@ -85,7 +89,7 @@ def _emit_json(args, obj):
 
 
 def _emit_penta(args, p: PentaComplex):
-    if getattr(args, "pretty", False):
+    if args.pretty:
         _emit(args, str(p))
     else:
         _emit_json(args, p.to_list())
@@ -96,11 +100,7 @@ BUILTIN_FUNCTIONS = {
     "identity": lambda u: u,
     "square": lambda u: multiply(u, u),
     "cube": lambda u: multiply(u, multiply(u, u)),
-    "exp": elementary.exp,
-    "sin": elementary.sin,
-    "cos": elementary.cos,
-    "sinh": elementary.sinh,
-    "cosh": elementary.cosh,
+    **{f.__name__: f for f in elementary._LIFTED},
     # non-analytic component projection, useful as a failing example
     "proj0": lambda u: PentaComplex(u.x0, 0.0, 0.0, 0.0, 0.0),
 }
@@ -137,15 +137,17 @@ def _one_operand(args) -> PentaComplex:
 
 
 def _tol(args) -> float | None:
-    if args.tol is not None:
-        return args.tol
+    tol, source = args.tol, "--tol"
     env = os.environ.get("PENTA_TOL")
-    if env:
+    if tol is None and env:
         try:
-            return float(env)
+            tol, source = float(env), "PENTA_TOL"
         except ValueError as exc:
             raise UsageError(f"PENTA_TOL is not a number: {env!r}") from exc
-    return None
+    # nan or a negative tolerance would switch the divisor-of-zero guard off
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _cmd_mul(args):
@@ -203,10 +205,7 @@ def _cmd_pow(args):
 
 
 def _cmd_trig(args):
-    u = _one_operand(args)
-    fn = {"cos": elementary.cos, "sin": elementary.sin,
-          "cosh": elementary.cosh, "sinh": elementary.sinh}[args.fn]
-    _emit_penta(args, fn(u))
+    _emit_penta(args, BUILTIN_FUNCTIONS[args.fn](_one_operand(args)))
 
 
 def _cmd_cosexp_table(args):
@@ -327,15 +326,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_io(sp, operands=0, meta="JSON"):
+def _add_io(sp, operands=0, meta="JSON", tol=False, pretty=False):
+    """--input and --output, and --tol and --pretty where the command uses them."""
     if operands:
         sp.add_argument("operands", nargs="*", metavar=meta,
                         help="inline JSON operand(s)")
     sp.add_argument("--input", "-i", help="JSON payload file, or - for stdin")
     sp.add_argument("--output", "-o", help="write result here instead of stdout")
-    sp.add_argument("--tol", type=float, help="tolerance override (also PENTA_TOL)")
-    sp.add_argument("--pretty", action="store_true",
-                    help="number results as text (x0 + x1 h1 + ...) instead of JSON")
+    if tol:
+        sp.add_argument("--tol", type=float,
+                        help="tolerance override, finite and >= 0 (also PENTA_TOL)")
+    if pretty:
+        sp.add_argument("--pretty", action="store_true",
+                        help="the number as text (x0 + x1 h1 + ...) instead of JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("mul", help="ring product of two numbers")
-    _add_io(sp, operands=2)
+    _add_io(sp, operands=2, pretty=True)
     sp.set_defaults(fn_impl=_cmd_mul)
 
     sp = sub.add_parser("inv", help="multiplicative inverse")
-    _add_io(sp, operands=1)
+    _add_io(sp, operands=1, tol=True, pretty=True)
     sp.set_defaults(fn_impl=_cmd_inv)
 
     sp = sub.add_parser("canonical", help="canonical variables of a number")
@@ -357,29 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn_impl=_cmd_canonical)
 
     sp = sub.add_parser("canonical-from", help="number from canonical variables")
-    _add_io(sp, operands=1)
+    _add_io(sp, operands=1, pretty=True)
     sp.set_defaults(fn_impl=_cmd_canonical_from)
 
     sp = sub.add_parser("polar", help="modulus, amplitude, radii and angles")
-    _add_io(sp, operands=1)
+    _add_io(sp, operands=1, tol=True)
     sp.set_defaults(fn_impl=_cmd_polar)
 
     sp = sub.add_parser("exp", help="exponential")
-    _add_io(sp, operands=1)
+    _add_io(sp, operands=1, pretty=True)
     sp.set_defaults(fn_impl=_cmd_exp)
 
     sp = sub.add_parser("log", help="principal logarithm")
-    _add_io(sp, operands=1)
+    _add_io(sp, operands=1, pretty=True)
     sp.set_defaults(fn_impl=_cmd_log)
 
     sp = sub.add_parser("pow", help="real power")
     sp.add_argument("exponent", type=float)
-    _add_io(sp, operands=1)
+    _add_io(sp, operands=1, pretty=True)
     sp.set_defaults(fn_impl=_cmd_pow)
 
     sp = sub.add_parser("trig", help="trigonometric/hyperbolic function")
     sp.add_argument("--fn", choices=["cos", "sin", "cosh", "sinh"], required=True)
-    _add_io(sp, operands=1)
+    _add_io(sp, operands=1, pretty=True)
     sp.set_defaults(fn_impl=_cmd_trig)
 
     sp = sub.add_parser("cosexp-table",
@@ -388,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", dest="stop", type=float, default=4.0)
     sp.add_argument("--step", type=float, default=0.05)
     sp.add_argument("--output", "-o")
-    sp.set_defaults(fn_impl=_cmd_cosexp_table, input=None, tol=None)
+    sp.set_defaults(fn_impl=_cmd_cosexp_table, input=None)
 
     sp = sub.add_parser("check-analytic",
                         help="derivative-relation report for a builtin function")
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn_impl=_cmd_factor)
 
     sp = sub.add_parser("selftest", help="run every identity suite")
-    sp.set_defaults(fn_impl=_cmd_selftest, input=None, output=None, tol=None)
+    sp.set_defaults(fn_impl=_cmd_selftest, input=None, output=None)
 
     return parser
 

@@ -23,11 +23,9 @@ from itertools import chain
 
 import numpy as np
 
-from . import elementary
 from .algebra import DIM, Evaluator, PentaComplex, _call, _result
-from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, P, P2, Q, Q2,
-                        TAU_REL, TWO_PI, _from_canon_comps, rotated_coords,
-                        rotation_matrix)
+from .canonical import (_CANON_ROWS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL,
+                        TWO_PI, _assemble, rotated_coords, rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -38,25 +36,17 @@ TAU_EDGE = 1e-9
 PANEL = 8
 
 # canonical._to_canon_comps as a matrix, for arrays of elements (one per row)
-_CANON = np.array([
-    [1.0] * DIM,
-    [1.0, P, P2, P2, P],
-    [0.0, Q, Q2, -Q2, -Q],
-    [1.0, P2, P, P, P2],
-    [0.0, Q2, -Q, Q, -Q2],
-])
+_CANON = np.array(_CANON_ROWS)
 # rows are the rotated orthonormal axes
 _ROT = rotation_matrix()
 
-# Array forms of elementary's builtins, keyed by id of the scalar function:
-# the one numpy ufunc that acts on the line (real) and on each plane
-# (complex).  While every canonical coordinate stays within LIFT_RANGE no
-# builtin overflows (e^700 is about 1e304, and reassembly sums five such
-# terms scaled by at most 0.4), so there the array forms are finite exactly
-# where the scalar functions return a value.
-ARRAY_LIFT = {id(elementary.exp): np.exp, id(elementary.sin): np.sin,
-              id(elementary.cos): np.cos, id(elementary.sinh): np.sinh,
-              id(elementary.cosh): np.cosh}
+# An evaluator that declares its lift (elementary's builtins) carries it as
+# `_penta_lift`: its real and its complex function, whose name is that of the
+# one numpy ufunc acting on the line and on each plane.  While every
+# canonical coordinate stays within LIFT_RANGE no builtin overflows (e^700 is
+# about 1e304, and reassembly sums five such terms scaled by at most 0.4), so
+# there the array forms are finite exactly where the scalar functions return
+# a value.
 LIFT_RANGE = 700.0
 
 
@@ -273,8 +263,9 @@ def _planes(a: np.ndarray) -> np.ndarray:
 def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
     """Canonical components of f at every node (rows of `nodes`, whose
     canonical coordinates are `canon`)."""
-    ufunc = ARRAY_LIFT.get(id(f))
-    if ufunc is not None and np.abs(canon).max() <= LIFT_RANGE:
+    lift = getattr(f, "_penta_lift", None)
+    if lift is not None and np.abs(canon).max() <= LIFT_RANGE:
+        ufunc = getattr(np, lift[0].__name__)
         out = np.empty_like(canon)
         out[:, 0] = ufunc(canon[:, 0])
         _planes(out)[:] = ufunc(_planes(canon))
@@ -310,9 +301,9 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _pole_integral(rel_c: np.ndarray) -> tuple:
-    """Canonical coordinates of the exact integral of (u - u0)^-1 du along
-    the polyline whose vertices less u0 have the canonical coordinates
-    rel_c (rows; a closed path repeats its first vertex last).
+    """The exact integral of (u - u0)^-1 du along the polyline whose
+    vertices less u0 have the canonical coordinates rel_c (rows; a closed
+    path repeats its first vertex last), as (vplus, z1, z2).
 
     A segment contributes the log of the quotient of its end's and start's
     coordinates: of its modulus on the line (the principal value where the
@@ -334,7 +325,7 @@ def _pole_integral(rel_c: np.ndarray) -> tuple:
     mant, expo = np.frexp(moduli)
     vp, r1, r2 = (np.log(mant[1] / mant[0]) + math.log(2.0) * (expo[1] - expo[0])).tolist()
     a1, a2 = (args[-1] - args[0] - TWO_PI * wraps).tolist()
-    return vp, r1, a1, r2, a2
+    return vp, complex(r1, a1), complex(r2, a2)
 
 
 @dataclass(frozen=True)
@@ -389,9 +380,9 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
         values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
     line = float((values[:, 0] * kernel[:, 0]).sum())
     z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()
-    value = _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
+    value = _assemble(line, z1, z2)
     if pole is not None:
-        value = value + f_pole * _result(*_from_canon_comps(exact))
+        value = value + f_pole * _assemble(*exact)
     return value
 
 

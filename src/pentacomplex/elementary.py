@@ -26,9 +26,27 @@ _PSI_MIX = PentaComplex(0.0, (SQRT5 + 1.0) / 10.0, -(SQRT5 - 1.0) / 10.0,
                         -(SQRT5 - 1.0) / 10.0, (SQRT5 + 1.0) / 10.0)
 
 
-def exp(u: PentaComplex) -> PentaComplex:
-    """Exponential: e^vplus on the line and e^z_k on each plane."""
-    return _lift(u, math.exp, cmath.exp)
+def _lifted(line_fn, plane_fn):
+    """The builtin declared by its lift, line_fn on the line and plane_fn on
+    each plane, and named after them; contour reads the pair from
+    `_penta_lift` and applies the numpy ufunc of that name to all nodes."""
+
+    def f(u: PentaComplex) -> PentaComplex:
+        return _lift(u, line_fn, plane_fn)
+
+    f.__name__ = f.__qualname__ = name = line_fn.__name__
+    f.__doc__ = f"{name}(vplus) on the line and {name}(z_k) on each plane."
+    f._penta_lift = (line_fn, plane_fn)
+    return f
+
+
+exp = _lifted(math.exp, cmath.exp)
+cos = _lifted(math.cos, cmath.cos)
+sin = _lifted(math.sin, cmath.sin)
+cosh = _lifted(math.cosh, cmath.cosh)
+sinh = _lifted(math.sinh, cmath.sinh)
+# every builtin declared by its lift
+_LIFTED = (exp, cos, sin, cosh, sinh)
 
 
 _TWO_PI_J = complex(0.0, TWO_PI)
@@ -91,22 +109,6 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
         return cmath.rect(rho ** m, m * (phi % TWO_PI))
 
     return _lift(u, lambda x: x ** m, plane, PowDomain)
-
-
-def cos(u: PentaComplex) -> PentaComplex:
-    return _lift(u, math.cos, cmath.cos)
-
-
-def sin(u: PentaComplex) -> PentaComplex:
-    return _lift(u, math.sin, cmath.sin)
-
-
-def cosh(u: PentaComplex) -> PentaComplex:
-    return _lift(u, math.cosh, cmath.cosh)
-
-
-def sinh(u: PentaComplex) -> PentaComplex:
-    return _lift(u, math.sinh, cmath.sinh)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .algebra import ONE, PentaComplex, _result, inverse, multiply
-from .analytic import ComponentPolynomials, _assemble, _component_polys
+from .analytic import ComponentPolynomials, _component_polys
 # kept as a module global: perfbench's traced runs patch it here
 from .analytic import coefficient_spectrum  # noqa: F401
+from .canonical import _assemble
 from .errors import (Degenerate, InvalidPairing, NoConvergence,
                      NonInvertible, NonInvertibleLeading)
 

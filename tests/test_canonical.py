@@ -239,3 +239,36 @@ def test_irreducible_rep_of_product_is_blockwise_product():
 def test_canonical_form_serialization():
     c = CanonicalForm(1.5, -2.0, 0.25, 3.0, -0.125)
     assert CanonicalForm.from_dict(c.to_dict()) == c
+
+
+def test_derived_tables_are_bit_identical_to_the_literal_tables():
+    # the tables as they were written out by hand before being derived from
+    # _to_canon_comps; every byte must agree
+    from pentacomplex.canonical import P2, Q2
+    from pentacomplex.contour import _CANON
+
+    canon = np.array([
+        [1.0] * 5,
+        [1.0, P, P2, P2, P],
+        [0.0, Q, Q2, -Q2, -Q],
+        [1.0, P2, P, P, P2],
+        [0.0, Q2, -Q, Q, -Q2],
+    ])
+    sq25 = math.sqrt(2.0 / 5.0)
+    rot = np.array([
+        (sq25 / math.sqrt(2.0),) * 5,
+        (sq25 * 1.0, sq25 * P, sq25 * P2, sq25 * P2, sq25 * P),
+        (0.0, sq25 * Q, sq25 * Q2, -sq25 * Q2, -sq25 * Q),
+        (sq25 * 1.0, sq25 * P2, sq25 * P, sq25 * P, sq25 * P2),
+        (0.0, sq25 * Q2, -sq25 * Q, sq25 * Q, -sq25 * Q2),
+    ])
+    p4, p24, q4, q24 = 0.4 * P, 0.4 * P2, 0.4 * Q, 0.4 * Q2
+    basis = ((0.2, 0.2, 0.2, 0.2, 0.2),
+             (0.4, p4, p24, p24, p4),
+             (0.0, q4, q24, -q24, -q4),
+             (0.4, p24, p4, p4, p24),
+             (0.0, q24, -q4, q4, -q24))
+    assert _CANON.tobytes() == canon.tobytes()
+    assert rotation_matrix().tobytes() == rot.tobytes()
+    got = (_E_PLUS, _E1, _TE1, _E2, _TE2)
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in basis]

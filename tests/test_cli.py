@@ -261,3 +261,75 @@ def test_json_output_round_trips_exactly(capsys):
     from pentacomplex import PentaComplex, multiply
     want = multiply(PentaComplex(*u), PentaComplex(*v))
     assert json.loads(out) == list(want.components)
+
+
+def test_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, "mul", f"[{huge},0,0,0,0]", "[1,0,0,0,0]")
+    assert (code, out) == (1, "")
+    assert "u component 0 is beyond the floating-point range" in err
+    poly_file = tmp_path / "poly.json"
+    poly_file.write_text(f'{{"coeffs": [[0,0,0,0,0], [1,0,0,{huge},0]]}}')
+    code, out, err = run(capsys, "factor", "-i", str(poly_file))
+    assert (code, out) == (1, "")
+    assert "coefficient 1 component 3 is beyond the floating-point range" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_not_negative(capsys, monkeypatch, tol):
+    for argv in (("inv", "--tol", tol, "[0,0,0,0,0]"),
+                 ("polar", "--tol", tol, "[0,0,0,0,0]")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "--tol must be a finite number >= 0" in err
+    monkeypatch.setenv("PENTA_TOL", tol)
+    for argv in (("polar", "[1,0,0,0,0]"), ("inv", "[0,0,0,0,0]")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "PENTA_TOL must be a finite number >= 0" in err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, _ = run(capsys, "inv", "--tol", "0", "[2,0,0,0,0]")
+    assert code == 0
+    assert max(abs(a - b) for a, b in zip(json.loads(out), [0.5, 0, 0, 0, 0])) <= 1e-15
+    code, out, _ = run(capsys, "polar", "--tol", "0", "[1,0,0,0,0]")
+    assert code == 0 and json.loads(out)["phi1"] == 0.0
+
+
+ONE_ARG = "[1,0,0,0,0]"
+# each command with valid operands, so the flag is the only fault
+COMMANDS = {
+    "mul": ("mul", ONE_ARG, ONE_ARG),
+    "canonical": ("canonical", ONE_ARG),
+    "canonical-from": ("canonical-from", '{"vplus": 1, "v1": 1, "tv1": 0, "v2": 1, "tv2": 0}'),
+    "polar": ("polar", ONE_ARG),
+    "exp": ("exp", ONE_ARG),
+    "log": ("log", ONE_ARG),
+    "pow": ("pow", "2", ONE_ARG),
+    "trig": ("trig", "--fn", "cos", ONE_ARG),
+    "factor": ("factor", '{"coeffs": [[0,0,0,0,0], [-1,0,0,0,0]]}'),
+}
+REMOVED_FLAGS = [
+    *((*COMMANDS[cmd], "--tol", "5") for cmd in ("mul", "canonical", "canonical-from",
+                                                 "exp", "log", "pow", "trig", "factor")),
+    *((*COMMANDS[cmd], "--pretty") for cmd in ("canonical", "polar", "factor")),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+def test_flags_a_command_ignores_are_not_offered(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
+def test_kept_flags_still_work(capsys):
+    for cmd in ("mul", "canonical-from", "exp", "log", "pow", "trig"):
+        code, out, _ = run(capsys, *COMMANDS[cmd], "--pretty")
+        assert code == 0, cmd
+        assert " h1 + " in out and " h4\n" in out, (cmd, out)
+    code, out, _ = run(capsys, "inv", "--tol", "1e-12", "--pretty", ONE_ARG)
+    assert code == 0 and " h1 + " in out
+    code, out, _ = run(capsys, "polar", "--tol", "1e-12", ONE_ARG)
+    assert code == 0 and json.loads(out)["d"] == 1.0

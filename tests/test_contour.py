@@ -9,8 +9,9 @@ import pytest
 
 from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
-                          contour, cosh, exp, integrate, multiply, plane_circle,
-                          project, project_point, residue_formula, sin, winding)
+                          contour, cos, cosh, elementary, exp, integrate, multiply,
+                          plane_circle, project, project_point, residue_formula,
+                          sin, sinh, winding)
 from pentacomplex.algebra import _result
 from pentacomplex.canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
                                     _from_canon_comps)
@@ -378,14 +379,36 @@ def test_builtin_array_path_matches_scalar_callable_path():
         "plane-2": plane_circle(u0, 2, 1.0, 0.8, 0.7, vertices=64),
         "both": both_planes_loop(u0),
     }
-    for f in (exp, sin, cosh):
-        scalar_f = lambda u, f=f: f(u)  # noqa: E731 -- not in the array-lift table
+    for f in (exp, cos, sin, cosh, sinh):
+        scalar_f = lambda u, f=f: f(u)  # noqa: E731 -- declares no lift
         for name, loop in loops.items():
             lhs, rhs = residue_formula(f, loop, u0, samples=512)
             want, _ = residue_formula(scalar_f, loop, u0, samples=512)
             assert dev(lhs, want) <= 1e-13, (f.__name__, name)
             assert dev(lhs, rhs) <= 1e-12, (f.__name__, name)
             assert dev(integrate(f, loop, 4), integrate(scalar_f, loop, 4)) <= 1e-13
+
+
+def test_builtins_take_the_array_route(monkeypatch):
+    # each builtin is lifted once, at u0, and its declared ufunc covers every
+    # node; a lambda around exp declares no lift and is called at each node
+    calls = []
+    lift = elementary._lift
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(elementary, "_lift", counted)
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=64)
+    for f in elementary._LIFTED:
+        calls.clear()
+        residue_formula(f, loop, u0, samples=256)
+        assert len(calls) == 1, f.__name__
+    calls.clear()
+    residue_formula(lambda u: exp(u), loop, u0, samples=256)
+    assert len(calls) == 256 + 1
 
 
 def scalar_winding(point, polygon, tol=None):

@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pentacomplex import (H1, ONE, ZERO, CanonicalForm, FormDomain, LogDomain,
                           NonInvertible, Overflow, PentaComplex, PowDomain,
-                          cos, cosh, exp, exp_basis, exponential_form,
+                          cos, cosh, elementary, exp, exp_basis, exponential_form,
                           from_canonical, inverse, log,
                           modulus_amplitude_relation, multiply, pow_real, sin,
                           sinh, to_canonical, to_matrix, trigonometric_form)
@@ -285,6 +286,16 @@ def test_lift_is_bit_identical_to_hand_formulas(f):
         assert max(map(abs, c)) <= 700.0
         want = _from_canon_comps(HAND_FORMULAS[f](*c))
         assert [x.hex() for x in f(u)] == [x.hex() for x in want], u
+
+
+def test_builtins_keep_their_names_docs_and_pickle_by_reference():
+    assert [f.__name__ for f in elementary._LIFTED] == ["exp", "cos", "sin", "cosh", "sinh"]
+    for f in elementary._LIFTED:
+        assert f is getattr(elementary, f.__name__)
+        assert f.__qualname__ == f.__name__
+        assert f.__module__ == "pentacomplex.elementary"
+        assert f.__doc__
+        assert pickle.loads(pickle.dumps(f)) is f
 
 
 def near_divisor(part):
