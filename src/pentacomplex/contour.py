@@ -24,8 +24,8 @@ from itertools import chain
 import numpy as np
 
 from .algebra import DIM, Evaluator, PentaComplex, _call, _result
-from .canonical import (_CANON_ROWS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL,
-                        TWO_PI, _assemble, rotated_coords, rotation_matrix)
+from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
+                        _CANON_ROWS, _assemble, rotated_coords, rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
