@@ -21,7 +21,8 @@ if TYPE_CHECKING:
 
 DIM = 5
 
-# from_matrix accepts matrices this far (absolute) from exactly circulant
+# from_matrix accepts matrices this far from exactly circulant, relative to
+# their largest entry
 TAU_CIRC = 1e-12
 
 
@@ -37,11 +38,16 @@ class PentaComplex:
     __slots__ = ("components",)
 
     def __init__(self, x0=0.0, x1=0.0, x2=0.0, x3=0.0, x4=0.0):
-        x0 = float(x0)
-        x1 = float(x1)
-        x2 = float(x2)
-        x3 = float(x3)
-        x4 = float(x4)
+        try:
+            x0 = float(x0)
+            x1 = float(x1)
+            x2 = float(x2)
+            x3 = float(x3)
+            x4 = float(x4)
+        except OverflowError:  # an integer beyond the float range
+            # the components before it are floats by now, so it fails again
+            for k, val in enumerate((x0, x1, x2, x3, x4)):
+                _scalar(val, f"component x{k}")
         # x*0.0 is 0.0 for finite x and NaN for NaN/inf: one test for all five
         if x0 * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 + x4 * 0.0 != 0.0:
             for k, val in enumerate((x0, x1, x2, x3, x4)):
@@ -227,13 +233,13 @@ def _call(f: Evaluator, u: PentaComplex) -> PentaComplex:
     return value
 
 
-def _scalar(x: Real) -> float:
+def _scalar(x: Real, what: str = "scalar operand") -> float:
     """A real scalar operand as float; an int beyond the float range is
     Overflow."""
     try:
         return float(x)
     except OverflowError as exc:
-        raise Overflow("scalar operand exceeds the floating-point range") from exc
+        raise Overflow(f"{what} exceeds the floating-point range") from exc
 
 
 ZERO = PentaComplex()
@@ -285,17 +291,20 @@ def to_matrix(u: PentaComplex) -> np.ndarray:
     return np.array([[c[(col - row) % DIM] for col in range(DIM)] for row in range(DIM)])
 
 
-def from_matrix(m: np.ndarray, tol: float = TAU_CIRC) -> PentaComplex:
+def from_matrix(m: np.ndarray, tol: float | None = None) -> PentaComplex:
     """Read a circulant matrix back into its first row.
 
     Raises NotCirculant if any row deviates from the cyclically shifted first
-    row by more than `tol` (absolute).
+    row by more than `tol` (absolute; default TAU_CIRC times the largest
+    absolute entry).
     """
     import numpy as np
 
     m = np.asarray(m, dtype=float)
     if m.shape != (DIM, DIM):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
+    if tol is None:
+        tol = TAU_CIRC * np.abs(m).max()
     first = m[0]
     for row in range(1, DIM):
         expected = np.array([first[(col - row) % DIM] for col in range(DIM)])

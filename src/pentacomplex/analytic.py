@@ -309,18 +309,24 @@ def _chain_pairs(index_sum: int) -> tuple[tuple[int, int], ...]:
                  if (i + j) % 5 == index_sum)
 
 
-def _second_partial(f: Evaluator, point: PentaComplex, component: int,
-                    i: int, j: int, step: float) -> float:
-    if i == j:
-        fp = _call(f, _shifted(point, i, step))[component]
-        f0 = _call(f, point)[component]
-        fm = _call(f, _shifted(point, i, -step))[component]
-        return (fp - 2.0 * f0 + fm) / (step * step)
-    fpp = _call(f, _shifted(_shifted(point, i, step), j, step))[component]
-    fpm = _call(f, _shifted(_shifted(point, i, step), j, -step))[component]
-    fmp = _call(f, _shifted(_shifted(point, i, -step), j, step))[component]
-    fmm = _call(f, _shifted(_shifted(point, i, -step), j, -step))[component]
-    return (fpp - fpm - fmp + fmm) / (4.0 * step * step)
+def _second_partials(f: Evaluator, point: PentaComplex, step: float) -> dict:
+    """{(i, j): the second partials of the five components} for i <= j, by
+    central differences shifting i, then j; f is evaluated once at each of
+    the 51 stencil points."""
+    center = _call(f, point)
+    table = {}
+    for i in range(5):
+        for j in range(i, 5):
+            if i == j:
+                fp, fm = (_call(f, _shifted(point, i, s)) for s in (step, -step))
+                table[i, j] = [(a - 2.0 * b + c) / (step * step)
+                               for a, b, c in zip(fp, center, fm)]
+            else:
+                fpp, fpm, fmp, fmm = (_call(f, _shifted(_shifted(point, i, si), j, sj))
+                                      for si in (step, -step) for sj in (step, -step))
+                table[i, j] = [(a - b - c + d) / (4.0 * step * step)
+                               for a, b, c, d in zip(fpp, fpm, fmp, fmm)]
+    return table
 
 
 def check_second_order(f: Evaluator, point: PentaComplex,
@@ -328,12 +334,12 @@ def check_second_order(f: Evaluator, point: PentaComplex,
                        tol: float = FD_TOL_SECOND) -> SecondOrderReport:
     """Check the 25 second-order chains: for each component and each residue
     class of index sums, all mixed second partials agree."""
+    partials = _second_partials(f, point, step)
     chains = []
     for component in range(5):
         for index_sum in range(5):
             pairs = _chain_pairs(index_sum)
-            vals = tuple(_second_partial(f, point, component, i, j, step)
-                         for (i, j) in pairs)
+            vals = tuple(partials[pair][component] for pair in pairs)
             dev = max(vals) - min(vals)
             chains.append(MixedPartialChain(component=component, index_sum=index_sum,
                                             pairs=pairs, values=vals,

@@ -146,13 +146,17 @@ def _modulus(u: PentaComplex) -> float:
     return d
 
 
-def _guard(u: PentaComplex, vp: float | None, r1: float, r2: float,
-           error: type, tol: float | None = None) -> None:
-    """The divisor-of-zero guard: raise `error` unless both plane radii
-    exceed `tol` (default TAU_REL * |u|) and so does vplus, in absolute
-    value for NonInvertible and in value (the logarithm's domain) for any
-    other error.  vp=None leaves the line untested.  A modulus beyond the
-    floating-point range leaves no cutoff and raises Overflow."""
+def _guard(u: PentaComplex, vp: float | None, v1: float, tv1: float, v2: float,
+           tv2: float, error: type, tol: float | None = None) -> tuple[float, float]:
+    """The divisor-of-zero guard on u's canonical coordinates: raise `error`
+    unless both plane radii exceed `tol` (default TAU_REL * |u|) and so does
+    vplus, in absolute value for NonInvertible and in value (the logarithm's
+    domain) for any other error.  vp=None leaves the line untested.  A
+    modulus beyond the floating-point range leaves no cutoff and raises
+    Overflow.  Returns the radii, from hypot, which unlike abs(z) gives inf
+    (passing the guard) for a radius beyond the float range."""
+    r1 = math.hypot(v1, tv1)
+    r2 = math.hypot(v2, tv2)
     if tol is None:
         tol = TAU_REL * _modulus(u)
     if vp is not None:
@@ -163,6 +167,7 @@ def _guard(u: PentaComplex, vp: float | None, r1: float, r2: float,
             raise error(f"vplus = {vp:.3e} is not positive")
     if r1 <= tol or r2 <= tol:
         raise error(f"plane-{1 if r1 <= tol else 2} radius vanishes; divisor of zero")
+    return r1, r2
 
 
 def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
@@ -175,10 +180,9 @@ def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
     z2 = complex(v2, tv2)
     try:
         if domain is not None:
-            # hypot, unlike abs(z), returns inf for a radius beyond the float
-            # range, which passes the guard; plane_fn must then return its
-            # value or raise (1/z silently gives 0 there)
-            _guard(u, vp, math.hypot(v1, tv1), math.hypot(v2, tv2), domain, tol)
+            # a radius beyond the float range passes the guard; plane_fn
+            # must then return its value or raise (1/z silently gives 0 there)
+            _guard(u, vp, v1, tv1, v2, tv2, domain, tol)
         wp = line_fn(vp)
         w1 = plane_fn(z1)
         w2 = plane_fn(z2)

@@ -2,10 +2,11 @@
 
 Numbers travel as JSON arrays of five reals [x0, x1, x2, x3, x4].  Exit
 codes: 0 success, 1 usage/validation error, 2 domain error (non-invertible
-element, logarithm domain, pole on path, ...).  The PENTA_TOL environment
-variable (or --tol) overrides the default tolerance where a command takes
-one (inv, polar, check-analytic and integrate); it must be a finite number
->= 0.
+element, logarithm domain, pole on path, ...).  Every command reads its
+JSON through one reader and writes through one emitter, and the parser
+checks each numeric option's domain.  --tol overrides the default tolerance
+where a command takes one (inv, polar, check-analytic and integrate); it
+must be a finite number >= 0.
 
 Only the commands that use them load analytic, contour, cosexp, polyfactor
 and selftest, so the elementwise commands start without numpy.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import elementary
@@ -33,55 +33,73 @@ class UsageError(Exception):
     pass
 
 
-def _read_payload(args) -> object:
-    if args.input is None:
-        return None
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.input}: {exc}") from exc
+def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON in input: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        raise UsageError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _parse_penta(obj, what: str = "number") -> PentaComplex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 5:
-        raise UsageError(f"{what} must be a JSON array of 5 numbers, got {obj!r}")
-    for i, x in enumerate(obj):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise UsageError(f"{what} components must be numbers, got {x!r}")
-        try:
-            if not math.isfinite(x):
-                raise UsageError(f"{what} components must be finite, got {x!r}")
-        except OverflowError:  # an integer beyond the float range
-            raise UsageError(f"{what} component {i} is beyond the floating-point range") from None
-    return PentaComplex(*obj)
-
-
-def _parse_penta_arg(text: str, what: str = "number") -> PentaComplex:
+def _read_json(path: str, what: str):
+    """The JSON document in the file at `path`, or on stdin for -."""
+    if path == "-":
+        return _parse_json(sys.stdin.read(), what)
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what}: invalid JSON {text!r}: {exc}") from exc
-    return _parse_penta(obj, what)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    return _parse_json(text, what)
 
 
-def _emit(args, payload: str):
-    if getattr(args, "output", None):
+def _operands(args, count: int, usage: str):
+    """The JSON document of --input, or else the `count` inline operands:
+    the one operand, or a list of them."""
+    if args.input is not None:
+        return _read_json(args.input, "input")
+    if len(args.operands) != count:
+        raise UsageError(usage)
+    docs = [_parse_json(text, "operand") for text in args.operands]
+    return docs[0] if count == 1 else docs
+
+
+def _fields(doc, keys: tuple, shape: str) -> list:
+    """The values of `keys` in the JSON object `doc`; else a usage error
+    naming the expected `shape`."""
+    if not isinstance(doc, dict) or any(k not in doc for k in keys):
+        raise UsageError(shape)
+    return [doc[k] for k in keys]
+
+
+def _real(x, what: str) -> float:
+    """A JSON number as a finite float; anything else is a usage error."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise UsageError(f"{what} must be a number, got {x!r}")
+    try:
+        x = float(x)
+    except OverflowError:  # an integer beyond the float range
+        raise UsageError(f"{what} is beyond the floating-point range") from None
+    if not math.isfinite(x):
+        raise UsageError(f"{what} must be finite, got {x!r}")
+    return x
+
+
+def _penta(obj, what: str) -> PentaComplex:
+    if not isinstance(obj, list) or len(obj) != 5:
+        raise UsageError(f"{what} must be a JSON array of 5 numbers, got {obj!r}")
+    return PentaComplex(*(_real(x, f"{what} component {i}") for i, x in enumerate(obj)))
+
+
+def _emit(args, text: str):
+    """text and a newline, to --output or else to stdout."""
+    if args.output is None:
+        sys.stdout.write(text + "\n")
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc}") from exc
 
 
 def _emit_json(args, obj):
@@ -113,82 +131,41 @@ def _builtin(name: str):
     return BUILTIN_FUNCTIONS[name]
 
 
-def _two_operands(args) -> tuple[PentaComplex, PentaComplex]:
-    payload = _read_payload(args)
-    if payload is not None:
-        if not isinstance(payload, dict) or "u" not in payload or "v" not in payload:
-            raise UsageError('input payload must be {"u": [...], "v": [...]}')
-        return _parse_penta(payload["u"], "u"), _parse_penta(payload["v"], "v")
-    if len(args.operands) != 2:
-        raise UsageError("need two operands (or --input with u and v)")
-    return (_parse_penta_arg(args.operands[0], "u"),
-            _parse_penta_arg(args.operands[1], "v"))
-
-
 def _one_operand(args) -> PentaComplex:
-    payload = _read_payload(args)
-    if payload is not None:
-        if isinstance(payload, dict) and "u" in payload:
-            return _parse_penta(payload["u"], "u")
-        return _parse_penta(payload, "u")
-    if len(args.operands) != 1:
-        raise UsageError("need one operand (or --input)")
-    return _parse_penta_arg(args.operands[0], "u")
-
-
-def _tol(args) -> float | None:
-    tol, source = args.tol, "--tol"
-    env = os.environ.get("PENTA_TOL")
-    if tol is None and env:
-        try:
-            tol, source = float(env), "PENTA_TOL"
-        except ValueError as exc:
-            raise UsageError(f"PENTA_TOL is not a number: {env!r}") from exc
-    # nan or a negative tolerance would switch the divisor-of-zero guard off
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-        raise UsageError(f"{source} must be a finite number >= 0, got {tol!r}")
-    return tol
+    doc = _operands(args, 1, "need one operand (or --input)")
+    if args.input is not None and isinstance(doc, dict) and "u" in doc:
+        doc = doc["u"]
+    return _penta(doc, "u")
 
 
 def _cmd_mul(args):
-    u, v = _two_operands(args)
-    _emit_penta(args, multiply(u, v))
+    doc = _operands(args, 2, "need two operands (or --input with u and v)")
+    if args.input is not None:
+        doc = _fields(doc, ("u", "v"), 'input payload must be {"u": [...], "v": [...]}')
+    _emit_penta(args, multiply(_penta(doc[0], "u"), _penta(doc[1], "v")))
 
 
 def _cmd_inv(args):
-    u = _one_operand(args)
-    tol = _tol(args)
-    _emit_penta(args, inverse(u, tol) if tol is not None else inverse(u))
+    _emit_penta(args, inverse(_one_operand(args), args.tol))
 
 
 def _cmd_canonical(args):
-    u = _one_operand(args)
-    _emit_json(args, to_canonical(u).to_dict())
+    _emit_json(args, to_canonical(_one_operand(args)).to_dict())
+
+
+_CANON_KEYS = ("vplus", "v1", "tv1", "v2", "tv2")
 
 
 def _cmd_canonical_from(args):
-    payload = _read_payload(args)
-    if payload is None:
-        if len(args.operands) != 1:
-            raise UsageError("need one canonical JSON object")
-        try:
-            payload = json.loads(args.operands[0])
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise UsageError("canonical input must be a JSON object")
-    try:
-        cf = CanonicalForm.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"canonical object needs vplus, v1, tv1, v2, tv2: {exc}") from exc
+    doc = _operands(args, 1, "need one canonical JSON object")
+    values = _fields(doc, _CANON_KEYS, "canonical input must be a JSON object "
+                                       "with vplus, v1, tv1, v2 and tv2")
+    cf = CanonicalForm(*(_real(x, k) for k, x in zip(_CANON_KEYS, values)))
     _emit_penta(args, from_canonical(cf))
 
 
 def _cmd_polar(args):
-    u = _one_operand(args)
-    tol = _tol(args)
-    pf = polar_form(u, tol) if tol is not None else polar_form(u)
-    _emit_json(args, pf.to_dict())
+    _emit_json(args, polar_form(_one_operand(args), args.tol).to_dict())
 
 
 def _cmd_exp(args):
@@ -200,8 +177,7 @@ def _cmd_log(args):
 
 
 def _cmd_pow(args):
-    u = _one_operand(args)
-    _emit_penta(args, elementary.pow_real(u, args.exponent))
+    _emit_penta(args, elementary.pow_real(_one_operand(args), args.exponent))
 
 
 def _cmd_trig(args):
@@ -211,8 +187,6 @@ def _cmd_trig(args):
 def _cmd_cosexp_table(args):
     from . import cosexp
 
-    if args.step <= 0:
-        raise UsageError(f"--step must be positive, got {args.step}")
     if args.stop < args.start:
         raise UsageError("--to must not be below --from")
     lines = ["y,g50,g51,g52,g53,g54"]
@@ -221,52 +195,43 @@ def _cmd_cosexp_table(args):
         y = args.start + i * args.step
         row = cosexp.cosexp_values(y)
         lines.append(",".join(format(x, ".17g") for x in (y, *row.g)))
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines))
 
 
 def _cmd_check_analytic(args):
     from . import analytic
 
     f = _builtin(args.fn)
-    point = _parse_penta_arg(args.point, "point")
-    kwargs = {}
-    if args.step is not None:
-        kwargs["step"] = args.step
-    tol = _tol(args)
-    if tol is not None:
-        kwargs["tol"] = tol
-    if args.order == 2:
-        report = analytic.check_second_order(f, point, **kwargs)
-    else:
-        report = analytic.check_cr_relations(f, point, **kwargs)
-    _emit_json(args, report.to_dict())
+    point = _penta(_parse_json(args.point, "point"), "point")
+    check = analytic.check_second_order if args.order == 2 else analytic.check_cr_relations
+    # an option left out keeps the check's own default
+    kwargs = {k: v for k, v in (("step", args.step), ("tol", args.tol)) if v is not None}
+    _emit_json(args, check(f, point, **kwargs).to_dict())
+
+
+_PATH_SHAPE = 'path file must be {"vertices": [[5 reals], ...], "closed": true or false}'
 
 
 def _cmd_integrate(args):
     from . import contour
 
+    data = _read_json(args.path, "path file")
+    (verts,) = _fields(data, ("vertices",), _PATH_SHAPE)
+    closed = data.get("closed", False)
+    if not isinstance(verts, list) or not isinstance(closed, bool):
+        raise UsageError(_PATH_SHAPE)
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read path file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"path file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise UsageError('path file must be {"vertices": [[5 reals], ...], "closed": bool}')
-    verts = [_parse_penta(v, f"vertex {i}") for i, v in enumerate(data["vertices"])]
-    try:
-        path = contour.Path(tuple(verts), bool(data.get("closed", False)))
+        path = contour.Path(tuple(_penta(v, f"vertex {i}") for i, v in enumerate(verts)),
+                            closed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     f = _builtin(args.fn)
     if args.pole is not None:
-        pole = _parse_penta_arg(args.pole, "pole")
-        tol = _tol(args)
+        pole = _penta(_parse_json(args.pole, "pole"), "pole")
         lhs, rhs = contour.residue_formula(f, path, pole, samples=args.samples,
-                                           tol_edge=tol)
+                                           tol_edge=args.tol)
         n1, n2 = (contour.winding(contour.project_point(pole, k), contour.project(path, k),
-                                  tol=tol) for k in (1, 2))
+                                  tol=args.tol) for k in (1, 2))
         _emit_json(args, {"lhs": lhs.to_list(), "rhs": rhs.to_list(),
                           "windings": [n1, n2]})
     else:
@@ -275,23 +240,20 @@ def _cmd_integrate(args):
         _emit_json(args, {"integral": value.to_list()})
 
 
+_POLY_SHAPE = 'polynomial payload must be {"coeffs": [[5 reals], ...]}'
+
+
 def _cmd_factor(args):
     from . import polyfactor
 
-    payload = _read_payload(args)
-    if payload is None:
-        if len(args.operands) != 1:
-            raise UsageError('need a JSON {"coeffs": [[5 reals], ...]} payload')
-        try:
-            payload = json.loads(args.operands[0])
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "coeffs" not in payload:
-        raise UsageError('polynomial payload must be {"coeffs": [[5 reals], ...]}')
-    coeffs = [_parse_penta(a, f"coefficient {i}") for i, a in enumerate(payload["coeffs"])]
+    doc = _operands(args, 1, 'need a JSON {"coeffs": [[5 reals], ...]} payload')
+    (coeffs,) = _fields(doc, ("coeffs",), _POLY_SHAPE)
+    if not isinstance(coeffs, list):
+        raise UsageError(_POLY_SHAPE)
     if not coeffs:
         raise UsageError("polynomial needs at least one coefficient (degree >= 1)")
-    poly = polyfactor.PentaPolynomial(tuple(coeffs))
+    poly = polyfactor.PentaPolynomial(tuple(_penta(a, f"coefficient {i}")
+                                            for i, a in enumerate(coeffs)))
     factors = polyfactor.factor(poly)
     rebuilt = polyfactor.expand_factors(factors)
     residual = max(max(abs(x - y) for x, y in zip(a, b))
@@ -309,12 +271,11 @@ def _cmd_selftest(args):
     from . import selftest
 
     results = selftest.run_all()
-    for r in results:
-        print(r.line())
     failed = [r for r in results if not r.passed]
     total = sum(r.checks for r in results)
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed "
-          f"({total} checks, {sum(r.seconds for r in results):.2f}s)")
+    _emit(args, "\n".join([*(r.line() for r in results),
+                           f"{len(results) - len(failed)}/{len(results)} suites passed "
+                           f"({total} checks, {sum(r.seconds for r in results):.2f}s)"]))
     return 0 if not failed else 1
 
 
@@ -326,16 +287,43 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_io(sp, operands=0, meta="JSON", tol=False, pretty=False):
-    """--input and --output, and --tol and --pretty where the command uses them."""
+# the domains of the numeric options: (description, test, conversion)
+_FINITE = ("a finite number", math.isfinite, float)
+_POSITIVE = ("a finite number > 0", lambda x: 0.0 < x < math.inf, float)
+_COUNT = ("an integer >= 1", lambda n: n >= 1, int)
+_TOLERANCE = ("a finite number >= 0", lambda x: 0.0 <= x < math.inf, float)
+
+
+def _option(sp, name: str, domain: tuple, **kwargs):
+    """Add option `name`, whose value the parser checks against `domain`."""
+    what, ok, convert = domain
+
+    def check(text: str):
+        try:
+            x = convert(text)
+            if ok(x):
+                return x
+        except ValueError:
+            pass
+        # argparse hands an ArgumentError to error() as it is; it would prefix
+        # an ArgumentTypeError's message with "argument NAME:"
+        raise argparse.ArgumentError(None, f"{name} must be {what}, got {text!r}")
+
+    sp.add_argument(name, type=check, **kwargs)
+
+
+def _add_io(sp, impl, operands=False, output=True, tol=False, pretty=False):
+    """The command's handler and its shared options: inline operands with
+    --input, --output, and --tol and --pretty where the command uses them."""
+    sp.set_defaults(fn_impl=impl, output=None)
     if operands:
-        sp.add_argument("operands", nargs="*", metavar=meta,
+        sp.add_argument("operands", nargs="*", metavar="JSON",
                         help="inline JSON operand(s)")
-    sp.add_argument("--input", "-i", help="JSON payload file, or - for stdin")
-    sp.add_argument("--output", "-o", help="write result here instead of stdout")
+        sp.add_argument("--input", "-i", help="JSON payload file, or - for stdin")
+    if output:
+        sp.add_argument("--output", "-o", help="write result here instead of stdout")
     if tol:
-        sp.add_argument("--tol", type=float,
-                        help="tolerance override, finite and >= 0 (also PENTA_TOL)")
+        _option(sp, "--tol", _TOLERANCE, help="tolerance override, finite and >= 0")
     if pretty:
         sp.add_argument("--pretty", action="store_true",
                         help="the number as text (x0 + x1 h1 + ...) instead of JSON")
@@ -347,81 +335,58 @@ def build_parser() -> argparse.ArgumentParser:
                                  "polar complex numbers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("mul", help="ring product of two numbers")
-    _add_io(sp, operands=2, pretty=True)
-    sp.set_defaults(fn_impl=_cmd_mul)
-
-    sp = sub.add_parser("inv", help="multiplicative inverse")
-    _add_io(sp, operands=1, tol=True, pretty=True)
-    sp.set_defaults(fn_impl=_cmd_inv)
-
-    sp = sub.add_parser("canonical", help="canonical variables of a number")
-    _add_io(sp, operands=1)
-    sp.set_defaults(fn_impl=_cmd_canonical)
-
-    sp = sub.add_parser("canonical-from", help="number from canonical variables")
-    _add_io(sp, operands=1, pretty=True)
-    sp.set_defaults(fn_impl=_cmd_canonical_from)
-
-    sp = sub.add_parser("polar", help="modulus, amplitude, radii and angles")
-    _add_io(sp, operands=1, tol=True)
-    sp.set_defaults(fn_impl=_cmd_polar)
-
-    sp = sub.add_parser("exp", help="exponential")
-    _add_io(sp, operands=1, pretty=True)
-    sp.set_defaults(fn_impl=_cmd_exp)
-
-    sp = sub.add_parser("log", help="principal logarithm")
-    _add_io(sp, operands=1, pretty=True)
-    sp.set_defaults(fn_impl=_cmd_log)
+    _add_io(sub.add_parser("mul", help="ring product of two numbers"), _cmd_mul,
+            operands=True, pretty=True)
+    _add_io(sub.add_parser("inv", help="multiplicative inverse"), _cmd_inv,
+            operands=True, tol=True, pretty=True)
+    _add_io(sub.add_parser("canonical", help="canonical variables of a number"),
+            _cmd_canonical, operands=True)
+    _add_io(sub.add_parser("canonical-from", help="number from canonical variables"),
+            _cmd_canonical_from, operands=True, pretty=True)
+    _add_io(sub.add_parser("polar", help="modulus, amplitude, radii and angles"),
+            _cmd_polar, operands=True, tol=True)
+    _add_io(sub.add_parser("exp", help="exponential"), _cmd_exp, operands=True, pretty=True)
+    _add_io(sub.add_parser("log", help="principal logarithm"), _cmd_log,
+            operands=True, pretty=True)
 
     sp = sub.add_parser("pow", help="real power")
-    sp.add_argument("exponent", type=float)
-    _add_io(sp, operands=1, pretty=True)
-    sp.set_defaults(fn_impl=_cmd_pow)
+    _option(sp, "exponent", _FINITE)
+    _add_io(sp, _cmd_pow, operands=True, pretty=True)
 
     sp = sub.add_parser("trig", help="trigonometric/hyperbolic function")
     sp.add_argument("--fn", choices=["cos", "sin", "cosh", "sinh"], required=True)
-    _add_io(sp, operands=1, pretty=True)
-    sp.set_defaults(fn_impl=_cmd_trig)
+    _add_io(sp, _cmd_trig, operands=True, pretty=True)
 
     sp = sub.add_parser("cosexp-table",
                         help="CSV table of the five cosexponential functions")
-    sp.add_argument("--from", dest="start", type=float, default=-4.0)
-    sp.add_argument("--to", dest="stop", type=float, default=4.0)
-    sp.add_argument("--step", type=float, default=0.05)
-    sp.add_argument("--output", "-o")
-    sp.set_defaults(fn_impl=_cmd_cosexp_table, input=None)
+    _option(sp, "--from", _FINITE, dest="start", default=-4.0)
+    _option(sp, "--to", _FINITE, dest="stop", default=4.0)
+    _option(sp, "--step", _POSITIVE, default=0.05)
+    _add_io(sp, _cmd_cosexp_table)
 
     sp = sub.add_parser("check-analytic",
                         help="derivative-relation report for a builtin function")
     sp.add_argument("fn", help=f"one of {sorted(BUILTIN_FUNCTIONS)}")
     sp.add_argument("point", help="JSON array of 5 reals")
     sp.add_argument("--order", type=int, choices=[1, 2], default=1)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--output", "-o")
-    sp.add_argument("--tol", type=float)
-    sp.set_defaults(fn_impl=_cmd_check_analytic, input=None)
+    _option(sp, "--step", _POSITIVE)
+    _add_io(sp, _cmd_check_analytic, tol=True)
 
     sp = sub.add_parser("integrate", help="path integral, optionally with a pole")
-    sp.add_argument("--path", required=True, help="JSON path file")
+    sp.add_argument("--path", required=True, help="JSON path file, or - for stdin")
     sp.add_argument("--fn", required=True, help=f"one of {sorted(BUILTIN_FUNCTIONS)}")
     sp.add_argument("--pole", help="JSON array of 5 reals")
-    sp.add_argument("--samples", type=int, default=4096,
-                    help="total quadrature node budget, spread evenly over the "
-                         "segments (composite Gauss-Legendre); with --pole the "
-                         "term f(pole)/(u-pole) is integrated exactly and the "
-                         "nodes see only the smooth remainder")
-    sp.add_argument("--output", "-o")
-    sp.add_argument("--tol", type=float)
-    sp.set_defaults(fn_impl=_cmd_integrate, input=None)
+    _option(sp, "--samples", _COUNT, default=4096,
+            help="total quadrature node budget, spread evenly over the "
+                 "segments (composite Gauss-Legendre); with --pole the "
+                 "term f(pole)/(u-pole) is integrated exactly and the "
+                 "nodes see only the smooth remainder")
+    _add_io(sp, _cmd_integrate, tol=True)
 
-    sp = sub.add_parser("factor", help="factor a monic polynomial")
-    _add_io(sp, operands=1)
-    sp.set_defaults(fn_impl=_cmd_factor)
-
-    sp = sub.add_parser("selftest", help="run every identity suite")
-    sp.set_defaults(fn_impl=_cmd_selftest, input=None, output=None)
+    _add_io(sub.add_parser("factor", help="factor a monic polynomial"), _cmd_factor,
+            operands=True)
+    _add_io(sub.add_parser("selftest", help="run every identity suite"), _cmd_selftest,
+            output=False)
 
     return parser
 

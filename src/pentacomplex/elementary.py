@@ -139,7 +139,7 @@ def exponential_form(u: PentaComplex) -> ExponentialForm:
     """Exponential form of u; defined for 0 < thetaplus < pi/2 (i.e. vplus > 0)
     with both plane radii nonzero."""
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    _guard(u, vp, math.hypot(v1, tv1), math.hypot(v2, tv2), FormDomain)
+    _guard(u, vp, v1, tv1, v2, tv2, FormDomain)
     pf = polar_form(u)
     return ExponentialForm(
         amplitude=pf.rho,
@@ -163,9 +163,7 @@ def trigonometric_form(u: PentaComplex) -> PentaComplex:
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     d = abs(u)
-    rho1 = math.hypot(v1, tv1)
-    rho2 = math.hypot(v2, tv2)
-    _guard(u, None, rho1, rho2, FormDomain)
+    rho1, rho2 = _guard(u, None, v1, tv1, v2, tv2, FormDomain)
     cot_theta = vp / (SQRT2 * rho1)
     cot_psi = rho2 / rho1
     phi1 = math.atan2(tv1, v1) % TWO_PI

@@ -115,6 +115,34 @@ def test_from_matrix_roundtrip_and_validation():
         from_matrix(np.eye(4))
 
 
+def test_from_matrix_cutoff_is_relative_to_the_largest_entry():
+    rng = np.random.default_rng(14)
+    # matrix entries of about 1e6: rounding in the product is far above 1e-12
+    for _ in range(200):
+        u, v = rand(rng, -1e3, 1e3), rand(rng, -1e3, 1e3)
+        w = from_matrix(to_matrix(u) @ to_matrix(v))
+        assert max(abs(a - b) for a, b in zip(w, multiply(u, v))) <= 1e-9
+    # a plainly non-circulant matrix is not accepted for being small
+    with pytest.raises(NotCirculant):
+        from_matrix(np.arange(25.0).reshape(5, 5) * 1e-14)
+    assert from_matrix(np.zeros((5, 5))) == ZERO
+    # an explicit tol stays absolute
+    assert from_matrix(np.arange(25.0).reshape(5, 5) * 1e-14, tol=1e-12) == \
+        PentaComplex(*np.arange(5.0) * 1e-14)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: PentaComplex(1.0, 2.0, x),
+    lambda x: PentaComplex.from_components([1.0, 2.0, x, 0.0, 0.0]),
+    lambda x: PentaComplex.from_list([1.0, 2.0, x, 0.0, 0.0]),
+    lambda x: PentaComplex.scalar(x),
+], ids=["init", "from_components", "from_list", "scalar"])
+def test_integer_component_beyond_the_float_range_is_overflow(make):
+    for x in (10**400, -10**400):
+        with pytest.raises(Overflow, match=r"component x[02] exceeds the floating-point range"):
+            make(x)
+
+
 def test_inverse_examples():
     assert max(abs(a - b) for a, b in zip(inverse(ONE), ONE)) <= 1e-15
     assert max(abs(a - b) for a, b in zip(inverse(H1), H4)) <= 1e-15

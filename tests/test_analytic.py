@@ -242,9 +242,62 @@ def test_shifted_points_have_float_components():
     point = PentaComplex(0.1, 0.2, 0.3, 0.4, 0.5)
     check_cr_relations(f, point, step=np.float64(1e-6))
     check_second_order(f, point, step=np.float32(3e-4))
-    assert len(seen) == 10 + 5 * (5 * 3 + 10 * 4)  # per component: 5 diagonal, 10 mixed
+    # first order: 2 per axis; second order: the centre, 2 per diagonal
+    # pair and 4 per mixed pair, each evaluated once
+    assert len(seen) == 10 + (1 + 5 * 2 + 10 * 4)
     for u in seen:
         assert all(type(x) is float for x in u.components), u
+
+def _reference_second_order(f, point, step=3e-4, tol=1e-4):
+    """check_second_order as it was written before its stencil table: each
+    chain value re-evaluates f at its own stencil points."""
+    from pentacomplex.analytic import _chain_pairs, _shifted
+
+    def partial(component, i, j):
+        if i == j:
+            fp = f(_shifted(point, i, step))[component]
+            f0 = f(point)[component]
+            fm = f(_shifted(point, i, -step))[component]
+            return (fp - 2.0 * f0 + fm) / (step * step)
+        fpp = f(_shifted(_shifted(point, i, step), j, step))[component]
+        fpm = f(_shifted(_shifted(point, i, step), j, -step))[component]
+        fmp = f(_shifted(_shifted(point, i, -step), j, step))[component]
+        fmm = f(_shifted(_shifted(point, i, -step), j, -step))[component]
+        return (fpp - fpm - fmp + fmm) / (4.0 * step * step)
+
+    chains = []
+    for component in range(5):
+        for index_sum in range(5):
+            pairs = _chain_pairs(index_sum)
+            vals = tuple(partial(component, i, j) for i, j in pairs)
+            dev = max(vals) - min(vals)
+            chains.append({"component": component, "index_sum": index_sum,
+                           "pairs": [list(p) for p in pairs], "values": list(vals),
+                           "deviation": dev, "passed": dev <= tol})
+    return {"point": point.to_list(), "step": step, "tol": tol,
+            "passed": all(c["passed"] for c in chains), "chains": chains}
+
+
+def test_second_order_evaluates_each_stencil_point_once():
+    calls = []
+
+    def counted(g):
+        def f(u):
+            calls.append(u)
+            return g(u)
+        return f
+
+    rng = np.random.default_rng(140)
+    cube_x0 = lambda u: PentaComplex(u.x0 ** 3, 0, 0, 0, 0)  # noqa: E731
+    for g in (exp, sin, lambda u: multiply(u, u), cube_x0):
+        for step in (3e-4, 1e-3):
+            point = rand(rng)
+            calls.clear()
+            got = check_second_order(counted(g), point, step=step).to_dict()
+            assert len(calls) == len(set(calls)) == 51
+            # bit-identical, and the same report as the per-chain evaluation
+            assert repr(got) == repr(_reference_second_order(g, point, step))
+
 
 def test_relation_reports_serialize():
     report = check_cr_relations(lambda u: u, PentaComplex(1, 0, 0, 0, 0))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -158,7 +159,7 @@ def test_integrate_closed_loop(tmp_path, capsys):
     assert max(abs(a - b) for a, b in zip(obj["lhs"], obj["rhs"])) <= 1e-5
 
 
-def test_integrate_pole_windings_use_the_tolerance(tmp_path, capsys, monkeypatch):
+def test_integrate_pole_windings_use_the_tolerance(tmp_path, capsys):
     from pentacomplex import ZERO, plane_circle
     from pentacomplex.canonical import E2, E_PLUS
 
@@ -175,10 +176,6 @@ def test_integrate_pole_windings_use_the_tolerance(tmp_path, capsys, monkeypatch
     assert code == 2  # within the default 1e-9 of the edge
     assert json.loads(err)["error"] == "PoleOnPath"
     code, out, _ = run(capsys, *argv, "--tol", "1e-12")
-    assert code == 0
-    assert json.loads(out)["windings"] == [1, 0]
-    monkeypatch.setenv("PENTA_TOL", "1e-12")
-    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["windings"] == [1, 0]
 
@@ -244,15 +241,6 @@ def test_cosexp_table_overflow_exit_code(capsys):
     assert json.loads(err)["error"] == "Overflow"
 
 
-def test_penta_tol_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PENTA_TOL", "10.0")
-    code, _, err = run(capsys, "inv", "[1,0,0,0,0]")
-    assert code == 2  # everything is a divisor of zero at tolerance 10
-    monkeypatch.delenv("PENTA_TOL")
-    code, out, _ = run(capsys, "inv", "[1,0,0,0,0]")
-    assert code == 0
-
-
 def test_json_output_round_trips_exactly(capsys):
     u = [0.1, 0.2, 0.3, 0.4, 0.5]
     v = [1e-17, 2.5, -3.125, 0.7, 1 / 3]
@@ -276,17 +264,12 @@ def test_integer_beyond_the_float_range_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_tolerance_must_be_finite_and_not_negative(capsys, monkeypatch, tol):
+def test_tolerance_must_be_finite_and_not_negative(capsys, tol):
     for argv in (("inv", "--tol", tol, "[0,0,0,0,0]"),
                  ("polar", "--tol", tol, "[0,0,0,0,0]")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "--tol must be a finite number >= 0" in err
-    monkeypatch.setenv("PENTA_TOL", tol)
-    for argv in (("polar", "[1,0,0,0,0]"), ("inv", "[0,0,0,0,0]")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, ""), argv
-        assert "PENTA_TOL must be a finite number >= 0" in err
 
 
 def test_zero_tolerance_is_accepted(capsys):
@@ -333,3 +316,76 @@ def test_kept_flags_still_work(capsys):
     assert code == 0 and " h1 + " in out
     code, out, _ = run(capsys, "polar", "--tol", "1e-12", ONE_ARG)
     assert code == 0 and json.loads(out)["d"] == 1.0
+
+
+def test_tol_flag_is_the_only_tolerance_override(capsys, monkeypatch):
+    code, _, err = run(capsys, "inv", "--tol", "10", ONE_ARG)
+    assert code == 2  # everything is a divisor of zero at tolerance 10
+    assert json.loads(err)["error"] == "NonInvertible"
+    monkeypatch.setenv("PENTA_TOL", "10")  # no longer read
+    code, out, _ = run(capsys, "inv", ONE_ARG)
+    assert code == 0
+    assert max(abs(a - b) for a, b in zip(json.loads(out), [1, 0, 0, 0, 0])) <= 1e-15
+
+
+HUGE = "1" + "0" * 400
+CANON = '{{"vplus": {}, "v1": 1, "tv1": 0, "v2": 1, "tv2": 0}}'
+# input that once died with a traceback, or was taken for something else
+MALFORMED = {
+    "cosexp-table --to inf": ("cosexp-table", "--to", "inf"),
+    "check-analytic --step nan": ("check-analytic", "exp", "[0,0,0,0,0]", "--step", "nan"),
+    "check-analytic --step 0": ("check-analytic", "exp", "[0,0,0,0,0]", "--step", "0"),
+    "pow nan": ("pow", "nan", "[2,0.1,0,0,0]"),
+    "pow inf": ("pow", "inf", "[2,0.1,0,0,0]"),
+    "mul -o unwritable": ("mul", ONE_ARG, ONE_ARG, "-o", "{tmp}/missing/x.json"),
+    "integrate vertices 5": ("integrate", "--path", "{tmp}/vertices.json", "--fn", "exp"),
+    "integrate closed string": ("integrate", "--path", "{tmp}/closed.json", "--fn", "exp"),
+    "factor coeffs 5": ("factor", '{"coeffs": 5}'),
+    "canonical-from huge integer": ("canonical-from", CANON.format(HUGE)),
+    "canonical-from string field": ("canonical-from", CANON.format('"1"')),
+    "canonical-from boolean field": ("canonical-from", CANON.format("true")),
+    "integrate --samples 0": ("integrate", "--path", "{tmp}/loop.json", "--fn", "exp",
+                              "--samples", "0"),
+    "integrate --samples -5": ("integrate", "--path", "{tmp}/loop.json", "--fn", "exp",
+                               "--samples", "-5"),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    triangle = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+    (tmp_path / "vertices.json").write_text('{"vertices": 5}')
+    (tmp_path / "closed.json").write_text(json.dumps({"vertices": triangle, "closed": "no"}))
+    (tmp_path / "loop.json").write_text(json.dumps({"vertices": triangle, "closed": True}))
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_option_domains_name_the_option(capsys):
+    # not libm's "math domain error"
+    code, _, err = run(capsys, "pow", "inf", "[2,0.1,0,0,0]")
+    assert code == 1 and "exponent must be a finite number, got 'inf'" in err
+    code, _, err = run(capsys, "cosexp-table", "--from", "nan")
+    assert code == 1 and "--from must be a finite number, got 'nan'" in err
+    code, _, err = run(capsys, "cosexp-table", "--step", "-0.1")
+    assert code == 1 and "--step must be a finite number > 0, got '-0.1'" in err
+    code, _, err = run(capsys, "integrate", "--path", "p.json", "--fn", "exp",
+                       "--samples", "1.5")
+    assert code == 1 and "--samples must be an integer >= 1, got '1.5'" in err
+
+
+def test_path_file_from_stdin_and_closed_default(capsys, monkeypatch):
+    square = {"vertices": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                           [-1, 0, 0, 0, 0], [0, -1, 0, 0, 0]]}
+    outs = []
+    for closed in ({}, {"closed": False}, {"closed": True}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**square, **closed})))
+        code, out, _ = run(capsys, "integrate", "--path", "-", "--fn", "one", "--samples", "4")
+        assert code == 0
+        outs.append(json.loads(out)["integral"])
+    # the open path runs from the first vertex to the last; the closed one returns
+    assert outs[0] == outs[1]
+    assert max(abs(x - y) for x, y in zip(outs[0], [-1, -1, 0, 0, 0])) <= 1e-15
+    assert max(abs(x) for x in outs[2]) <= 1e-15
