@@ -333,7 +333,10 @@ def check_second_order(f: Evaluator, point: PentaComplex,
                        step: float = FD_STEP_SECOND,
                        tol: float = FD_TOL_SECOND) -> SecondOrderReport:
     """Check the 25 second-order chains: for each component and each residue
-    class of index sums, all mixed second partials agree."""
+    class of index sums, all mixed second partials agree.  A step whose
+    square underflows to 0 raises ValueError."""
+    if step * step == 0.0:
+        raise ValueError(f"step {step!r} is too small: its square underflows to 0")
     partials = _second_partials(f, point, step)
     chains = []
     for component in range(5):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import elementary
@@ -27,6 +28,8 @@ from .geometry import polar_form
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
+# the most rows cosexp-table writes
+TABLE_ROWS = 100_000
 
 
 class UsageError(Exception):
@@ -189,8 +192,12 @@ def _cmd_cosexp_table(args):
 
     if args.stop < args.start:
         raise UsageError("--to must not be below --from")
+    rows = (args.stop - args.start) / args.step + 1e-9
+    if not rows < TABLE_ROWS:  # also a count beyond the float range
+        raise UsageError(f"the table would have more than {TABLE_ROWS} rows; "
+                         "narrow --from/--to or widen --step")
     lines = ["y,g50,g51,g52,g53,g54"]
-    n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
+    n = int(math.floor(rows)) + 1
     for i in range(n):
         y = args.start + i * args.step
         row = cosexp.cosexp_values(y)
@@ -280,6 +287,12 @@ def _cmd_selftest(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern admits no exponent, so it would read a value
+        # such as -1e-3 as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         # argparse exits 2 by default; usage errors are exit 1 here
         self.print_usage(sys.stderr)

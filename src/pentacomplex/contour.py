@@ -8,10 +8,10 @@ complex integral on each plane.  A closed loop around a pole u0 picks up
 2*pi*f(u0)*(~e1*n1 + ~e2*n2) where n_k is the winding number of the loop's
 projection onto canonical plane k around the projected pole — the azimuthal
 angles are the only cyclic coordinates, so only the ~e_k directions survive.
-Around a pole the singularity is subtracted: f(u0)/(u - u0) is integrated
-exactly on each segment (a logarithm per canonical coordinate) and the
-nodes carry only the remainder (f(u) - f(u0))/(u - u0), which is analytic
-where f is, so the error falls geometrically with the nodes per segment.
+Around a pole the singularity is subtracted: the pole term f(u0)/(u - u0)
+integrates around the loop to exactly that winding sum, and the nodes carry
+only the remainder (f(u) - f(u0))/(u - u0), which is analytic where f is,
+so the error falls geometrically with the nodes per segment.
 """
 
 from __future__ import annotations
@@ -300,39 +300,12 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pole_integral(rel_c: np.ndarray) -> tuple:
-    """The exact integral of (u - u0)^-1 du along the polyline whose
-    vertices less u0 have the canonical coordinates rel_c (rows; a closed
-    path repeats its first vertex last), as (vplus, z1, z2).
-
-    A segment contributes the log of the quotient of its end's and start's
-    coordinates: of its modulus on the line (the principal value where the
-    line coordinate changes sign), the principal complex log on each plane
-    (a straight segment turns by less than pi).  Summed over the path the
-    moduli and arguments telescope to those of the two ends, less 2*pi*i
-    per segment whose argument difference wraps.  The vertices must have
-    passed the divisor-of-zero guard, so no log or argument sees 0.
-    """
-    z = _planes(rel_c)
-    args = np.arctan2(z.imag, z.real)
-    wraps = np.rint((args[1:] - args[:-1]) / TWO_PI).sum(axis=0)
-    ends = rel_c[[0, -1]]
-    # moduli of the last vertex over the first, as mantissas and exponents
-    # so that no quotient leaves the float range
-    moduli = np.empty((2, 3))
-    moduli[:, 0] = np.abs(ends[:, 0])
-    moduli[:, 1:] = np.abs(_planes(ends))
-    mant, expo = np.frexp(moduli)
-    vp, r1, r2 = (np.log(mant[1] / mant[0]) + math.log(2.0) * (expo[1] - expo[0])).tolist()
-    a1, a2 = (args[-1] - args[0] - TWO_PI * wraps).tolist()
-    return vp, complex(r1, a1), complex(r2, a2)
-
-
 @dataclass(frozen=True)
 class _PoleIntegrand:
-    """The integrand f(u) * (u - pole)^-1 of the pole identity; integrate
-    applies the kernel to all nodes at once in canonical coordinates.
-    f_pole is f(pole), which the caller has already evaluated."""
+    """The integrand f(u) * (u - pole)^-1 of the pole identity, of which
+    integrate returns the smooth remainder's part, applying the kernel to
+    all nodes at once in canonical coordinates.  f_pole is f(pole), which
+    the caller has already evaluated."""
 
     f: Evaluator
     pole: PentaComplex
@@ -345,10 +318,9 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
 
     The nodes of a segment are split into panels of at most PANEL nodes;
     du is the segment vector scaled by each node's weight.  For the pole
-    integrand f(u) * (u - u0)^-1 the singular part f(u0) * (u - u0)^-1 is
-    integrated exactly, segment by segment, and the nodes see only the
-    smooth remainder (f(u) - f(u0)) * (u - u0)^-1, on which the rule
-    converges geometrically for analytic f.
+    integrand f(u) * (u - u0)^-1 the value is that of the smooth remainder
+    (f(u) - f(u0)) * (u - u0)^-1 alone, on which the rule converges
+    geometrically for analytic f; the caller adds the pole term.
     """
     if samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be >= 1, got {samples_per_segment}")
@@ -363,27 +335,20 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
     du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
     origin = np.zeros(DIM) if pole is None else np.array(pole.components)
-    if pole is None:
-        rel = nodes
-    else:
-        # the vertices, from the first to the last end, follow the nodes:
-        # one transform and one divisor-of-zero guard for both
-        rel = np.concatenate((nodes, starts, ends[-1:])) - origin
+    # around a pole the vertices follow the nodes: one transform and one
+    # divisor-of-zero guard for both
+    rel = nodes if pole is None else np.concatenate((nodes, verts)) - origin
     canon = np.concatenate((rel, du)) @ _CANON.T
     rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
     if pole is not None:
         _invertible(rel, canon[:len(rel)], len(nodes))
         kernel = _divide(kernel, rel_c)
-        exact = _pole_integral(canon[len(nodes):len(rel)])
     values = _evaluate(f, nodes, rel_c + _CANON @ origin)
     if pole is not None:
         values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
     line = float((values[:, 0] * kernel[:, 0]).sum())
     z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()
-    value = _assemble(line, z1, z2)
-    if pole is not None:
-        value = value + f_pole * _assemble(*exact)
-    return value
+    return _assemble(line, z1, z2)
 
 
 def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
@@ -391,13 +356,13 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
                     tol_edge: float | None = None) -> tuple[PentaComplex, PentaComplex]:
     """Both sides of the pole identity for a closed loop around u0.
 
-    lhs is the integral of f(u) * (u - u0)^-1 du over the loop: the pole
-    term f(u0) * (u - u0)^-1 integrated exactly on each segment, plus the
-    composite Gauss-Legendre quadrature of the smooth remainder
-    (f(u) - f(u0)) * (u - u0)^-1, with `samples` the total node budget
-    spread evenly over the segments.  rhs is 2*pi*f(u0)*(~e1*n1 + ~e2*n2)
-    with n_k the winding number of the loop's plane-k projection around the
-    projected pole, whose edge tolerance is `tol_edge` (see winding).  f is
+    rhs is 2*pi*f(u0)*(~e1*n1 + ~e2*n2) with n_k the winding number of the
+    loop's plane-k projection around the projected pole, whose edge
+    tolerance is `tol_edge` (see winding).  lhs is the integral of
+    f(u) * (u - u0)^-1 du over the loop: the pole term f(u0) * (u - u0)^-1,
+    whose integral is rhs exactly, plus the composite Gauss-Legendre
+    quadrature of the smooth remainder (f(u) - f(u0)) * (u - u0)^-1, with
+    `samples` the total node budget spread evenly over the segments.  f is
     called once at u0 and once per node.  The loop must avoid the
     divisor-of-zero sets of u - u0 (vplus = 0 or either plane radius 0); a
     vertex or node on them raises NonInvertibleOnPath.
@@ -413,7 +378,11 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
     n1, n2 = windings
     per_segment = max(1, round(samples / len(path.vertices)))
     f_u0 = _call(f, u0)
-    lhs = integrate(_PoleIntegrand(f, u0, f_u0), path, per_segment)
+    # only the azimuths are cyclic: around the loop the pole term
+    # f(u0) * (u - u0)^-1 du integrates to 2*pi*i*n_k on plane k and to 0
+    # on the line
+    lhs = (integrate(_PoleIntegrand(f, u0, f_u0), path, per_segment)
+           + f_u0 * _assemble(0.0, complex(0.0, TWO_PI * n1), complex(0.0, TWO_PI * n2)))
     rhs = TWO_PI * (f_u0 * (n1 * E1_TILDE + n2 * E2_TILDE))
     return lhs, rhs
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .algebra import PentaComplex, _recip_plane, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
                         _guard, _lift, _to_canon_comps)
-from .errors import FormDomain, LogDomain, NonInvertible, PowDomain
-from .geometry import SQRT2, odd_fifth_root, polar_form
+from .errors import FormDomain, LogDomain, NonInvertible, Overflow, PowDomain
+from .geometry import SQRT2, _amplitude, odd_fifth_root, polar_form
 
 # direction of the log(sqrt2/tan(thetaplus)) term in the exponent assembly
 _H_ALL = PentaComplex(0.0, 1.0, 1.0, 1.0, 1.0)
@@ -137,16 +137,19 @@ class ExponentialForm:
 
 def exponential_form(u: PentaComplex) -> ExponentialForm:
     """Exponential form of u; defined for 0 < thetaplus < pi/2 (i.e. vplus > 0)
-    with both plane radii nonzero."""
+    with both plane radii nonzero.  sqrt2/tan(thetaplus) is vplus/rho1 and
+    tan(psi1) is rho1/rho2, so both logarithms are taken of the quotients;
+    a plane radius beyond the floating-point range raises Overflow."""
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    _guard(u, vp, v1, tv1, v2, tv2, FormDomain)
-    pf = polar_form(u)
+    rho1, rho2 = _guard(u, vp, v1, tv1, v2, tv2, FormDomain)
+    if rho1 == math.inf or rho2 == math.inf:
+        raise Overflow("a plane radius exceeds the floating-point range")
     return ExponentialForm(
-        amplitude=pf.rho,
-        log_tan_theta=math.log(SQRT2 / math.tan(pf.require("thetaplus"))),
-        log_tan_psi=math.log(math.tan(pf.require("psi1"))),
-        phi1=pf.require("phi1"),
-        phi2=pf.require("phi2"),
+        amplitude=_amplitude(vp, rho1, rho2),
+        log_tan_theta=math.log(vp / rho1),
+        log_tan_psi=math.log(rho1 / rho2),
+        phi1=math.atan2(tv1, v1) % TWO_PI,
+        phi2=math.atan2(tv2, v2) % TWO_PI,
     )
 
 

@@ -32,8 +32,11 @@ from .canonical import _assemble
 from .errors import (Degenerate, InvalidPairing, NoConvergence,
                      NonInvertible, NonInvertibleLeading)
 
-# line roots with |imag| at most this (times 1 + max |line root|) count as real
+# both tolerances are relative to the component's largest root modulus:
+# line roots with |imag| at most TAU_REAL times that count as real, and two
+# roots of one component closer than TAU_SIMPLE times that coincide
 TAU_REAL = 1e-8
+TAU_SIMPLE = 1e-6
 # backward-error gate: each root z of a degree-m component polynomial p must
 # meet |p(z)| <= GATE * m * eps * sum_j s_j |z|^(m-j), s_j the largest
 # |coefficient j| over the three components; 2 * m * eps * sum_j s_j |z|^(m-j)
@@ -184,8 +187,8 @@ def component_roots(cp: ComponentPolynomials) -> RootSet:
 
 def _line_is_real(rs: RootSet) -> list[bool]:
     """The one classification of line roots: real where |imag| is at most
-    TAU_REAL * (1 + max |line root|)."""
-    scale = 1.0 + max(abs(r) for r in rs.vplus_roots)
+    TAU_REAL * max |line root|."""
+    scale = max(abs(r) for r in rs.vplus_roots)
     return [abs(r.imag) <= TAU_REAL * scale for r in rs.vplus_roots]
 
 
@@ -296,10 +299,10 @@ def count_factorizations(poly: PentaPolynomial) -> int:
         return 1
     for name, roots in (("line", rs.vplus_roots), ("plane1", rs.plane1_roots),
                         ("plane2", rs.plane2_roots)):
-        scale = 1.0 + max(abs(r) for r in roots)
+        scale = max(abs(r) for r in roots)
         for i in range(m):
             for j in range(i + 1, m):
-                if abs(roots[i] - roots[j]) <= 1e-6 * scale:
+                if abs(roots[i] - roots[j]) <= TAU_SIMPLE * scale:
                     raise Degenerate(f"{name} roots {i} and {j} coincide")
     if not all(_line_is_real(rs)):
         raise Degenerate("complex line roots: linear factorization count undefined")

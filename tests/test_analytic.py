@@ -335,6 +335,15 @@ def test_second_order_chains():
     assert all(max(abs(v) for v in chain.values) <= 1e-6 for chain in report.chains)
 
 
+def test_second_order_step_whose_square_underflows_is_value_error():
+    # not a ZeroDivisionError from the differences; f is not called
+    calls = []
+    with pytest.raises(ValueError, match="step 1e-200"):
+        check_second_order(lambda u: calls.append(u) or u, ONE, step=1e-200)
+    assert calls == []
+    assert check_second_order(exp, ONE, step=1e-150).step == 1e-150
+
+
 def test_second_order_chain_pairs_cover_residues():
     report = check_second_order(lambda u: u, PentaComplex(1, 0, 0, 0, 0))
     for chain in report.chains:

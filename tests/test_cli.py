@@ -348,6 +348,12 @@ MALFORMED = {
                               "--samples", "0"),
     "integrate --samples -5": ("integrate", "--path", "{tmp}/loop.json", "--fn", "exp",
                                "--samples", "-5"),
+    "cosexp-table count beyond the float range": ("cosexp-table", "--from=-1e308",
+                                                  "--to", "1e308"),
+    "cosexp-table too many rows": ("cosexp-table", "--to", "1e300"),
+    "check-analytic --order 2 --step 1e-200": ("check-analytic", "exp",
+                                               "[0.1,0.2,0,0.05,-0.1]", "--order", "2",
+                                               "--step", "1e-200"),
 }
 
 
@@ -389,3 +395,29 @@ def test_path_file_from_stdin_and_closed_default(capsys, monkeypatch):
     assert outs[0] == outs[1]
     assert max(abs(x - y) for x, y in zip(outs[0], [-1, -1, 0, 0, 0])) <= 1e-15
     assert max(abs(x) for x in outs[2]) <= 1e-15
+
+
+def test_table_row_limit(capsys):
+    from pentacomplex.cli import TABLE_ROWS
+
+    code, out, _ = run(capsys, "cosexp-table", "--from", "0", "--to", str(TABLE_ROWS - 1),
+                       "--step", "1")
+    assert code == 2 and out == ""  # allowed: rows are computed until g5k overflows
+    code, out, err = run(capsys, "cosexp-table", "--from", "0", "--to", str(TABLE_ROWS),
+                         "--step", "1")
+    assert (code, out) == (1, "") and f"more than {TABLE_ROWS} rows" in err
+
+
+def test_negative_numbers_in_exponent_form_are_values(capsys):
+    # argparse's own pattern would take -1e-3 for an option
+    code, out, _ = run(capsys, "cosexp-table", "--from", "-1e-3", "--to", "1E-3",
+                       "--step", "1e-3")
+    assert code == 0 and [r.split(",")[0] for r in out.split()] == ["y", "-0.001", "0", "0.001"]
+    for exponent in ("-1e-3", "-2.5E+1", "-.5e0", "-3."):
+        code, out, _ = run(capsys, "pow", exponent, "[2,0.1,0,0,0]")
+        # the same exponent in a form argparse's own pattern accepts
+        _, want, _ = run(capsys, "pow", str(float(exponent)), "[2,0.1,0,0,0]")
+        assert code == 0 and out == want, exponent
+    # a word that only starts like a number is still an unknown option
+    code, out, _ = run(capsys, "pow", "-1e", "[2,0.1,0,0,0]")
+    assert (code, out) == (1, "")

@@ -582,11 +582,11 @@ def test_callable_nodes_and_results_have_float_components():
 
 @pytest.mark.parametrize("s", [1e160, 1e-170])
 def test_pole_divisor_test_is_scale_safe(s):
-    # along u = t*a, t from s to 2s, (u - 0)^-1 du = dt/t: the integral is log 2
+    # along u = t*a, t from s to 2s, f = ONE leaves a remainder of exactly 0
     a = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
     path = Path((s * a, (2.0 * s) * a), closed=False)
     pole_integral = contour._PoleIntegrand(lambda u: ONE, ZERO, ONE)
-    assert dev(integrate(pole_integral, path, 16), scalar(math.log(2.0))) <= 1e-14
+    assert integrate(pole_integral, path, 16).components == ZERO.components
     # the divisor-of-zero set is still found at that scale (vplus = 0 on E1)
     with pytest.raises(NonInvertibleOnPath):
         integrate(pole_integral, Path((s * E1, (2.0 * s) * E1), closed=False), 16)
@@ -646,6 +646,12 @@ def test_vertex_on_the_divisor_set_is_non_invertible():
             residue_formula(exp, loop, u0, samples=64)
         with pytest.raises(NonInvertibleOnPath, match="vertex 0"):
             integrate(contour._PoleIntegrand(exp, u0, exp(u0)), Path(verts[:2], closed=False), 4)
+        # the last vertex is guarded too, on a closed and on an open path
+        with pytest.raises(NonInvertibleOnPath, match="vertex 3"):
+            residue_formula(exp, Path(verts[1:] + verts[:1], closed=True), u0, samples=64)
+        with pytest.raises(NonInvertibleOnPath, match="vertex 1"):
+            integrate(contour._PoleIntegrand(exp, u0, exp(u0)),
+                      Path(verts[1::-1], closed=False), 4)
 
 
 def test_non_analytic_evaluator_breaks_the_identity():
@@ -728,8 +734,8 @@ def reference_pole_integral(rel_c):
 
 
 def reference_integrate(f, path, n):
-    """integrate() before the slice concatenation and the trimmed guard and
-    pole integral: np.roll for the segment ends."""
+    """integrate() before the slice concatenation and the trimmed guard:
+    np.roll for the segment ends; around a pole, the remainder alone."""
     pole = None
     if isinstance(f, contour._PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
@@ -747,16 +753,12 @@ def reference_integrate(f, path, n):
     if pole is not None:
         reference_invertible(rel, canon[:len(rel)], len(nodes))
         kernel = contour._divide(kernel, rel_c)
-        exact = reference_pole_integral(canon[len(nodes):len(rel)])
     values = contour._evaluate(f, nodes, rel_c + _CANON @ origin)
     if pole is not None:
         values -= _CANON @ np.array(f_pole.components)
     line = float((values[:, 0] * kernel[:, 0]).sum())
     z1, z2 = (contour._planes(values) * contour._planes(kernel)).sum(axis=0).tolist()
-    value = _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
-    if pole is not None:
-        value = value + f_pole * _result(*_from_canon_comps(exact.tolist()))
-    return value
+    return _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
 
 
 def reference_residue_formula(f, path, u0, samples):
@@ -770,7 +772,12 @@ def reference_residue_formula(f, path, u0, samples):
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     per_segment = max(1, round(samples / len(path.vertices)))
     f_u0 = f(u0)
-    lhs = reference_integrate(contour._PoleIntegrand(f, u0, f_u0), path, per_segment)
+    remainder = reference_integrate(contour._PoleIntegrand(f, u0, f_u0), path, per_segment)
+    # the pole term from the logs of the loop's canonical coordinates
+    # relative to u0, the first vertex repeated last
+    rows = np.concatenate((path._array, path._array[:1])) - np.array(u0.components)
+    exact = reference_pole_integral(rows @ _CANON.T)
+    lhs = remainder + f_u0 * _result(*_from_canon_comps(exact.tolist()))
     return lhs, TWO_PI * (f_u0 * (windings[0] * E1_TILDE + windings[1] * E2_TILDE))
 
 

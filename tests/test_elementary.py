@@ -206,6 +206,23 @@ def test_exponential_form_reconstructs():
         assert dev(ef.reconstruct(), u) <= 1e-10 * max(1.0, abs(u))
 
 
+@pytest.mark.parametrize("small", ["vplus", "rho2"])
+def test_exponential_form_reconstructs_with_a_small_canonical_part(small):
+    # vplus = 1e-9 * rho1 or rho2 = 1e-12 * rho1: the logarithms are taken of
+    # the radii's quotients, not through tan(atan2(...)) at an extreme angle
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        vp, r1, r2 = rng.uniform(0.5, 2.0, 3)
+        if small == "vplus":
+            vp = 1e-9 * r1
+        else:
+            r2 = 1e-12 * r1
+        a1, a2 = rng.uniform(0.0, 2 * math.pi, 2)
+        u = from_canonical(CanonicalForm(vp, r1 * math.cos(a1), r1 * math.sin(a1),
+                                         r2 * math.cos(a2), r2 * math.sin(a2)))
+        assert dev(exponential_form(u).reconstruct(), u) <= 2e-14 * abs(u), u
+
+
 def test_exponential_form_domain():
     with pytest.raises(FormDomain):
         exponential_form(PentaComplex.scalar(-1.0))

@@ -291,6 +291,23 @@ def test_factor_double_root_gives_linear_factors():
         count_factorizations(poly)
 
 
+@pytest.mark.parametrize("k", [-60, -30, 0, 30, 60])
+def test_root_tolerances_are_unchanged_under_scaling(k):
+    # roots scaled by 2^k (exact): coefficient j scales by 2^(j*k), and both
+    # the real/complex and the coincidence tests read the same roots
+    s = 2.0 ** k
+    # line roots 1e-9 * (1 +- 0.5i): one quadratic factor at every scale
+    poly = PentaPolynomial((scalar(-2e-9 * s), scalar(1.25e-18 * s * s)))
+    factors = factor(poly)
+    assert [type(f) for f in factors] == [QuadraticFactor]
+    for a, b in zip(poly.coeffs, expand_factors(factors).coeffs):
+        assert dev(a, b) <= 1e-14 * abs(a)
+    roots = [1e-6 * s, 2e-6 * s, 3e-6 * s]
+    assert count_factorizations(PentaPolynomial.from_scalar_roots(roots)) == 36
+    with pytest.raises(Degenerate):
+        count_factorizations(PentaPolynomial.from_scalar_roots([s, s]))
+
+
 def test_line_roots_within_tau_real_count_as_real():
     # a split double root: the conjugate pair within TAU_REAL is real
     for im, real in ((1e-10, True), (1e-3, False)):
