@@ -29,7 +29,7 @@ from .geometry import polar_form
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 # the most rows cosexp-table writes
-TABLE_ROWS = 100_000
+_TABLE_ROWS = 100_000
 
 
 class UsageError(Exception):
@@ -193,8 +193,8 @@ def _cmd_cosexp_table(args):
     if args.stop < args.start:
         raise UsageError("--to must not be below --from")
     rows = (args.stop - args.start) / args.step + 1e-9
-    if not rows < TABLE_ROWS:  # also a count beyond the float range
-        raise UsageError(f"the table would have more than {TABLE_ROWS} rows; "
+    if not rows < _TABLE_ROWS:  # also a count beyond the float range
+        raise UsageError(f"the table would have more than {_TABLE_ROWS} rows; "
                          "narrow --from/--to or widen --step")
     lines = ["y,g50,g51,g52,g53,g54"]
     n = int(math.floor(rows)) + 1
@@ -289,9 +289,12 @@ def _cmd_selftest(args):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern admits no exponent, so it would read a value
-        # such as -1e-3 as an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's negative-number pattern (a private attribute of CPython's
+        # argparse) admits no exponent in 3.10 and 3.11, so it would read -1e-3
+        # as an option; it is replaced only where it exists and lacks one
+        matcher = getattr(self, "_negative_number_matcher", None)
+        if matcher is not None and not matcher.match("-1e-3"):
+            self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         # argparse exits 2 by default; usage errors are exit 1 here

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .algebra import PentaComplex, _recip_plane, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
                         _guard, _lift, _to_canon_comps)
-from .errors import FormDomain, LogDomain, NonInvertible, Overflow, PowDomain
-from .geometry import SQRT2, _amplitude, odd_fifth_root, polar_form
+from .errors import FormDomain, LogDomain, NonInvertible, PowDomain
+from .geometry import SQRT2, _amplitude, _azimuths, odd_fifth_root, polar_form
 
 # direction of the log(sqrt2/tan(thetaplus)) term in the exponent assembly
 _H_ALL = PentaComplex(0.0, 1.0, 1.0, 1.0, 1.0)
@@ -142,14 +142,12 @@ def exponential_form(u: PentaComplex) -> ExponentialForm:
     a plane radius beyond the floating-point range raises Overflow."""
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
     rho1, rho2 = _guard(u, vp, v1, tv1, v2, tv2, FormDomain)
-    if rho1 == math.inf or rho2 == math.inf:
-        raise Overflow("a plane radius exceeds the floating-point range")
+    phi1, phi2 = _azimuths(rho1, rho2, v1, tv1, v2, tv2)
     return ExponentialForm(
         amplitude=_amplitude(vp, rho1, rho2),
         log_tan_theta=math.log(vp / rho1),
         log_tan_psi=math.log(rho1 / rho2),
-        phi1=math.atan2(tv1, v1) % TWO_PI,
-        phi2=math.atan2(tv2, v2) % TWO_PI,
+        phi1=phi1, phi2=phi2,
     )
 
 
@@ -169,8 +167,7 @@ def trigonometric_form(u: PentaComplex) -> PentaComplex:
     rho1, rho2 = _guard(u, None, v1, tv1, v2, tv2, FormDomain)
     cot_theta = vp / (SQRT2 * rho1)
     cot_psi = rho2 / rho1
-    phi1 = math.atan2(tv1, v1) % TWO_PI
-    phi2 = math.atan2(tv2, v2) % TWO_PI
+    phi1, phi2 = _azimuths(rho1, rho2, v1, tv1, v2, tv2)
     prefactor = d * math.sqrt(2.5) / math.sqrt(cot_theta ** 2 + 1.0 + cot_psi ** 2)
     direction = SQRT2 * cot_theta * E_PLUS + E1 + cot_psi * E2
     rotation = exp(phi1 * E1_TILDE + phi2 * E2_TILDE)

@@ -121,6 +121,13 @@ def amplitude(u: PentaComplex) -> float:
     return _amplitude(vp, rho1, rho2, e)
 
 
+def _azimuths(rho1, rho2, v1, tv1, v2, tv2) -> tuple[float, float]:
+    """phi1, phi2 in [0, 2*pi); a radius rho_k of inf raises Overflow."""
+    if rho1 == math.inf or rho2 == math.inf:
+        raise Overflow("a plane radius exceeds the floating-point range")
+    return math.atan2(tv1, v1) % TWO_PI, math.atan2(tv2, v2) % TWO_PI
+
+
 def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
     """Full polar decomposition of u.
 
@@ -137,18 +144,17 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
         tol = TAU_REL * d
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
-    if rho1 == math.inf or rho2 == math.inf:
-        raise Overflow("a plane radius exceeds the floating-point range")
+    az1, az2 = _azimuths(rho1, rho2, v1, tv1, v2, tv2)
     rho = _amplitude(vp, rho1, rho2)
 
     undefined: dict = {}
     phi1 = phi2 = psi1 = thetaplus = None
     if rho1 > tol:
-        phi1 = math.atan2(tv1, v1) % TWO_PI
+        phi1 = az1
     else:
         undefined["phi1"] = "rho1 vanishes"
     if rho2 > tol:
-        phi2 = math.atan2(tv2, v2) % TWO_PI
+        phi2 = az2
     else:
         undefined["phi2"] = "rho2 vanishes"
     if rho1 > tol or rho2 > tol:

@@ -34,9 +34,9 @@ from .errors import (Degenerate, InvalidPairing, NoConvergence,
 
 # both tolerances are relative to the component's largest root modulus:
 # line roots with |imag| at most TAU_REAL times that count as real, and two
-# roots of one component closer than TAU_SIMPLE times that coincide
+# roots of one component closer than _TAU_SIMPLE times that coincide
 TAU_REAL = 1e-8
-TAU_SIMPLE = 1e-6
+_TAU_SIMPLE = 1e-6
 # backward-error gate: each root z of a degree-m component polynomial p must
 # meet |p(z)| <= GATE * m * eps * sum_j s_j |z|^(m-j), s_j the largest
 # |coefficient j| over the three components; 2 * m * eps * sum_j s_j |z|^(m-j)
@@ -302,7 +302,7 @@ def count_factorizations(poly: PentaPolynomial) -> int:
         scale = max(abs(r) for r in roots)
         for i in range(m):
             for j in range(i + 1, m):
-                if abs(roots[i] - roots[j]) <= TAU_SIMPLE * scale:
+                if abs(roots[i] - roots[j]) <= _TAU_SIMPLE * scale:
                     raise Degenerate(f"{name} roots {i} and {j} coincide")
     if not all(_line_is_real(rs)):
         raise Degenerate("complex line roots: linear factorization count undefined")

@@ -398,14 +398,14 @@ def test_path_file_from_stdin_and_closed_default(capsys, monkeypatch):
 
 
 def test_table_row_limit(capsys):
-    from pentacomplex.cli import TABLE_ROWS
+    from pentacomplex.cli import _TABLE_ROWS
 
-    code, out, _ = run(capsys, "cosexp-table", "--from", "0", "--to", str(TABLE_ROWS - 1),
+    code, out, _ = run(capsys, "cosexp-table", "--from", "0", "--to", str(_TABLE_ROWS - 1),
                        "--step", "1")
     assert code == 2 and out == ""  # allowed: rows are computed until g5k overflows
-    code, out, err = run(capsys, "cosexp-table", "--from", "0", "--to", str(TABLE_ROWS),
+    code, out, err = run(capsys, "cosexp-table", "--from", "0", "--to", str(_TABLE_ROWS),
                          "--step", "1")
-    assert (code, out) == (1, "") and f"more than {TABLE_ROWS} rows" in err
+    assert (code, out) == (1, "") and f"more than {_TABLE_ROWS} rows" in err
 
 
 def test_negative_numbers_in_exponent_form_are_values(capsys):

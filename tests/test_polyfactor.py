@@ -321,6 +321,20 @@ def test_line_roots_within_tau_real_count_as_real():
                 assemble_roots(rs, [(0, 0, 0), (1, 1, 1)])
 
 
+@pytest.mark.parametrize("s", [1.0, 0.1])
+def test_real_line_roots_have_no_imaginary_part(s):
+    # the line polynomial is real, so its companion matrix's real eigenvalues
+    # carry no imaginary noise for the relative TAU_REAL cutoff to misread,
+    # also where every root is well inside the unit interval
+    rng = np.random.default_rng(7)
+    for m in (8, 16):
+        line = sorted(s * rng.uniform(-1.0, 1.0, m))
+        poly = PentaPolynomial.from_scalar_roots(line)
+        rs = component_roots(decompose(poly))
+        assert all(r.imag == 0.0 for r in rs.vplus_roots)
+        assert all(isinstance(f, LinearFactor) for f in factor(poly))
+
+
 def component_arrays(poly):
     cp = decompose(poly)
     return [np.array(cp.pplus, dtype=complex), np.array(cp.p1), np.array(cp.p2)]
