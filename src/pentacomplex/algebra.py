@@ -267,10 +267,19 @@ def multiply(u: PentaComplex, v: PentaComplex) -> PentaComplex:
 
     Terms are grouped into swap-symmetric pairs so that multiply(u, v) and
     multiply(v, u) are bit-identical, not merely equal to rounding.  A
-    product outside the floating-point range raises Overflow.
+    product outside the floating-point range raises Overflow.  A batch of
+    elements (contour's nodes) holds no components and takes the product
+    itself, with a batch or an element.
     """
-    a0, a1, a2, a3, a4 = u.components
-    b0, b1, b2, b3, b4 = v.components
+    try:
+        a0, a1, a2, a3, a4 = u.components
+        b0, b1, b2, b3, b4 = v.components
+    except AttributeError:
+        if hasattr(u, "product"):
+            return u.product(v)
+        if hasattr(v, "product"):
+            return v.product(u)
+        raise
     return _result(
         a0 * b0 + (a1 * b4 + a4 * b1) + (a2 * b3 + a3 * b2),
         (a0 * b1 + a1 * b0) + (a2 * b4 + a4 * b2) + a3 * b3,

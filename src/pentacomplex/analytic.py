@@ -247,8 +247,10 @@ def check_cr_relations(f: Evaluator, point: PentaComplex,
 
     For analytic f the derivative of component (shift + j) mod 5 along axis j
     is the same for every j; each group reports its five values and the
-    maximum pairwise deviation.
+    maximum pairwise deviation.  A zero step raises ValueError.
     """
+    if step == 0.0:
+        raise ValueError(f"step {step!r} is zero: central differences divide by 2*step")
     jac = [[0.0] * 5 for _ in range(5)]
     for j in range(5):
         fp = _call(f, _shifted(point, j, step))

@@ -11,7 +11,9 @@ angles are the only cyclic coordinates, so only the ~e_k directions survive.
 Around a pole the singularity is subtracted: the pole term f(u0)/(u - u0)
 integrates around the loop to exactly that winding sum, and the nodes carry
 only the remainder (f(u) - f(u0))/(u - u0), which is analytic where f is,
-so the error falls geometrically with the nodes per segment.
+so the error falls geometrically with the nodes per segment.  f itself sees
+all nodes at once: it is called with one batch of elements whose ring
+arithmetic runs elementwise on their canonical coordinates.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
 from .algebra import DIM, Evaluator, PentaComplex, _call, _result
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
-                        _CANON_ROWS, _assemble, rotated_coords, rotation_matrix)
+                        _CANON_ROWS, _assemble, _to_canon_comps, rotated_coords,
+                        rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -40,14 +44,11 @@ _CANON = np.array(_CANON_ROWS)
 # rows are the rotated orthonormal axes
 _ROT = rotation_matrix()
 
-# An evaluator that declares its lift (elementary's builtins) carries it as
-# `_penta_lift`: its real and its complex function, whose name is that of the
-# one numpy ufunc acting on the line and on each plane.  While every
-# canonical coordinate stays within LIFT_RANGE no builtin overflows (e^700 is
-# about 1e304, and reassembly sums five such terms scaled by at most 0.4), so
-# there the array forms are finite exactly where the scalar functions return
-# a value.
-LIFT_RANGE = 700.0
+# canonical._from_canon_comps as a matrix: rows of canonical coordinates
+# times it are rows of components
+_FROM_CANON = np.array([e.components for e in (E_PLUS, E1, E1_TILDE, E2, E2_TILDE)])
+# the ring's 1 in canonical coordinates
+_ONE = np.array(_to_canon_comps((1.0, 0.0, 0.0, 0.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -260,16 +261,110 @@ def _planes(a: np.ndarray) -> np.ndarray:
     return a[:, 1:].view(np.complex128)
 
 
+def _ring_op(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op (np.multiply or np.divide) of rows of canonical coordinates a and
+    b, b broadcast against a: real on the line, complex on each plane."""
+    out = np.empty_like(a)
+    out[:, 0] = op(a[:, 0], b[:, 0])
+    _planes(out)[:] = op(_planes(a), _planes(b))
+    return out
+
+
+def _rows(x, unit: np.ndarray | None = None) -> np.ndarray:
+    """Canonical coordinates of an operand of a batch, as rows to broadcast
+    against it: a batch's own, an element's as one row and, given `unit`, a
+    real scalar's as x * unit."""
+    if isinstance(x, _Batch):
+        return x.canon
+    if isinstance(x, PentaComplex):
+        return np.array([_to_canon_comps(x.components)])
+    if unit is not None and isinstance(x, Real):
+        return float(x) * unit
+    raise TypeError(f"unsupported operand for a batch of elements: {type(x).__name__}")
+
+
+class _Batch:
+    """Ring elements at many nodes, held as one (n, 5) array of canonical
+    coordinates.  There the ring is R x C x C, so its arithmetic is
+    elementwise: a real product on the line and a complex product on each
+    plane.  The operators are those of PentaComplex: +, -, unary - and *
+    with a batch, a PentaComplex or a real scalar, and / by a real scalar;
+    multiply and elementary's builtins reach `product` and `lift`.  A
+    batch has no components, so an evaluator that reads them raises.
+    Nothing is checked on the way: a value beyond the float range becomes
+    inf or nan, which _evaluate tests once, on the result."""
+
+    __slots__ = ("canon",)
+    __array_ufunc__ = None  # a numpy operand defers to these operators
+    __hash__ = None
+
+    def __init__(self, canon: np.ndarray):
+        self.canon = canon
+
+    def __add__(self, other):
+        return _Batch(self.canon + _rows(other, _ONE))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Batch(self.canon - _rows(other, _ONE))
+
+    def __rsub__(self, other):
+        return _Batch(_rows(other, _ONE) - self.canon)
+
+    def __neg__(self):
+        return _Batch(-self.canon)
+
+    def __mul__(self, other):
+        if isinstance(other, Real):
+            return _Batch(self.canon * float(other))
+        return self.product(other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Real):
+            raise TypeError(f"a batch of elements divides only by a real scalar, "
+                            f"not {type(other).__name__}")
+        # as PentaComplex: times the reciprocal, and a zero raises
+        return _Batch(self.canon * (1.0 / float(other)))
+
+    def __eq__(self, other):
+        # the nodes' values differ, so no single truth value is right
+        raise TypeError("a batch of elements cannot be compared")
+
+    def product(self, other) -> "_Batch":
+        """The ring product with a batch or an element (multiply)."""
+        return _Batch(_ring_op(np.multiply, self.canon, _rows(other)))
+
+    def lift(self, line_fn, plane_fn) -> "_Batch":
+        """line_fn on the line and plane_fn on each plane, each applied to
+        the columns as the numpy ufunc of the same name (elementary's
+        builtins)."""
+        out = np.empty_like(self.canon)
+        out[:, 0] = getattr(np, line_fn.__name__)(self.canon[:, 0])
+        _planes(out)[:] = getattr(np, plane_fn.__name__)(_planes(self.canon))
+        return _Batch(out)
+
+
 def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
     """Canonical components of f at every node (rows of `nodes`, whose
-    canonical coordinates are `canon`)."""
-    lift = getattr(f, "_penta_lift", None)
-    if lift is not None and np.abs(canon).max() <= LIFT_RANGE:
-        ufunc = getattr(np, lift[0].__name__)
-        out = np.empty_like(canon)
-        out[:, 0] = ufunc(canon[:, 0])
-        _planes(out)[:] = ufunc(_planes(canon))
-        return out
+    canonical coordinates are `canon`).
+
+    f is called once with the batch of all nodes.  Its value is used when it
+    is a batch of the same shape whose entries, and the components they
+    reassemble to, are all finite.  Otherwise (f raised, returned anything
+    else, or a value is not finite) f is called at each node, where a
+    failure raises the typed error of the scalar route.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = f(_Batch(canon))
+    except Exception:  # whatever went wrong, the per-node calls report it
+        out = None
+    if (isinstance(out, _Batch) and out.canon.shape == canon.shape
+            and np.isfinite(out.canon).all() and np.isfinite(out.canon @ _FROM_CANON).all()):
+        return out.canon
     values = chain.from_iterable(_call(f, _result(*c)).components for c in nodes.tolist())
     return np.fromiter(values, float, nodes.size).reshape(-1, DIM) @ _CANON.T
 
@@ -294,10 +389,7 @@ def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
 
 def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num * den^-1 row by row in canonical coordinates."""
-    out = np.empty_like(num)
-    out[:, 0] = num[:, 0] / den[:, 0]
-    _planes(out)[:] = _planes(num) / _planes(den)
-    return out
+    return _ring_op(np.divide, num, den)
 
 
 @dataclass(frozen=True)
@@ -320,7 +412,9 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     du is the segment vector scaled by each node's weight.  For the pole
     integrand f(u) * (u - u0)^-1 the value is that of the smooth remainder
     (f(u) - f(u0)) * (u - u0)^-1 alone, on which the rule converges
-    geometrically for analytic f; the caller adds the pole term.
+    geometrically for analytic f; the caller adds the pole term.  f is
+    called once, with the batch of all nodes, and at each node only where
+    that call gives no finite batch of values (see _evaluate).
     """
     if samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be >= 1, got {samples_per_segment}")
@@ -363,7 +457,9 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
     whose integral is rhs exactly, plus the composite Gauss-Legendre
     quadrature of the smooth remainder (f(u) - f(u0)) * (u - u0)^-1, with
     `samples` the total node budget spread evenly over the segments.  f is
-    called once at u0 and once per node.  The loop must avoid the
+    called at u0 and once with the batch of all nodes; only where that call
+    raises, returns anything but a batch or gives a value that is not
+    finite is f called at each node instead.  The loop must avoid the
     divisor-of-zero sets of u - u0 (vplus = 0 or either plane radius 0); a
     vertex or node on them raises NonInvertibleOnPath.
     """

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .algebra import PentaComplex, _recip_plane, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
                         _guard, _lift, _to_canon_comps)
-from .errors import FormDomain, LogDomain, NonInvertible, PowDomain
-from .geometry import SQRT2, _amplitude, _azimuths, odd_fifth_root, polar_form
+from .errors import FormDomain, LogDomain, NonInvertible, Overflow, PowDomain
+from .geometry import SQRT2, _amplitude, _azimuths, odd_fifth_root
 
 # direction of the log(sqrt2/tan(thetaplus)) term in the exponent assembly
 _H_ALL = PentaComplex(0.0, 1.0, 1.0, 1.0, 1.0)
@@ -28,15 +28,20 @@ _PSI_MIX = PentaComplex(0.0, (SQRT5 + 1.0) / 10.0, -(SQRT5 - 1.0) / 10.0,
 
 def _lifted(line_fn, plane_fn):
     """The builtin declared by its lift, line_fn on the line and plane_fn on
-    each plane, and named after them; contour reads the pair from
-    `_penta_lift` and applies the numpy ufunc of that name to all nodes."""
+    each plane, and named after them.  A batch of elements (contour's
+    nodes) holds no components: it applies the pair to its columns itself,
+    through its `lift` method."""
 
     def f(u: PentaComplex) -> PentaComplex:
-        return _lift(u, line_fn, plane_fn)
+        try:
+            return _lift(u, line_fn, plane_fn)
+        except AttributeError:
+            if hasattr(u, "lift"):
+                return u.lift(line_fn, plane_fn)
+            raise
 
     f.__name__ = f.__qualname__ = name = line_fn.__name__
     f.__doc__ = f"{name}(vplus) on the line and {name}(z_k) on each plane."
-    f._penta_lift = (line_fn, plane_fn)
     return f
 
 
@@ -176,11 +181,18 @@ def trigonometric_form(u: PentaComplex) -> PentaComplex:
 
 def modulus_amplitude_relation(u: PentaComplex) -> tuple[float, float]:
     """(d, reconstruction of d from rho and the angles); equal where
-    0 < thetaplus < pi/2 and 0 < psi1 < pi/2."""
-    pf = polar_form(u)
-    tan_theta = math.tan(pf.require("thetaplus"))
-    tan_psi = math.tan(pf.require("psi1"))
-    rhs = (pf.rho * 2.0 ** 0.4 / SQRT5
+    0 < thetaplus < pi/2 and 0 < psi1 < pi/2, that is where vplus > 0 and
+    both plane radii are nonzero (FormDomain elsewhere).  tan(thetaplus)
+    is sqrt2*rho1/vplus and tan(psi1) is rho1/rho2, both taken as quotients
+    of the radii, as in exponential_form; a plane radius beyond the
+    floating-point range raises Overflow."""
+    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    rho1, rho2 = _guard(u, vp, v1, tv1, v2, tv2, FormDomain)
+    if rho1 == math.inf or rho2 == math.inf:
+        raise Overflow("a plane radius exceeds the floating-point range")
+    tan_theta = SQRT2 * rho1 / vp
+    tan_psi = rho1 / rho2
+    rhs = (_amplitude(vp, rho1, rho2) * 2.0 ** 0.4 / SQRT5
            * odd_fifth_root(tan_theta * tan_psi * tan_psi)
            * math.sqrt(1.0 / tan_theta ** 2 + 1.0 + 1.0 / tan_psi ** 2))
-    return pf.d, rhs
+    return abs(u), rhs

@@ -170,5 +170,9 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
 
 
 def modulus_product_bound(u: PentaComplex, v: PentaComplex) -> tuple[float, float]:
-    """(|u*v|, sqrt(5)*|u|*|v|); the first never exceeds the second."""
-    return abs(multiply(u, v)), SQRT5 * abs(u) * abs(v)
+    """(|u*v|, sqrt(5)*|u|*|v|); the first never exceeds the second.  A
+    bound beyond the floating-point range raises Overflow."""
+    bound = SQRT5 * _modulus(u) * _modulus(v)
+    if bound == math.inf:
+        raise Overflow("modulus bound exceeds the floating-point range")
+    return abs(multiply(u, v)), bound

@@ -344,6 +344,16 @@ def test_second_order_step_whose_square_underflows_is_value_error():
     assert check_second_order(exp, ONE, step=1e-150).step == 1e-150
 
 
+def test_first_order_zero_step_is_value_error():
+    # not a ZeroDivisionError from the differences; f is not called
+    calls = []
+    for step in (0.0, -0.0):
+        with pytest.raises(ValueError, match=f"step {step!r} is zero"):
+            check_cr_relations(lambda u: calls.append(u) or u, ONE, step=step)
+    assert calls == []
+    assert check_cr_relations(exp, ONE, step=5e-324).step == 5e-324
+
+
 def test_second_order_chain_pairs_cover_residues():
     report = check_second_order(lambda u: u, PentaComplex(1, 0, 0, 0, 0))
     for chain in report.chains:

@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 import pickle
 import warnings
 from dataclasses import FrozenInstanceError
@@ -9,9 +10,10 @@ import pytest
 
 from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
-                          contour, cos, cosh, elementary, exp, integrate, multiply,
-                          plane_circle, project, project_point, residue_formula,
-                          sin, sinh, winding)
+                          PowerSeries, contour, cos, cosh, elementary, exp,
+                          integrate, multiply, plane_circle, pow_real, project,
+                          project_point, residue_formula, series_eval, sin, sinh,
+                          winding)
 from pentacomplex.algebra import _result
 from pentacomplex.canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
                                     _from_canon_comps)
@@ -390,25 +392,29 @@ def test_builtin_array_path_matches_scalar_callable_path():
 
 
 def test_builtins_take_the_array_route(monkeypatch):
-    # each builtin is lifted once, at u0, and its declared ufunc covers every
-    # node; a lambda around exp declares no lift and is called at each node
+    # a builtin, and a lambda around one, is called at u0 and once with the
+    # batch of all 256 nodes: _lift runs at u0 and on the batch (where it
+    # finds no components and hands over to the batch), and the batch's
+    # lift applies the ufuncs to its columns once; nothing runs per node
     calls = []
-    lift = elementary._lift
+    lift, batch_lift = elementary._lift, contour._Batch.lift
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append("_lift")
         return lift(*args, **kwargs)
 
+    def batch_counted(*args):
+        calls.append("batch")
+        return batch_lift(*args)
+
     monkeypatch.setattr(elementary, "_lift", counted)
+    monkeypatch.setattr(contour._Batch, "lift", batch_counted)
     u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
     loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=64)
-    for f in elementary._LIFTED:
+    for f in (*elementary._LIFTED, lambda u: exp(u)):
         calls.clear()
         residue_formula(f, loop, u0, samples=256)
-        assert len(calls) == 1, f.__name__
-    calls.clear()
-    residue_formula(lambda u: exp(u), loop, u0, samples=256)
-    assert len(calls) == 256 + 1
+        assert calls == ["_lift", "_lift", "batch"], f.__name__
 
 
 def scalar_winding(point, polygon, tol=None):
@@ -523,7 +529,7 @@ def test_evaluator_of_another_type_is_evaluation_failed():
 
 
 def test_array_path_overflow_raises_like_scalar_path():
-    # vplus around 800: e^vplus overflows on the line
+    # vplus around 800: e^vplus overflows on the line, at u0 first
     u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15) + 800.0 * E_PLUS
     loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
     errors = []
@@ -535,6 +541,24 @@ def test_array_path_overflow_raises_like_scalar_path():
     assert errors[0] == errors[1]
 
 
+def test_overflow_at_the_nodes_raises_the_per_node_error():
+    # vplus is 709.3 at u0, where e^vplus is finite, and 710.1 on the loop,
+    # where it is not: the batch's value is inf, so f runs per node and
+    # raises at the first node, as the scalar route does
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15) + 709.0 * E_PLUS
+    loop = plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
+    a, b = loop._array[:2]
+    first = PentaComplex(*(a + contour._segment_rule(4)[0][0] * (b - a)))
+    errors = []
+    for f in (exp, lambda u: exp(u), lambda u: multiply(exp(u), ONE) - u):
+        with pytest.raises(EvaluationFailed) as info:
+            residue_formula(f, loop, u0, samples=64)
+        assert isinstance(info.value.__cause__, Overflow)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0].startswith(f"evaluator raised at {first!r}: ")
+
+
 def loop_evaluate(f, nodes):
     """The per-row loop the callable path replaced, kept as its reference."""
     out = np.empty_like(nodes)
@@ -544,14 +568,105 @@ def loop_evaluate(f, nodes):
 
 
 def test_callable_path_is_bit_identical_to_the_per_row_loop():
+    # evaluators that fall back to the per-node route: one reads a
+    # component, one branches on a value, one calls a function that takes
+    # no batch
     rng = np.random.default_rng(67)
     nodes = rng.uniform(-2.0, 2.0, (257, 5))
     nodes[:8] = rng.choice([0.0, -0.0, 1.0, -1.0], (8, 5))
-    for f in (lambda u: multiply(u, u) + 3.0 * u, lambda u: exp(u), lambda u: -u):
+    for f in (lambda u: multiply(u, u) + u.x0 * u,
+              lambda u: exp(u) if u.x1 >= 0.0 else -u,
+              lambda u: pow_real(u, 2) + 3.0 * u):
         got = contour._evaluate(f, nodes, nodes @ _CANON.T)
         assert got.tobytes() == loop_evaluate(f, nodes).tobytes()
         want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
         assert got.tobytes() == want.tobytes()
+
+
+def test_evaluators_that_fail_on_a_batch_run_per_node():
+    # f raising on the batch and f returning a PentaComplex are called once
+    # with the batch and then at every node, bit-identical to the per-row loop
+    rng = np.random.default_rng(68)
+    nodes = rng.uniform(-2.0, 2.0, (64, 5))
+    calls = []
+
+    def raises_on_a_batch(u):
+        calls.append(u)
+        if not isinstance(u, PentaComplex):
+            raise TypeError("nodes one at a time")
+        return multiply(u, u)
+
+    def constant(u):
+        calls.append(u)
+        return PentaComplex(0.5, -1.0, 0.0, 2.0, 0.25)
+
+    for f in (raises_on_a_batch, constant):
+        calls.clear()
+        got = contour._evaluate(f, nodes, nodes @ _CANON.T)
+        assert isinstance(calls[0], contour._Batch), f.__name__
+        assert len(calls) == 1 + len(nodes), f.__name__
+        assert got.tobytes() == loop_evaluate(f, nodes).tobytes(), f.__name__
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batch_values_match_the_per_node_values_on_the_contour_pools(seed, monkeypatch):
+    # every item of the benchmark's contour pool, builtin and callable: the
+    # batch route's canonical values at the integral's nodes are within 8
+    # ulp of max |f| of f called at each node (at most 6.3 measured on
+    # seeds 1-6); the batch computes in canonical coordinates, from the
+    # nodes' coordinates relative to the pole, so the two round differently
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import gen
+    import workloads
+    captured = []
+    evaluate = contour._evaluate
+
+    def capture(f, nodes, canon):
+        captured.append((nodes, canon))
+        return evaluate(f, nodes, canon)
+
+    monkeypatch.setattr(contour, "_evaluate", capture)
+    items = gen.contour_pool(seed)
+    assert len(items) == 12
+    for item in items:
+        f = workloads.Contour._evaluator(item)
+        captured.clear()
+        residue_formula(f, workloads.build_loop(item.loop), PentaComplex(*item.loop.pole),
+                        samples=1024)
+        (nodes, canon), = captured
+        batch = f(contour._Batch(canon))
+        assert isinstance(batch, contour._Batch) and batch.canon.shape == canon.shape
+        want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
+        err = np.abs(batch.canon - want).max(axis=1)
+        assert (err <= 8 * np.finfo(float).eps * np.abs(want).max()).all(), item
+
+
+def test_series_and_ring_arithmetic_take_the_batch_route():
+    # what a batch supports, as PentaComplex does: +, -, unary -, * and / by
+    # a real scalar, multiply and the builtins; series_eval is ring Horner
+    rng = np.random.default_rng(69)
+    nodes = rng.uniform(-1.0, 1.0, (32, 5))
+    a = PentaComplex(0.5, -0.25, 0.125, 0.0, 1.0)
+    series = PowerSeries((a, ONE, -0.5 * a, 0.25 * ONE))
+    for f in (lambda u: series_eval(series, u),
+              lambda u: (2 - u) * a - (a + u) / 4 + 1.5 * (-u) - multiply(a, u),
+              lambda u: sinh(u) * cos(u) - multiply(u + 1, cosh(u)) + 3):
+        batch = f(contour._Batch(nodes @ _CANON.T))
+        assert isinstance(batch, contour._Batch)
+        want = loop_evaluate(f, nodes)
+        assert np.abs(batch.canon - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+        assert contour._evaluate(f, nodes, nodes @ _CANON.T).tobytes() == batch.canon.tobytes()
+    # operations a PentaComplex lacks, or whose value differs from node to
+    # node, raise on a batch
+    batch = contour._Batch(nodes @ _CANON.T)
+    for g in (lambda u: u.x0, lambda u: 1 / u, lambda u: u / a, lambda u: u == ZERO,
+              lambda u: multiply(u, 2.0), lambda u: u + "1", lambda u: abs(u)):
+        with pytest.raises((AttributeError, TypeError)):
+            g(batch)
 
 
 def test_vertex_array_is_the_row_list():
@@ -565,6 +680,9 @@ def test_vertex_array_is_the_row_list():
 
 
 def test_callable_nodes_and_results_have_float_components():
+    # f is called at u0 and once with the batch of each integral's nodes,
+    # whose canonical array is float64; an evaluator that reads a component
+    # falls back and is then called at every node with float components
     u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
     seen = []
 
@@ -572,12 +690,21 @@ def test_callable_nodes_and_results_have_float_components():
         seen.append(u)
         return multiply(u, u)
 
-    lhs, rhs = residue_formula(f, plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16), u0,
-                               samples=64)
-    val = integrate(f, Path((ZERO, ONE + E1), closed=False), 8)
-    assert len(seen) == 64 + 1 + 8
-    for u in seen + [lhs, rhs, val]:
-        assert all(type(x) is float for x in u.components), u
+    def per_node(u):
+        seen.append(u)
+        return multiply(u, u) + 0.0 * u.x0
+
+    for g, calls in ((f, 1 + 1 + 1), (per_node, 1 + (1 + 64) + (1 + 8))):
+        seen.clear()
+        lhs, rhs = residue_formula(g, plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16), u0,
+                                   samples=64)
+        val = integrate(g, Path((ZERO, ONE + E1), closed=False), 8)
+        assert len(seen) == calls, g.__name__
+        batches = [u for u in seen if isinstance(u, contour._Batch)]
+        assert len(batches) == 2 and all(b.canon.dtype == np.float64 for b in batches)
+        for u in [u for u in seen if not isinstance(u, contour._Batch)] + [lhs, rhs, val]:
+            assert type(u) is PentaComplex
+            assert all(type(x) is float for x in u.components), u
 
 
 @pytest.mark.parametrize("s", [1e160, 1e-170])

@@ -259,6 +259,15 @@ def test_modulus_amplitude_relation():
         assert abs(d - rhs) <= 1e-10 * max(1.0, d)
 
 
+@pytest.mark.parametrize("c", [(1e-9, 1.0, 0.0, 1.0, 0.0), (1.0, 1.0, 0.0, 1e-12, 0.0)],
+                         ids=["small vplus", "small rho2"])
+def test_modulus_amplitude_relation_near_the_domain_edge(c):
+    # tan(thetaplus) and tan(psi1) come from the radii; through atan2 and
+    # tan the gaps were 1.8e-8 and 4.2e-5
+    d, rhs = modulus_amplitude_relation(from_canonical(CanonicalForm(*c)))
+    assert abs(d - rhs) <= 1e-15 * d
+
+
 # the hand-written line and plane formulas the lift replaced, on canonical
 # components (vp, v1, tv1, v2, tv2)
 HAND_FORMULAS = {
@@ -332,6 +341,7 @@ GUARDED = [
     (lambda u: pow_real(u, 0.5), PowDomain),
     (exponential_form, FormDomain),
     (trigonometric_form, FormDomain),
+    (modulus_amplitude_relation, FormDomain),
 ]
 
 

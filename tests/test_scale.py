@@ -14,9 +14,9 @@ from pentacomplex import (ONE, AngleUndefined, CanonicalForm, Overflow,
                           PentaComplex, PentaError, PentaPolynomial,
                           PowerSeries, amplitude, canonical_multiply, decompose,
                           exp, exponential_form, from_canonical, inverse, log,
-                          multiply, polar_form, pow_real, series_eval,
-                          series_eval_components, sin, to_canonical,
-                          trigonometric_form)
+                          modulus_product_bound, multiply, polar_form,
+                          pow_real, series_eval, series_eval_components, sin,
+                          to_canonical, trigonometric_form)
 from pentacomplex.geometry import odd_fifth_root
 
 BASE = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
@@ -86,6 +86,8 @@ CONTRACT = {
     "ComponentPolynomials.evaluate": (decompose(POLY).evaluate, lambda r: True),
     "series_eval": (lambda u: series_eval(SERIES, u), lambda r: True),
     "series_eval_components": (lambda u: series_eval_components(SERIES, u), lambda r: True),
+    "modulus_product_bound": (lambda u: modulus_product_bound(u, u),
+                              lambda r: all(map(math.isfinite, r))),
 }
 
 
@@ -100,6 +102,7 @@ BIG_PLANE = from_canonical(CanonicalForm(1e307, 1.5e308, 1.5e308, 1e307, 1e307))
 @example(WIDE_PLANE, 0.0)
 @example(BIG_PLANE, 0.0)
 @example(ONE, 200.0)
+@example(PentaComplex(1.28e154), 0.0)  # |u*u| is finite, its bound is not
 def test_finite_result_or_typed_error(u, exponent):
     # a PentaComplex result is finite by construction
     u = u * 10.0 ** exponent
