@@ -209,7 +209,9 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     close = np.abs(a + t * d) <= cutoff
     if close.any():
         raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge {int(close.argmax())}")
-    q = b / a
+    # halved first (exactly): numpy's quotient of two near the float
+    # ceiling overflows inside and comes back nan
+    q = (0.5 * b) / (0.5 * a)
     return round(float(np.arctan2(q.imag, q.real).sum()) / TWO_PI)
 
 

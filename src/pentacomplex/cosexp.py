@@ -7,9 +7,11 @@ form summing exponentials around the unit circle's five fifth-roots, and a
 closed form in the radicals a = (sqrt5-1)/2, b = -(5+sqrt5)/2.  The values
 the package uses (`cosexp_values`, `exp_basis`) come from the series for
 small |y|, where the closed forms cancel, and the first closed form beyond;
-the other routes are the cross-checks.  The module also expands powers of
-h1+h4 and h1-h4 into integer coefficient families, both by recurrence and
-by radical closed forms evaluated exactly.
+the other routes are the cross-checks.  exp((h1 + h4) y) and
+exp((h1 - h4) y) come from series for small |y| and from the lift
+`elementary.exp`, the exponential of a 5-complex variable, beyond.  The
+module also expands powers of h1+h4 and h1-h4 into integer coefficient
+families, both by recurrence and by radical closed forms evaluated exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 from .algebra import PentaComplex, multiply
 from .canonical import SQRT5
+from .elementary import exp
 from .errors import DomainTooLarge, Overflow
 
 #: roots of a^2 + a - 1 = 0 and b^2 + 5b + 5 = 0 used by the radical forms
@@ -36,6 +39,10 @@ SERIES_CUTOFF = 1e-18
 # to g5k(y) ~ y^k/k! (still up to 37 ulp off in g54 at |y| in [1.5, 2],
 # against an exact rational series, where the series is within 2 ulp)
 SERIES_UP_TO = 2.0
+# exp_h1_minus_h4 sums its ring series up to this |y|, within 2.4 ulp in
+# every component; beyond it the components pass through zero, and the
+# lift is the more accurate route (normwise)
+_MINUS_SERIES_UP_TO = 1.0
 
 
 @dataclass(frozen=True)
@@ -96,49 +103,39 @@ def g5_closed(k: int, y: float) -> float:
     return total / 5.0
 
 
-# the radical closed forms are naturally stated at doubled argument; the
-# sin/cos frequencies are sqrt(-b) and sqrt(5+b)
+# the radical closed form, stated at the half argument x = y/2: g5k(y) is
+# (e^(2x) + e^(ax) (p c1 + q s1) + e^(-(1+a)x) (r c2 + t s2)) / 5 with
+# c1, s1 = cos, sin(sqrt(-b) x) and c2, s2 = cos, sin(sqrt(5+b) x), and the
+# row (p, q, r, t) below for k
 _SB = math.sqrt(-RADICAL_B)
 _S5B = math.sqrt(5.0 + RADICAL_B)
-
-
-def _g5_radical_doubled(k: int, y: float) -> float:
-    """Value of g_{5k}(2y) from the a,b-radical expressions."""
-    a = RADICAL_A
-    try:
-        e2 = math.exp(2.0 * y) / 5.0
-        ea = math.exp(a * y) / 5.0
-        em = math.exp(-(1.0 + a) * y) / 5.0
-    except OverflowError:
-        raise Overflow(f"g5{k}({2.0 * y}) exceeds the floating-point range") from None
-    c1 = math.cos(_SB * y)
-    s1 = math.sin(_SB * y)
-    c2 = math.cos(_S5B * y)
-    s2 = math.sin(_S5B * y)
-    half_m = (-1.0 + SQRT5) / 2.0
-    half_p = (1.0 + SQRT5) / 2.0
-    big = (5.0 + SQRT5) / (2.0 * _SB)
-    small = math.sqrt(5.0 / -RADICAL_B)
-    if k == 0:
-        return e2 + 2.0 * ea * c1 + 2.0 * em * c2
-    if k == 1:
-        return e2 + ea * (half_m * c1 + big * s1) + em * (-half_p * c2 + small * s2)
-    if k == 2:
-        return e2 + ea * (-half_p * c1 + small * s1) + em * (half_m * c2 - big * s2)
-    if k == 3:
-        return e2 + ea * (-half_p * c1 - small * s1) + em * (half_m * c2 + big * s2)
-    if k == 4:
-        return e2 + ea * (half_m * c1 - big * s1) + em * (-half_p * c2 - small * s2)
-    raise ValueError(f"index must be 0..4, got {k}")
+_HALF_M = (-1.0 + SQRT5) / 2.0
+_HALF_P = (1.0 + SQRT5) / 2.0
+_BIG = (5.0 + SQRT5) / (2.0 * _SB)
+_SMALL = math.sqrt(5.0 / -RADICAL_B)
+_RADICAL_ROWS = (
+    (2.0, 0.0, 2.0, 0.0),
+    (_HALF_M, _BIG, -_HALF_P, _SMALL),
+    (-_HALF_P, _SMALL, _HALF_M, -_BIG),
+    (-_HALF_P, -_SMALL, _HALF_M, _BIG),
+    (_HALF_M, -_BIG, -_HALF_P, -_SMALL),
+)
 
 
 def g5_closed_radical(k: int, y: float) -> float:
-    """Radical closed form of g_{5k}(y).
-
-    The underlying expressions give the value at a doubled argument, so y/2
-    is substituted internally; callers always pass the natural argument.
-    """
-    return _g5_radical_doubled(k, y / 2.0)
+    """Radical closed form of g_{5k}(y), in the radicals a and b."""
+    if not 0 <= k <= 4:
+        raise ValueError(f"index must be 0..4, got {k}")
+    p, q, r, t = _RADICAL_ROWS[k]
+    x = y / 2.0
+    try:
+        e2 = math.exp(2.0 * x) / 5.0
+        ea = math.exp(RADICAL_A * x) / 5.0
+        em = math.exp(-(1.0 + RADICAL_A) * x) / 5.0
+    except OverflowError:
+        raise Overflow(f"g5{k}({y}) exceeds the floating-point range") from None
+    return (e2 + ea * (p * math.cos(_SB * x) + q * math.sin(_SB * x))
+            + em * (r * math.cos(_S5B * x) + t * math.sin(_S5B * x)))
 
 
 def _g5_values(y: float) -> tuple[float, float, float, float, float]:
@@ -173,47 +170,39 @@ def exp_h1_plus_h4(y: float) -> PentaComplex:
     """exp((h1 + h4) * y).
 
     For |y| <= SERIES_UP_TO the ring product exp(h1*y) * exp(h4*y) of the
-    series expansions, where the closed form's O(1) terms cancel to
-    components of size y^2; it is within a few ulp in every component.
-    Beyond, the closed form: three real exponentials with rates 2, a and
-    -(1+a) distribute over the constant, h1+h4 and h2+h3 directions.
+    series expansions, where the lift's O(1) terms cancel to components of
+    size y^2; it is within a few ulp in every component.  Beyond, the lift
+    `elementary.exp`.
     """
     if abs(y) <= SERIES_UP_TO:
         x0, x1, x2, _, _ = multiply(exp_basis(1, y), exp_basis(4, y)).components
         # the product sums its h2 and h3 components in different orders;
         # the element is symmetric, so both take h2 (and h4 takes h1)
         return PentaComplex(x0, x1, x2, x2, x1)
-    a = RADICAL_A
-    try:
-        e2 = math.exp(2.0 * y) / 5.0
-        ea = math.exp(a * y) / 5.0
-        em = math.exp(-(1.0 + a) * y) / 5.0
-    except OverflowError:
-        raise Overflow(f"exp((h1 + h4) * {y}) exceeds the floating-point range") from None
-    c0 = e2 + 2.0 * ea + 2.0 * em
-    c14 = e2 + a * ea - (a + 1.0) * em
-    c23 = e2 - (a + 1.0) * ea + a * em
-    return PentaComplex(c0, c14, c23, c23, c14)
+    return exp(PentaComplex(0.0, y, 0.0, 0.0, y))
 
 
 def exp_h1_minus_h4(y: float) -> PentaComplex:
-    """exp((h1 - h4) * y) in closed form.
+    """exp((h1 - h4) * y).
 
-    Purely oscillatory: cosines at frequencies sqrt(-b) and sqrt(5+b) on the
-    symmetric directions, sines on the antisymmetric ones.
+    For |y| <= 1 the ring series, each component summed exactly: the n-th
+    term is the one before times (h1 - h4) * y / n, and h1, h4 shift the
+    component index by +1 and -1 (mod 5).  It is within a few ulp in every
+    component, where the lift's O(1) terms cancel to components of size
+    y^2.  Beyond, the lift `elementary.exp`.
     """
-    b = RADICAL_B
-    c1 = math.cos(_SB * y)
-    s1 = math.sin(_SB * y)
-    c2 = math.cos(_S5B * y)
-    s2 = math.sin(_S5B * y)
-    sym0 = 0.2 + 0.4 * c1 + 0.4 * c2
-    sym14 = 0.2 - (b + 3.0) / 5.0 * c1 + (b + 2.0) / 5.0 * c2
-    sym23 = 0.2 + (b + 2.0) / 5.0 * c1 - (b + 3.0) / 5.0 * c2
-    anti14 = _SB / 5.0 * s1 + s2 / math.sqrt(-5.0 * b)
-    anti23 = -(2.0 * b + 5.0) / (5.0 * _SB) * s1 + (b + 2.0) / math.sqrt(-5.0 * b) * s2
-    return PentaComplex(sym0, sym14 + anti14, sym23 + anti23,
-                        sym23 - anti23, sym14 - anti14)
+    if abs(y) > _MINUS_SERIES_UP_TO:
+        return exp(PentaComplex(0.0, y, 0.0, 0.0, -y))
+    terms = [(1.0, 0.0, 0.0, 0.0, 0.0)]
+    # the smallest leading term is y^2/2, in h2 and h3
+    floor = SERIES_CUTOFF * y * y / 2.0
+    for n in range(1, 60):
+        t0, t1, t2, t3, t4 = terms[-1]
+        terms.append(((t4 - t1) * y / n, (t0 - t2) * y / n, (t1 - t3) * y / n,
+                      (t2 - t4) * y / n, (t3 - t0) * y / n))
+        if n >= 2 and max(map(abs, terms[-1])) <= floor:
+            break
+    return PentaComplex(*map(math.fsum, zip(*terms)))
 
 
 def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:
@@ -226,7 +215,13 @@ def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:
         raise ValueError(f"permutation index must be 1..4, got {perm}")
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
-    return exp_basis(perm, l * y)
+    try:
+        ly = l * y
+    except OverflowError:  # an int l beyond the float range
+        ly = math.inf
+    if not math.isfinite(ly):
+        raise Overflow(f"exp(h{perm} * {y}) to the power l exceeds the floating-point range")
+    return exp_basis(perm, ly)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +340,16 @@ def _closed_fgh(m: int) -> tuple[int, int, int]:
     return F, G, H
 
 
+# per family: the sequence names, their values at subscript 1, the step
+# from subscript m to m+1, and the closed form at subscript m
+_FAMILIES = {
+    PowerKind.A_PLUS: ("ABC", (1, 0, 0), lambda a, b, c: (b + c, a + b, 2 * a), _closed_abc),
+    PowerKind.D_MINUS: ("DE", (-3, -1), lambda d, e: (-3 * d - e, -d - 2 * e), _closed_de),
+    PowerKind.F_MINUS: ("FGH", (0, 1, -2),
+                        lambda f, g, h: (-f + g, f - 2 * g + h, 2 * (g - h)), _closed_fgh),
+}
+
+
 def power_coeffs(kind: PowerKind, m: int) -> PowerCoefficients:
     """Coefficient families up to subscript m, by recurrence and closed form.
 
@@ -354,44 +359,13 @@ def power_coeffs(kind: PowerKind, m: int) -> PowerCoefficients:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if kind is PowerKind.A_PLUS:
-        A, B, C = [1], [0], [0]
-        for _ in range(1, m):
-            A.append(B[-1] + C[-1])
-            B.append(A[-2] + B[-1])
-            C.append(2 * A[-2])
-        closed = [_closed_abc(mm) for mm in range(1, m + 1)]
-        return PowerCoefficients(
-            kind=kind, m=m,
-            recurrence={"A": tuple(A), "B": tuple(B), "C": tuple(C)},
-            closed_form={"A": tuple(c[0] for c in closed),
-                         "B": tuple(c[1] for c in closed),
-                         "C": tuple(c[2] for c in closed)},
-        )
-    if kind is PowerKind.D_MINUS:
-        D, E = [-3], [-1]
-        for _ in range(1, m):
-            D.append(-3 * D[-1] - E[-1])
-            E.append(-D[-2] - 2 * E[-1])
-        closed = [_closed_de(mm) for mm in range(1, m + 1)]
-        return PowerCoefficients(
-            kind=kind, m=m,
-            recurrence={"D": tuple(D), "E": tuple(E)},
-            closed_form={"D": tuple(c[0] for c in closed),
-                         "E": tuple(c[1] for c in closed)},
-        )
-    if kind is PowerKind.F_MINUS:
-        F, G, H = [0], [1], [-2]
-        for _ in range(1, m):
-            F.append(-F[-1] + G[-1])
-            G.append(F[-2] - 2 * G[-1] + H[-1])
-            H.append(2 * (G[-2] - H[-1]))
-        closed = [_closed_fgh(mm) for mm in range(1, m + 1)]
-        return PowerCoefficients(
-            kind=kind, m=m,
-            recurrence={"F": tuple(F), "G": tuple(G), "H": tuple(H)},
-            closed_form={"F": tuple(c[0] for c in closed),
-                         "G": tuple(c[1] for c in closed),
-                         "H": tuple(c[2] for c in closed)},
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    if not isinstance(kind, PowerKind):
+        raise ValueError(f"unknown kind {kind!r}")
+    names, first, step, closed = _FAMILIES[kind]
+    rows = [first]
+    for _ in range(1, m):
+        rows.append(step(*rows[-1]))
+    closed_rows = [closed(mm) for mm in range(1, m + 1)]
+    return PowerCoefficients(kind=kind, m=m,
+                             recurrence=dict(zip(names, zip(*rows))),
+                             closed_form=dict(zip(names, zip(*closed_rows))))

@@ -242,9 +242,25 @@ def _suite_cosexp_triple(c: _Checker):
     # 4 ulp of the exact rational series where they come from the series
     for y in (1e-8, -1e-5, 1e-2, -0.5, 1.5):
         for k, got in enumerate(cosexp.cosexp_values(y).g):
-            want = sum(Fraction(y) ** n / math.factorial(n) for n in range(k, 60, 5))
-            err = abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+            err = _ulps_off(got, _exact_g5(k, y))
             c.check(err <= 4, f"cosexp_values g5{k}({y}) is {float(err):.3g} ulp off")
+    # and exp((h1 +- h4) y) = exp(h1 y) exp(h4 (+-y)), whose h4^m is h_{-m},
+    # up to the |y| where exp_h1_minus_h4 sums its series
+    for y in (1e-8, -1e-4, 0.1, -0.6, 1.0):
+        g = [_exact_g5(k, y) for k in range(5)]
+        for sign, f in ((1, cosexp.exp_h1_plus_h4), (-1, cosexp.exp_h1_minus_h4)):
+            h = [_exact_g5(m, sign * y) for m in range(5)]
+            for j, got in enumerate(f(y)):
+                err = _ulps_off(got, sum(g[(j + m) % 5] * h[m] for m in range(5)))
+                c.check(err <= 4, f"{f.__name__}({y}) h{j} is {float(err):.3g} ulp off")
+
+
+def _exact_g5(k: int, y: float) -> Fraction:
+    return sum(Fraction(y) ** n / math.factorial(n) for n in range(k, 60, 5))
+
+
+def _ulps_off(got: float, want: Fraction) -> Fraction:
+    return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
 
 
 def suite_cosexp_triple() -> SuiteResult:

@@ -216,6 +216,19 @@ def test_winding_is_scale_free():
             assert got == want, (pts, k)
 
 
+def test_winding_near_the_float_ceiling():
+    # numpy's quotient of two such vertices relative to the point overflows
+    # inside and came back nan
+    loop = plane_circle(PentaComplex(0.3, 0.1, -0.2, 0.05, 0.15), 1, 1.0, vertices=8)
+    assert winding((1e308, 1e308), project(loop, 1)) == 0
+    # around the origin, the vertex at 45 degrees has both coordinates at
+    # 0.92e308
+    octagon = PlaneProjection(np.array([(1.3e308 * math.cos(TWO_PI * i / 8),
+                                         1.3e308 * math.sin(TWO_PI * i / 8))
+                                        for i in range(8)]), 1, True)
+    assert winding((0.0, 0.0), octagon) == 1
+
+
 @pytest.mark.parametrize("r", [1e-200, 1e160])
 def test_residue_formula_at_extreme_loop_radius(r):
     # windings from products of coordinates under- or overflow at this scale
