@@ -70,8 +70,16 @@ class ComponentPolynomials:
 
     def evaluate(self, u: PentaComplex) -> PentaComplex:
         """Horner on each canonical component of u, reassembled once; a
-        value beyond the floating-point range raises Overflow."""
-        vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+        value beyond the floating-point range raises Overflow.  A batch of
+        elements (contour's nodes) holds no components: it runs Horner on
+        its columns itself, through its `horner` method."""
+        try:
+            comps = u.components
+        except AttributeError:
+            if hasattr(u, "horner"):
+                return u.horner(self.pplus, self.p1, self.p2)
+            raise
+        vp, v1, tv1, v2, tv2 = _to_canon_comps(comps)
         z1 = complex(v1, tv1)
         z2 = complex(v2, tv2)
         wp = 0.0

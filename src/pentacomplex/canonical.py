@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .algebra import DIM, PentaComplex, _result
+from .algebra import DIM, PentaComplex, _new, _result
 from .errors import NonInvertible, Overflow
 
 if TYPE_CHECKING:
@@ -138,9 +138,23 @@ def _from_canon_comps(w: tuple) -> tuple:
     )
 
 
+_set_attr = object.__setattr__
+
+
+def _record(cls: type, fields: dict):
+    """An instance of the frozen dataclass cls whose fields are `fields`,
+    a dict in field order, built in one step instead of one
+    object.__setattr__ per field.  Only for values the package computed
+    itself: nothing is converted or checked, and no __post_init__ runs."""
+    rec = _new(cls)
+    _set_attr(rec, "__dict__", fields)
+    return rec
+
+
 def _modulus(u: PentaComplex) -> float:
-    """|u|, raising Overflow where it exceeds the floating-point range."""
-    d = abs(u)
+    """|u| (abs(u), without its call), raising Overflow where it exceeds
+    the floating-point range."""
+    d = math.hypot(*u.components)
     if d == math.inf:
         raise Overflow("modulus exceeds the floating-point range")
     return d
@@ -216,7 +230,8 @@ def canonical_basis() -> tuple[PentaComplex, PentaComplex, PentaComplex,
 
 def to_canonical(u: PentaComplex) -> CanonicalForm:
     """Project u onto the real line and the two planes."""
-    return CanonicalForm(*_to_canon_comps(u.components))
+    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    return _record(CanonicalForm, {"vplus": vp, "v1": v1, "tv1": tv1, "v2": v2, "tv2": tv2})
 
 
 def from_canonical(c: CanonicalForm) -> PentaComplex:
@@ -230,23 +245,22 @@ def from_canonical(c: CanonicalForm) -> PentaComplex:
 def canonical_multiply(c: CanonicalForm, d: CanonicalForm) -> CanonicalForm:
     """Componentwise product: real scaling plus complex product in each
     plane.  A product beyond the floating-point range raises Overflow."""
-    w = (c.vplus * d.vplus,
-         c.v1 * d.v1 - c.tv1 * d.tv1,
-         c.v1 * d.tv1 + c.tv1 * d.v1,
-         c.v2 * d.v2 - c.tv2 * d.tv2,
-         c.v2 * d.tv2 + c.tv2 * d.v2)
-    if w[0] * 0.0 + w[1] * 0.0 + w[2] * 0.0 + w[3] * 0.0 + w[4] * 0.0 != 0.0:
+    vp = c.vplus * d.vplus
+    v1 = c.v1 * d.v1 - c.tv1 * d.tv1
+    tv1 = c.v1 * d.tv1 + c.tv1 * d.v1
+    v2 = c.v2 * d.v2 - c.tv2 * d.tv2
+    tv2 = c.v2 * d.tv2 + c.tv2 * d.v2
+    if vp * 0.0 + v1 * 0.0 + tv1 * 0.0 + v2 * 0.0 + tv2 * 0.0 != 0.0:
         # a partial product such as v1*v1 can overflow where v1*v1 - tv1*tv1
         # is representable: the planes again with c's halved, doubled after
         h1, ht1, h2, ht2 = 0.5 * c.v1, 0.5 * c.tv1, 0.5 * c.v2, 0.5 * c.tv2
-        w = (w[0],
-             2.0 * (h1 * d.v1 - ht1 * d.tv1),
-             2.0 * (h1 * d.tv1 + ht1 * d.v1),
-             2.0 * (h2 * d.v2 - ht2 * d.tv2),
-             2.0 * (h2 * d.tv2 + ht2 * d.v2))
-        if w[0] * 0.0 + w[1] * 0.0 + w[2] * 0.0 + w[3] * 0.0 + w[4] * 0.0 != 0.0:
+        v1 = 2.0 * (h1 * d.v1 - ht1 * d.tv1)
+        tv1 = 2.0 * (h1 * d.tv1 + ht1 * d.v1)
+        v2 = 2.0 * (h2 * d.v2 - ht2 * d.tv2)
+        tv2 = 2.0 * (h2 * d.tv2 + ht2 * d.v2)
+        if vp * 0.0 + v1 * 0.0 + tv1 * 0.0 + v2 * 0.0 + tv2 * 0.0 != 0.0:
             raise Overflow("canonical product exceeds the floating-point range")
-    return CanonicalForm(*w)
+    return _record(CanonicalForm, {"vplus": vp, "v1": v1, "tv1": tv1, "v2": v2, "tv2": tv2})
 
 
 _SQ25 = math.sqrt(2.0 / 5.0)
@@ -269,7 +283,8 @@ def rotated_coords(u: PentaComplex) -> RotatedCoords:
     v_k = sqrt(5/2)*xi_k, tv_k = sqrt(5/2)*eta_k.
     """
     vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
-    return RotatedCoords(vp / SQRT5, _SQ25 * v1, _SQ25 * tv1, _SQ25 * v2, _SQ25 * tv2)
+    return _record(RotatedCoords, {"xiplus": vp / SQRT5, "xi1": _SQ25 * v1, "eta1": _SQ25 * tv1,
+                                   "xi2": _SQ25 * v2, "eta2": _SQ25 * tv2})
 
 
 def irreducible_rep(u: PentaComplex) -> IrreducibleRep:

@@ -49,6 +49,12 @@ _ROT = rotation_matrix()
 _FROM_CANON = np.array([e.components for e in (E_PLUS, E1, E1_TILDE, E2, E2_TILDE)])
 # the ring's 1 in canonical coordinates
 _ONE = np.array(_to_canon_comps((1.0, 0.0, 0.0, 0.0, 0.0)))
+# winding works at a quarter scale where a vertex is this far from the
+# point: below it every coordinate of a difference or an edge, and every
+# distance, is finite
+_CEILING = 2.0 ** 1022
+# 1/sqrt2 rounded down
+_SQRT_HALF = 0.7071067811865475
 
 
 @dataclass(frozen=True)
@@ -191,22 +197,34 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     polygon; the message quotes the cutoff applied.  The edge parameters and
     the angles are quotients of the vertices relative to the point (complex
     numbers), so they stay in range at scales where products of
-    coordinates under- or overflow (beyond about 1e+-154).
+    coordinates under- or overflow (beyond about 1e+-154).  Where a vertex
+    is 2**1022 or more from the point, the work runs at a quarter of the
+    scale, so no difference or distance overflows up to the float ceiling.
     """
     if not polygon.closed:
         raise ValueError("winding number needs a closed polygon")
     x, y = point
-    a = polygon._z - complex(x, y)
-    b = _ends(a, True)
-    d = b - a
-    cutoff = TAU_EDGE * np.abs(a).max(initial=0.0) if tol is None else tol
-    # nearest point of each edge to the origin (the point) at a + t*d, with
-    # t = -(a . d)/|d|^2 = -Re(a/d), clipped (a quotient beyond the float
-    # range clips to an end); a zero-length edge is its own nearest point
+    scale = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = polygon._z - complex(x, y)
+        far = np.abs(a).max(initial=0.0)
+        if not far < _CEILING:
+            # a difference, an edge or a distance may be beyond the float
+            # range: everything at a quarter (exact at this size), the
+            # distances scaled back where they are compared
+            scale = 4.0
+            a = 0.25 * polygon._z - complex(0.25 * x, 0.25 * y)
+            far = np.abs(a).max(initial=0.0)
+        b = _ends(a, True)
+        d = b - a
+        cutoff = TAU_EDGE * far * scale if tol is None else tol
+        # nearest point of each edge to the origin (the point) at a + t*d,
+        # with t = -(a . d)/|d|^2 = -Re(a/d), clipped (a quotient beyond the
+        # float range clips to an end); a zero-length edge is its own
+        # nearest point
         t = np.minimum(np.maximum(-(a / d).real, 0.0), 1.0)
-    t[d == 0.0] = 0.0
-    close = np.abs(a + t * d) <= cutoff
+        t[d == 0.0] = 0.0
+        close = np.abs(a + t * d) * scale <= cutoff
     if close.any():
         raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge {int(close.argmax())}")
     # halved first (exactly): numpy's quotient of two near the float
@@ -291,10 +309,11 @@ class _Batch:
     elementwise: a real product on the line and a complex product on each
     plane.  The operators are those of PentaComplex: +, -, unary - and *
     with a batch, a PentaComplex or a real scalar, and / by a real scalar;
-    multiply and elementary's builtins reach `product` and `lift`.  A
-    batch has no components, so an evaluator that reads them raises.
-    Nothing is checked on the way: a value beyond the float range becomes
-    inf or nan, which _evaluate tests once, on the result."""
+    multiply, elementary's builtins and analytic's component polynomials
+    reach `product`, `lift` and `horner`.  A batch has no components, so an
+    evaluator that reads them raises.  Nothing is checked on the way: a
+    value beyond the float range becomes inf or nan, which _evaluate tests
+    once, on the result."""
 
     __slots__ = ("canon",)
     __array_ufunc__ = None  # a numpy operand defers to these operators
@@ -348,6 +367,22 @@ class _Batch:
         _planes(out)[:] = getattr(np, plane_fn.__name__)(_planes(self.canon))
         return _Batch(out)
 
+    def horner(self, pplus, p1, p2) -> "_Batch":
+        """The real polynomial pplus on the line and the complex p1, p2 on
+        the planes, coefficients descending, by Horner on the columns
+        (analytic's ComponentPolynomials.evaluate)."""
+        line = self.canon[:, 0]
+        z = _planes(self.canon)
+        wp = np.zeros_like(line)
+        w = np.zeros_like(z)
+        for ap, a1, a2 in zip(pplus, p1, p2):
+            wp = wp * line + ap
+            w = w * z + (a1, a2)
+        out = np.empty_like(self.canon)
+        out[:, 0] = wp
+        _planes(out)[:] = w
+        return _Batch(out)
+
 
 def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
     """Canonical components of f at every node (rows of `nodes`, whose
@@ -375,6 +410,16 @@ def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
     """inverse's divisor-of-zero test on every row: rel holds u - u0 at
     the quadrature nodes and then at the path's vertices (from row `nodes`
     on), rel_c its canonical coordinates."""
+    # a screen without hypot first.  With s_k = |v_k| + |tv_k|, rho_k is
+    # at least s_k/sqrt2, and |u|^2 = (vplus^2 + 2*rho1^2 + 2*rho2^2)/5 puts
+    # |u| below |vplus| + s1 + s2; the factor 2 covers the rounding.  A
+    # row that passes passes the test below; inf and nan rows fail it
+    a = np.abs(rel_c)
+    s1 = a[:, 1] + a[:, 2]
+    s2 = a[:, 3] + a[:, 4]
+    least = np.minimum(a[:, 0], np.minimum(s1, s2) * _SQRT_HALF)
+    if (least > (2.0 * TAU_REL) * (a[:, 0] + s1 + s2)).all():
+        return
     # moduli by hypot (a complex abs is one), so no square under- or
     # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4).  fmin skips a
     # NaN as `or` would, and needs no reduction along the short axis

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import SQRT5, TAU_REL, TWO_PI, _modulus, _to_canon_comps
+from .canonical import SQRT5, TAU_REL, TWO_PI, _modulus, _record, _to_canon_comps
 from .errors import AngleUndefined, Overflow
 
 SQRT2 = math.sqrt(2.0)
@@ -165,8 +165,9 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
         thetaplus = math.atan2(SQRT2 * rho1, vp)
     else:
         undefined["thetaplus"] = "vplus and rho1 both vanish"
-    return PolarForm(d=d, rho=rho, rho1=rho1, rho2=rho2, phi1=phi1, phi2=phi2,
-                     psi1=psi1, thetaplus=thetaplus, undefined=undefined)
+    return _record(PolarForm, {"d": d, "rho": rho, "rho1": rho1, "rho2": rho2, "phi1": phi1,
+                               "phi2": phi2, "psi1": psi1, "thetaplus": thetaplus,
+                               "undefined": undefined})
 
 
 def modulus_product_bound(u: PentaComplex, v: PentaComplex) -> tuple[float, float]:

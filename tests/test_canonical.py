@@ -1,13 +1,16 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pentacomplex import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
-                          ONE, CanonicalForm, Overflow, PentaComplex, add,
-                          canonical_basis, canonical_multiply, from_canonical,
-                          irreducible_rep, multiply, rotated_coords,
+                          ONE, CanonicalForm, Overflow, PentaComplex, PolarForm,
+                          RotatedCoords, add, canonical_basis,
+                          canonical_multiply, from_canonical, irreducible_rep,
+                          multiply, polar_form, rotated_coords,
                           rotation_matrix, to_canonical, to_matrix)
 from pentacomplex.canonical import (_E1, _E2, _E_PLUS, _TE1, _TE2,
                                    _from_canon_comps)
@@ -272,3 +275,54 @@ def test_derived_tables_are_bit_identical_to_the_literal_tables():
     assert rotation_matrix().tobytes() == rot.tobytes()
     got = (_E_PLUS, _E1, _TE1, _E2, _TE2)
     assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in basis]
+
+
+def built_records():
+    """The records the package builds in one step, each with the class it
+    claims to be."""
+    u = PentaComplex(1.3, -0.4, 0.25, 0.7, -0.9)
+    v = PentaComplex(0.8, 0.1, -0.3, 0.2, 0.5)
+    # v1*v1 overflows although v1*v1 - tv1*tv1 does not
+    big = CanonicalForm(1.0, 1.35e154, 0.5e154, 1.0, 0.0)
+    # every angle defined, and phi1, phi2 and psi1 undefined (both plane
+    # radii vanish)
+    full, flat = polar_form(u), polar_form(E_PLUS)
+    assert not full.undefined and set(flat.undefined) == {"phi1", "phi2", "psi1"}
+    return [
+        (CanonicalForm, to_canonical(u)),
+        (CanonicalForm, canonical_multiply(to_canonical(u), to_canonical(v))),
+        # the product's halved route
+        (CanonicalForm, canonical_multiply(big, big)),
+        (RotatedCoords, rotated_coords(u)),
+        (PolarForm, full),
+        (PolarForm, flat),
+    ]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls, rec", built_records())
+def test_built_records_are_the_constructors_records(cls, rec):
+    names = [f.name for f in dataclasses.fields(cls)]
+    want = cls(*(getattr(rec, name) for name in names))
+    assert type(rec) is cls
+    assert list(vars(rec)) == names and vars(rec) == vars(want)
+    assert rec == want and want == rec
+    assert repr(rec) == repr(want)
+    assert dataclasses.astuple(rec) == dataclasses.astuple(want)
+    # PolarForm holds a dict, so neither is hashable
+    assert outcome(hash, rec) == outcome(hash, want)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, name)
+    assert rec == want  # the refused writes changed nothing
+    for other in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec),
+                  dataclasses.replace(rec)):
+        assert type(other) is cls and other == rec and repr(other) == repr(rec)

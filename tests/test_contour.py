@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
@@ -15,9 +17,10 @@ from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
                           project_point, residue_formula, series_eval, sin, sinh,
                           winding)
 from pentacomplex.algebra import _result
+from pentacomplex.analytic import series_eval_components
 from pentacomplex.canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
                                     _from_canon_comps)
-from pentacomplex.contour import _CANON, _ROT, PlaneProjection
+from pentacomplex.contour import _CANON, _FROM_CANON, _ROT, PlaneProjection
 
 TWO_PI = 2 * math.pi
 
@@ -227,6 +230,18 @@ def test_winding_near_the_float_ceiling():
                                          1.3e308 * math.sin(TWO_PI * i / 8))
                                         for i in range(8)]), 1, True)
     assert winding((0.0, 0.0), octagon) == 1
+    # the point 1.41e308 from the origin, outside the octagon: a vertex
+    # relative to it, and an edge, are beyond the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert winding((-1e308, 1e308), octagon) == 0
+        # on an edge whose length is beyond the float range
+        square = PlaneProjection([(1.2e308, -1e308), (1.2e308, 1e308),
+                                  (-1.2e308, 1e308), (-1.2e308, -1e308)], 1, True)
+        assert winding((0.0, 0.0), square) == 1
+        for point, edge in (((0.0, -1e308), 3), ((1.2e308, 0.0), 0)):
+            with pytest.raises(OnBoundary, match=f"within [0-9.e+]+ of edge {edge}$"):
+                winding(point, square)
 
 
 @pytest.mark.parametrize("r", [1e-200, 1e160])
@@ -682,6 +697,28 @@ def test_series_and_ring_arithmetic_take_the_batch_route():
             g(batch)
 
 
+def test_component_polynomials_take_the_batch_route():
+    # series_eval_components runs Horner on the canonical components; on a
+    # batch it runs on its columns, so residue_formula calls f once with it
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    a = PentaComplex(0.5, -0.25, 0.125, 0.0, 1.0)
+    series = PowerSeries((a, ONE, -0.5 * a, 0.25 * ONE))
+    seen = []
+
+    def f(u):
+        seen.append(u)
+        return series_eval_components(series, u)
+
+    loop = both_planes_loop(u0, vertices=64)
+    residue_formula(f, loop, u0, samples=256)
+    batches = [u for u in seen if isinstance(u, contour._Batch)]
+    assert len(seen) == 2 and len(batches) == 1
+    nodes = batches[0].canon @ _FROM_CANON
+    want = loop_evaluate(lambda u: series_eval_components(series, u), nodes)
+    got = series_eval_components(series, batches[0]).canon
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+
+
 def test_vertex_array_is_the_row_list():
     path = plane_circle(PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15), 2, 1.0, vertices=97)
     want = np.array([v.components for v in path.vertices])
@@ -859,6 +896,46 @@ def reference_invertible(rel, rel_c, nodes):
         where = f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
         raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
                                   f"of zero at {where}")
+
+
+@st.composite
+def guard_rows(draw):
+    """Rows u - u0 for _invertible, with the index of the first vertex row:
+    canonical parts at scales 2**-1000 to 2**1000, in some rows one part
+    scaled to about TAU_REL of the others, in some an inf or a nan."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        canon = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
+        part = draw(st.sampled_from((None,) * 9 + (0, 1, 2)))
+        if part is not None:
+            cols = [0] if part == 0 else [2 * part - 1, 2 * part]
+            canon[cols] *= draw(st.floats(0.25, 4.0)) * contour.TAU_REL
+        row = (canon * 2.0 ** draw(st.integers(-1000, 1000))) @ _FROM_CANON
+        special = draw(st.sampled_from((None,) * 27 + (math.inf, -math.inf, math.nan)))
+        if special is not None:
+            row[draw(st.integers(0, 4))] = special
+        rows.append(row)
+    return np.array(rows), draw(st.integers(0, n))
+
+
+def guard_outcome(fn, rel, nodes):
+    # an inf or nan row that fails the test cannot be quoted as an element:
+    # both raise PentaComplex's ValueError
+    try:
+        with np.errstate(all="ignore"):
+            fn(rel, rel @ _CANON.T, nodes)
+    except (NonInvertibleOnPath, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(guard_rows())
+def test_invertible_screen_raises_exactly_when_the_reference_does(rows):
+    rel, nodes = rows
+    assert guard_outcome(contour._invertible, rel, nodes) == guard_outcome(
+        reference_invertible, rel, nodes)
 
 
 def reference_pole_integral(rel_c):

@@ -44,6 +44,8 @@ def test_polar_form_of_line_idempotent():
         assert err.value.which == name
     d = pf.to_dict()
     assert d["phi1"] is None and "phi1" in d["undefined"]
+    # each result owns its dict
+    assert polar_form(E_PLUS).undefined is not pf.undefined
 
 
 def test_norm_split_identity():

@@ -1,16 +1,20 @@
-"""Contour rows of perfbench for one or more source trees, as one JSON record.
+"""Perfbench rows of one workload for one or more source trees, as one JSON record.
 
 Usage, from the root of a checkout:
 
     python3 tools/bench_contour.py --src parent=DIR --src change=. --out BENCH.json
+    python3 tools/bench_contour.py --workload elementwise --src parent=DIR --src change=.
     python3 tools/bench_contour.py --smoke --src change=. --out /tmp/bench.json
 
 Each --src LABEL=DIR names a checkout.  The script runs that checkout's own
-perfbench/run.py on the contour workload at seed 1, each run a fresh
-process: once with --trace 0, whose last line holds the end-to-end metrics
-(items_per_s and the rest), and once with --trace 1, whose last line holds
-the per-layer rows (contour.residue_formula.builtin.ms, .callable.ms,
-contour.integrate.us_per_node, contour.project.us, contour.winding.us, ...).
+perfbench/run.py on the workload (--workload, contour by default) at seed 1,
+each run a fresh process: once with --trace 0, whose last line holds the
+end-to-end metrics (items_per_s and the rest), and once with --trace 1,
+whose last line holds the per-layer rows of the workload's layers: for
+contour the contour.* rows (contour.residue_formula.builtin.ms, .callable.ms,
+contour.integrate.us_per_node, contour.project.us, contour.winding.us, ...),
+for elementwise the algebra.*, canonical.*, geometry.* and elementary.*
+rows (canonical.to_canonical.us, geometry.polar_form.us, ...).
 The trees take turns, ABBA, for --pairs rounds, so drift of the host's speed
 falls on all alike.  The record holds the machine, these rows of every run as
 perfbench printed them, and per tree the median of each row over its runs;
@@ -31,24 +35,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run  # noqa: E402  (perfbench/run.py: machine())
 
-WORKLOAD, SEED = "contour", 1
+SEED = 1
+# the layers whose per-layer rows each workload's traced run reports
+LAYERS = {"contour": ("contour.",),
+          "elementwise": ("algebra.", "canonical.", "geometry.", "elementary.")}
 
 
-def rows_wanted() -> dict:
+def rows_wanted(workload: str) -> dict:
     """name -> (unit, better, trace): every end-to-end metric, from the
-    untraced run, and every contour layer row, from the traced one."""
+    untraced run, and every row of the workload's layers, from the traced
+    one."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     rows = {m["name"]: (m["unit"], m["better"], 0) for m in spec["end_to_end"]}
     rows.update((m["name"], (m["unit"], m["better"], 1)) for m in spec["per_layer"]
-                if m["name"].startswith(WORKLOAD + "."))
+                if m["name"].startswith(LAYERS[workload]))
     return rows
 
 
-def perfbench(tree: str, trace: int, seconds: float, names) -> dict:
+def perfbench(tree: str, workload: str, trace: int, seconds: float, names) -> dict:
     """The last JSON line of one run of the tree's perfbench/run.py, with
     only the metrics in names."""
-    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", WORKLOAD,
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode:
@@ -61,6 +69,8 @@ def perfbench(tree: str, trace: int, seconds: float, names) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workload", choices=sorted(LAYERS), default="contour",
+                   help="the perfbench workload to run (default: contour)")
     p.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
                    help="a checkout to run, under a label; repeat for each tree")
     p.add_argument("--pairs", type=int, default=3, help="rounds of runs per tree")
@@ -80,12 +90,12 @@ def main(argv=None) -> int:
         trees.append((label, os.path.abspath(path)))
     pairs, seconds = (1, 1.0) if args.smoke else (args.pairs, args.seconds)
 
-    wanted = rows_wanted()
+    wanted = rows_wanted(args.workload)
     names = {t: [k for k, (_, _, trace) in wanted.items() if trace == t] for t in (0, 1)}
     runs = {label: [] for label, _ in trees}
     for i in range(pairs):
         for label, path in trees if i % 2 == 0 else trees[::-1]:
-            runs[label].append({f"trace{t}": perfbench(path, t, seconds, names[t])
+            runs[label].append({f"trace{t}": perfbench(path, args.workload, t, seconds, names[t])
                                 for t in (0, 1)})
 
     rows = {}
@@ -96,7 +106,7 @@ def main(argv=None) -> int:
                                            for r in runs[label])
         rows[name] = row
     record = {"script": "tools/bench_contour.py", "machine": run.machine(),
-              "workload": WORKLOAD, "seed": SEED, "seconds": seconds, "pairs": pairs,
+              "workload": args.workload, "seed": SEED, "seconds": seconds, "pairs": pairs,
               "smoke": args.smoke, "trees": [label for label, _ in trees],
               "rows": rows, "runs": runs}
     if args.out:
