@@ -30,7 +30,7 @@ from .algebra import DIM, Evaluator, PentaComplex, _call, _result
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
                         _CANON_ROWS, _assemble, _to_canon_comps, rotated_coords,
                         rotation_matrix)
-from .errors import NonInvertibleOnPath, OnBoundary, PoleOnPath
+from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
 TAU_EDGE = 1e-9
@@ -53,8 +53,16 @@ _ONE = np.array(_to_canon_comps((1.0, 0.0, 0.0, 0.0, 0.0)))
 # point: below it every coordinate of a difference or an edge, and every
 # distance, is finite
 _CEILING = 2.0 ** 1022
+# winding skips its exact edge test only where the largest distance lies
+# above _FLOOR, so that every rounding error is relative to it, and every
+# edge's bound clears twice the cutoff by _EDGE_ROUNDING times it
+_FLOOR = 2.0 ** -1000
+_EDGE_ROUNDING = 16 * np.finfo(float).eps
 # 1/sqrt2 rounded down
 _SQRT_HALF = 0.7071067811865475
+# |canonical rows| times it: |vplus|, |v1| + |tv1|, |v2| + |tv2| and their sum
+_SCREEN_SUMS = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1]],
+                        dtype=float)
 
 
 @dataclass(frozen=True)
@@ -200,6 +208,18 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     coordinates under- or overflow (beyond about 1e+-154).  Where a vertex
     is 2**1022 or more from the point, the work runs at a quarter of the
     scale, so no difference or distance overflows up to the float ceiling.
+
+    The edge test is screened first.  With a the vertices relative to the
+    point and d the edges, no point of edge i is nearer the point than
+    |a_i| - |d_i| (the triangle inequality).  Where the largest distance
+    `far` lies between 2**-1000 and 2**1022 and every edge's bound exceeds
+    twice the cutoff by 16*eps*far, the test is skipped: between those
+    scales every rounding error is relative to `far`, the computed bounds
+    lie at most 4*eps*far above the true ones and the distances the test
+    computes at most 3*eps*far below, so none of them could reach the
+    cutoff and the result is the one the test would give.  Otherwise (a
+    point near an edge, edges longer than the point's distance from them,
+    a nan point, far = 0 or far outside that range) the test runs.
     """
     if not polygon.closed:
         raise ValueError("winding number needs a closed polygon")
@@ -207,7 +227,9 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     scale = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = polygon._z - complex(x, y)
-        far = np.abs(a).max(initial=0.0)
+        dist = np.abs(a)
+        far = dist.max(initial=0.0)
+        screen = _FLOOR < far < _CEILING
         if not far < _CEILING:
             # a difference, an edge or a distance may be beyond the float
             # range: everything at a quarter (exact at this size), the
@@ -218,19 +240,22 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
         b = _ends(a, True)
         d = b - a
         cutoff = TAU_EDGE * far * scale if tol is None else tol
-        # nearest point of each edge to the origin (the point) at a + t*d,
-        # with t = -(a . d)/|d|^2 = -Re(a/d), clipped (a quotient beyond the
-        # float range clips to an end); a zero-length edge is its own
-        # nearest point
-        t = np.minimum(np.maximum(-(a / d).real, 0.0), 1.0)
-        t[d == 0.0] = 0.0
-        close = np.abs(a + t * d) * scale <= cutoff
-    if close.any():
-        raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge {int(close.argmax())}")
-    # halved first (exactly): numpy's quotient of two near the float
-    # ceiling overflows inside and comes back nan
-    q = (0.5 * b) / (0.5 * a)
-    return round(float(np.arctan2(q.imag, q.real).sum()) / TWO_PI)
+        if not (screen and (dist - np.abs(d)).min() > 2.0 * cutoff + _EDGE_ROUNDING * far):
+            # nearest point of each edge to the origin (the point) at
+            # a + t*d, with t = -(a . d)/|d|^2 = -Re(a/d), clipped (a
+            # quotient beyond the float range clips to an end); a
+            # zero-length edge is its own nearest point
+            t = np.minimum(np.maximum(-(a / d).real, 0.0), 1.0)
+            t[d == 0.0] = 0.0
+            close = np.abs(a + t * d) * scale <= cutoff
+            if close.any():
+                raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge "
+                                 f"{int(close.argmax())}")
+        # halved first (exactly): numpy's quotient of two near the float
+        # ceiling overflows inside and comes back nan
+        q = (0.5 * b) / (0.5 * a)
+        turns = float(np.arctan2(q.imag, q.real).sum()) / TWO_PI
+    return round(turns)
 
 
 @functools.lru_cache(maxsize=PANEL)
@@ -286,7 +311,11 @@ def _ring_op(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b, b broadcast against a: real on the line, complex on each plane."""
     out = np.empty_like(a)
     out[:, 0] = op(a[:, 0], b[:, 0])
-    _planes(out)[:] = op(_planes(a), _planes(b))
+    # a column at a time: rows of five are 40 bytes apart, so on the (n, 2)
+    # plane view numpy's inner loop would cover only a row's two entries
+    pa, pb, po = _planes(a), _planes(b), _planes(out)
+    for j in (0, 1):
+        op(pa[:, j], pb[:, j], out=po[:, j])
     return out
 
 
@@ -364,7 +393,10 @@ class _Batch:
         builtins)."""
         out = np.empty_like(self.canon)
         out[:, 0] = getattr(np, line_fn.__name__)(self.canon[:, 0])
-        _planes(out)[:] = getattr(np, plane_fn.__name__)(_planes(self.canon))
+        plane_ufunc = getattr(np, plane_fn.__name__)
+        z, zo = _planes(self.canon), _planes(out)
+        for j in (0, 1):  # a column at a time, as in _ring_op
+            plane_ufunc(z[:, j], out=zo[:, j])
         return _Batch(out)
 
     def horner(self, pplus, p1, p2) -> "_Batch":
@@ -386,21 +418,21 @@ class _Batch:
 
 def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
     """Canonical components of f at every node (rows of `nodes`, whose
-    canonical coordinates are `canon`).
+    canonical coordinates are `canon`), under integrate's np.errstate.
 
     f is called once with the batch of all nodes.  Its value is used when it
-    is a batch of the same shape whose entries, and the components they
-    reassemble to, are all finite.  Otherwise (f raised, returned anything
-    else, or a value is not finite) f is called at each node, where a
-    failure raises the typed error of the scalar route.
+    is a batch of the same shape whose entries reassemble to components that
+    are all finite; a non-finite entry gives a non-finite component (inf
+    times 0 is nan), so that one test covers both.  Otherwise (f raised,
+    returned anything else, or a value is not finite) f is called at each
+    node, where a failure raises the typed error of the scalar route.
     """
     try:
-        with np.errstate(all="ignore"):
-            out = f(_Batch(canon))
+        out = f(_Batch(canon))
     except Exception:  # whatever went wrong, the per-node calls report it
         out = None
     if (isinstance(out, _Batch) and out.canon.shape == canon.shape
-            and np.isfinite(out.canon).all() and np.isfinite(out.canon @ _FROM_CANON).all()):
+            and np.isfinite(out.canon @ _FROM_CANON).all()):
         return out.canon
     values = chain.from_iterable(_call(f, _result(*c)).components for c in nodes.tolist())
     return np.fromiter(values, float, nodes.size).reshape(-1, DIM) @ _CANON.T
@@ -409,17 +441,25 @@ def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
 def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
     """inverse's divisor-of-zero test on every row: rel holds u - u0 at
     the quadrature nodes and then at the path's vertices (from row `nodes`
-    on), rel_c its canonical coordinates."""
+    on), rel_c its canonical coordinates.  A row beyond the float range
+    raises Overflow."""
     # a screen without hypot first.  With s_k = |v_k| + |tv_k|, rho_k is
     # at least s_k/sqrt2, and |u|^2 = (vplus^2 + 2*rho1^2 + 2*rho2^2)/5 puts
     # |u| below |vplus| + s1 + s2; the factor 2 covers the rounding.  A
     # row that passes passes the test below; inf and nan rows fail it
-    a = np.abs(rel_c)
-    s1 = a[:, 1] + a[:, 2]
-    s2 = a[:, 3] + a[:, 4]
-    least = np.minimum(a[:, 0], np.minimum(s1, s2) * _SQRT_HALF)
-    if (least > (2.0 * TAU_REL) * (a[:, 0] + s1 + s2)).all():
+    s = np.abs(rel_c) @ _SCREEN_SUMS
+    least = np.minimum(s[:, 0], np.minimum(s[:, 1], s[:, 2]) * _SQRT_HALF)
+    if (least > (2.0 * TAU_REL) * s[:, 3]).all():
         return
+
+    def at(i: int) -> str:
+        return f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
+
+    # u - u0 or its transform overflowed (a non-finite row of rel gives a
+    # non-finite row of rel_c)
+    finite = np.isfinite(rel_c).all(axis=1)
+    if not finite.all():
+        raise Overflow(f"u - u0 exceeds the floating-point range at {at(int(finite.argmin()))}")
     # moduli by hypot (a complex abs is one), so no square under- or
     # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4).  fmin skips a
     # NaN as `or` would, and needs no reduction along the short axis
@@ -429,9 +469,8 @@ def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
     bad = np.fmin(np.abs(rel_c[:, 0]), np.fmin(radii[:, 0], radii[:, 1])) <= tol
     if bad.any():
         i = int(bad.argmax())
-        where = f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
         raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
-                                  f"of zero at {where}")
+                                  f"of zero at {at(i)}")
 
 
 def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -471,24 +510,32 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     verts = path._array
     ends = _ends(verts, path.closed)
     starts = verts[:len(ends)]
-    steps = ends - starts
     t, w = _segment_rule(samples_per_segment)
-    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
-    du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
     origin = np.zeros(DIM) if pole is None else np.array(pole.components)
-    # around a pole the vertices follow the nodes: one transform and one
-    # divisor-of-zero guard for both
-    rel = nodes if pole is None else np.concatenate((nodes, verts)) - origin
-    canon = np.concatenate((rel, du)) @ _CANON.T
-    rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
-    if pole is not None:
-        _invertible(rel, canon[:len(rel)], len(nodes))
-        kernel = _divide(kernel, rel_c)
-    values = _evaluate(f, nodes, rel_c + _CANON @ origin)
-    if pole is not None:
-        values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
-    line = float((values[:, 0] * kernel[:, 0]).sum())
-    z1, z2 = (_planes(values) * _planes(kernel)).sum(axis=0).tolist()
+    # a value beyond the float range becomes inf or nan without a warning;
+    # the divisor-of-zero guard, _evaluate and _assemble raise typed errors
+    # for it
+    with np.errstate(all="ignore"):
+        steps = ends - starts
+        nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
+        du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
+        # around a pole the vertices follow the nodes: one transform and one
+        # divisor-of-zero guard for both
+        rel = nodes if pole is None else np.concatenate((nodes, verts)) - origin
+        canon = np.concatenate((rel, du)) @ _CANON.T
+        rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
+        if pole is not None:
+            _invertible(rel, canon[:len(rel)], len(nodes))
+            kernel = _divide(kernel, rel_c)
+        values = _evaluate(f, nodes, rel_c + _CANON @ origin)
+        if pole is not None:
+            values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
+        line = float((values[:, 0] * kernel[:, 0]).sum())
+        # each plane's products are summed in row order, the order of a sum
+        # along the rows of their (n, 2) array, but a column at a time (see
+        # _ring_op)
+        pv, pk = _planes(values), _planes(kernel)
+        z1, z2 = (complex(np.add.accumulate(pv[:, j] * pk[:, j])[-1]) for j in (0, 1))
     return _assemble(line, z1, z2)
 
 
@@ -508,14 +555,16 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
     raises, returns anything but a batch or gives a value that is not
     finite is f called at each node instead.  The loop must avoid the
     divisor-of-zero sets of u - u0 (vplus = 0 or either plane radius 0); a
-    vertex or node on them raises NonInvertibleOnPath.
+    vertex or node on them raises NonInvertibleOnPath, and one where u - u0
+    or its canonical coordinates leave the float range raises Overflow.
     """
     if not path.closed:
         raise ValueError("the pole identity needs a closed path")
+    xi = rotated_coords(u0)
     windings = []
-    for k in (1, 2):
+    for k, point in ((1, (xi.xi1, xi.eta1)), (2, (xi.xi2, xi.eta2))):
         try:
-            windings.append(winding(project_point(u0, k), project(path, k), tol=tol_edge))
+            windings.append(winding(point, project(path, k), tol=tol_edge))
         except OnBoundary as exc:
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     n1, n2 = windings

@@ -209,6 +209,18 @@ def test_integrate_pole_on_path_is_domain_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "PoleOnPath"
 
 
+def test_integrate_overflow_on_the_path_is_domain_error(tmp_path, capsys):
+    from pentacomplex import PentaComplex, plane_circle
+
+    loop = plane_circle(PentaComplex(1.5e308, 0, 0, 0, 0), 1, 1.0, vertices=8)
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(loop.to_dict()))
+    code, out, err = run(capsys, "integrate", "--path", str(path_file), "--fn", "exp",
+                         "--pole", "[-1e308,0,0,0,0]", "--samples", "8")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "Overflow"
+
+
 def test_factor_command(tmp_path, capsys):
     poly_file = tmp_path / "poly.json"
     poly_file.write_text(json.dumps(

@@ -569,6 +569,28 @@ def test_array_path_overflow_raises_like_scalar_path():
     assert errors[0] == errors[1]
 
 
+def test_overflow_on_the_path_is_typed():
+    # u - u0 is beyond the float range on a loop near 1.5e308 around a pole
+    # at -1e308; pyproject makes a RuntimeWarning an error, so no numpy
+    # warning escapes either
+    loop = plane_circle(PentaComplex(1.5e308, 0, 0, 0, 0), 1, 1.0, vertices=8)
+    u0 = PentaComplex(-1e308, 0, 0, 0, 0)
+    for f in (lambda u: u, exp):
+        with pytest.raises(Overflow, match="^u - u0 exceeds the floating-point range "
+                                           "at quadrature node 0$"):
+            residue_formula(f, loop, u0, samples=8)
+    # without a pole: the nodes' canonical coordinates overflow (vplus
+    # sums the components), the batch value is not finite and the per-node
+    # values overflow in the transform
+    top = PentaComplex(1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.7e308)
+    segment = Path((top, top - 1e307 * PentaComplex(0, 0, 0, 0, 1)))
+    with pytest.raises(Overflow):
+        integrate(lambda u: u, segment, 2)
+    # a constant never sees the nodes: the integral is the segment vector
+    step = integrate(lambda u: ONE, segment, 2)
+    assert dev(step, (0, 0, 0, 0, -1e307)) <= 1e-15 * 1e307
+
+
 def test_overflow_at_the_nodes_raises_the_per_node_error():
     # vplus is 709.3 at u0, where e^vplus is finite, and 710.1 on the loop,
     # where it is not: the batch's value is inf, so f runs per node and
@@ -609,6 +631,26 @@ def test_callable_path_is_bit_identical_to_the_per_row_loop():
         assert got.tobytes() == loop_evaluate(f, nodes).tobytes()
         want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
         assert got.tobytes() == want.tobytes()
+
+
+def test_column_ops_match_the_plane_view():
+    # _ring_op and _Batch.lift run one plane column at a time; the bits are
+    # those of one numpy call on the (n, 2) plane view
+    rng = np.random.default_rng(305)
+    a, b = rng.standard_normal((2, 300, 5)) * 10.0 ** rng.integers(-2, 2, (2, 300, 5))
+    a[0, 1:] = -0.0
+    planes = contour._planes
+    for op in (np.multiply, np.divide):
+        for other in (b, b[:1]):
+            want = np.empty_like(a)
+            want[:, 0] = op(a[:, 0], other[:, 0])
+            planes(want)[:] = op(planes(a), planes(other))
+            assert contour._ring_op(op, a, other).tobytes() == want.tobytes()
+    for name in ("exp", "sin", "cos", "sinh", "cosh"):
+        want = np.empty_like(a)
+        want[:, 0] = getattr(np, name)(a[:, 0])
+        planes(want)[:] = getattr(np, name)(planes(a))
+        assert getattr(elementary, name)(contour._Batch(a)).canon.tobytes() == want.tobytes()
 
 
 def test_evaluators_that_fail_on_a_batch_run_per_node():
@@ -887,15 +929,22 @@ def reference_winding(point, polygon, tol=None):
 
 
 def reference_invertible(rel, rel_c, nodes):
+    """_invertible without its screen: a row beyond the float range raises
+    Overflow first, then the divisor-of-zero test runs on every row."""
+    def at(i):
+        return f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
+
+    overflow = ~np.isfinite(rel_c).all(axis=1)
+    if overflow.any():
+        raise Overflow(f"u - u0 exceeds the floating-point range at {at(int(overflow.argmax()))}")
     pairs = np.abs(contour._planes(rel))
     tol = contour.TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
     radii = np.abs(contour._planes(rel_c))
     bad = (np.abs(rel_c[:, 0]) <= tol) | (radii <= tol[:, None]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
-        where = f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
         raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
-                                  f"of zero at {where}")
+                                  f"of zero at {at(i)}")
 
 
 @st.composite
@@ -920,12 +969,10 @@ def guard_rows(draw):
 
 
 def guard_outcome(fn, rel, nodes):
-    # an inf or nan row that fails the test cannot be quoted as an element:
-    # both raise PentaComplex's ValueError
     try:
         with np.errstate(all="ignore"):
             fn(rel, rel @ _CANON.T, nodes)
-    except (NonInvertibleOnPath, ValueError) as exc:
+    except (NonInvertibleOnPath, Overflow) as exc:
         return type(exc), str(exc)
     return None
 
@@ -936,6 +983,76 @@ def test_invertible_screen_raises_exactly_when_the_reference_does(rows):
     rel, nodes = rows
     assert guard_outcome(contour._invertible, rel, nodes) == guard_outcome(
         reference_invertible, rel, nodes)
+
+
+def exact_winding(point, polygon, tol=None):
+    """winding with its screen switched off: the exact edge test on every
+    call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contour, "_EDGE_ROUNDING", math.inf)
+        return winding(point, polygon, tol)
+
+
+@st.composite
+def winding_cases(draw):
+    """A point, a closed polygon, a tolerance and the power of two k they
+    are scaled by: k from -997 to 997 (about 1e-300 to 1e300), or 1022 and
+    1023, where the largest distance reaches 2**1022.  The polygon is
+    random, regular, a fan, or collapsed to one point give or take a few
+    ulp (a loop in one plane seen from the other: its edges have zero
+    length or rounding length).  The point is anywhere, or 0.5 to 4 cutoffs
+    from an edge (any edge, or the longest).  The tolerance is the default,
+    an explicit one from 0 to below eps times the largest distance, or
+    1e-3."""
+    n = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(("random", "regular", "fan", "collapsed")))
+    if kind == "random":
+        pts = np.array(draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                     min_size=n, max_size=n)))
+    elif kind in ("regular", "fan"):
+        # a fan is an arc of a regular polygon closed by one long chord
+        arc = TWO_PI if kind == "regular" else draw(st.floats(0.5, 5.5))
+        angles = arc * (np.arange(n) + draw(st.floats(0.0, 1.0))) / n
+        pts = np.column_stack((np.cos(angles), np.sin(angles)))
+    else:
+        ulps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                             min_size=n, max_size=n))
+        pts = np.array(draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+                       ) + 2.0 ** -54 * np.array(ulps)
+    near = draw(st.booleans())
+    if near:
+        edges = np.roll(pts, -1, axis=0) - pts
+        i = draw(st.one_of(st.integers(0, n - 1),
+                           st.just(int(np.hypot(*edges.T).argmax()))))
+        edge = pts[(i + 1) % n] - pts[i]
+        point = pts[i] + draw(st.floats(0.0, 1.0)) * edge
+    else:
+        point = np.array(draw(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))))
+    far = float(np.hypot(*(pts - point).T).max())
+    tol = draw(st.sampled_from((None, None, 0.0, "below eps", 1e-3)))
+    if tol == "below eps":
+        tol = draw(st.floats(0.0, 1.0, exclude_max=True)) * np.finfo(float).eps * far
+    if near:
+        cutoff = contour.TAU_EDGE * far if tol is None else tol
+        length = math.hypot(*edge)
+        normal = np.array((-edge[1], edge[0])) / length if length else np.array((1.0, 0.0))
+        away = draw(st.floats(0.5, 4.0)) * (cutoff or np.finfo(float).eps * far)
+        point = point + draw(st.sampled_from((-1.0, 1.0))) * away * normal
+    k = draw(st.one_of(st.integers(-997, 997), st.sampled_from((1022, 1023))))
+    scale = 2.0 ** k
+    return (tuple((point * scale).tolist()), PlaneProjection(pts * scale, 1, True),
+            None if tol is None else tol * scale, k)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(winding_cases())
+def test_winding_screen_gives_the_exact_outcome(case):
+    # the same winding number, or OnBoundary with the same message
+    point, polygon, tol, k = case
+    got = outcome(winding, point, polygon, tol)
+    assert got == outcome(exact_winding, point, polygon, tol)
+    if k <= 997:  # the reference predates the quarter scale at 2**1022
+        assert got == outcome(reference_winding, point, polygon, tol)
 
 
 def reference_pole_integral(rel_c):
