@@ -235,12 +235,9 @@ def _cmd_integrate(args):
     f = _builtin(args.fn)
     if args.pole is not None:
         pole = _penta(_parse_json(args.pole, "pole"), "pole")
-        lhs, rhs = contour.residue_formula(f, path, pole, samples=args.samples,
-                                           tol_edge=args.tol)
-        n1, n2 = (contour.winding(contour.project_point(pole, k), contour.project(path, k),
-                                  tol=args.tol) for k in (1, 2))
+        lhs, rhs, windings = contour._pole_identity(f, path, pole, args.samples, args.tol)
         _emit_json(args, {"lhs": lhs.to_list(), "rhs": rhs.to_list(),
-                          "windings": [n1, n2]})
+                          "windings": list(windings)})
     else:
         per_segment = max(1, round(args.samples / len(path.segments())))
         value = contour.integrate(f, path, per_segment)

@@ -219,11 +219,18 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     computes at most 3*eps*far below, so none of them could reach the
     cutoff and the result is the one the test would give.  Otherwise (a
     point near an edge, edges longer than the point's distance from them,
-    a nan point, far = 0 or far outside that range) the test runs.
+    far = 0 or far outside that range) the test runs.
+
+    A point that is not finite, or a tol that is nan or negative, raises
+    ValueError.
     """
     if not polygon.closed:
         raise ValueError("winding number needs a closed polygon")
     x, y = point
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point must be finite, got {point}")
+    if tol is not None and not tol >= 0.0:
+        raise ValueError(f"tol must be None or >= 0, got {tol}")
     scale = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = polygon._z - complex(x, y)
@@ -403,16 +410,16 @@ class _Batch:
         """The real polynomial pplus on the line and the complex p1, p2 on
         the planes, coefficients descending, by Horner on the columns
         (analytic's ComponentPolynomials.evaluate)."""
-        line = self.canon[:, 0]
-        z = _planes(self.canon)
-        wp = np.zeros_like(line)
-        w = np.zeros_like(z)
-        for ap, a1, a2 in zip(pplus, p1, p2):
-            wp = wp * line + ap
-            w = w * z + (a1, a2)
         out = np.empty_like(self.canon)
-        out[:, 0] = wp
-        _planes(out)[:] = w
+        z, zo = _planes(self.canon), _planes(out)
+        # a column at a time, as in _ring_op
+        for x, dest, coeffs in ((self.canon[:, 0], out[:, 0], pplus), (z[:, 0], zo[:, 0], p1),
+                                (z[:, 1], zo[:, 1], p2)):
+            w = np.zeros_like(x)
+            for a in coeffs:
+                # out of place: numpy's in-place complex product may differ in the last bit
+                w = w * x + a
+            dest[:] = w
         return _Batch(out)
 
 
@@ -558,6 +565,12 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
     vertex or node on them raises NonInvertibleOnPath, and one where u - u0
     or its canonical coordinates leave the float range raises Overflow.
     """
+    return _pole_identity(f, path, u0, samples, tol_edge)[:2]
+
+
+def _pole_identity(f: Evaluator, path: Path, u0: PentaComplex, samples: int,
+                   tol_edge: float | None) -> tuple[PentaComplex, PentaComplex, tuple[int, int]]:
+    """residue_formula's (lhs, rhs), and the windings (n1, n2) it took."""
     if not path.closed:
         raise ValueError("the pole identity needs a closed path")
     xi = rotated_coords(u0)
@@ -576,7 +589,7 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
     lhs = (integrate(_PoleIntegrand(f, u0, f_u0), path, per_segment)
            + f_u0 * _assemble(0.0, complex(0.0, TWO_PI * n1), complex(0.0, TWO_PI * n2)))
     rhs = TWO_PI * (f_u0 * (n1 * E1_TILDE + n2 * E2_TILDE))
-    return lhs, rhs
+    return lhs, rhs, (n1, n2)
 
 
 def plane_circle(center: PentaComplex, plane: int, radius: float,

@@ -7,11 +7,13 @@ form summing exponentials around the unit circle's five fifth-roots, and a
 closed form in the radicals a = (sqrt5-1)/2, b = -(5+sqrt5)/2.  The values
 the package uses (`cosexp_values`, `exp_basis`) come from the series for
 small |y|, where the closed forms cancel, and the first closed form beyond;
-the other routes are the cross-checks.  exp((h1 + h4) y) and
-exp((h1 - h4) y) come from series for small |y| and from the lift
-`elementary.exp`, the exponential of a 5-complex variable, beyond.  The
-module also expands powers of h1+h4 and h1-h4 into integer coefficient
-families, both by recurrence and by radical closed forms evaluated exactly.
+the other routes are the cross-checks.  One routine sums the ring series
+of exp((h1 + s*h4) y), s in {0, 1, -1}, exactly in integers: s = 0 gives
+the five g5k at once, and s = +-1 gives exp((h1 +- h4) y) for small |y|;
+beyond, those come from the lift `elementary.exp`, the exponential of a
+5-complex variable.  The module also expands powers of h1+h4 and h1-h4
+into integer coefficient families, both by recurrence and by radical
+closed forms evaluated exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import PentaComplex, multiply
+from .algebra import PentaComplex
 from .canonical import SQRT5
 from .elementary import exp
 from .errors import DomainTooLarge, Overflow
@@ -32,16 +34,14 @@ RADICAL_B = -(5.0 + SQRT5) / 2.0
 
 # |y| guard for the series route (keeps term magnitudes well inside range)
 SERIES_MAX_ABS_Y = 50.0
-# series terms below this relative size stop the summation early
-SERIES_CUTOFF = 1e-18
-# cosexp_values and exp_basis sum the series up to this |y|, where no term
-# exceeds 0.27 of the one before; the closed form's five O(1) terms cancel
-# to g5k(y) ~ y^k/k! (still up to 37 ulp off in g54 at |y| in [1.5, 2],
-# against an exact rational series, where the series is within 2 ulp)
+# cosexp_values and exp_basis sum the series up to this |y|, where the
+# closed form's five O(1) terms cancel to g5k(y) ~ y^k/k! (still up to 37
+# ulp off in g54 at |y| in [1.5, 2], against an exact rational series,
+# where the series is rounded once)
 SERIES_UP_TO = 2.0
-# exp_h1_minus_h4 sums its ring series up to this |y|, within 2.4 ulp in
-# every component; beyond it the components pass through zero, and the
-# lift is the more accurate route (normwise)
+# exp_h1_minus_h4 sums its ring series up to this |y|; beyond it the
+# components pass through zero, and the lift is the more accurate route
+# (normwise)
 _MINUS_SERIES_UP_TO = 1.0
 
 
@@ -62,30 +62,49 @@ class CosexpVector:
     g: tuple[float, float, float, float, float]
 
 
-def g5_series(k: int, y: float, nterms: int = 60) -> float:
-    """Partial sum of y^(k+5p)/(k+5p)! over p < nterms.
+def _exp_series(y: float, s: int = 0, nterms: int = 60) -> tuple[float, ...]:
+    """Components of exp((h1 + s*h4) * y), s in {0, 1, -1}, by the ring
+    series, with at most nterms terms in each, each rounded once.
 
-    The first term is y^k/k!, each later one is built from the one before;
-    summation stops early once a term drops below 1e-18 of the running
-    total.
-    """
+    The n-th term is y^n/n! times the integer coefficients of
+    (h1 + s*h4)^n (h1 and h4 shift the index by +1 and -1 mod 5), so for
+    s = 0 it lands in component n mod 5 alone.  The sums are exact, in
+    integer units of at most 2^-123 of the smallest leading term
+    |y|^lead/lead! (lead = 4 for s = 0, 2 otherwise), and stop at the first
+    term below 2^-60 (about 1e-18) of it; the terms only shrink from
+    there."""
+    m, e = math.frexp(y)
+    num, shift = int(m * 2.0 ** 53), 53 - e  # y = num / 2^shift
+    lead = 2 if s else 4
+    one = 1 << (128 + lead * max(0, 1 - e))
+    floor = (one * abs(num) ** lead >> lead * shift) // (math.factorial(lead) << 60)
+    sums = [one, 0, 0, 0, 0]
+    t, c0, c1, c2, c3, c4 = one, 1, 0, 0, 0, 0
+    for n in range(1, 5 * nterms if s == 0 else nterms):
+        t = (t * num >> shift) // n
+        if s == 0:
+            sums[n % 5] += t
+        else:
+            c0, c1, c2, c3, c4 = c4 + s * c1, c0 + s * c2, c1 + s * c3, c2 + s * c4, c3 + s * c0
+            sums = [sums[0] + c0 * t, sums[1] + c1 * t, sums[2] + c2 * t,
+                    sums[3] + c3 * t, sums[4] + c4 * t]
+        # no coefficient of (h1 +- h4)^n exceeds 2^n
+        if abs(t) << (n if s else 0) <= floor:
+            break
+    return tuple(x / one for x in sums)
+
+
+def g5_series(k: int, y: float, nterms: int = 60) -> float:
+    """Partial sum of y^(k+5p)/(k+5p)! over p < nterms, rounded once;
+    summation stops early once a term drops below 2^-60 of y^4/4! (see
+    _exp_series, of which this is component k)."""
     if not 0 <= k <= 4:
         raise ValueError(f"index must be 0..4, got {k}")
     if nterms < 1:
         raise ValueError(f"nterms must be >= 1, got {nterms}")
-    if abs(y) > SERIES_MAX_ABS_Y:
+    if not abs(y) <= SERIES_MAX_ABS_Y:
         raise DomainTooLarge(f"|y| = {abs(y)} exceeds the series guard {SERIES_MAX_ABS_Y}")
-    term = y ** k / math.factorial(k)
-    total = 0.0
-    n = k
-    for _ in range(nterms):
-        total += term
-        for _ in range(5):
-            n += 1
-            term *= y / n
-        if abs(term) <= SERIES_CUTOFF * abs(total):
-            break
-    return total
+    return _exp_series(y, 0, nterms)[k]
 
 
 def g5_closed(k: int, y: float) -> float:
@@ -139,10 +158,10 @@ def g5_closed_radical(k: int, y: float) -> float:
 
 
 def _g5_values(y: float) -> tuple[float, float, float, float, float]:
-    """(g50(y), ..., g54(y)): the series for |y| <= SERIES_UP_TO, accurate
-    to a few ulp in every component, and the closed form beyond."""
+    """(g50(y), ..., g54(y)): the series for |y| <= SERIES_UP_TO, rounded
+    once in every component, and the closed form beyond."""
     if abs(y) <= SERIES_UP_TO:
-        return tuple(g5_series(k, y) for k in range(5))
+        return _exp_series(y)
     return tuple(g5_closed(k, y) for k in range(5))
 
 
@@ -167,42 +186,21 @@ def exp_basis(k: int, y: float) -> PentaComplex:
 
 
 def exp_h1_plus_h4(y: float) -> PentaComplex:
-    """exp((h1 + h4) * y).
-
-    For |y| <= SERIES_UP_TO the ring product exp(h1*y) * exp(h4*y) of the
-    series expansions, where the lift's O(1) terms cancel to components of
-    size y^2; it is within a few ulp in every component.  Beyond, the lift
-    `elementary.exp`.
-    """
+    """exp((h1 + h4) * y): the ring series (_exp_series) for |y| <=
+    SERIES_UP_TO, where the lift's O(1) terms cancel to components of size
+    y^2, and the lift `elementary.exp` beyond."""
     if abs(y) <= SERIES_UP_TO:
-        x0, x1, x2, _, _ = multiply(exp_basis(1, y), exp_basis(4, y)).components
-        # the product sums its h2 and h3 components in different orders;
-        # the element is symmetric, so both take h2 (and h4 takes h1)
-        return PentaComplex(x0, x1, x2, x2, x1)
+        return PentaComplex(*_exp_series(y, 1))
     return exp(PentaComplex(0.0, y, 0.0, 0.0, y))
 
 
 def exp_h1_minus_h4(y: float) -> PentaComplex:
-    """exp((h1 - h4) * y).
-
-    For |y| <= 1 the ring series, each component summed exactly: the n-th
-    term is the one before times (h1 - h4) * y / n, and h1, h4 shift the
-    component index by +1 and -1 (mod 5).  It is within a few ulp in every
-    component, where the lift's O(1) terms cancel to components of size
-    y^2.  Beyond, the lift `elementary.exp`.
-    """
+    """exp((h1 - h4) * y): the ring series (_exp_series) for |y| <= 1,
+    where the lift's O(1) terms cancel to components of size y^2, and the
+    lift `elementary.exp` beyond."""
     if abs(y) > _MINUS_SERIES_UP_TO:
         return exp(PentaComplex(0.0, y, 0.0, 0.0, -y))
-    terms = [(1.0, 0.0, 0.0, 0.0, 0.0)]
-    # the smallest leading term is y^2/2, in h2 and h3
-    floor = SERIES_CUTOFF * y * y / 2.0
-    for n in range(1, 60):
-        t0, t1, t2, t3, t4 = terms[-1]
-        terms.append(((t4 - t1) * y / n, (t0 - t2) * y / n, (t1 - t3) * y / n,
-                      (t2 - t4) * y / n, (t3 - t0) * y / n))
-        if n >= 2 and max(map(abs, terms[-1])) <= floor:
-            break
-    return PentaComplex(*map(math.fsum, zip(*terms)))
+    return PentaComplex(*_exp_series(y, -1))
 
 
 def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:

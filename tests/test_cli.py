@@ -180,6 +180,24 @@ def test_integrate_pole_windings_use_the_tolerance(tmp_path, capsys):
     assert json.loads(out)["windings"] == [1, 0]
 
 
+def test_integrate_pole_winds_each_plane_once(tmp_path, capsys, monkeypatch):
+    # the windings reported are the two residue_formula took, not a second
+    # projection and winding of both planes
+    from pentacomplex import PentaComplex, contour, plane_circle
+
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(plane_circle(u0, 2, 1.0, vertices=32).to_dict()))
+    calls = []
+    wind = contour.winding
+    monkeypatch.setattr(contour, "winding", lambda *a, **k: calls.append(a) or wind(*a, **k))
+    code, out, _ = run(capsys, "integrate", "--path", str(path_file), "--fn", "exp",
+                       "--pole", json.dumps(u0.to_list()), "--samples", "256")
+    assert code == 0
+    assert len(calls) == 2
+    assert json.loads(out)["windings"] == [0, 1]
+
+
 def test_integrate_pole_default_tolerance_scales_with_the_loop(tmp_path, capsys):
     from pentacomplex import PentaComplex, plane_circle
 

@@ -150,6 +150,34 @@ def test_winding_double_loop():
     assert winding((0.0, 0.0), reversed_poly) == -2
 
 
+UNIT_SQUARE = PlaneProjection(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), 1, True)
+
+
+@pytest.mark.parametrize("point, tol, message", [
+    ((math.nan, 0.5), None, "point must be finite"),
+    ((0.5, math.inf), None, "point must be finite"),
+    ((-math.inf, math.nan), 1e-3, "point must be finite"),
+    ((0.0, 0.0), -1.0, "tol must be None or >= 0"),
+    ((0.5, 0.0), math.nan, "tol must be None or >= 0"),
+])
+def test_winding_rejects_a_non_finite_point_and_a_nan_or_negative_tol(point, tol, message):
+    # these raised "cannot convert float NaN to integer", and a nan tol
+    # returned 0 for the point on edge 0, which the default tol rejects
+    with pytest.raises(ValueError, match=message):
+        winding(point, UNIT_SQUARE, tol)
+    with pytest.raises(OnBoundary):
+        winding((0.5, 0.0), UNIT_SQUARE)
+    assert winding((0.5, 0.5), UNIT_SQUARE, 0.0) == 1
+
+
+def test_residue_formula_rejects_a_nan_or_negative_edge_tolerance():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, vertices=16)
+    for tol in (math.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol must be None or >= 0"):
+            residue_formula(exp, loop, u0, samples=64, tol_edge=tol)
+
+
 def test_plane_projection_fields_equality_hash_repr_and_pickle():
     pts = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
     proj = PlaneProjection(points=pts, plane=1, closed=True)
@@ -651,6 +679,38 @@ def test_column_ops_match_the_plane_view():
         want[:, 0] = getattr(np, name)(a[:, 0])
         planes(want)[:] = getattr(np, name)(planes(a))
         assert getattr(elementary, name)(contour._Batch(a)).canon.tobytes() == want.tobytes()
+
+
+def plane_view_horner(canon, pplus, p1, p2):
+    """_Batch.horner as it ran on the (n, 2) plane view, whose numpy inner
+    loop covers a row's two entries: the reference for its bits."""
+    line = canon[:, 0]
+    z = contour._planes(canon)
+    wp = np.zeros_like(line)
+    w = np.zeros_like(z)
+    for ap, a1, a2 in zip(pplus, p1, p2):
+        wp = wp * line + ap
+        w = w * z + (a1, a2)
+    out = np.empty_like(canon)
+    out[:, 0] = wp
+    contour._planes(out)[:] = w
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(1, 9), st.integers(1, 1100), st.integers(0, 2 ** 32 - 1))
+def test_batch_horner_is_bit_identical_to_the_plane_view(degree, rows, seed):
+    rng = np.random.default_rng(seed)
+    canon = rng.standard_normal((rows, 5)) * 2.0 ** rng.integers(-40, 40, (rows, 5))
+    canon[rng.random((rows, 5)) < 0.02] = -0.0
+    canon[rng.random((rows, 5)) < 0.01] = np.inf
+    c = rng.standard_normal((degree, 5)) * 2.0 ** rng.integers(-20, 20, (degree, 5))
+    pplus = tuple(c[:, 0].tolist())
+    p1, p2 = (tuple(complex(a, b) for a, b in c[:, cols].tolist()) for cols in ([1, 2], [3, 4]))
+    with np.errstate(all="ignore"):
+        got = contour._Batch(canon).horner(pplus, p1, p2).canon
+        want = plane_view_horner(canon, pplus, p1, p2)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_evaluators_that_fail_on_a_batch_run_per_node():

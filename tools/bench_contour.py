@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python3 tools/bench_contour.py --src parent=DIR --src change=. --out BENCH.json
     python3 tools/bench_contour.py --workload elementwise --src parent=DIR --src change=.
+    python3 tools/bench_contour.py --workload cli --src parent=DIR --src change=. --seconds 10
     python3 tools/bench_contour.py --smoke --src change=. --out /tmp/bench.json
 
 Each --src LABEL=DIR names a checkout.  The script runs that checkout's own
@@ -14,7 +15,9 @@ whose last line holds the per-layer rows of the workload's layers: for
 contour the contour.* rows (contour.residue_formula.builtin.ms, .callable.ms,
 contour.integrate.us_per_node, contour.project.us, contour.winding.us, ...),
 for elementwise the algebra.*, canonical.*, geometry.* and elementary.*
-rows (canonical.to_canonical.us, geometry.polar_form.us, ...).
+rows (canonical.to_canonical.us, geometry.polar_form.us, ...), for cli
+the cli.* and cosexp.* rows (cli.cold_start_ms.<command>,
+cli.main_ms.cosexp-table, cosexp.cosexp_values.us, ...).
 The trees take turns, ABBA, for --pairs rounds, so drift of the host's speed
 falls on all alike.  The record holds the machine, these rows of every run as
 perfbench printed them, and per tree the median of each row over its runs;
@@ -38,7 +41,8 @@ import run  # noqa: E402  (perfbench/run.py: machine())
 SEED = 1
 # the layers whose per-layer rows each workload's traced run reports
 LAYERS = {"contour": ("contour.",),
-          "elementwise": ("algebra.", "canonical.", "geometry.", "elementary.")}
+          "elementwise": ("algebra.", "canonical.", "geometry.", "elementary."),
+          "cli": ("cli.", "cosexp.")}
 
 
 def rows_wanted(workload: str) -> dict:
