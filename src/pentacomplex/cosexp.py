@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import PentaComplex
 from .canonical import SQRT5
@@ -238,8 +237,9 @@ class PowerCoefficients:
     `recurrence` maps sequence name to values at subscripts 1..m;
     `closed_form` has None below the subscript where the closed form applies
     (A, B from 3; C from 4; D..H from 1).  Closed forms are evaluated exactly
-    in the field of rationals extended by sqrt(5), so matching entries are
-    equal as integers, not merely close.
+    in the golden integers p + q*phi (integers p, q, phi = (1 + sqrt5)/2),
+    in which every term lies after clearing the common denominator 5, so
+    matching entries are equal as integers, not merely close.
     """
 
     kind: PowerKind
@@ -248,44 +248,39 @@ class PowerCoefficients:
     closed_form: dict[str, tuple[int | None, ...]]
 
 
-class _Q5:
-    """Exact r + s*sqrt(5) with rational r, s."""
+@dataclass(slots=True)
+class _Golden:
+    """Exact p + q*phi with integers p, q, where phi = (1 + sqrt5)/2, so
+    phi^2 = phi + 1.  Every closed form below is such a golden integer, or
+    one divided by 5."""
 
-    __slots__ = ("r", "s")
-
-    def __init__(self, r, s=0):
-        self.r = Fraction(r)
-        self.s = Fraction(s)
+    p: int
+    q: int = 0
 
     def __add__(self, o):
-        o = o if isinstance(o, _Q5) else _Q5(o)
-        return _Q5(self.r + o.r, self.s + o.s)
+        o = o if isinstance(o, _Golden) else _Golden(o)
+        return _Golden(self.p + o.p, self.q + o.q)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return _Golden(-self.p, -self.q)
+
     def __sub__(self, o):
-        o = o if isinstance(o, _Q5) else _Q5(o)
-        return _Q5(self.r - o.r, self.s - o.s)
+        return self + -o
 
     def __rsub__(self, o):
-        return _Q5(o) - self
+        return -self + o
 
     def __mul__(self, o):
-        o = o if isinstance(o, _Q5) else _Q5(o)
-        return _Q5(self.r * o.r + 5 * self.s * o.s, self.r * o.s + self.s * o.r)
+        o = o if isinstance(o, _Golden) else _Golden(o)
+        qq = self.q * o.q
+        return _Golden(self.p * o.p + qq, self.p * o.q + self.q * o.p + qq)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o):
-        o = o if isinstance(o, _Q5) else _Q5(o)
-        den = o.r * o.r - 5 * o.s * o.s
-        return self * _Q5(o.r / den, -o.s / den)
-
-    def __neg__(self):
-        return _Q5(-self.r, -self.s)
-
     def __pow__(self, n: int):
-        out = _Q5(1)
+        out = _Golden(1)
         base = self
         while n:
             if n & 1:
@@ -294,47 +289,53 @@ class _Q5:
             n >>= 1
         return out
 
+    def __truediv__(self, n: int):
+        """The golden integer self/n, for an integer n dividing both parts."""
+        if self.p % n or self.q % n:
+            raise ArithmeticError(f"not a golden integer: ({self.p} + {self.q}*phi)/{n}")
+        return _Golden(self.p // n, self.q // n)
+
     def as_int(self) -> int:
-        if self.s != 0 or self.r.denominator != 1:
-            raise ArithmeticError(f"not an integer: {self.r} + {self.s}*sqrt5")
-        return int(self.r)
+        if self.q:
+            raise ArithmeticError(f"not an integer: {self.p} + {self.q}*phi")
+        return self.p
 
 
-_A5 = _Q5(Fraction(-1, 2), Fraction(1, 2))       # (sqrt5 - 1)/2
-_B5 = _Q5(Fraction(-5, 2), Fraction(-1, 2))      # -(5 + sqrt5)/2
+_A5 = _Golden(-1, 1)            # a = phi - 1 = (sqrt5 - 1)/2, so 1 + a = phi
+_B5 = _Golden(-2, -1)           # b = -(phi + 2) = -(5 + sqrt5)/2
+_INV_B2 = _Golden(1, -1)        # 1/(b + 2) = 1/(-phi) = 1 - phi
 
 
 def _closed_abc(m: int) -> tuple[int | None, int | None, int | None]:
     a = _A5
-    sgn = _Q5((-1) ** (m - 3))
     A = B = C = None
     if m >= 3:
-        A = (_Q5(2) ** m / 5 + (2 - 3 * a) / 5 * a ** (m - 3)
-             + sgn * (5 + 3 * a) / 5 * (1 + a) ** (m - 3)).as_int()
-        B = (_Q5(2) ** m / 5 + (a - 1) / 5 * a ** (m - 3)
-             - sgn * (a + 2) / 5 * (1 + a) ** (m - 3)).as_int()
+        sgn = (-1) ** (m - 3)
+        A = ((2 ** m + (2 - 3 * a) * a ** (m - 3)
+              + sgn * (5 + 3 * a) * (1 + a) ** (m - 3)) / 5).as_int()
+        B = ((2 ** m + (a - 1) * a ** (m - 3)
+              - sgn * (a + 2) * (1 + a) ** (m - 3)) / 5).as_int()
     if m >= 4:
-        sgn4 = _Q5((-1) ** (m - 4))
-        C = (_Q5(2) ** m / 5 + (4 - 6 * a) / 5 * a ** (m - 4)
-             + sgn4 * (10 + 6 * a) / 5 * (1 + a) ** (m - 4)).as_int()
+        sgn4 = (-1) ** (m - 4)
+        C = ((2 ** m + (4 - 6 * a) * a ** (m - 4)
+              + sgn4 * (10 + 6 * a) * (1 + a) ** (m - 4)) / 5).as_int()
     return A, B, C
 
 
 def _closed_de(m: int) -> tuple[int, int]:
-    b = _B5
-    sgn = _Q5((-1) ** (m - 2))
+    b, inv = _B5, _INV_B2
+    sgn = (-1) ** m  # (-1)^(m-2), an int at m = 1
     D = ((b + 1) * b ** (m - 1) + sgn * (b + 4) * (5 + b) ** (m - 1)).as_int()
-    E = (-(b + 1) / (b + 2) * b ** (m - 1) + sgn / (b + 2) * (5 + b) ** (m - 1)).as_int()
+    E = (-(b + 1) * inv * b ** (m - 1) + sgn * inv * (5 + b) ** (m - 1)).as_int()
     return D, E
 
 
 def _closed_fgh(m: int) -> tuple[int, int, int]:
-    b = _B5
-    sgn = _Q5((-1) ** (m - 1))
-    F = (-_Q5(1) / (5 * (b + 2)) * b ** m + sgn * (b + 1) / (5 * (b + 2)) * (5 + b) ** m).as_int()
-    G = ((4 * b + 5) / (5 * (b + 2)) * b ** (m - 1) + sgn / (5 * (b + 2)) * (5 + b) ** m).as_int()
-    H = (-(6 * b + 10) / (5 * (b + 2)) * b ** (m - 1)
-         + _Q5((-1) ** m) * _Q5(2) / 5 * (5 + b) ** m).as_int()
+    b, inv = _B5, _INV_B2
+    sgn = (-1) ** (m - 1)
+    F = ((-inv * b ** m + sgn * (b + 1) * inv * (5 + b) ** m) / 5).as_int()
+    G = (((4 * b + 5) * inv * b ** (m - 1) + sgn * inv * (5 + b) ** m) / 5).as_int()
+    H = ((-(6 * b + 10) * inv * b ** (m - 1) + (-1) ** m * 2 * (5 + b) ** m) / 5).as_int()
     return F, G, H
 
 

@@ -40,6 +40,23 @@ def test_criterion(label, suite):
     assert result.passed, result.failures
 
 
+def test_residue_suite_winds_each_identity_loop_twice(monkeypatch):
+    # the windings the suite checks are the two each pole identity took, not
+    # a second projection and winding of both planes
+    from pentacomplex import contour
+
+    identities, windings = [], []
+    pole_identity, wind = contour._pole_identity, contour.winding
+    monkeypatch.setattr(contour, "_pole_identity",
+                        lambda *a: identities.append(a) or pole_identity(*a))
+    monkeypatch.setattr(contour, "winding", lambda *a, **k: windings.append(a) or wind(*a, **k))
+    result = suite_residues()
+    assert result.passed, result.failures
+    # 18 identities with checked windings, 10 on the 8-gons and 1 on the 16-gon
+    assert len(identities) == 29
+    assert len(windings) == 2 * len(identities)
+
+
 def test_criterion_12_cli_selftest_under_30s(capsys):
     start = time.perf_counter()
     code = main(["selftest"])

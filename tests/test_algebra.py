@@ -38,6 +38,9 @@ def test_basis_product_rejects_bad_indices():
         basis_product(5, 0)
     with pytest.raises(ValueError):
         basis_product(0, -1)
+    for k in (-1, 5):
+        with pytest.raises(ValueError, match="basis index must be 0..4"):
+            PentaComplex.basis(k)
 
 
 def test_add_identities():

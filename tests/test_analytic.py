@@ -108,6 +108,15 @@ def test_convergence_radii_exponential_flags_growth():
     assert rep.c > 1.0
 
 
+def test_convergence_radii_factorials_flag_decay():
+    # sum l! u^l converges nowhere: the ratios a_l / a_(l+1) = 1/(l+1) fall
+    s = PowerSeries.from_scalars([math.factorial(l) for l in range(14)])
+    assert s.coeffs[3] == PentaComplex.scalar(6.0)
+    rep = convergence_radii(s)
+    assert set(rep.trend.values()) == {"decreasing"}
+    assert rep.cplus < 0.2
+
+
 def test_convergence_radii_scaled_geometric():
     r = 2.5
     s = PowerSeries(tuple(PentaComplex.scalar(r ** l) for l in range(12)))

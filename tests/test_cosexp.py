@@ -45,6 +45,13 @@ def test_series_guard_and_validation():
         g5_series(5, 1.0)
     with pytest.raises(ValueError):
         g5_series(0, 1.0, 0)
+    for f in (g5_closed, g5_closed_radical):
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="index must be 0..4"):
+                f(k, 1.0)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="basis index must be 1..4"):
+            exp_basis(k, 1.0)
 
 
 def test_closed_matches_series_on_grid():
@@ -190,6 +197,22 @@ def test_power_coeffs_seeds_and_agreement():
         power_coeffs(PowerKind.A_PLUS, 0)
     with pytest.raises(ValueError):
         power_coeffs("A_PLUS", 3)
+
+
+def test_golden_integers_are_exact():
+    phi = cosexp._Golden(0, 1)
+    # phi^n = F(n-1) + F(n) phi, with the Fibonacci numbers F
+    p = phi ** 90
+    assert (p.p, p.q) == (1779979416004714189, 2880067194370816120)
+    assert ((phi * phi - phi - 1) * 7).as_int() == 0
+    assert ((10 - 5 * phi) / 5 + phi).as_int() == 2
+    # a closed form that is not an integer raises, never rounds
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        phi.as_int()
+    with pytest.raises(ArithmeticError, match="not a golden integer"):
+        (5 + 2 * phi) / 5
+    with pytest.raises(ArithmeticError):
+        cosexp._Golden(3) / 5
 
 
 def test_power_layouts_against_ring_powers():

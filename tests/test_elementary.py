@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -197,6 +198,7 @@ def test_exponential_form_of_unit():
     assert ef.phi1 == 0.0 and ef.phi2 == 0.0
     assert dev(ef.exponent(), ZERO) <= 1e-15
     assert dev(ef.reconstruct(), ONE) <= 1e-14
+    assert ef.to_dict() == dataclasses.asdict(ef)
 
 
 def test_exponential_form_reconstructs():

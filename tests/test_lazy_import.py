@@ -95,6 +95,15 @@ def test_contour_loads_neither_analytic_nor_statistics():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_cosexp_loads_neither_numpy_nor_fractions():
+    # its closed forms are exact in golden integers, so neither fractions
+    # nor the decimal module fractions imports is needed
+    proc = fresh_python("import sys; import pentacomplex.cosexp; "
+                        "print([m in sys.modules for m in ('numpy', 'fractions', 'decimal')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[False,", "False,", "False]"]
+
+
 def test_analytic_and_its_component_polynomials_load_no_numpy():
     proc = fresh_python("import sys; import pentacomplex as pc; pc.ComponentPolynomials; "
                         "import pentacomplex.analytic; print('numpy' in sys.modules)")

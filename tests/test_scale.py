@@ -14,9 +14,10 @@ from pentacomplex import (ONE, AngleUndefined, CanonicalForm, Overflow,
                           PentaComplex, PentaError, PentaPolynomial,
                           PowerSeries, amplitude, canonical_multiply, decompose,
                           exp, exponential_form, from_canonical, inverse, log,
-                          modulus_product_bound, multiply, polar_form,
-                          pow_real, series_eval, series_eval_components, sin,
-                          to_canonical, trigonometric_form)
+                          modulus_amplitude_relation, modulus_product_bound,
+                          multiply, polar_form, pow_real, series_eval,
+                          series_eval_components, sin, to_canonical,
+                          trigonometric_form)
 from pentacomplex.geometry import odd_fifth_root
 
 BASE = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
@@ -95,6 +96,8 @@ CONTRACT = {
 WIDE_PLANE = from_canonical(CanonicalForm(0.0, 1.5e308, 1.5e308, 0.0, 0.0))
 # the same plane radius with an invertible element (|u| = 1.35e308)
 BIG_PLANE = from_canonical(CanonicalForm(1e307, 1.5e308, 1.5e308, 1e307, 1e307))
+# a plane-2 radius beyond the float range, with vplus > 0 (|u| = 1.17e308)
+WIDE_PLANE_2 = from_canonical(CanonicalForm(1e307, 1e307, 0.0, 1.3e308, 1.3e308))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -169,15 +172,21 @@ def test_canonical_coordinates_beyond_the_float_range_are_overflow():
 
 
 def test_plane_radius_beyond_the_float_range():
-    with pytest.raises(Overflow):
-        polar_form(WIDE_PLANE)
-    # fifth root of vplus * rho1^2 * rho2^2 in decimal arithmetic (28 digits)
-    cf = to_canonical(WIDE_PLANE)
-    d = [Decimal(x) for x in (cf.vplus, cf.v1, cf.tv1, cf.v2, cf.tv2)]
-    prod = abs(d[0]) * (d[1] ** 2 + d[2] ** 2) * (d[3] ** 2 + d[4] ** 2)
-    want = math.copysign(float((prod.ln() / 5).exp()), cf.vplus)
-    got = amplitude(WIDE_PLANE)
-    assert abs(got - want) <= 4 * math.ulp(want)
+    for u in (WIDE_PLANE, WIDE_PLANE_2):
+        with pytest.raises(Overflow):
+            polar_form(u)
+        # fifth root of vplus * rho1^2 * rho2^2 in decimal arithmetic (28 digits)
+        cf = to_canonical(u)
+        d = [Decimal(x) for x in (cf.vplus, cf.v1, cf.tv1, cf.v2, cf.tv2)]
+        prod = abs(d[0]) * (d[1] ** 2 + d[2] ** 2) * (d[3] ** 2 + d[4] ** 2)
+        want = math.copysign(float((prod.ln() / 5).exp()), cf.vplus)
+        got = amplitude(u)
+        assert abs(got - want) <= 4 * math.ulp(want)
+    # the forms hold rho2 as a float, so they raise although their values
+    # are finite
+    for f in (exponential_form, trigonometric_form, modulus_amplitude_relation):
+        with pytest.raises(Overflow, match="plane radius exceeds"):
+            f(WIDE_PLANE_2)
 
 
 def fifth_root_reference(x: Decimal) -> float:

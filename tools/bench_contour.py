@@ -16,8 +16,8 @@ contour the contour.* rows (contour.residue_formula.builtin.ms, .callable.ms,
 contour.integrate.us_per_node, contour.project.us, contour.winding.us, ...),
 for elementwise the algebra.*, canonical.*, geometry.* and elementary.*
 rows (canonical.to_canonical.us, geometry.polar_form.us, ...), for cli
-the cli.* and cosexp.* rows (cli.cold_start_ms.<command>,
-cli.main_ms.cosexp-table, cosexp.cosexp_values.us, ...).
+the cli.*, cosexp.* and selftest.* rows (cli.cold_start_ms.<command>,
+cli.main_ms.cosexp-table, cosexp.cosexp_values.us, selftest.total_s, ...).
 The trees take turns, ABBA, for --pairs rounds, so drift of the host's speed
 falls on all alike.  The record holds the machine, these rows of every run as
 perfbench printed them, and per tree the median of each row over its runs;
@@ -42,7 +42,7 @@ SEED = 1
 # the layers whose per-layer rows each workload's traced run reports
 LAYERS = {"contour": ("contour.",),
           "elementwise": ("algebra.", "canonical.", "geometry.", "elementary."),
-          "cli": ("cli.", "cosexp.")}
+          "cli": ("cli.", "cosexp.", "selftest.")}
 
 
 def rows_wanted(workload: str) -> dict:
