@@ -305,7 +305,7 @@ def from_matrix(m: np.ndarray, tol: float | None = None) -> PentaComplex:
 
     Raises NotCirculant if any row deviates from the cyclically shifted first
     row by more than `tol` (absolute; default TAU_CIRC times the largest
-    absolute entry).
+    absolute entry).  A nan or negative tol raises ValueError.
     """
     import numpy as np
 
@@ -314,6 +314,8 @@ def from_matrix(m: np.ndarray, tol: float | None = None) -> PentaComplex:
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
     if tol is None:
         tol = TAU_CIRC * np.abs(m).max()
+    else:
+        canonical._check_tol(tol)
     first = m[0]
     for row in range(1, DIM):
         expected = np.array([first[(col - row) % DIM] for col in range(DIM)])
@@ -340,8 +342,8 @@ def inverse(u: PentaComplex, tol: float | None = None) -> PentaComplex:
 
     The inverse exists iff no canonical part is annihilated: the line
     component vplus and both plane radii must be nonzero.  At or below
-    `tol` (default canonical.TAU_REL * |u|) the element is declared a
-    divisor of zero.
+    `tol` (default canonical.TAU_REL * |u|; nan or negative raises
+    ValueError) the element is declared a divisor of zero.
     """
     return canonical._lift(u, _recip, _recip_plane, NonInvertible, tol)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Evaluator, PentaComplex, _call, _result, multiply
-from .canonical import SQRT5, _assemble, _to_canon_comps
+from .canonical import SQRT5, _assemble, _check_tol, _to_canon_comps
 from .errors import InsufficientTerms, ZeroTail
 
 FD_STEP_FIRST = 1e-6
@@ -255,10 +255,12 @@ def check_cr_relations(f: Evaluator, point: PentaComplex,
 
     For analytic f the derivative of component (shift + j) mod 5 along axis j
     is the same for every j; each group reports its five values and the
-    maximum pairwise deviation.  A zero step raises ValueError.
+    maximum pairwise deviation.  A zero step, or a nan or negative tol,
+    raises ValueError.
     """
     if step == 0.0:
         raise ValueError(f"step {step!r} is zero: central differences divide by 2*step")
+    _check_tol(tol)
     jac = [[0.0] * 5 for _ in range(5)]
     for j in range(5):
         fp = _call(f, _shifted(point, j, step))
@@ -344,9 +346,10 @@ def check_second_order(f: Evaluator, point: PentaComplex,
                        tol: float = FD_TOL_SECOND) -> SecondOrderReport:
     """Check the 25 second-order chains: for each component and each residue
     class of index sums, all mixed second partials agree.  A step whose
-    square underflows to 0 raises ValueError."""
+    square underflows to 0, or a nan or negative tol, raises ValueError."""
     if step * step == 0.0:
         raise ValueError(f"step {step!r} is too small: its square underflows to 0")
+    _check_tol(tol)
     partials = _second_partials(f, point, step)
     chains = []
     for component in range(5):

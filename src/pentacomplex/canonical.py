@@ -160,6 +160,14 @@ def _modulus(u: PentaComplex) -> float:
     return d
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for a tolerance given explicitly: >= 0.  A nan or
+    negative cutoff would silently switch its test off, so it raises
+    ValueError."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be None or >= 0, got {tol}")
+
+
 def _guard(u: PentaComplex, vp: float | None, v1: float, tv1: float, v2: float,
            tv2: float, error: type, tol: float | None = None) -> tuple[float, float]:
     """The divisor-of-zero guard on u's canonical coordinates: raise `error`
@@ -167,12 +175,15 @@ def _guard(u: PentaComplex, vp: float | None, v1: float, tv1: float, v2: float,
     vplus, in absolute value for NonInvertible and in value (the logarithm's
     domain) for any other error.  vp=None leaves the line untested.  A
     modulus beyond the floating-point range leaves no cutoff and raises
-    Overflow.  Returns the radii, from hypot, which unlike abs(z) gives inf
-    (passing the guard) for a radius beyond the float range."""
+    Overflow; a nan or negative tol raises ValueError.  Returns the radii,
+    from hypot, which unlike abs(z) gives inf (passing the guard) for a
+    radius beyond the float range."""
     r1 = math.hypot(v1, tv1)
     r2 = math.hypot(v2, tv2)
     if tol is None:
         tol = TAU_REL * _modulus(u)
+    else:
+        _check_tol(tol)
     if vp is not None:
         if error is NonInvertible:
             if abs(vp) <= tol:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .algebra import DIM, Evaluator, PentaComplex, _call, _result
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
-                        _CANON_ROWS, _assemble, _to_canon_comps, rotated_coords,
-                        rotation_matrix)
+                        _CANON_ROWS, _assemble, _check_tol, _to_canon_comps,
+                        rotated_coords, rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -229,8 +229,8 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     x, y = point
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point must be finite, got {point}")
-    if tol is not None and not tol >= 0.0:
-        raise ValueError(f"tol must be None or >= 0, got {tol}")
+    if tol is not None:
+        _check_tol(tol)
     scale = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = polygon._z - complex(x, y)
@@ -265,7 +265,6 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     return round(turns)
 
 
-@functools.lru_cache(maxsize=PANEL)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes (ascending) and weights on [0, 1].
 
@@ -283,8 +282,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - p / dp
     nodes = (x + 1.0) / 2.0
     weights = 1.0 / ((1.0 - x * x) * dp * dp)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
     return nodes, weights
 
 
@@ -564,6 +561,7 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
     divisor-of-zero sets of u - u0 (vplus = 0 or either plane radius 0); a
     vertex or node on them raises NonInvertibleOnPath, and one where u - u0
     or its canonical coordinates leave the float range raises Overflow.
+    `samples` below 1 or not finite raises ValueError, as in integrate.
     """
     return _pole_identity(f, path, u0, samples, tol_edge)[:2]
 
@@ -573,6 +571,8 @@ def _pole_identity(f: Evaluator, path: Path, u0: PentaComplex, samples: int,
     """residue_formula's (lhs, rhs), and the windings (n1, n2) it took."""
     if not path.closed:
         raise ValueError("the pole identity needs a closed path")
+    if not 1 <= samples < math.inf:
+        raise ValueError(f"samples must be finite and >= 1, got {samples}")
     xi = rotated_coords(u0)
     windings = []
     for k, point in ((1, (xi.xi1, xi.eta1)), (2, (xi.xi2, xi.eta2))):

@@ -93,6 +93,13 @@ def _exp_series(y: float, s: int = 0, nterms: int = 60) -> tuple[float, ...]:
     return tuple(x / one for x in sums)
 
 
+def _check_finite(y: float) -> None:
+    """Raise DomainTooLarge, as g5_series's guard does, for a y that is not
+    finite: every route here needs a finite argument."""
+    if not math.isfinite(y):
+        raise DomainTooLarge(f"y = {y} is not finite")
+
+
 def g5_series(k: int, y: float, nterms: int = 60) -> float:
     """Partial sum of y^(k+5p)/(k+5p)! over p < nterms, rounded once;
     summation stops early once a term drops below 2^-60 of y^4/4! (see
@@ -111,6 +118,7 @@ def g5_closed(k: int, y: float) -> float:
     exp(y*cos(2*pi*l/5)) * cos(y*sin(2*pi*l/5) - 2*pi*k*l/5)."""
     if not 0 <= k <= 4:
         raise ValueError(f"index must be 0..4, got {k}")
+    _check_finite(y)
     total = 0.0
     try:
         for l in range(5):
@@ -144,6 +152,7 @@ def g5_closed_radical(k: int, y: float) -> float:
     """Radical closed form of g_{5k}(y), in the radicals a and b."""
     if not 0 <= k <= 4:
         raise ValueError(f"index must be 0..4, got {k}")
+    _check_finite(y)
     p, q, r, t = _RADICAL_ROWS[k]
     x = y / 2.0
     try:
@@ -158,7 +167,8 @@ def g5_closed_radical(k: int, y: float) -> float:
 
 def _g5_values(y: float) -> tuple[float, float, float, float, float]:
     """(g50(y), ..., g54(y)): the series for |y| <= SERIES_UP_TO, rounded
-    once in every component, and the closed form beyond."""
+    once in every component, and the closed form beyond (which refuses a y
+    that is not finite)."""
     if abs(y) <= SERIES_UP_TO:
         return _exp_series(y)
     return tuple(g5_closed(k, y) for k in range(5))
@@ -190,6 +200,7 @@ def exp_h1_plus_h4(y: float) -> PentaComplex:
     y^2, and the lift `elementary.exp` beyond."""
     if abs(y) <= SERIES_UP_TO:
         return PentaComplex(*_exp_series(y, 1))
+    _check_finite(y)
     return exp(PentaComplex(0.0, y, 0.0, 0.0, y))
 
 
@@ -197,9 +208,10 @@ def exp_h1_minus_h4(y: float) -> PentaComplex:
     """exp((h1 - h4) * y): the ring series (_exp_series) for |y| <= 1,
     where the lift's O(1) terms cancel to components of size y^2, and the
     lift `elementary.exp` beyond."""
-    if abs(y) > _MINUS_SERIES_UP_TO:
-        return exp(PentaComplex(0.0, y, 0.0, 0.0, -y))
-    return PentaComplex(*_exp_series(y, -1))
+    if abs(y) <= _MINUS_SERIES_UP_TO:
+        return PentaComplex(*_exp_series(y, -1))
+    _check_finite(y)
+    return exp(PentaComplex(0.0, y, 0.0, 0.0, -y))
 
 
 def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:
@@ -212,6 +224,7 @@ def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:
         raise ValueError(f"permutation index must be 1..4, got {perm}")
     if l < 0:
         raise ValueError(f"power must be >= 0, got {l}")
+    _check_finite(y)
     try:
         ly = l * y
     except OverflowError:  # an int l beyond the float range

@@ -79,7 +79,8 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
     """u^m: e+*vplus^m plus rho_k^m*(cos m*phi_k, sin m*phi_k) per plane.
 
     Integer m works for any u (negative m needs invertibility); non-integer m
-    needs the logarithm domain.  phi_k follows the principal branch [0, 2*pi).
+    needs the logarithm domain; a non-finite m raises ValueError.  phi_k
+    follows the principal branch [0, 2*pi).
     """
     if isinstance(m, int) or float(m).is_integer():
         n = int(m)
@@ -102,6 +103,8 @@ def pow_real(u: PentaComplex, m: float) -> PentaComplex:
 
         return _lift(u, power, plane_power, NonInvertible if n < 0 else None)
     m = float(m)  # a numpy exponent would make numpy components
+    if not math.isfinite(m):
+        raise ValueError(f"exponent must be finite, got {m}")
 
     def plane(z: complex) -> complex:
         try:

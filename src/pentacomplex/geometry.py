@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import SQRT5, TAU_REL, TWO_PI, _modulus, _record, _to_canon_comps
+from .canonical import (SQRT5, TAU_REL, TWO_PI, _check_tol, _modulus, _record,
+                        _to_canon_comps)
 from .errors import AngleUndefined, Overflow
 
 SQRT2 = math.sqrt(2.0)
@@ -134,7 +135,8 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
     d, rho, rho1, rho2 are always returned; a canonical coordinate, a plane
     radius or a modulus beyond the floating-point range raises Overflow.
     phi_k needs rho_k > 0, psi1 needs rho1^2 + rho2^2 > 0 and thetaplus needs
-    vplus^2 + rho1^2 > 0; the cutoff is `tol` (default TAU_REL * d).  All
+    vplus^2 + rho1^2 > 0; the cutoff is `tol` (default TAU_REL * d; nan or
+    negative raises ValueError).  All
     angles come from the two-argument arctangent: phi_k in [0, 2*pi), psi1
     in [0, pi/2], thetaplus in [0, pi].
     """
@@ -142,6 +144,8 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
     d = _modulus(u)
     if tol is None:
         tol = TAU_REL * d
+    else:
+        _check_tol(tol)
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
     az1, az2 = _azimuths(rho1, rho2, v1, tv1, v2, tv2)

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .algebra import ONE, PentaComplex, _result, inverse, multiply
-from .analytic import ComponentPolynomials, _component_polys
+from .analytic import ComponentPolynomials, PowerSeries, _component_polys, series_eval
 # kept as a module global: perfbench's traced runs patch it here
 from .analytic import coefficient_spectrum  # noqa: F401
 from .canonical import _assemble
@@ -62,11 +62,8 @@ class PentaPolynomial:
         return len(self.coeffs)
 
     def evaluate(self, u: PentaComplex) -> PentaComplex:
-        """Ring Horner evaluation."""
-        acc = PentaComplex.scalar(1.0)
-        for a in self.coeffs:
-            acc = multiply(acc, u) + a
-        return acc
+        """Ring Horner evaluation (analytic.series_eval)."""
+        return series_eval(PowerSeries(self.coeffs[::-1] + (ONE,)), u)
 
     @classmethod
     def from_leading(cls, leading: PentaComplex,

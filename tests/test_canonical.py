@@ -9,9 +9,11 @@ import pytest
 from pentacomplex import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
                           ONE, CanonicalForm, Overflow, PentaComplex, PolarForm,
                           RotatedCoords, add, canonical_basis,
-                          canonical_multiply, from_canonical, irreducible_rep,
-                          multiply, polar_form, rotated_coords,
-                          rotation_matrix, to_canonical, to_matrix)
+                          canonical_multiply, check_cr_relations,
+                          check_second_order, exp, from_canonical, from_matrix,
+                          inverse, irreducible_rep, multiply, polar_form,
+                          rotated_coords, rotation_matrix, to_canonical,
+                          to_matrix)
 from pentacomplex.canonical import (_E1, _E2, _E_PLUS, _TE1, _TE2,
                                    _from_canon_comps)
 
@@ -326,3 +328,25 @@ def test_built_records_are_the_constructors_records(cls, rec):
     for other in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec),
                   dataclasses.replace(rec)):
         assert type(other) is cls and other == rec and repr(other) == repr(rec)
+
+
+NON_CIRCULANT = to_matrix(PentaComplex(1, 2, 3, 4, 5)) + np.eye(5, k=1)
+DIVISOR_OF_ZERO = PentaComplex(1, 1, 1, 1, 1)  # both plane radii vanish
+POINT = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda tol: from_matrix(NON_CIRCULANT, tol), id="from_matrix"),
+    pytest.param(lambda tol: inverse(DIVISOR_OF_ZERO, tol), id="inverse"),
+    pytest.param(lambda tol: polar_form(POINT, tol), id="polar_form"),
+    pytest.param(lambda tol: check_cr_relations(exp, POINT, tol=tol), id="check_cr_relations"),
+    pytest.param(lambda tol: check_second_order(exp, POINT, tol=tol), id="check_second_order"),
+])
+def test_a_nan_or_negative_tol_raises(call, tol):
+    # such a cutoff switched its test off: from_matrix returned the first
+    # row or raised NotCirculant at any deviation, inverse raised Overflow,
+    # polar_form left every angle undefined or defined, and the analytic
+    # checks failed every group
+    with pytest.raises(ValueError, match="tol must be None or >= 0"):
+        call(tol)

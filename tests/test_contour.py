@@ -178,6 +178,16 @@ def test_residue_formula_rejects_a_nan_or_negative_edge_tolerance():
             residue_formula(exp, loop, u0, samples=64, tol_edge=tol)
 
 
+@pytest.mark.parametrize("samples", [math.nan, math.inf, 0, -64, 0.5])
+def test_residue_formula_rejects_a_node_budget_below_one(samples):
+    # nan raised a raw ValueError from round, inf an OverflowError, and a
+    # budget below 1 silently took 1 node per segment
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = plane_circle(u0, 1, 1.0, vertices=16)
+    with pytest.raises(ValueError, match="samples must be finite and >= 1"):
+        residue_formula(exp, loop, u0, samples=samples)
+
+
 def test_plane_projection_fields_equality_hash_repr_and_pickle():
     pts = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
     proj = PlaneProjection(points=pts, plane=1, closed=True)

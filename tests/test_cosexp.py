@@ -264,6 +264,24 @@ def test_beyond_the_float_range_is_overflow(f):
         f()
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("f", [
+    pytest.param(cosexp_values, id="cosexp_values"),
+    pytest.param(lambda y: g5_closed(1, y), id="g5_closed"),
+    pytest.param(lambda y: g5_closed_radical(3, y), id="g5_closed_radical"),
+    pytest.param(lambda y: exp_basis(1, y), id="exp_basis"),
+    pytest.param(exp_h1_plus_h4, id="exp_h1_plus_h4"),
+    pytest.param(exp_h1_minus_h4, id="exp_h1_minus_h4"),
+    pytest.param(lambda y: cosexp_power(2, y, 3), id="cosexp_power"),
+])
+def test_a_non_finite_argument_is_outside_the_domain(f, y):
+    # as g5_series refuses it; the others returned nan or raised a raw
+    # "math domain error", "component is not finite", a conversion error or
+    # Overflow
+    with pytest.raises(DomainTooLarge):
+        f(y)
+
+
 def exact_g5(k: int, y: float) -> Fraction:
     """sum_p y^(k+5p)/(k+5p)! in rational arithmetic, to a relative 1e-40
     of the first term (the terms decrease at once for |y| <= 2)."""

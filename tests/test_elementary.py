@@ -173,6 +173,15 @@ def test_pow_real_numpy_exponent_gives_float_components(m, same):
         assert all(type(x) is float for x in got.components)
         assert got.components == pow_real(u, same).components
 
+
+@pytest.mark.parametrize("m", [-math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("u", [PentaComplex(2.0, 0.1, 0.0, 0.0, 0.0),
+                               PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)])
+def test_pow_real_rejects_a_non_finite_exponent(u, m):
+    # these raised a raw "math domain error", returned 0 or raised Overflow
+    with pytest.raises(ValueError, match="exponent must be finite"):
+        pow_real(u, m)
+
 def test_trig_zero_values():
     assert dev(cos(ZERO), ONE) <= 1e-15
     assert dev(sin(ZERO), ZERO) <= 1e-15

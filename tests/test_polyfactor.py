@@ -34,6 +34,36 @@ def u2_minus_1():
     return PentaPolynomial((ZERO, scalar(-1.0)))
 
 
+def _ring_horner(poly, u):
+    """The loop PentaPolynomial.evaluate ran before it called series_eval."""
+    acc = PentaComplex.scalar(1.0)
+    for a in poly.coeffs:
+        acc = multiply(acc, u) + a
+    return acc
+
+
+def _outcome(f, *args):
+    try:
+        return tuple(x.hex() for x in f(*args).components)
+    except Exception as exc:  # noqa: BLE001 -- compared by type and message
+        return type(exc), str(exc)
+
+
+def test_evaluate_is_series_eval_bit_for_bit():
+    rng = np.random.default_rng(22)
+    raised = 0
+    for _ in range(3000):
+        degree = int(rng.integers(1, 12))
+        scale = 10.0 ** rng.uniform(-100, 100)
+        poly = PentaPolynomial(tuple(rand(rng, -scale, scale) for _ in range(degree)))
+        u = rand(rng, -scale, scale)
+        want = _outcome(_ring_horner, poly, u)
+        assert _outcome(poly.evaluate, u) == want, (poly, u)
+        raised += isinstance(want[0], type)
+    # both sides raise Overflow on part of the pool, and return on the rest
+    assert 0 < raised < 3000
+
+
 def test_polynomial_basics():
     p = u2_minus_1()
     assert p.degree == 2

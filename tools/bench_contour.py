@@ -2,33 +2,30 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_contour.py --src parent=DIR --src change=. --out BENCH.json
-    python3 tools/bench_contour.py --workload elementwise --src parent=DIR --src change=.
-    python3 tools/bench_contour.py --workload cli --src parent=DIR --src change=. --seconds 10
-    python3 tools/bench_contour.py --smoke --src change=. --out /tmp/bench.json
+    python3 tools/bench_contour.py --workload W --src parent=DIR --src change=. --out BENCH.json
+    python3 tools/bench_contour.py --smoke --workload W --src change=. --out /tmp/bench.json
 
-Each --src LABEL=DIR names a checkout.  The script runs that checkout's own
-perfbench/run.py on the workload (--workload, contour by default) at seed 1,
-each run a fresh process: once with --trace 0, whose last line holds the
-end-to-end metrics (items_per_s and the rest), and once with --trace 1,
-whose last line holds the per-layer rows of the workload's layers: for
-contour the contour.* rows (contour.residue_formula.builtin.ms, .callable.ms,
-contour.integrate.us_per_node, contour.project.us, contour.winding.us, ...),
-for elementwise the algebra.*, canonical.*, geometry.* and elementary.*
-rows (canonical.to_canonical.us, geometry.polar_form.us, ...), for cli
-the cli.*, cosexp.* and selftest.* rows (cli.cold_start_ms.<command>,
-cli.main_ms.cosexp-table, cosexp.cosexp_values.us, selftest.total_s, ...).
-The trees take turns, ABBA, for --pairs rounds, so drift of the host's speed
-falls on all alike.  The record holds the machine, these rows of every run as
-perfbench printed them, and per tree the median of each row over its runs;
-names, units and directions are those of this checkout's BENCHMARK.json.
---smoke runs each tree once for one second, to check that the script runs.
+with W one of contour (the default), elementwise, factor and cli.  Each
+--src LABEL=DIR names a checkout.  The script runs that checkout's own
+perfbench/run.py on the workload at seed 1, each run a fresh process: once
+with --trace 0, whose last line holds the end-to-end metrics (items_per_s
+and the rest), and once with --trace 1, whose last line holds the
+per-layer rows of the layers LAYERS gives the workload, and the trace.*
+rows.  The trees take turns, ABBA, for --pairs rounds, so drift of the
+host's speed falls on all alike.  The record holds the machine, these rows
+of every run as perfbench printed them, and per tree the median of each row
+over its runs; names, units and directions are those of this checkout's
+BENCHMARK.json.  The script exits non-zero, naming them, when a row has no
+finite median for some tree or the machine record lacks a field of
+MACHINE_FIELDS.  --smoke runs each tree once for one second, to check that
+the script runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -39,10 +36,14 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run  # noqa: E402  (perfbench/run.py: machine())
 
 SEED = 1
-# the layers whose per-layer rows each workload's traced run reports
+# the layers whose per-layer rows the record of each workload's traced run
+# holds (every traced run measures all layers); cli runs check-analytic, and
+# every workload also owns the trace.* rows, its traced run's overhead
 LAYERS = {"contour": ("contour.",),
           "elementwise": ("algebra.", "canonical.", "geometry.", "elementary."),
-          "cli": ("cli.", "cosexp.", "selftest.")}
+          "factor": ("polyfactor.",),
+          "cli": ("cli.", "cosexp.", "selftest.", "analytic.")}
+MACHINE_FIELDS = ("cpu", "python", "numpy")
 
 
 def rows_wanted(workload: str) -> dict:
@@ -53,13 +54,21 @@ def rows_wanted(workload: str) -> dict:
         spec = json.load(fh)
     rows = {m["name"]: (m["unit"], m["better"], 0) for m in spec["end_to_end"]}
     rows.update((m["name"], (m["unit"], m["better"], 1)) for m in spec["per_layer"]
-                if m["name"].startswith(LAYERS[workload]))
+                if m["name"].startswith(LAYERS[workload] + ("trace.",)))
     return rows
+
+
+def gaps(record: dict) -> list:
+    """The rows of the record with no finite median for some tree, and the
+    fields of MACHINE_FIELDS its machine lacks."""
+    return ([name for name, row in record["rows"].items()
+             if not all(math.isfinite(row[label]) for label in record["trees"])]
+            + [f"machine.{k}" for k in MACHINE_FIELDS if k not in record["machine"]])
 
 
 def perfbench(tree: str, workload: str, trace: int, seconds: float, names) -> dict:
     """The last JSON line of one run of the tree's perfbench/run.py, with
-    only the metrics in names."""
+    only the metrics in names; nan for one the run did not report."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -68,7 +77,8 @@ def perfbench(tree: str, workload: str, trace: int, seconds: float, names) -> di
     line = json.loads(out.stdout.splitlines()[-1])
     return {"correct": line["correct"], "attempted": line["attempted"],
             "failed": line["failed"],
-            "metrics": {k: line["metrics"][k]["value"] for k in names}}
+            "metrics": {k: line["metrics"].get(k, {"value": math.nan})["value"]
+                        for k in names}}
 
 
 def main(argv=None) -> int:
@@ -106,8 +116,8 @@ def main(argv=None) -> int:
     for name, (unit, better, trace) in wanted.items():
         row = {"unit": unit, "better": better, "trace": trace}
         for label, _ in trees:
-            row[label] = statistics.median(r[f"trace{trace}"]["metrics"][name]
-                                           for r in runs[label])
+            values = [r[f"trace{trace}"]["metrics"][name] for r in runs[label]]
+            row[label] = statistics.median(values) if all(map(math.isfinite, values)) else math.nan
         rows[name] = row
     record = {"script": "tools/bench_contour.py", "machine": run.machine(),
               "workload": args.workload, "seed": SEED, "seconds": seconds, "pairs": pairs,
@@ -120,6 +130,9 @@ def main(argv=None) -> int:
     for name, row in rows.items():
         values = "  ".join(f"{label} {row[label]:10.4g}" for label, _ in trees)
         print(f"{name:{width}s}  {values}  {row['unit']}")
+    missing = gaps(record)
+    if missing:
+        sys.exit(f"no finite value in the bench record for: {', '.join(missing)}")
     return 0
 
 
