@@ -12,12 +12,13 @@ components into five cyclic equality groups (and their second partials into
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Evaluator, PentaComplex, _call, _result, multiply
-from .canonical import SQRT5, _assemble, _check_tol, _to_canon_comps
+from .canonical import SQRT5, _assemble, _check_count, _check_tol, _to_canon_comps
 from .errors import InsufficientTerms, ZeroTail
 
 FD_STEP_FIRST = 1e-6
@@ -160,25 +161,20 @@ def _trend(ratios: list[float]) -> str:
 
 
 def convergence_radii(s: PowerSeries, window: int = RATIO_WINDOW) -> ConvergenceReport:
-    """Estimate the convergence radii from trailing coefficient ratios."""
+    """Estimate the convergence radii from trailing coefficient ratios.  A
+    window that is not a whole number >= 1 raises ValueError."""
+    window = _check_count("window", window, 1)
     if len(s.coeffs) < window + 2:
         raise InsufficientTerms(
             f"need at least {window + 2} coefficients for window {window}, got {len(s.coeffs)}")
     cp = _component_polys(s.coeffs)
-    overall = [r / SQRT5 for r in _tail_ratios([abs(a) for a in s.coeffs], window, "overall")]
-    plus = _tail_ratios([abs(a) for a in cp.pplus], window, "line")
-    plane1 = _tail_ratios([abs(a) for a in cp.p1], window, "plane 1")
-    plane2 = _tail_ratios([abs(a) for a in cp.p2], window, "plane 2")
-    return ConvergenceReport(
-        c=statistics.median(overall),
-        cplus=statistics.median(plus),
-        c1=statistics.median(plane1),
-        c2=statistics.median(plane2),
-        window=window,
-        method=f"median of last {window} consecutive ratios",
-        trend={"c": _trend(overall), "cplus": _trend(plus),
-               "c1": _trend(plane1), "c2": _trend(plane2)},
-    )
+    ratios = {key: _tail_ratios([abs(a) for a in coeffs], window, label)
+              for key, label, coeffs in (("c", "overall", s.coeffs), ("cplus", "line", cp.pplus),
+                                         ("c1", "plane 1", cp.p1), ("c2", "plane 2", cp.p2))}
+    ratios["c"] = [r / SQRT5 for r in ratios["c"]]
+    return ConvergenceReport(**{k: statistics.median(r) for k, r in ratios.items()},
+                             window=window, method=f"median of last {window} consecutive ratios",
+                             trend={k: _trend(r) for k, r in ratios.items()})
 
 
 def _taylor(p: Sequence, x, kmax: int) -> list:
@@ -255,9 +251,11 @@ def check_cr_relations(f: Evaluator, point: PentaComplex,
 
     For analytic f the derivative of component (shift + j) mod 5 along axis j
     is the same for every j; each group reports its five values and the
-    maximum pairwise deviation.  A zero step, or a nan or negative tol,
-    raises ValueError.
+    maximum pairwise deviation.  A zero or non-finite step, or a nan or
+    negative tol, raises ValueError.
     """
+    if not math.isfinite(step):
+        raise ValueError(f"step {step!r} is not finite")
     if step == 0.0:
         raise ValueError(f"step {step!r} is zero: central differences divide by 2*step")
     _check_tol(tol)
@@ -345,8 +343,11 @@ def check_second_order(f: Evaluator, point: PentaComplex,
                        step: float = FD_STEP_SECOND,
                        tol: float = FD_TOL_SECOND) -> SecondOrderReport:
     """Check the 25 second-order chains: for each component and each residue
-    class of index sums, all mixed second partials agree.  A step whose
-    square underflows to 0, or a nan or negative tol, raises ValueError."""
+    class of index sums, all mixed second partials agree.  A non-finite
+    step, a step whose square underflows to 0, or a nan or negative tol,
+    raises ValueError."""
+    if not math.isfinite(step):
+        raise ValueError(f"step {step!r} is not finite")
     if step * step == 0.0:
         raise ValueError(f"step {step!r} is too small: its square underflows to 0")
     _check_tol(tol)

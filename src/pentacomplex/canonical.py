@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from .algebra import DIM, PentaComplex, _new, _result
@@ -166,6 +167,16 @@ def _check_tol(tol: float) -> None:
     ValueError."""
     if not tol >= 0.0:
         raise ValueError(f"tol must be None or >= 0, got {tol}")
+
+
+def _check_count(name: str, n, least: int) -> int:
+    """The one rule for a count: a whole number >= least, returned as an int
+    (an integral float acts as the int); anything else raises ValueError."""
+    if not (isinstance(n, int) or isinstance(n, Real) and float(n).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return int(n)
 
 
 def _guard(u: PentaComplex, vp: float | None, v1: float, tv1: float, v2: float,

@@ -239,8 +239,7 @@ def _cmd_integrate(args):
         _emit_json(args, {"lhs": lhs.to_list(), "rhs": rhs.to_list(),
                           "windings": list(windings)})
     else:
-        per_segment = max(1, round(args.samples / len(path.segments())))
-        value = contour.integrate(f, path, per_segment)
+        value = contour.integrate(f, path, contour._nodes_per_segment(args.samples, path))
         _emit_json(args, {"integral": value.to_list()})
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import DIM, Evaluator, PentaComplex, _call, _result
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
-                        _CANON_ROWS, _assemble, _check_tol, _to_canon_comps,
+                        _CANON_ROWS, _assemble, _check_count, _check_tol, _to_canon_comps,
                         rotated_coords, rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
@@ -310,16 +310,20 @@ def _planes(a: np.ndarray) -> np.ndarray:
     return a[:, 1:].view(np.complex128)
 
 
-def _ring_op(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """op (np.multiply or np.divide) of rows of canonical coordinates a and
-    b, b broadcast against a: real on the line, complex on each plane."""
+def _parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The line column and the two plane columns of rows of five, as 1-D
+    views.  numpy never gets the (n, 2) plane view: its rows are 40 bytes
+    apart, so there numpy's inner loop would cover only a row's two entries."""
+    z = _planes(a)
+    return a[:, 0], z[:, 0], z[:, 1]
+
+
+def _by_part(fns, a: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """New rows like a: fns[k] gets part k of a, of each of others (which
+    broadcast against a) and last, as a ufunc's out, of the new rows."""
     out = np.empty_like(a)
-    out[:, 0] = op(a[:, 0], b[:, 0])
-    # a column at a time: rows of five are 40 bytes apart, so on the (n, 2)
-    # plane view numpy's inner loop would cover only a row's two entries
-    pa, pb, po = _planes(a), _planes(b), _planes(out)
-    for j in (0, 1):
-        op(pa[:, j], pb[:, j], out=po[:, j])
+    for fn, cols in zip(fns, zip(*map(_parts, (a, *others, out)))):
+        fn(*cols)
     return out
 
 
@@ -389,35 +393,22 @@ class _Batch:
 
     def product(self, other) -> "_Batch":
         """The ring product with a batch or an element (multiply)."""
-        return _Batch(_ring_op(np.multiply, self.canon, _rows(other)))
+        return _Batch(_by_part((np.multiply,) * 3, self.canon, _rows(other)))
 
     def lift(self, line_fn, plane_fn) -> "_Batch":
         """line_fn on the line and plane_fn on each plane, each applied to
         the columns as the numpy ufunc of the same name (elementary's
         builtins)."""
-        out = np.empty_like(self.canon)
-        out[:, 0] = getattr(np, line_fn.__name__)(self.canon[:, 0])
-        plane_ufunc = getattr(np, plane_fn.__name__)
-        z, zo = _planes(self.canon), _planes(out)
-        for j in (0, 1):  # a column at a time, as in _ring_op
-            plane_ufunc(z[:, j], out=zo[:, j])
-        return _Batch(out)
+        plane = getattr(np, plane_fn.__name__)
+        return _Batch(_by_part((getattr(np, line_fn.__name__), plane, plane), self.canon))
 
     def horner(self, pplus, p1, p2) -> "_Batch":
         """The real polynomial pplus on the line and the complex p1, p2 on
-        the planes, coefficients descending, by Horner on the columns
-        (analytic's ComponentPolynomials.evaluate)."""
-        out = np.empty_like(self.canon)
-        z, zo = _planes(self.canon), _planes(out)
-        # a column at a time, as in _ring_op
-        for x, dest, coeffs in ((self.canon[:, 0], out[:, 0], pplus), (z[:, 0], zo[:, 0], p1),
-                                (z[:, 1], zo[:, 1], p2)):
-            w = np.zeros_like(x)
-            for a in coeffs:
-                # out of place: numpy's in-place complex product may differ in the last bit
-                w = w * x + a
-            dest[:] = w
-        return _Batch(out)
+        the planes, coefficients descending, by np.polyval on each part
+        (ComponentPolynomials.evaluate): its y = y*x + c runs out of place,
+        and numpy's in-place complex product may differ in the last bit."""
+        return _Batch(_by_part([lambda x, out, c=c: np.copyto(out, np.polyval(c, x))
+                                for c in (pplus, p1, p2)], self.canon))
 
 
 def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
@@ -465,21 +456,16 @@ def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
     if not finite.all():
         raise Overflow(f"u - u0 exceeds the floating-point range at {at(int(finite.argmin()))}")
     # moduli by hypot (a complex abs is one), so no square under- or
-    # overflows; pairs holds hypot(x1, x2) and hypot(x3, x4).  fmin skips a
-    # NaN as `or` would, and needs no reduction along the short axis
-    pairs = np.abs(_planes(rel))
-    tol = TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
-    radii = np.abs(_planes(rel_c))
-    bad = np.fmin(np.abs(rel_c[:, 0]), np.fmin(radii[:, 0], radii[:, 1])) <= tol
+    # overflows; |p1| is hypot(x1, x2) and |p2| hypot(x3, x4).  fmin skips a
+    # NaN as `or` would
+    x0, p1, p2 = _parts(rel)
+    tol = TAU_REL * np.hypot(x0, np.hypot(np.abs(p1), np.abs(p2)))
+    line, z1, z2 = _parts(rel_c)
+    bad = np.fmin(np.abs(line), np.fmin(np.abs(z1), np.abs(z2))) <= tol
     if bad.any():
         i = int(bad.argmax())
         raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
                                   f"of zero at {at(i)}")
-
-
-def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num * den^-1 row by row in canonical coordinates."""
-    return _ring_op(np.divide, num, den)
 
 
 @dataclass(frozen=True)
@@ -504,10 +490,10 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     (f(u) - f(u0)) * (u - u0)^-1 alone, on which the rule converges
     geometrically for analytic f; the caller adds the pole term.  f is
     called once, with the batch of all nodes, and at each node only where
-    that call gives no finite batch of values (see _evaluate).
+    that call gives no finite batch of values (see _evaluate).  A count
+    that is not a whole number >= 1 raises ValueError.
     """
-    if samples_per_segment < 1:
-        raise ValueError(f"samples_per_segment must be >= 1, got {samples_per_segment}")
+    samples_per_segment = _check_count("samples_per_segment", samples_per_segment, 1)
     pole = None
     if isinstance(f, _PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
@@ -530,17 +516,21 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
         rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
         if pole is not None:
             _invertible(rel, canon[:len(rel)], len(nodes))
-            kernel = _divide(kernel, rel_c)
+            kernel = _by_part((np.divide,) * 3, kernel, rel_c)
         values = _evaluate(f, nodes, rel_c + _CANON @ origin)
         if pole is not None:
             values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
-        line = float((values[:, 0] * kernel[:, 0]).sum())
+        (lv, v1, v2), (lk, k1, k2) = _parts(values), _parts(kernel)
+        line = float((lv * lk).sum())
         # each plane's products are summed in row order, the order of a sum
-        # along the rows of their (n, 2) array, but a column at a time (see
-        # _ring_op)
-        pv, pk = _planes(values), _planes(kernel)
-        z1, z2 = (complex(np.add.accumulate(pv[:, j] * pk[:, j])[-1]) for j in (0, 1))
+        # along the rows of their (n, 2) array
+        z1, z2 = (complex(np.add.accumulate(v * k)[-1]) for v, k in ((v1, k1), (v2, k2)))
     return _assemble(line, z1, z2)
+
+
+def _nodes_per_segment(samples: float, path: Path) -> int:
+    """Nodes per segment for a budget of `samples` nodes in all: at least 1."""
+    return max(1, round(samples / (len(path.vertices) - (not path.closed))))
 
 
 def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
@@ -581,12 +571,11 @@ def _pole_identity(f: Evaluator, path: Path, u0: PentaComplex, samples: int,
         except OnBoundary as exc:
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     n1, n2 = windings
-    per_segment = max(1, round(samples / len(path.vertices)))
     f_u0 = _call(f, u0)
     # only the azimuths are cyclic: around the loop the pole term
     # f(u0) * (u - u0)^-1 du integrates to 2*pi*i*n_k on plane k and to 0
     # on the line
-    lhs = (integrate(_PoleIntegrand(f, u0, f_u0), path, per_segment)
+    lhs = (integrate(_PoleIntegrand(f, u0, f_u0), path, _nodes_per_segment(samples, path))
            + f_u0 * _assemble(0.0, complex(0.0, TWO_PI * n1), complex(0.0, TWO_PI * n2)))
     rhs = TWO_PI * (f_u0 * (n1 * E1_TILDE + n2 * E2_TILDE))
     return lhs, rhs, (n1, n2)
@@ -603,23 +592,24 @@ def plane_circle(center: PentaComplex, plane: int, radius: float,
     centred on the projection of `center`.  Nonzero `line_offset` (along e+)
     and `other_offset` (along the other plane's idempotent) displace the loop
     off the divisor-of-zero sets relative to `center`, which the pole
-    identity requires; both default to 0.75 * radius.
+    identity requires; both default to 0.75 * radius.  A radius or offset
+    that is not finite, a radius <= 0 or a vertex count that is not a whole
+    number >= 3 raises ValueError.
     """
     if plane not in (1, 2):
         raise ValueError(f"plane index must be 1 or 2, got {plane}")
+    line_offset, other_offset = (0.75 * radius if x is None else x
+                                 for x in (line_offset, other_offset))
+    for name, x in (("radius", radius), ("line_offset", line_offset),
+                    ("other_offset", other_offset)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if vertices < 3:
-        raise ValueError(f"need at least 3 vertices, got {vertices}")
-    if line_offset is None:
-        line_offset = 0.75 * radius
-    if other_offset is None:
-        other_offset = 0.75 * radius
+    vertices = _check_count("vertices", vertices, 3)
     ek, tek = (E1, E1_TILDE) if plane == 1 else (E2, E2_TILDE)
     other = E2 if plane == 1 else E1
     base = center + line_offset * E_PLUS + other_offset * other
-    verts = []
-    for i in range(vertices):
-        t = TWO_PI * i / vertices
-        verts.append(base + radius * math.cos(t) * ek + radius * math.sin(t) * tek)
-    return Path(tuple(verts), closed=True)
+    angles = (TWO_PI * i / vertices for i in range(vertices))
+    return Path(tuple(base + radius * math.cos(t) * ek + radius * math.sin(t) * tek
+                      for t in angles), closed=True)

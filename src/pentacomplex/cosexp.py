@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import PentaComplex
-from .canonical import SQRT5
+from .canonical import SQRT5, _check_count
 from .elementary import exp
 from .errors import DomainTooLarge, Overflow
 
@@ -106,8 +106,7 @@ def g5_series(k: int, y: float, nterms: int = 60) -> float:
     _exp_series, of which this is component k)."""
     if not 0 <= k <= 4:
         raise ValueError(f"index must be 0..4, got {k}")
-    if nterms < 1:
-        raise ValueError(f"nterms must be >= 1, got {nterms}")
+    nterms = _check_count("nterms", nterms, 1)
     if not abs(y) <= SERIES_MAX_ABS_Y:
         raise DomainTooLarge(f"|y| = {abs(y)} exceeds the series guard {SERIES_MAX_ABS_Y}")
     return _exp_series(y, 0, nterms)[k]
@@ -369,8 +368,7 @@ def power_coeffs(kind: PowerKind, m: int) -> PowerCoefficients:
     D_MINUS: (h1-h4)^(2m+1) = D_m (h1-h4) + E_m (h2-h3).
     F_MINUS: (h1-h4)^(2m) = F_m (h1+h4) + G_m (h2+h3) + H_m.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _check_count("m", m, 1)
     if not isinstance(kind, PowerKind):
         raise ValueError(f"unknown kind {kind!r}")
     names, first, step, closed = _FAMILIES[kind]

@@ -133,6 +133,13 @@ def test_convergence_radii_errors():
         convergence_radii(s)
 
 
+@pytest.mark.parametrize("window", [0, -1, -5, 2.5])
+def test_convergence_radii_rejects_a_window_that_is_not_a_count(window):
+    # an empty window raised statistics.StatisticsError (no median)
+    with pytest.raises(ValueError, match="window"):
+        convergence_radii(PowerSeries(tuple(ONE for _ in range(12))), window=window)
+
+
 # coefficient components log-uniform in 1e-3..1e3 with either sign
 COMPONENT = st.builds(lambda sign, e: sign * 10.0 ** e,
                       st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0))
@@ -361,6 +368,16 @@ def test_first_order_zero_step_is_value_error():
             check_cr_relations(lambda u: calls.append(u) or u, ONE, step=step)
     assert calls == []
     assert check_cr_relations(exp, ONE, step=5e-324).step == 5e-324
+
+
+@pytest.mark.parametrize("check", [check_cr_relations, check_second_order])
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_step_is_value_error(check, step):
+    # the shifted point raised Overflow; f is not called
+    calls = []
+    with pytest.raises(ValueError, match=f"step {step!r} is not finite"):
+        check(lambda u: calls.append(u) or u, ONE, step=step)
+    assert calls == []
 
 
 def test_second_order_chain_pairs_cover_residues():

@@ -430,6 +430,43 @@ def test_plane_circle_validation():
         plane_circle(ZERO, 1, 1.0, vertices=2)
 
 
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda n: integrate(exp, plane_circle(ZERO, 1, 1.0, vertices=8), n),
+                 "samples_per_segment", id="integrate"),
+    pytest.param(lambda n: plane_circle(ZERO, 1, 1.0, vertices=n), "vertices",
+                 id="plane_circle"),
+])
+@pytest.mark.parametrize("n", [2.5, -0.5, math.nan, math.inf, -math.inf, "8"])
+def test_a_count_that_is_not_a_whole_number_raises(call, name, n):
+    # 2.5 raised a raw TypeError, nan and inf numpy's arange error
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        call(n)
+
+
+def test_an_integral_float_count_acts_as_the_int():
+    loop = plane_circle(ZERO, 1, 1.0, vertices=8.0)
+    assert loop == plane_circle(ZERO, 1, 1.0, vertices=8)
+    assert integrate(exp, loop, 3.0) == integrate(exp, loop, 3)
+
+
+@pytest.mark.parametrize("name", ["radius", "line_offset", "other_offset"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_plane_circle_rejects_a_non_finite_radius_or_offset(name, x):
+    # all of these raised Overflow building the vertices
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        plane_circle(ZERO, 1, **{"radius": 1.0, name: x})
+
+
+@pytest.mark.parametrize("samples", [1, 7, 64, 100, 1000, 4096, 2.6])
+def test_one_node_budget_rule_for_open_and_closed_paths(samples):
+    # the total budget spread over the segments, at least one node each;
+    # the CLI's integrate and the pole identity both take it from here
+    loop = plane_circle(ZERO, 1, 1.0, vertices=16)
+    for path in (loop, Path(loop.vertices[:5]), Path(loop.vertices[:2])):
+        want = max(1, round(samples / len(path.segments())))
+        assert contour._nodes_per_segment(samples, path) == want
+
+
 def both_planes_loop(u0, radius=1.0, offset=0.7, vertices=64):
     """Loop winding once around u0 in both canonical planes."""
     base = u0 + offset * E_PLUS
@@ -671,8 +708,9 @@ def test_callable_path_is_bit_identical_to_the_per_row_loop():
 
 
 def test_column_ops_match_the_plane_view():
-    # _ring_op and _Batch.lift run one plane column at a time; the bits are
-    # those of one numpy call on the (n, 2) plane view
+    # _by_part (so _Batch.product, _Batch.lift and integrate's kernel) runs
+    # one plane column at a time; the bits are those of one numpy call on
+    # the (n, 2) plane view
     rng = np.random.default_rng(305)
     a, b = rng.standard_normal((2, 300, 5)) * 10.0 ** rng.integers(-2, 2, (2, 300, 5))
     a[0, 1:] = -0.0
@@ -682,7 +720,7 @@ def test_column_ops_match_the_plane_view():
             want = np.empty_like(a)
             want[:, 0] = op(a[:, 0], other[:, 0])
             planes(want)[:] = op(planes(a), planes(other))
-            assert contour._ring_op(op, a, other).tobytes() == want.tobytes()
+            assert contour._by_part((op,) * 3, a, other).tobytes() == want.tobytes()
     for name in ("exp", "sin", "cos", "sinh", "cosh"):
         want = np.empty_like(a)
         want[:, 0] = getattr(np, name)(a[:, 0])
@@ -1155,7 +1193,7 @@ def reference_integrate(f, path, n):
     rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
     if pole is not None:
         reference_invertible(rel, canon[:len(rel)], len(nodes))
-        kernel = contour._divide(kernel, rel_c)
+        kernel = contour._by_part((np.divide,) * 3, kernel, rel_c)
     values = contour._evaluate(f, nodes, rel_c + _CANON @ origin)
     if pole is not None:
         values -= _CANON @ np.array(f_pole.components)

@@ -38,6 +38,18 @@ def test_series_sum_is_exp():
     assert abs(total - 2.718281828459045) <= 1e-15
 
 
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda n: g5_series(0, 1.0, n), "nterms", id="g5_series"),
+    pytest.param(lambda n: power_coeffs(PowerKind.A_PLUS, n), "m", id="power_coeffs"),
+])
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+def test_a_count_that_is_not_a_whole_number_is_value_error(call, name, n):
+    # a raw TypeError from range; 3.0 acts as 3
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        call(n)
+    assert call(3.0) == call(3)
+
+
 def test_series_guard_and_validation():
     with pytest.raises(DomainTooLarge):
         g5_series(0, 50.5)
