@@ -32,10 +32,11 @@ class PentaComplex:
     Components are validated to be finite at construction; NaN/infinity never
     enter the ring.  All arithmetic returns new instances, and a result
     beyond the floating-point range raises Overflow.  The components are
-    stored as one tuple of floats.
+    stored as one tuple of floats; `_canon` holds their canonical
+    coordinates once canonical._canon has transformed them (None before).
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_canon")
 
     def __init__(self, x0=0.0, x1=0.0, x2=0.0, x3=0.0, x4=0.0):
         try:
@@ -54,6 +55,7 @@ class PentaComplex:
                 if not math.isfinite(val):
                     raise ValueError(f"component x{k} is not finite: {val!r}")
         _set_components(self, (x0, x1, x2, x3, x4))
+        _set_canon(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PentaComplex is immutable")
@@ -196,8 +198,9 @@ class PentaComplex:
         return cls.from_components(data)
 
 
-# the slot's setter, which bypasses the immutability guard
+# the slots' setters, which bypass the immutability guard
 _set_components = PentaComplex.__dict__["components"].__set__
+_set_canon = PentaComplex.__dict__["_canon"].__set__
 _new = object.__new__
 
 
@@ -214,6 +217,7 @@ def _result(*comps: float) -> PentaComplex:
         raise Overflow("result exceeds the floating-point range")
     u = _new(PentaComplex)
     _set_components(u, comps)
+    _set_canon(u, None)
     return u
 
 

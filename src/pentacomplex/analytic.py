@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Evaluator, PentaComplex, _call, _result, multiply
-from .canonical import SQRT5, _assemble, _check_count, _check_tol, _to_canon_comps
+from .canonical import SQRT5, _assemble, _canon, _check_count, _check_tol
 from .errors import InsufficientTerms, ZeroTail
 
 FD_STEP_FIRST = 1e-6
@@ -75,12 +75,11 @@ class ComponentPolynomials:
         elements (contour's nodes) holds no components: it runs Horner on
         its columns itself, through its `horner` method."""
         try:
-            comps = u.components
+            vp, v1, tv1, v2, tv2 = _canon(u)
         except AttributeError:
             if hasattr(u, "horner"):
                 return u.horner(self.pplus, self.p1, self.p2)
             raise
-        vp, v1, tv1, v2, tv2 = _to_canon_comps(comps)
         z1 = complex(v1, tv1)
         z2 = complex(v2, tv2)
         wp = 0.0
@@ -96,7 +95,7 @@ class ComponentPolynomials:
 def _component_polys(coeffs: Iterable[PentaComplex]) -> ComponentPolynomials:
     """The component polynomials of ring coefficients, in their order: one
     canonical transform per coefficient."""
-    spectra = [_to_canon_comps(a.components) for a in coeffs]
+    spectra = [_canon(a) for a in coeffs]
     return ComponentPolynomials(tuple(sp[0] for sp in spectra),
                                 tuple(complex(sp[1], sp[2]) for sp in spectra),
                                 tuple(complex(sp[3], sp[4]) for sp in spectra))
@@ -139,7 +138,7 @@ def series_eval_components(s: PowerSeries, u: PentaComplex) -> PentaComplex:
 def coefficient_spectrum(a: PentaComplex) -> CoefficientSpectrum:
     """The canonical transform of `a`: its line sum and the two plane
     pairs (component sums weighted by cos/sin of the fifth-circle angles)."""
-    return CoefficientSpectrum(*_to_canon_comps(a.components))
+    return CoefficientSpectrum(*_canon(a))
 
 
 def _tail_ratios(values: list[float], window: int, label: str) -> list[float]:
@@ -196,7 +195,7 @@ def taylor_coefficients(s: PowerSeries, u0: PentaComplex, kmax: int) -> PowerSer
     derivative at u0 divided by k!, i.e. sum_l C(l, k) a_l u0^(l-k),
     computed on each component polynomial."""
     cp = _component_polys(reversed(s.coeffs))
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u0.components)
+    vp, v1, tv1, v2, tv2 = _canon(u0)
     parts = zip(_taylor(cp.pplus, vp, kmax), _taylor(cp.p1, complex(v1, tv1), kmax),
                 _taylor(cp.p2, complex(v2, tv2), kmax))
     return PowerSeries(tuple(_assemble(*w) for w in parts))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import TYPE_CHECKING
 
-from .algebra import DIM, PentaComplex, _new, _result
+from .algebra import DIM, PentaComplex, _new, _result, _set_canon
 from .errors import NonInvertible, Overflow
 
 if TYPE_CHECKING:
@@ -108,6 +108,18 @@ def _to_canon_comps(c: tuple) -> tuple:
     if vp * 0.0 + v1 * 0.0 + tv1 * 0.0 + v2 * 0.0 + tv2 * 0.0 != 0.0:
         raise Overflow("canonical coordinates exceed the floating-point range")
     return vp, v1, tv1, v2, tv2
+
+
+def _canon(u: PentaComplex) -> tuple:
+    """u's canonical coordinates (vplus, v1, tv1, v2, tv2): the tuple
+    _to_canon_comps returns for its components, transformed on first use
+    and kept in u's `_canon` slot.  Where the transform raises Overflow
+    nothing is kept, so the next call raises again."""
+    c = u._canon
+    if c is None:
+        c = _to_canon_comps(u.components)
+        _set_canon(u, c)
+    return c
 
 
 # the transform as a matrix: its images of the unit vectors are the columns
@@ -211,7 +223,7 @@ def _lift(u: PentaComplex, line_fn, plane_fn, domain: type | None = None,
     """The element with line_fn(vplus) on the line and plane_fn(v_k + i*tv_k)
     on each plane.  With an error class `domain`, u first passes the guard;
     a result beyond the floating-point range raises Overflow."""
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     z1 = complex(v1, tv1)
     z2 = complex(v2, tv2)
     try:
@@ -252,7 +264,7 @@ def canonical_basis() -> tuple[PentaComplex, PentaComplex, PentaComplex,
 
 def to_canonical(u: PentaComplex) -> CanonicalForm:
     """Project u onto the real line and the two planes."""
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     return _record(CanonicalForm, {"vplus": vp, "v1": v1, "tv1": tv1, "v2": v2, "tv2": tv2})
 
 
@@ -304,7 +316,7 @@ def rotated_coords(u: PentaComplex) -> RotatedCoords:
     Related to the canonical variables by vplus = sqrt(5)*xiplus and
     v_k = sqrt(5/2)*xi_k, tv_k = sqrt(5/2)*eta_k.
     """
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     return _record(RotatedCoords, {"xiplus": vp / SQRT5, "xi1": _SQ25 * v1, "eta1": _SQ25 * tv1,
                                    "xi2": _SQ25 * v2, "eta2": _SQ25 * tv2})
 
@@ -317,7 +329,7 @@ def irreducible_rep(u: PentaComplex) -> IrreducibleRep:
     """
     import numpy as np
 
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     b1 = np.array([[v1, tv1], [-tv1, v1]])
     b2 = np.array([[v2, tv2], [-tv2, v2]])
     return IrreducibleRep(vplus=vp, v1_block=b1, v2_block=b2)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .algebra import DIM, Evaluator, PentaComplex, _call, _result
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
-                        _CANON_ROWS, _assemble, _check_count, _check_tol, _to_canon_comps,
-                        rotated_coords, rotation_matrix)
+                        _CANON_ROWS, _assemble, _canon, _check_count, _check_tol,
+                        _to_canon_comps, rotated_coords, rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -334,7 +334,7 @@ def _rows(x, unit: np.ndarray | None = None) -> np.ndarray:
     if isinstance(x, _Batch):
         return x.canon
     if isinstance(x, PentaComplex):
-        return np.array([_to_canon_comps(x.components)])
+        return np.array([_canon(x)])
     if unit is not None and isinstance(x, Real):
         return float(x) * unit
     raise TypeError(f"unsupported operand for a batch of elements: {type(x).__name__}")
@@ -404,11 +404,21 @@ class _Batch:
 
     def horner(self, pplus, p1, p2) -> "_Batch":
         """The real polynomial pplus on the line and the complex p1, p2 on
-        the planes, coefficients descending, by np.polyval on each part
-        (ComponentPolynomials.evaluate): its y = y*x + c runs out of place,
-        and numpy's in-place complex product may differ in the last bit."""
-        return _Batch(_by_part([lambda x, out, c=c: np.copyto(out, np.polyval(c, x))
-                                for c in (pplus, p1, p2)], self.canon))
+        the planes, coefficients descending, by _horner_column on each part
+        (ComponentPolynomials.evaluate)."""
+        return _Batch(_by_part([functools.partial(_horner_column, c) for c in (pplus, p1, p2)],
+                               self.canon))
+
+
+def _horner_column(coeffs, x: np.ndarray, out: np.ndarray) -> None:
+    """out = the polynomial with coefficients `coeffs` (descending) at the
+    column x, by np.polyval's own loop on the Python coefficients: its
+    y = y*x + c runs out of place, from y = 0, and numpy's in-place complex
+    product may differ in the last bit."""
+    y = np.zeros_like(x)
+    for c in coeffs:
+        y = y * x + c
+    out[...] = y
 
 
 def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:

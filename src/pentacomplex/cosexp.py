@@ -217,12 +217,13 @@ def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:
     """l-th ring power of exp(h_perm * y).
 
     Powers only rescale the argument: the result is exp(h_perm * l * y), with
-    l = 0 giving the ring unit.
+    l = 0 giving the ring unit.  A negative or non-finite l raises
+    ValueError.
     """
     if not 1 <= perm <= 4:
         raise ValueError(f"permutation index must be 1..4, got {perm}")
-    if l < 0:
-        raise ValueError(f"power must be >= 0, got {l}")
+    if not 0 <= l < math.inf:  # nan fails both comparisons
+        raise ValueError(f"power must be finite and >= 0, got {l}")
     _check_finite(y)
     try:
         ly = l * y

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import PentaComplex, _recip_plane, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
-                        _guard, _lift, _to_canon_comps)
+                        _canon, _guard, _lift)
 from .errors import FormDomain, LogDomain, NonInvertible, Overflow, PowDomain
 from .geometry import SQRT2, _amplitude, _azimuths, odd_fifth_root
 
@@ -148,7 +148,7 @@ def exponential_form(u: PentaComplex) -> ExponentialForm:
     with both plane radii nonzero.  sqrt2/tan(thetaplus) is vplus/rho1 and
     tan(psi1) is rho1/rho2, so both logarithms are taken of the quotients;
     a plane radius beyond the floating-point range raises Overflow."""
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     rho1, rho2 = _guard(u, vp, v1, tv1, v2, tv2, FormDomain)
     phi1, phi2 = _azimuths(rho1, rho2, v1, tv1, v2, tv2)
     return ExponentialForm(
@@ -170,7 +170,7 @@ def trigonometric_form(u: PentaComplex) -> PentaComplex:
     nonzero); the cotangents are evaluated from the canonical components so
     thetaplus = pi/2 costs no precision.
     """
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     d = abs(u)
     rho1, rho2 = _guard(u, None, v1, tv1, v2, tv2, FormDomain)
     cot_theta = vp / (SQRT2 * rho1)
@@ -189,7 +189,7 @@ def modulus_amplitude_relation(u: PentaComplex) -> tuple[float, float]:
     is sqrt2*rho1/vplus and tan(psi1) is rho1/rho2, both taken as quotients
     of the radii, as in exponential_form; a plane radius beyond the
     floating-point range raises Overflow."""
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     rho1, rho2 = _guard(u, vp, v1, tv1, v2, tv2, FormDomain)
     if rho1 == math.inf or rho2 == math.inf:
         raise Overflow("a plane radius exceeds the floating-point range")

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import PentaComplex, multiply
-from .canonical import (SQRT5, TAU_REL, TWO_PI, _check_tol, _modulus, _record,
-                        _to_canon_comps)
+from .canonical import SQRT5, TAU_REL, TWO_PI, _canon, _check_tol, _modulus, _record
 from .errors import AngleUndefined, Overflow
 
 SQRT2 = math.sqrt(2.0)
@@ -106,7 +105,7 @@ def amplitude(u: PentaComplex) -> float:
     Exactly multiplicative under the ring product (the modulus is only
     submultiplicative up to sqrt(5)).
     """
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
     e = 0
@@ -140,7 +139,7 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
     angles come from the two-argument arctangent: phi_k in [0, 2*pi), psi1
     in [0, pi/2], thetaplus in [0, pi].
     """
-    vp, v1, tv1, v2, tv2 = _to_canon_comps(u.components)
+    vp, v1, tv1, v2, tv2 = _canon(u)
     d = _modulus(u)
     if tol is None:
         tol = TAU_REL * d

@@ -9,7 +9,7 @@ from pentacomplex import (H1, H2, H3, H4, ONE, ZERO, NonInvertible,
                           NotCirculant, Overflow, PentaComplex, add, basis_product,
                           from_matrix, inverse, multiply, to_matrix)
 from pentacomplex import algebra
-from pentacomplex.canonical import E_PLUS
+from pentacomplex.canonical import E_PLUS, to_canonical
 
 # the ten products of the cyclic basis table, transcribed independently
 BASIS_TABLE = {(1, 1): 2, (2, 2): 4, (3, 3): 1, (4, 4): 3, (1, 2): 3,
@@ -242,7 +242,7 @@ def test_immutability():
 
 def test_every_component_is_immutable():
     u = PentaComplex(1, 2, 3, 4, 5)
-    for name in ("x0", "x1", "x2", "x3", "x4"):
+    for name in ("x0", "x1", "x2", "x3", "x4", "components", "_canon"):
         with pytest.raises(AttributeError):
             setattr(u, name, 7.0)
         with pytest.raises(AttributeError):
@@ -268,15 +268,20 @@ def test_operators_and_serialization():
 
 
 def test_pickle_and_copy_round_trip():
-    u = PentaComplex(1.5, -0.0, 3e-300, -4e300, 5.0)
-    copies = [pickle.loads(pickle.dumps(u, protocol))
-              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    copies += [copy.copy(u), copy.deepcopy(u), copy.deepcopy([u])[0]]
-    for v in copies:
-        assert type(v) is PentaComplex
-        assert bits(v) == bits(u)
-        with pytest.raises(AttributeError):
-            v.x0 = 7.0
+    plain = PentaComplex(1.5, -0.0, 3e-300, -4e300, 5.0)
+    transformed = PentaComplex(*plain.components)
+    to_canonical(transformed)  # keeps its canonical coordinates in its slot
+    assert transformed._canon is not None
+    for u in (plain, transformed):
+        copies = [pickle.loads(pickle.dumps(u, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(u), copy.deepcopy(u), copy.deepcopy([u])[0]]
+        for v in copies:
+            assert type(v) is PentaComplex
+            assert bits(v) == bits(u)
+            assert v == u and hash(v) == hash(u) and repr(v) == repr(u)
+            with pytest.raises(AttributeError):
+                v.x0 = 7.0
 
 
 def bits(u):

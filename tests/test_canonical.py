@@ -14,6 +14,8 @@ from pentacomplex import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
                           inverse, irreducible_rep, multiply, polar_form,
                           rotated_coords, rotation_matrix, to_canonical,
                           to_matrix)
+import pentacomplex
+from pentacomplex import amplitude, log, pow_real
 from pentacomplex.canonical import (_E1, _E2, _E_PLUS, _TE1, _TE2,
                                    _from_canon_comps)
 
@@ -350,3 +352,37 @@ def test_a_nan_or_negative_tol_raises(call, tol):
     # checks failed every group
     with pytest.raises(ValueError, match="tol must be None or >= 0"):
         call(tol)
+
+
+def test_an_element_is_transformed_once(monkeypatch):
+    # every module of the package that holds the transform calls the counter
+    calls = []
+    transform = pentacomplex.canonical._to_canon_comps
+
+    def counted(c):
+        calls.append(c)
+        return transform(c)
+
+    # imported before any is patched: contour's import runs the transform
+    modules = [getattr(pentacomplex, name)
+               for name in ("canonical", "geometry", "elementary", "analytic", "contour")]
+    for module in modules:
+        if hasattr(module, "_to_canon_comps"):
+            monkeypatch.setattr(module, "_to_canon_comps", counted)
+    w = multiply(PentaComplex(1.0, 0.3, -0.2, 0.1, 0.4), PentaComplex(0.8, -0.1, 0.2, 0.0, 0.3))
+    to_canonical(w)
+    inverse(w)
+    log(w)
+    polar_form(w)
+    rotated_coords(w)
+    amplitude(w)
+    pow_real(w, 0.5)
+    assert calls == [w.components]
+
+
+def test_a_transform_beyond_the_float_range_is_not_kept():
+    u = PentaComplex(1e308, 1e308, 1e308, 0, 0)
+    for _ in range(2):
+        with pytest.raises(Overflow):
+            to_canonical(u)
+        assert u._canon is None

@@ -294,6 +294,13 @@ def test_a_non_finite_argument_is_outside_the_domain(f, y):
         f(y)
 
 
+@pytest.mark.parametrize("l", [math.nan, math.inf])
+def test_a_non_finite_power_is_a_value_error(l):
+    # nan passed the l < 0 test and raised Overflow from l * y
+    with pytest.raises(ValueError, match="power must be finite"):
+        cosexp_power(1, 0.7, l)
+
+
 def exact_g5(k: int, y: float) -> Fraction:
     """sum_p y^(k+5p)/(k+5p)! in rational arithmetic, to a relative 1e-40
     of the first term (the terms decrease at once for |y| <= 2)."""

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from pentacomplex import (ONE, AngleUndefined, CanonicalForm, Overflow,
                           PentaComplex, PentaError, PentaPolynomial,
-                          PowerSeries, amplitude, canonical_multiply, decompose,
-                          exp, exponential_form, from_canonical, inverse, log,
+                          PowerSeries, amplitude, canonical_multiply,
+                          coefficient_spectrum, decompose, exp,
+                          exponential_form, from_canonical, inverse, log,
                           modulus_amplitude_relation, modulus_product_bound,
-                          multiply, polar_form, pow_real, series_eval,
-                          series_eval_components, sin, to_canonical,
+                          multiply, polar_form, pow_real, rotated_coords,
+                          series_eval, series_eval_components, sin,
+                          taylor_coefficients, to_canonical,
                           trigonometric_form)
+from pentacomplex.canonical import _to_canon_comps
 from pentacomplex.geometry import odd_fifth_root
 
 BASE = PentaComplex(1.0, 0.3, 0.0, 0.1, 0.0)
@@ -115,6 +118,45 @@ def test_finite_result_or_typed_error(u, exponent):
         except PentaError:
             continue
         assert ok(result), (name, u, result)
+
+
+# every function that reads an element's canonical coordinates
+CANON_READERS = {name: f for name, (f, _) in CONTRACT.items()} | {
+    "to_canonical": to_canonical, "rotated_coords": rotated_coords,
+    "coefficient_spectrum": coefficient_spectrum, "sin": sin,
+    "modulus_amplitude_relation": modulus_amplitude_relation,
+    "taylor_coefficients": lambda u: taylor_coefficients(SERIES, u, 2)}
+
+
+def outcome(f, u) -> str:
+    try:
+        return repr(f(u))
+    except PentaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def float_bits(xs) -> list:
+    return [x.hex() for x in xs]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(canonical_parts(), st.floats(-300.0, 300.0))
+@example(WIDE_PLANE, 0.0)
+@example(PentaComplex(1.7e308, 1.7e308, 0.0, 0.0, 0.0), 0.0)
+def test_kept_canonical_coordinates_are_the_transform(u, exponent):
+    # whatever ran on u before, each function gives what it gives on a fresh
+    # copy, and the slot holds exactly what the transform returns (or None)
+    u = u * 10.0 ** exponent
+    for name, f in CANON_READERS.items():
+        assert outcome(f, u) == outcome(f, PentaComplex(*u.components)), name
+        if u._canon is not None:
+            assert float_bits(u._canon) == float_bits(_to_canon_comps(u.components)), name
+    try:
+        _to_canon_comps(u.components)
+    except Overflow:
+        assert u._canon is None
+    else:
+        assert u._canon is not None
 
 
 # powers of two scale exactly, so both sides see the same canonical parts;
