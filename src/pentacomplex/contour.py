@@ -404,21 +404,11 @@ class _Batch:
 
     def horner(self, pplus, p1, p2) -> "_Batch":
         """The real polynomial pplus on the line and the complex p1, p2 on
-        the planes, coefficients descending, by _horner_column on each part
-        (ComponentPolynomials.evaluate)."""
-        return _Batch(_by_part([functools.partial(_horner_column, c) for c in (pplus, p1, p2)],
-                               self.canon))
-
-
-def _horner_column(coeffs, x: np.ndarray, out: np.ndarray) -> None:
-    """out = the polynomial with coefficients `coeffs` (descending) at the
-    column x, by np.polyval's own loop on the Python coefficients: its
-    y = y*x + c runs out of place, from y = 0, and numpy's in-place complex
-    product may differ in the last bit."""
-    y = np.zeros_like(x)
-    for c in coeffs:
-        y = y * x + c
-    out[...] = y
+        the planes, coefficients descending, by np.polyval on each part
+        (ComponentPolynomials.evaluate): its y = y*x + c runs out of place,
+        and numpy's in-place complex product may differ in the last bit."""
+        return _Batch(_by_part([lambda x, out, c=c: np.copyto(out, np.polyval(c, x))
+                                for c in (pplus, p1, p2)], self.canon))
 
 
 def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:

@@ -757,7 +757,7 @@ def test_batch_horner_is_bit_identical_to_the_plane_view(degree, rows, seed):
     with np.errstate(all="ignore"):
         got = contour._Batch(canon).horner(pplus, p1, p2).canon
         want = plane_view_horner(canon, pplus, p1, p2)
-        # the loop is np.polyval's, run on the Python coefficients
+        # each part is np.polyval's on that column
         for part, x, p in zip(contour._parts(got), contour._parts(canon), (pplus, p1, p2)):
             assert part.tobytes() == np.polyval(p, x).tobytes()
     assert got.tobytes() == want.tobytes()
