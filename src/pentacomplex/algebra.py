@@ -9,13 +9,14 @@ also a 5x5 circulant matrix acting on the components.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from numbers import Real
 from operator import truediv
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import EvaluationFailed, NonInvertible, NotCirculant, Overflow
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .algebra import Evaluator, PentaComplex, _call, _result, multiply
 from .canonical import SQRT5, _assemble, _canon, _check_count, _check_tol
@@ -193,7 +193,8 @@ def _taylor(p: Sequence, x, kmax: int) -> list:
 def taylor_coefficients(s: PowerSeries, u0: PentaComplex, kmax: int) -> PowerSeries:
     """Recentre the series at u0: coefficient k is the k-th termwise
     derivative at u0 divided by k!, i.e. sum_l C(l, k) a_l u0^(l-k),
-    computed on each component polynomial."""
+    computed on each component polynomial.  kmax is a whole number >= 0."""
+    kmax = _check_count("kmax", kmax, 0)
     cp = _component_polys(reversed(s.coeffs))
     vp, v1, tv1, v2, tv2 = _canon(u0)
     parts = zip(_taylor(cp.pplus, vp, kmax), _taylor(cp.p1, complex(v1, tv1), kmax),

@@ -11,13 +11,13 @@ trigonometric identities are left to the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from numbers import Real
-from typing import TYPE_CHECKING
 
 from .algebra import DIM, PentaComplex, _new, _result, _set_canon
 from .errors import NonInvertible, Overflow
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -58,13 +58,11 @@ class CanonicalForm:
     tv2: float
 
     def to_dict(self) -> dict:
-        return {"vplus": self.vplus, "v1": self.v1, "tv1": self.tv1,
-                "v2": self.v2, "tv2": self.tv2}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CanonicalForm":
-        return cls(float(data["vplus"]), float(data["v1"]), float(data["tv1"]),
-                   float(data["v2"]), float(data["tv2"]))
+        return cls(*(float(data[f.name]) for f in fields(cls)))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 
 from . import elementary
 from .algebra import PentaComplex, inverse, multiply
@@ -156,7 +157,7 @@ def _cmd_canonical(args):
     _emit_json(args, to_canonical(_one_operand(args)).to_dict())
 
 
-_CANON_KEYS = ("vplus", "v1", "tv1", "v2", "tv2")
+_CANON_KEYS = tuple(f.name for f in fields(CanonicalForm))
 
 
 def _cmd_canonical_from(args):
@@ -366,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(sp, _cmd_pow, operands=True, pretty=True)
 
     sp = sub.add_parser("trig", help="trigonometric/hyperbolic function")
-    sp.add_argument("--fn", choices=["cos", "sin", "cosh", "sinh"], required=True)
+    sp.add_argument("--fn", choices=[f.__name__ for f in elementary._LIFTED
+                                     if f is not elementary.exp], required=True)
     _add_io(sp, _cmd_trig, operands=True, pretty=True)
 
     sp = sub.add_parser("cosexp-table",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algebra import PentaComplex, _recip_plane, multiply
 from .canonical import (E1_TILDE, E2_TILDE, E_PLUS, E1, E2, SQRT5, TWO_PI,
@@ -139,8 +139,7 @@ class ExponentialForm:
         return self.amplitude * exp(self.exponent())
 
     def to_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "log_tan_theta": self.log_tan_theta,
-                "log_tan_psi": self.log_tan_psi, "phi1": self.phi1, "phi2": self.phi2}
+        return asdict(self)
 
 
 def exponential_form(u: PentaComplex) -> ExponentialForm:

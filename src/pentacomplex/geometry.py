@@ -11,7 +11,7 @@ amplitude are multiplicative and the azimuthal angles are additive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .algebra import PentaComplex, multiply
 from .canonical import SQRT5, TAU_REL, TWO_PI, _canon, _check_tol, _modulus, _record
@@ -46,11 +46,9 @@ class PolarForm:
         return value
 
     def to_dict(self) -> dict:
-        out = {"d": self.d, "rho": self.rho, "rho1": self.rho1, "rho2": self.rho2,
-               "phi1": self.phi1, "phi2": self.phi2, "psi1": self.psi1,
-               "thetaplus": self.thetaplus}
-        if self.undefined:
-            out["undefined"] = dict(self.undefined)
+        out = asdict(self)
+        if not self.undefined:
+            del out["undefined"]
         return out
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class QuadraticFactor:
     c: PentaComplex
 
 
-Factor = Union[LinearFactor, QuadraticFactor]
+Factor = LinearFactor | QuadraticFactor
 
 
 def decompose(poly: PentaPolynomial) -> ComponentPolynomials:

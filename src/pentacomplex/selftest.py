@@ -3,8 +3,9 @@
 Each suite re-derives its expected values through an independent route
 (either printed constants, brute-force ring arithmetic, dense matrix
 algebra, finite differences or quadrature) and checks the library against
-them at fixed tolerances.  The CLI `selftest` subcommand runs all suites;
-the pytest acceptance module asserts each one.
+them at fixed tolerances.  Each suite is one `@_suite(name)` function, and
+the suites run in declaration order.  The CLI `selftest` subcommand runs
+all suites; the pytest acceptance module asserts each one.
 """
 
 from __future__ import annotations
@@ -60,13 +61,28 @@ class _Checker:
         self.check(dev <= tol, f"{msg}: deviation {dev:.3e} > {tol:.1e}")
 
 
-def _run(name, fn) -> SuiteResult:
-    c = _Checker()
-    start = time.perf_counter()
-    fn(c)
-    elapsed = time.perf_counter() - start
-    return SuiteResult(name=name, passed=not c.failures, checks=c.checks,
-                       seconds=elapsed, failures=c.failures)
+SUITES = []
+
+
+def _suite(name: str):
+    """Declare the check body `def suite_x(c)` as the suite `name`: the
+    public `suite_x()` runs the body on a fresh _Checker, timed, and is
+    appended to SUITES."""
+
+    def declare(body):
+        def suite() -> SuiteResult:
+            c = _Checker()
+            start = time.perf_counter()
+            body(c)
+            elapsed = time.perf_counter() - start
+            return SuiteResult(name=name, passed=not c.failures, checks=c.checks,
+                               seconds=elapsed, failures=c.failures)
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        SUITES.append(suite)
+        return suite
+
+    return declare
 
 
 def _rand_penta(rng, lo=-10.0, hi=10.0) -> PentaComplex:
@@ -86,7 +102,8 @@ _BASIS_TABLE = {(1, 1): 2, (2, 2): 4, (3, 3): 1, (4, 4): 3, (1, 2): 3,
                 (1, 3): 4, (1, 4): 0, (2, 3): 0, (2, 4): 1, (3, 4): 2}
 
 
-def _suite_basis_table(c: _Checker):
+@_suite("basis-table")
+def suite_basis_table(c: _Checker):
     def core():
         for (j, k), expect in _BASIS_TABLE.items():
             got = multiply(PentaComplex.basis(j), PentaComplex.basis(k))
@@ -108,14 +125,11 @@ def _suite_basis_table(c: _Checker):
     c.check(best < 1e-3, f"basis table took {best * 1e3:.3f} ms (limit 1 ms)")
 
 
-def suite_basis_table() -> SuiteResult:
-    return _run("basis-table", _suite_basis_table)
-
-
 # ---------------------------------------------------------------------------
 # 2. ring axioms
 
-def _suite_ring_axioms(c: _Checker):
+@_suite("ring-axioms")
+def suite_ring_axioms(c: _Checker):
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     for _ in range(1000):
@@ -136,14 +150,11 @@ def _suite_ring_axioms(c: _Checker):
     c.check(time.perf_counter() - t0 < 1.0, "ring axiom suite exceeded 1 s")
 
 
-def suite_ring_axioms() -> SuiteResult:
-    return _run("ring-axioms", _suite_ring_axioms)
-
-
 # ---------------------------------------------------------------------------
 # 3. matrix representations
 
-def _suite_matrix_rep(c: _Checker):
+@_suite("matrix-representation")
+def suite_matrix_rep(c: _Checker):
     rng = np.random.default_rng(102)
     T = rotation_matrix()
     for _ in range(1000):
@@ -169,14 +180,11 @@ def _suite_matrix_rep(c: _Checker):
                 "irreducible block-diagonalization off-block mass")
 
 
-def suite_matrix_rep() -> SuiteResult:
-    return _run("matrix-representation", _suite_matrix_rep)
-
-
 # ---------------------------------------------------------------------------
 # 4. canonical structure
 
-def _suite_canonical(c: _Checker):
+@_suite("canonical-structure")
+def suite_canonical(c: _Checker):
     zero = PentaComplex()
     relations = [
         (E_PLUS, E_PLUS, E_PLUS, "e+^2 = e+"),
@@ -215,10 +223,6 @@ def _suite_canonical(c: _Checker):
         c.check(dev <= 1e-12 * scale, f"canonical multiplication deviates by {dev:.2e}")
 
 
-def suite_canonical() -> SuiteResult:
-    return _run("canonical-structure", _suite_canonical)
-
-
 # ---------------------------------------------------------------------------
 # 5. cosexponential triple agreement
 
@@ -226,7 +230,8 @@ def _agree(c: _Checker, x: float, y: float, tol: float, msg: str):
     c.check(abs(x - y) <= tol * max(1.0, abs(x), abs(y)), f"{msg}: {x!r} vs {y!r}")
 
 
-def _suite_cosexp_triple(c: _Checker):
+@_suite("cosexp-triple-agreement")
+def suite_cosexp_triple(c: _Checker):
     t0 = time.perf_counter()
     for i in range(-50, 51):
         y = i / 10.0
@@ -263,14 +268,11 @@ def _ulps_off(got: float, want: Fraction) -> Fraction:
     return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
 
 
-def suite_cosexp_triple() -> SuiteResult:
-    return _run("cosexp-triple-agreement", _suite_cosexp_triple)
-
-
 # ---------------------------------------------------------------------------
 # 6. cosexponential identities
 
-def _suite_cosexp_identities(c: _Checker):
+@_suite("cosexp-identities")
+def suite_cosexp_identities(c: _Checker):
     for i in range(-50, 51):
         y = i / 10.0
         gs = [cosexp.g5_closed(k, y) for k in range(5)]
@@ -327,10 +329,6 @@ def _suite_cosexp_identities(c: _Checker):
             c.check(rec[sub - 1] == val, f"seed {name}_{sub} = {rec[sub - 1]}, want {val}")
 
 
-def suite_cosexp_identities() -> SuiteResult:
-    return _run("cosexp-identities", _suite_cosexp_identities)
-
-
 # ---------------------------------------------------------------------------
 # 7. elementary functions
 
@@ -363,7 +361,8 @@ def _sample_log_domain(rng, n, lo=-3.0, hi=3.0):
     return out
 
 
-def _suite_elementary(c: _Checker):
+@_suite("elementary-functions")
+def suite_elementary(c: _Checker):
     rng = np.random.default_rng(105)
     for u in _sample_log_domain(rng, 500):
         c.check(_rel_dev(elementary.exp(elementary.log(u)), u) <= 1e-10,
@@ -411,10 +410,6 @@ def _suite_elementary(c: _Checker):
             count += 1
 
 
-def suite_elementary() -> SuiteResult:
-    return _run("elementary-functions", _suite_elementary)
-
-
 # ---------------------------------------------------------------------------
 # 8. geometry
 
@@ -430,7 +425,8 @@ def _well_conditioned(rng, lo=-3.0, hi=3.0, floor=0.05):
             return u
 
 
-def _suite_geometry(c: _Checker):
+@_suite("geometry")
+def suite_geometry(c: _Checker):
     rng = np.random.default_rng(106)
     for _ in range(1000):
         u = _rand_penta(rng)
@@ -481,14 +477,11 @@ def _suite_geometry(c: _Checker):
                 "amplitude multiplicativity")
 
 
-def suite_geometry() -> SuiteResult:
-    return _run("geometry", _suite_geometry)
-
-
 # ---------------------------------------------------------------------------
 # 9. analyticity
 
-def _suite_analytic(c: _Checker):
+@_suite("analyticity")
+def suite_analytic(c: _Checker):
     rng = np.random.default_rng(107)
     named = [
         ("square", lambda u: multiply(u, u)),
@@ -515,14 +508,11 @@ def _suite_analytic(c: _Checker):
             c.check(report2.passed, f"second-order chains fail for {name}")
 
 
-def suite_analytic() -> SuiteResult:
-    return _run("analyticity", _suite_analytic)
-
-
 # ---------------------------------------------------------------------------
 # 10. residues
 
-def _suite_residues(c: _Checker):
+@_suite("residues")
+def suite_residues(c: _Checker):
     rng = np.random.default_rng(108)
     t0 = time.perf_counter()
     functions = [
@@ -583,14 +573,11 @@ def _suite_residues(c: _Checker):
     c.check(time.perf_counter() - t0 < 5.0, "residue suite exceeded 5 s")
 
 
-def suite_residues() -> SuiteResult:
-    return _run("residues", _suite_residues)
-
-
 # ---------------------------------------------------------------------------
 # 11. factorization
 
-def _suite_factorization(c: _Checker):
+@_suite("factorization")
+def suite_factorization(c: _Checker):
     zero = PentaComplex()
     # u^2 - 1: expected roots for the four pairings, by sign pattern on
     # (e1, e2) paired with the +1 line root
@@ -654,25 +641,6 @@ def _suite_factorization(c: _Checker):
         c.check(True, "")
     lin = polyfactor.PentaPolynomial((PentaComplex.scalar(-2.0),))
     c.check(polyfactor.count_factorizations(lin) == 1, "degree-1 count != 1")
-
-
-def suite_factorization() -> SuiteResult:
-    return _run("factorization", _suite_factorization)
-
-
-SUITES = [
-    suite_basis_table,
-    suite_ring_axioms,
-    suite_matrix_rep,
-    suite_canonical,
-    suite_cosexp_triple,
-    suite_cosexp_identities,
-    suite_elementary,
-    suite_geometry,
-    suite_analytic,
-    suite_residues,
-    suite_factorization,
-]
 
 
 def run_all() -> list[SuiteResult]:

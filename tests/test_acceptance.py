@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from pentacomplex import cosexp, cosexp_values, g5_closed
+from pentacomplex import cosexp, cosexp_values, g5_closed, selftest
 from pentacomplex.cli import main
 from pentacomplex.selftest import (suite_analytic, suite_basis_table,
                                    suite_canonical, suite_cosexp_identities,
@@ -38,6 +38,37 @@ def test_criterion(label, suite):
     result = suite()
     print(f"[{label}] {result.line()}")
     assert result.passed, result.failures
+
+
+def test_the_criteria_gate_every_suite():
+    # a suite declared later cannot go ungated
+    assert [suite for _, suite in CRITERIA] == selftest.SUITES
+
+
+def test_suites_run_in_declaration_order():
+    assert [s.__name__ for s in selftest.SUITES] == [
+        "suite_basis_table", "suite_ring_axioms", "suite_matrix_rep", "suite_canonical",
+        "suite_cosexp_triple", "suite_cosexp_identities", "suite_elementary",
+        "suite_geometry", "suite_analytic", "suite_residues", "suite_factorization"]
+    assert [r.name for r in selftest.run_all()] == [
+        "basis-table", "ring-axioms", "matrix-representation", "canonical-structure",
+        "cosexp-triple-agreement", "cosexp-identities", "elementary-functions",
+        "geometry", "analyticity", "residues", "factorization"]
+
+
+def test_a_failing_check_is_reported(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "basis_product", lambda j, k: (j * k) % 5)
+    result = suite_basis_table()
+    assert not result.passed
+    assert result.line().startswith("FAIL basis-table (2 checks, ")
+    assert result.line().endswith(" :: basis table mismatch at basis_product(0,1)")
+    # the CLI prints that line and exits 1
+    monkeypatch.setattr(selftest, "SUITES", [suite_basis_table])
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL basis-table (2 checks, ")
+    assert out[0].endswith(" :: basis table mismatch at basis_product(0,1)")
+    assert out[1].startswith("0/1 suites passed (2 checks, ")
 
 
 def test_residue_suite_winds_each_identity_loop_twice(monkeypatch):

@@ -358,7 +358,13 @@ def test_non_real_operands_are_refused():
         with pytest.raises(TypeError):
             other + u
         with pytest.raises(TypeError):
+            u - other
+        with pytest.raises(TypeError):
+            u / other
+        with pytest.raises(TypeError):
             other / u
+    # equality with anything but an element is False, not an error
+    assert (u == 3) is False
 
 
 @pytest.mark.parametrize("comps", [

@@ -203,6 +203,19 @@ def test_taylor_coefficients_binomial():
     assert dev(t.coeffs[2], ONE) <= 1e-15
 
 
+@pytest.mark.parametrize("kmax,error", [(2.0, None), (2.5, "kmax must be a whole number"),
+                                        (-1, "kmax must be >= 0")])
+def test_taylor_coefficients_takes_kmax_by_the_count_rule(kmax, error):
+    # an integral float acts as the int; 2.0 and 2.5 raised a raw TypeError
+    # from range(), and -1 returned an empty series
+    s = PowerSeries((ZERO, ZERO, ONE))
+    if error is None:
+        assert taylor_coefficients(s, ONE, kmax) == taylor_coefficients(s, ONE, 2)
+    else:
+        with pytest.raises(ValueError, match=error):
+            taylor_coefficients(s, ONE, kmax)
+
+
 def test_taylor_coefficients_of_exp_series():
     s = PowerSeries(tuple(PentaComplex.scalar(1 / math.factorial(l)) for l in range(12)))
     t = taylor_coefficients(s, ZERO, 11)

@@ -57,3 +57,27 @@ def test_the_driver_exits_non_zero_naming_a_row_a_run_did_not_report(monkeypatch
     with pytest.raises(SystemExit, match=r"for: polyfactor\.factor\.d64\.ms$"):
         bench.main(["--smoke", "--workload", "factor", "--src", f"change={ROOT}"])
     assert "polyfactor.decompose.us" in capsys.readouterr().out
+
+
+def test_every_tree_is_byte_compiled_before_the_first_run(monkeypatch, tmp_path):
+    events = []
+
+    def perfbench(tree, workload, trace, seconds, names):
+        events.append(("run", tree))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {k: 1.0 for k in names}}
+
+    monkeypatch.setattr(bench, "perfbench", perfbench)
+    monkeypatch.setattr(bench.compileall, "compile_dir",
+                        lambda path, **kw: events.append(("compile", path)))
+    trees = {label: str(tmp_path / label) for label in ("parent", "change")}
+    for path in trees.values():
+        os.makedirs(os.path.join(path, "perfbench"))
+        open(os.path.join(path, "perfbench", "run.py"), "w").close()
+    out = tmp_path / "bench.json"
+    bench.main(["--smoke", "--workload", "factor", "--out", str(out),
+                *(f"--src={label}={path}" for label, path in trees.items())])
+    first_run = next(i for i, (kind, _) in enumerate(events) if kind == "run")
+    assert sorted(events[:first_run]) == sorted(("compile", os.path.join(path, "src"))
+                                                for path in trees.values())
+    assert "byte-compiled" in json.loads(out.read_text())["compiled"]

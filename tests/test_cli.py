@@ -28,11 +28,15 @@ def test_mul_from_input_file(tmp_path, capsys):
     assert json.loads(out) == [0, 0, 0, 1, 0]
 
 
-def test_inv_roundtrip(capsys):
+def test_inv_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "inv", "[0,1,0,0,0]")
     assert code == 0
     got = json.loads(out)
     assert max(abs(a - b) for a, b in zip(got, [0, 0, 0, 0, 1])) <= 1e-15
+    # an --input payload may hold the operand under "u"
+    payload = tmp_path / "u.json"
+    payload.write_text(json.dumps({"u": [1, 2, 3, 4, 5]}))
+    assert run(capsys, "inv", "--input", str(payload)) == run(capsys, "inv", "[1,2,3,4,5]")
 
 
 def test_inv_domain_error_exit_code(capsys):
@@ -384,18 +388,38 @@ MALFORMED = {
     "check-analytic --order 2 --step 1e-200": ("check-analytic", "exp",
                                                "[0.1,0.2,0,0.05,-0.1]", "--order", "2",
                                                "--step", "1e-200"),
+    "inv --input directory": ("inv", "--input", "{tmp}"),
+    "mul --input list": ("mul", "--input", "{tmp}/list.json"),
+    "inv NaN": ("inv", "[NaN,0,0,0,0]"),
+    "inv Infinity": ("inv", "[Infinity,0,0,0,0]"),
+    "cosexp-table --to below --from": ("cosexp-table", "--from", "1", "--to", "0"),
+    "integrate repeated vertex": ("integrate", "--path", "{tmp}/repeated.json", "--fn", "exp"),
+    "factor no coeffs": ("factor", '{"coeffs": []}'),
+}
+# the message of a case, where the test pins it
+MESSAGES = {
+    "inv --input directory": "cannot read input ",
+    "mul --input list": 'input payload must be {"u": [...], "v": [...]}',
+    "inv NaN": "u component 0 must be finite, got nan",
+    "inv Infinity": "u component 0 must be finite, got inf",
+    "cosexp-table --to below --from": "--to must not be below --from",
+    "integrate repeated vertex": "consecutive path vertices must be distinct",
+    "factor no coeffs": "polynomial needs at least one coefficient (degree >= 1)",
 }
 
 
-@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("case,argv", MALFORMED.items(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, case, argv):
     triangle = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
     (tmp_path / "vertices.json").write_text('{"vertices": 5}')
     (tmp_path / "closed.json").write_text(json.dumps({"vertices": triangle, "closed": "no"}))
     (tmp_path / "loop.json").write_text(json.dumps({"vertices": triangle, "closed": True}))
+    (tmp_path / "list.json").write_text(json.dumps([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]))
+    (tmp_path / "repeated.json").write_text(json.dumps({"vertices": triangle[:2] + triangle[1:]}))
     code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert (code, out) == (1, "")
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert MESSAGES.get(case, "") in err
     assert not (tmp_path / "missing").exists()
 
 

@@ -111,6 +111,16 @@ def test_analytic_and_its_component_polynomials_load_no_numpy():
     assert proc.stdout.split() == ["False"]
 
 
+def test_the_numpy_free_modules_load_no_typing():
+    # without site, whose .pth files may load typing at interpreter start
+    code = ("import sys, pentacomplex, pentacomplex.cli, pentacomplex.analytic, "
+            "pentacomplex.cosexp; print('typing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_a_lazy_name_loads_its_module_on_first_access():
     proc = fresh_python("import sys; import pentacomplex as pc; "
                         "before = 'pentacomplex.contour' in sys.modules; pc.winding; "

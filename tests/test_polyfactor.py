@@ -226,6 +226,8 @@ def test_factor_u2_minus_1_default_pairing():
     rebuilt = expand_factors(factors)
     for a, b in zip(u2_minus_1().coeffs, rebuilt.coeffs):
         assert dev(a, b) <= 1e-10
+    with pytest.raises(TypeError, match="unknown factor type"):
+        expand_factors([object()])
 
 
 def test_factor_u2_plus_1_is_one_quadratic():

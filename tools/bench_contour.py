@@ -12,18 +12,22 @@ with --trace 0, whose last line holds the end-to-end metrics (items_per_s
 and the rest), and once with --trace 1, whose last line holds the
 per-layer rows of the layers LAYERS gives the workload, and the trace.*
 rows.  The trees take turns, ABBA, for --pairs rounds, so drift of the
-host's speed falls on all alike.  The record holds the machine, these rows
-of every run as perfbench printed them, and per tree the median of each row
-over its runs; names, units and directions are those of this checkout's
-BENCHMARK.json.  The script exits non-zero, naming them, when a row has no
-finite median for some tree or the machine record lacks a field of
-MACHINE_FIELDS.  --smoke runs each tree once for one second, to check that
-the script runs.
+host's speed falls on all alike.  Before the first run each tree's src/ is
+byte-compiled once: where PYTHONDONTWRITEBYTECODE is set, an import writes
+no bytecode, so a module without current bytecode would be compiled again
+in every run, in its setup and import times.  The record holds the
+machine, these rows of every run as perfbench printed them, and per tree
+the median of each row over its runs; names, units and directions are
+those of this checkout's BENCHMARK.json.  The script exits non-zero,
+naming them, when a row has no finite median for some tree or the machine
+record lacks a field of MACHINE_FIELDS.  --smoke runs each tree once for
+one second, to check that the script runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import math
 import os
@@ -106,6 +110,8 @@ def main(argv=None) -> int:
 
     wanted = rows_wanted(args.workload)
     names = {t: [k for k, (_, _, trace) in wanted.items() if trace == t] for t in (0, 1)}
+    for _, path in trees:
+        compileall.compile_dir(os.path.join(path, "src"), quiet=1)
     runs = {label: [] for label, _ in trees}
     for i in range(pairs):
         for label, path in trees if i % 2 == 0 else trees[::-1]:
@@ -122,6 +128,7 @@ def main(argv=None) -> int:
     record = {"script": "tools/bench_contour.py", "machine": run.machine(),
               "workload": args.workload, "seed": SEED, "seconds": seconds, "pairs": pairs,
               "smoke": args.smoke, "trees": [label for label, _ in trees],
+              "compiled": "each tree's src/ byte-compiled before its first run",
               "rows": rows, "runs": runs}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
