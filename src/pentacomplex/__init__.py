@@ -17,11 +17,10 @@ from importlib import import_module as _import_module
 
 from .algebra import (DIM, H1, H2, H3, H4, ONE, ZERO, PentaComplex, add,
                       basis_product, from_matrix, inverse, multiply, to_matrix)
-from .canonical import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
-                        CanonicalForm, IrreducibleRep, RotatedCoords,
-                        TransformConstants, canonical_basis, canonical_multiply,
-                        from_canonical, irreducible_rep, rotated_coords,
-                        rotation_matrix, to_canonical)
+from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, CanonicalForm,
+                        IrreducibleRep, RotatedCoords, canonical_basis,
+                        canonical_multiply, from_canonical, irreducible_rep,
+                        rotated_coords, rotation_matrix, to_canonical)
 from .elementary import (ExponentialForm, cos, cosh, exp, exponential_form,
                          log, modulus_amplitude_relation, pow_real, sin, sinh,
                          trigonometric_form)
@@ -38,17 +37,15 @@ __version__ = "0.1.0"
 
 # public names loaded on first access, by module
 _LAZY = {
-    "analytic": ("CoefficientSpectrum", "ComponentPolynomials", "ConvergenceReport",
-                 "FirstOrderReport", "PowerSeries", "SecondOrderReport",
-                 "check_cr_relations", "check_second_order", "coefficient_spectrum",
-                 "convergence_radii", "series_eval", "series_eval_components",
-                 "taylor_coefficients"),
+    "analytic": ("ComponentPolynomials", "ConvergenceReport", "FirstOrderReport",
+                 "PowerSeries", "SecondOrderReport", "check_cr_relations",
+                 "check_second_order", "coefficient_spectrum", "convergence_radii",
+                 "series_eval", "series_eval_components", "taylor_coefficients"),
     "contour": ("Path", "PlaneProjection", "integrate", "plane_circle", "project",
                 "project_point", "residue_formula", "winding"),
-    "cosexp": ("RADICALS", "CosexpVector", "PowerCoefficients", "PowerKind",
-               "RadicalConstants", "cosexp_power", "cosexp_values", "exp_basis",
-               "exp_h1_minus_h4", "exp_h1_plus_h4", "g5_closed",
-               "g5_closed_radical", "g5_series", "power_coeffs"),
+    "cosexp": ("CosexpVector", "PowerCoefficients", "PowerKind", "cosexp_power",
+               "cosexp_values", "exp_basis", "exp_h1_minus_h4", "exp_h1_plus_h4",
+               "g5_closed", "g5_closed_radical", "g5_series", "power_coeffs"),
     "polyfactor": ("LinearFactor", "PentaPolynomial",
                    "QuadraticFactor", "RootSet", "assemble_roots",
                    "component_roots", "count_factorizations", "decompose",

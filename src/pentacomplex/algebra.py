@@ -79,10 +79,8 @@ class PentaComplex:
     @classmethod
     def basis(cls, k: int) -> "PentaComplex":
         """Basis element h_k (h_0 is the ring unit)."""
-        if not 0 <= k < DIM:
-            raise ValueError(f"basis index must be 0..4, got {k}")
         comps = [0.0] * DIM
-        comps[k] = 1.0
+        comps[_check_index("basis index", k, 0, DIM - 1)] = 1.0
         return cls(*comps)
 
     @classmethod
@@ -247,6 +245,42 @@ def _scalar(x: Real, what: str = "scalar operand") -> float:
         raise Overflow(f"{what} exceeds the floating-point range") from exc
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for a tolerance given explicitly: >= 0.  A nan or
+    negative cutoff would silently switch its test off, so it raises
+    ValueError."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be None or >= 0, got {tol}")
+
+
+def _whole(n) -> bool:
+    """Whether n is a whole number: an int, or a real (an integral float, a
+    numpy integer) whose value is integral."""
+    return isinstance(n, int) or isinstance(n, Real) and float(n).is_integer()
+
+
+def _check_count(name: str, n, least: int) -> int:
+    """The one rule for a count: a whole number >= least, returned as an int
+    (an integral float acts as the int); anything else raises ValueError."""
+    if not _whole(n):
+        raise ValueError(f"{name} must be a whole number, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return int(n)
+
+
+def _check_index(name: str, k, lo: int, hi: int) -> int:
+    """The one rule for an index: a whole number in lo..hi, returned as an
+    int (an integral float acts as the int); anything else raises
+    ValueError."""
+    if type(k) is int and lo <= k <= hi:  # the common case, decided first
+        return k
+    if not (_whole(k) and lo <= k <= hi):
+        span = f"{lo} or {hi}" if hi == lo + 1 else f"{lo}..{hi}"
+        raise ValueError(f"{name} must be {span}, got {k!r}")
+    return int(k)
+
+
 ZERO = PentaComplex()
 ONE = PentaComplex(1.0)
 H1 = PentaComplex.basis(1)
@@ -257,9 +291,8 @@ H4 = PentaComplex.basis(4)
 
 def basis_product(j: int, k: int) -> int:
     """Index of h_j * h_k: the cyclic rule h_j h_k = h_{(j+k) mod 5}."""
-    if not (0 <= j < DIM and 0 <= k < DIM):
-        raise ValueError(f"basis indices must be 0..4, got ({j}, {k})")
-    return (j + k) % DIM
+    return (_check_index("basis index", j, 0, DIM - 1)
+            + _check_index("basis index", k, 0, DIM - 1)) % DIM
 
 
 def add(u: PentaComplex, v: PentaComplex) -> PentaComplex:
@@ -320,7 +353,7 @@ def from_matrix(m: np.ndarray, tol: float | None = None) -> PentaComplex:
     if tol is None:
         tol = TAU_CIRC * np.abs(m).max()
     else:
-        canonical._check_tol(tol)
+        _check_tol(tol)
     first = m[0]
     for row in range(1, DIM):
         expected = np.array([first[(col - row) % DIM] for col in range(DIM)])

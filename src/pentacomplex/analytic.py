@@ -17,8 +17,9 @@ import statistics
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .algebra import Evaluator, PentaComplex, _call, _result, multiply
-from .canonical import SQRT5, _assemble, _canon, _check_count, _check_tol
+from .algebra import (Evaluator, PentaComplex, _call, _check_count, _check_tol, _result,
+                      multiply)
+from .canonical import SQRT5, _assemble, _canon, to_canonical
 from .errors import InsufficientTerms, ZeroTail
 
 FD_STEP_FIRST = 1e-6
@@ -44,18 +45,6 @@ class PowerSeries:
     @classmethod
     def from_scalars(cls, values: Sequence[float]) -> "PowerSeries":
         return cls(tuple(PentaComplex.scalar(v) for v in values))
-
-
-@dataclass(frozen=True)
-class CoefficientSpectrum:
-    """Canonical projections of one coefficient: line sum plus the two
-    plane pairs (cosine and sine weighted component sums)."""
-
-    aplus: float
-    a1: float
-    at1: float
-    a2: float
-    at2: float
 
 
 @dataclass(frozen=True)
@@ -135,10 +124,9 @@ def series_eval_components(s: PowerSeries, u: PentaComplex) -> PentaComplex:
     return _component_polys(reversed(s.coeffs)).evaluate(u)
 
 
-def coefficient_spectrum(a: PentaComplex) -> CoefficientSpectrum:
-    """The canonical transform of `a`: its line sum and the two plane
-    pairs (component sums weighted by cos/sin of the fifth-circle angles)."""
-    return CoefficientSpectrum(*_canon(a))
+# the canonical transform of one coefficient: its line sum and the two plane
+# pairs (component sums weighted by cos/sin of the fifth-circle angles)
+coefficient_spectrum = to_canonical
 
 
 def _tail_ratios(values: list[float], window: int, label: str) -> list[float]:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from numbers import Real
 
-from .algebra import DIM, PentaComplex, _new, _result, _set_canon
+from .algebra import DIM, PentaComplex, _check_tol, _new, _result, _set_canon
 from .errors import NonInvertible, Overflow
 
 TYPE_CHECKING = False
@@ -32,15 +31,6 @@ Q2 = 2.0 * P * Q                   # sin of twice the angle
 # a canonical part at or below this fraction of |u| counts as zero: the
 # cutoff of the divisor-of-zero guard and the default of polar_form's angles
 TAU_REL = 1e-13
-
-
-@dataclass(frozen=True)
-class TransformConstants:
-    p: float
-    q: float
-
-
-CONSTANTS = TransformConstants(p=P, q=Q)
 
 
 @dataclass(frozen=True)
@@ -169,24 +159,6 @@ def _modulus(u: PentaComplex) -> float:
     if d == math.inf:
         raise Overflow("modulus exceeds the floating-point range")
     return d
-
-
-def _check_tol(tol: float) -> None:
-    """The one rule for a tolerance given explicitly: >= 0.  A nan or
-    negative cutoff would silently switch its test off, so it raises
-    ValueError."""
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be None or >= 0, got {tol}")
-
-
-def _check_count(name: str, n, least: int) -> int:
-    """The one rule for a count: a whole number >= least, returned as an int
-    (an integral float acts as the int); anything else raises ValueError."""
-    if not (isinstance(n, int) or isinstance(n, Real) and float(n).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {n!r}")
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
-    return int(n)
 
 
 def _guard(u: PentaComplex, vp: float | None, v1: float, tv1: float, v2: float,

@@ -31,6 +31,9 @@ USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 # the most rows cosexp-table writes
 _TABLE_ROWS = 100_000
+# the largest node budget integrate takes: the node arrays grow with it
+# (about 320 MB of peak RSS at this cap on an 8-gon)
+_MAX_SAMPLES = 1 << 20
 
 
 class UsageError(Exception):
@@ -221,6 +224,8 @@ _PATH_SHAPE = 'path file must be {"vertices": [[5 reals], ...], "closed": true o
 
 
 def _cmd_integrate(args):
+    if args.samples > _MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {_MAX_SAMPLES}, got {args.samples}")
     from . import contour
 
     data = _read_json(args.path, "path file")
@@ -394,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="total quadrature node budget, spread evenly over the "
                  "segments (composite Gauss-Legendre); with --pole the "
                  "term f(pole)/(u-pole) is integrated exactly and the "
-                 "nodes see only the smooth remainder")
+                 "nodes see only the smooth remainder; at most "
+                 f"{_MAX_SAMPLES}")
     _add_io(sp, _cmd_integrate, tol=True)
 
     _add_io(sub.add_parser("factor", help="factor a monic polynomial"), _cmd_factor,

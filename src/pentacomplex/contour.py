@@ -26,10 +26,11 @@ from numbers import Real
 
 import numpy as np
 
-from .algebra import DIM, Evaluator, PentaComplex, _call, _result
+from .algebra import (DIM, Evaluator, PentaComplex, _call, _check_count, _check_index,
+                      _check_tol, _result)
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
-                        _CANON_ROWS, _assemble, _canon, _check_count, _check_tol,
-                        _to_canon_comps, rotated_coords, rotation_matrix)
+                        _CANON_ROWS, _assemble, _canon, _to_canon_comps, rotated_coords,
+                        rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -181,14 +182,14 @@ def _ends(rows: np.ndarray, closed: bool) -> np.ndarray:
 
 def project(path: Path, k: int) -> PlaneProjection:
     """Project every vertex onto canonical plane k (k = 1 or 2)."""
-    if k not in (1, 2):
-        raise ValueError(f"plane index must be 1 or 2, got {k}")
+    k = _check_index("plane index", k, 1, 2)
     xy = path._array @ _ROT[2 * k - 1:2 * k + 1].T
     return PlaneProjection._wrap(xy.view(np.complex128).ravel(), k, path.closed)
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
-    """Plane-k coordinates of a single element."""
+    """Plane-k coordinates of a single element (k = 1 or 2)."""
+    k = _check_index("plane index", k, 1, 2)
     xi = rotated_coords(u)
     return (xi.xi1, xi.eta1) if k == 1 else (xi.xi2, xi.eta2)
 
@@ -596,8 +597,7 @@ def plane_circle(center: PentaComplex, plane: int, radius: float,
     that is not finite, a radius <= 0 or a vertex count that is not a whole
     number >= 3 raises ValueError.
     """
-    if plane not in (1, 2):
-        raise ValueError(f"plane index must be 1 or 2, got {plane}")
+    plane = _check_index("plane index", plane, 1, 2)
     line_offset, other_offset = (0.75 * radius if x is None else x
                                  for x in (line_offset, other_offset))
     for name, x in (("radius", radius), ("line_offset", line_offset),

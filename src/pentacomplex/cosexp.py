@@ -22,8 +22,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .algebra import PentaComplex
-from .canonical import SQRT5, _check_count
+from .algebra import PentaComplex, _check_count, _check_index
+from .canonical import SQRT5
 from .elementary import exp
 from .errors import DomainTooLarge, Overflow
 
@@ -42,15 +42,6 @@ SERIES_UP_TO = 2.0
 # components pass through zero, and the lift is the more accurate route
 # (normwise)
 _MINUS_SERIES_UP_TO = 1.0
-
-
-@dataclass(frozen=True)
-class RadicalConstants:
-    a: float
-    b: float
-
-
-RADICALS = RadicalConstants(a=RADICAL_A, b=RADICAL_B)
 
 
 @dataclass(frozen=True)
@@ -104,8 +95,7 @@ def g5_series(k: int, y: float, nterms: int = 60) -> float:
     """Partial sum of y^(k+5p)/(k+5p)! over p < nterms, rounded once;
     summation stops early once a term drops below 2^-60 of y^4/4! (see
     _exp_series, of which this is component k)."""
-    if not 0 <= k <= 4:
-        raise ValueError(f"index must be 0..4, got {k}")
+    k = _check_index("index", k, 0, 4)
     nterms = _check_count("nterms", nterms, 1)
     if not abs(y) <= SERIES_MAX_ABS_Y:
         raise DomainTooLarge(f"|y| = {abs(y)} exceeds the series guard {SERIES_MAX_ABS_Y}")
@@ -115,8 +105,7 @@ def g5_series(k: int, y: float, nterms: int = 60) -> float:
 def g5_closed(k: int, y: float) -> float:
     """Closed form: mean over the five fifth-circle directions of
     exp(y*cos(2*pi*l/5)) * cos(y*sin(2*pi*l/5) - 2*pi*k*l/5)."""
-    if not 0 <= k <= 4:
-        raise ValueError(f"index must be 0..4, got {k}")
+    k = _check_index("index", k, 0, 4)
     _check_finite(y)
     total = 0.0
     try:
@@ -134,23 +123,21 @@ def g5_closed(k: int, y: float) -> float:
 # row (p, q, r, t) below for k
 _SB = math.sqrt(-RADICAL_B)
 _S5B = math.sqrt(5.0 + RADICAL_B)
-_HALF_M = (-1.0 + SQRT5) / 2.0
 _HALF_P = (1.0 + SQRT5) / 2.0
 _BIG = (5.0 + SQRT5) / (2.0 * _SB)
 _SMALL = math.sqrt(5.0 / -RADICAL_B)
 _RADICAL_ROWS = (
     (2.0, 0.0, 2.0, 0.0),
-    (_HALF_M, _BIG, -_HALF_P, _SMALL),
-    (-_HALF_P, _SMALL, _HALF_M, -_BIG),
-    (-_HALF_P, -_SMALL, _HALF_M, _BIG),
-    (_HALF_M, -_BIG, -_HALF_P, -_SMALL),
+    (RADICAL_A, _BIG, -_HALF_P, _SMALL),
+    (-_HALF_P, _SMALL, RADICAL_A, -_BIG),
+    (-_HALF_P, -_SMALL, RADICAL_A, _BIG),
+    (RADICAL_A, -_BIG, -_HALF_P, -_SMALL),
 )
 
 
 def g5_closed_radical(k: int, y: float) -> float:
     """Radical closed form of g_{5k}(y), in the radicals a and b."""
-    if not 0 <= k <= 4:
-        raise ValueError(f"index must be 0..4, got {k}")
+    k = _check_index("index", k, 0, 4)
     _check_finite(y)
     p, q, r, t = _RADICAL_ROWS[k]
     x = y / 2.0
@@ -185,8 +172,7 @@ def exp_basis(k: int, y: float) -> PentaComplex:
     Component h_{(k*m) mod 5} carries g_{5m}(y): the four expansions are the
     same five functions under the cyclic index permutation of h_k powers.
     """
-    if not 1 <= k <= 4:
-        raise ValueError(f"basis index must be 1..4, got {k}")
+    k = _check_index("basis index", k, 1, 4)
     comps = [0.0] * 5
     for m, g in enumerate(_g5_values(y)):
         comps[(k * m) % 5] = g
@@ -220,8 +206,7 @@ def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:
     l = 0 giving the ring unit.  A negative or non-finite l raises
     ValueError.
     """
-    if not 1 <= perm <= 4:
-        raise ValueError(f"permutation index must be 1..4, got {perm}")
+    perm = _check_index("permutation index", perm, 1, 4)
     if not 0 <= l < math.inf:  # nan fails both comparisons
         raise ValueError(f"power must be finite and >= 0, got {l}")
     _check_finite(y)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .algebra import PentaComplex, multiply
-from .canonical import SQRT5, TAU_REL, TWO_PI, _canon, _check_tol, _modulus, _record
+from .algebra import PentaComplex, _check_tol, multiply
+from .canonical import SQRT5, TAU_REL, TWO_PI, _canon, _modulus, _record
 from .errors import AngleUndefined, Overflow
 
 SQRT2 = math.sqrt(2.0)

@@ -7,7 +7,9 @@ import pytest
 
 from pentacomplex import (H1, H2, H3, H4, ONE, ZERO, NonInvertible,
                           NotCirculant, Overflow, PentaComplex, add, basis_product,
-                          from_matrix, inverse, multiply, to_matrix)
+                          cosexp_power, exp_basis, from_matrix, g5_closed,
+                          g5_closed_radical, g5_series, inverse, multiply,
+                          plane_circle, project, project_point, to_matrix)
 from pentacomplex import algebra
 from pentacomplex.canonical import E_PLUS, to_canonical
 
@@ -41,6 +43,33 @@ def test_basis_product_rejects_bad_indices():
     for k in (-1, 5):
         with pytest.raises(ValueError, match="basis index must be 0..4"):
             PentaComplex.basis(k)
+
+
+U = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+LOOP = plane_circle(ZERO, 1, 1.0, vertices=8)
+# every public function that takes an index: (call with index k, last index)
+INDEXED = {
+    "PentaComplex.basis": (PentaComplex.basis, 4),
+    "basis_product": (lambda k: basis_product(k, 2), 4),
+    "project": (lambda k: project(LOOP, k), 2),
+    "plane_circle": (lambda k: plane_circle(ZERO, k, 1.0, vertices=8), 2),
+    "project_point": (lambda k: project_point(U, k), 2),
+    "g5_series": (lambda k: g5_series(k, 0.3), 4),
+    "g5_closed": (lambda k: g5_closed(k, 0.3), 4),
+    "g5_closed_radical": (lambda k: g5_closed_radical(k, 0.3), 4),
+    "exp_basis": (lambda k: exp_basis(k, 0.3), 4),
+    "cosexp_power": (lambda k: cosexp_power(k, 0.3, 2), 4),
+}
+
+
+@pytest.mark.parametrize("site", INDEXED)
+def test_every_index_takes_one_rule(site):
+    f, last = INDEXED[site]
+    # a whole number in range, as an int, an integral float or a numpy int
+    assert f(float(last)) == f(np.int64(last)) == f(last)
+    for k in (1.5, last + 1, "1"):
+        with pytest.raises(ValueError, match=r"index must be \d"):
+            f(k)
 
 
 def test_add_identities():

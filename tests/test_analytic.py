@@ -53,10 +53,10 @@ def test_horner_and_component_evaluation_agree():
 
 def test_coefficient_spectrum_examples():
     sp = coefficient_spectrum(ONE)
-    assert (sp.aplus, sp.a1, sp.at1, sp.a2, sp.at2) == (1, 1, 0, 1, 0)
+    assert (sp.vplus, sp.v1, sp.tv1, sp.v2, sp.tv2) == (1, 1, 0, 1, 0)
     sp = coefficient_spectrum(PentaComplex.basis(1))
-    assert abs(sp.a1 - math.cos(2 * math.pi / 5)) <= 1e-15
-    assert abs(sp.at1 - math.sin(2 * math.pi / 5)) <= 1e-15
+    assert abs(sp.v1 - math.cos(2 * math.pi / 5)) <= 1e-15
+    assert abs(sp.tv1 - math.sin(2 * math.pi / 5)) <= 1e-15
 
 
 def trig_spectrum(a):
@@ -76,8 +76,8 @@ def test_coefficient_spectrum_matches_canonical_transform():
         a = rand(rng, -5, 5)
         sp = coefficient_spectrum(a)
         c = to_canonical(a)
-        got = (sp.aplus, sp.a1, sp.at1, sp.a2, sp.at2)
-        assert got == (c.vplus, c.v1, c.tv1, c.v2, c.tv2)
+        got = (sp.vplus, sp.v1, sp.tv1, sp.v2, sp.tv2)
+        assert type(sp) is type(c) and got == (c.vplus, c.v1, c.tv1, c.v2, c.tv2)
         want = trig_spectrum(a)
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * max(1.0, abs(a))
 

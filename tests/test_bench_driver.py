@@ -1,9 +1,11 @@
-"""tools/bench_contour.py's row bookkeeping, checked without a perfbench run."""
+"""tools/bench_contour.py's row bookkeeping and perfbench's patch targets,
+checked without a perfbench run."""
 
 import importlib.util
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -81,3 +83,33 @@ def test_every_tree_is_byte_compiled_before_the_first_run(monkeypatch, tmp_path)
     assert sorted(events[:first_run]) == sorted(("compile", os.path.join(path, "src"))
                                                 for path in trees.values())
     assert "byte-compiled" in json.loads(out.read_text())["compiled"]
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, loaded read-only: no bytecode is
+    written into perfbench/, and its sibling modules are on the path only
+    while it loads."""
+    bench_dir = os.path.join(ROOT, "perfbench")
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, bench_dir)
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", os.path.join(bench_dir, "workloads.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+    return module
+
+
+def test_every_patch_target_of_the_benchmark_exists():
+    # a traced run wraps each of these attributes, and raises on a missing one
+    workloads = load_workloads()
+    for span, module, attr in workloads.OPS.values():
+        assert hasattr(module, attr), span
+    for module, attr, span in workloads.INTERNAL:
+        assert hasattr(module, attr), span
+    from pentacomplex import analytic, polyfactor
+    assert polyfactor.coefficient_spectrum is analytic.coefficient_spectrum

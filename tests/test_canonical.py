@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from pentacomplex import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
+from pentacomplex import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
                           ONE, CanonicalForm, Overflow, PentaComplex, PolarForm,
                           RotatedCoords, add, canonical_basis,
                           canonical_multiply, check_cr_relations,
@@ -16,11 +16,8 @@ from pentacomplex import (CONSTANTS, E1, E1_TILDE, E2, E2_TILDE, E_PLUS, H1,
                           to_matrix)
 import pentacomplex
 from pentacomplex import amplitude, log, pow_real
-from pentacomplex.canonical import (_E1, _E2, _E_PLUS, _TE1, _TE2,
+from pentacomplex.canonical import (_E1, _E2, _E_PLUS, _TE1, _TE2, P, Q,
                                    _from_canon_comps)
-
-P = CONSTANTS.p
-Q = CONSTANTS.q
 
 
 def rand(rng, lo=-10.0, hi=10.0):

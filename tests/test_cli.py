@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pentacomplex import cosexp_values
+from pentacomplex import ZERO, cosexp_values, plane_circle
 from pentacomplex.cli import main
 
 
@@ -395,6 +395,8 @@ MALFORMED = {
     "cosexp-table --to below --from": ("cosexp-table", "--from", "1", "--to", "0"),
     "integrate repeated vertex": ("integrate", "--path", "{tmp}/repeated.json", "--fn", "exp"),
     "factor no coeffs": ("factor", '{"coeffs": []}'),
+    "integrate --samples beyond the cap": ("integrate", "--path", "{tmp}/octagon.json",
+                                           "--fn", "exp", "--samples", "1000000000000"),
 }
 # the message of a case, where the test pins it
 MESSAGES = {
@@ -405,6 +407,7 @@ MESSAGES = {
     "cosexp-table --to below --from": "--to must not be below --from",
     "integrate repeated vertex": "consecutive path vertices must be distinct",
     "factor no coeffs": "polynomial needs at least one coefficient (degree >= 1)",
+    "integrate --samples beyond the cap": "--samples must be at most 1048576, got 1000000000000",
 }
 
 
@@ -416,6 +419,8 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, case, argv)
     (tmp_path / "loop.json").write_text(json.dumps({"vertices": triangle, "closed": True}))
     (tmp_path / "list.json").write_text(json.dumps([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]))
     (tmp_path / "repeated.json").write_text(json.dumps({"vertices": triangle[:2] + triangle[1:]}))
+    (tmp_path / "octagon.json").write_text(json.dumps(plane_circle(ZERO, 1, 1.0, vertices=8)
+                                                      .to_dict()))
     code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert (code, out) == (1, "")
     assert err.count("error:") == 1 and "Traceback" not in err

@@ -17,7 +17,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # the public names of the package when it imported every module eagerly
 PUBLIC = [
-    "AngleUndefined", "CONSTANTS", "CanonicalForm", "CoefficientSpectrum",
+    "AngleUndefined", "CanonicalForm",
     "ComponentPolynomials", "ConvergenceReport", "CosexpVector", "DIM",
     "Degenerate", "DomainTooLarge", "E1", "E1_TILDE", "E2", "E2_TILDE",
     "E_PLUS", "EvaluationFailed", "ExponentialForm", "FirstOrderReport",
@@ -27,8 +27,8 @@ PUBLIC = [
     "NonInvertibleOnPath", "NotCirculant", "ONE", "OnBoundary", "Overflow",
     "Path", "PentaComplex", "PentaError", "PentaPolynomial", "PlaneProjection",
     "PolarForm", "PoleOnPath", "PowDomain", "PowerCoefficients", "PowerKind",
-    "PowerSeries", "QuadraticFactor", "RADICALS", "RadicalConstants",
-    "RootSet", "RotatedCoords", "SecondOrderReport", "TransformConstants",
+    "PowerSeries", "QuadraticFactor",
+    "RootSet", "RotatedCoords", "SecondOrderReport",
     "ZERO", "ZeroTail", "add", "algebra", "amplitude", "analytic",
     "assemble_roots", "basis_product", "canonical", "canonical_basis",
     "canonical_multiply", "check_cr_relations", "check_second_order",
@@ -145,7 +145,7 @@ def test_lazy_names_are_the_objects_of_their_modules():
     assert polyfactor.ComponentPolynomials is analytic.ComponentPolynomials
     assert pentacomplex.residue_formula is contour.residue_formula
     assert pentacomplex.factor is polyfactor.factor
-    assert pentacomplex.RADICALS is cosexp.RADICALS
+    assert pentacomplex.g5_closed_radical is cosexp.g5_closed_radical
     assert pentacomplex.check_cr_relations is check_cr_relations
 
 

@@ -13,7 +13,7 @@ from pentacomplex import (H1, ONE, ZERO, CanonicalForm, Degenerate,
                           expand_factors, factor, from_canonical, multiply,
                           to_canonical)
 from pentacomplex import polyfactor
-from pentacomplex.canonical import CONSTANTS, E1, E2, E_PLUS
+from pentacomplex.canonical import E1, E2, E_PLUS, P, Q
 
 SQRT5 = math.sqrt(5.0)
 
@@ -172,7 +172,7 @@ def test_component_roots_linear_in_h1():
     # P(u) = u - h1: each component root is the canonical component of h1
     poly = PentaPolynomial((-1.0 * H1,))
     rs = component_roots(decompose(poly))
-    p, q = CONSTANTS.p, CONSTANTS.q
+    p, q = P, Q
     assert abs(rs.vplus_roots[0] - 1) <= 1e-13
     assert abs(rs.plane1_roots[0] - complex(p, q)) <= 1e-13
     assert abs(rs.plane2_roots[0] - complex(2 * p * p - 1, 2 * p * q)) <= 1e-13
