@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .algebra import (Evaluator, PentaComplex, _call, _check_count, _check_tol, _result,
                       multiply)
@@ -193,6 +193,38 @@ def taylor_coefficients(s: PowerSeries, u0: PentaComplex, kmax: int) -> PowerSer
 # ---------------------------------------------------------------------------
 # derivative relation checks
 
+def _plain(x):
+    """A report value as JSON data: a point as its list, a tuple as a list
+    and a record as the dict of its fields."""
+    if isinstance(x, PentaComplex):
+        return x.to_list()
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    return x
+
+
+class _RelationReport:
+    """The report of a relation check, whose last field holds its
+    relations; it passes when every relation does."""
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in getattr(self, fields(self)[-1].name))
+
+    def to_dict(self) -> dict:
+        """The fields as JSON data, with `passed` just before the relations."""
+        *head, (name, relations) = _plain(self).items()
+        return {**dict(head), "passed": self.passed, name: relations}
+
+
+def _verdict(values: tuple[float, ...], tol: float) -> tuple[float, bool]:
+    """The spread of values that should agree, and whether it is within tol."""
+    deviation = max(values) - min(values)
+    return deviation, deviation <= tol
+
+
 @dataclass(frozen=True)
 class RelationGroup:
     """One cyclic equality group: dP_{(shift+j) mod 5}/dx_j for j = 0..4."""
@@ -204,26 +236,11 @@ class RelationGroup:
 
 
 @dataclass(frozen=True)
-class FirstOrderReport:
+class FirstOrderReport(_RelationReport):
     point: PentaComplex
     step: float
     tol: float
     groups: tuple[RelationGroup, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(g.passed for g in self.groups)
-
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point.to_list(),
-            "step": self.step,
-            "tol": self.tol,
-            "passed": self.passed,
-            "groups": [{"shift": g.shift, "derivatives": list(g.derivatives),
-                        "deviation": g.deviation, "passed": g.passed}
-                       for g in self.groups],
-        }
 
 
 def _shifted(point: PentaComplex, axis: int, delta: float) -> PentaComplex:
@@ -256,9 +273,7 @@ def check_cr_relations(f: Evaluator, point: PentaComplex,
     groups = []
     for shift in range(5):
         vals = tuple(jac[(shift + j) % 5][j] for j in range(5))
-        dev = max(vals) - min(vals)
-        groups.append(RelationGroup(shift=shift, derivatives=vals,
-                                    deviation=dev, passed=dev <= tol))
+        groups.append(RelationGroup(shift, vals, *_verdict(vals, tol)))
     return FirstOrderReport(point=point, step=step, tol=tol, groups=tuple(groups))
 
 
@@ -276,28 +291,11 @@ class MixedPartialChain:
 
 
 @dataclass(frozen=True)
-class SecondOrderReport:
+class SecondOrderReport(_RelationReport):
     point: PentaComplex
     step: float
     tol: float
     chains: tuple[MixedPartialChain, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.chains)
-
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point.to_list(),
-            "step": self.step,
-            "tol": self.tol,
-            "passed": self.passed,
-            "chains": [{"component": c.component, "index_sum": c.index_sum,
-                        "pairs": [list(p) for p in c.pairs],
-                        "values": list(c.values),
-                        "deviation": c.deviation, "passed": c.passed}
-                       for c in self.chains],
-        }
 
 
 def _chain_pairs(index_sum: int) -> tuple[tuple[int, int], ...]:
@@ -345,8 +343,6 @@ def check_second_order(f: Evaluator, point: PentaComplex,
         for index_sum in range(5):
             pairs = _chain_pairs(index_sum)
             vals = tuple(partials[pair][component] for pair in pairs)
-            dev = max(vals) - min(vals)
-            chains.append(MixedPartialChain(component=component, index_sum=index_sum,
-                                            pairs=pairs, values=vals,
-                                            deviation=dev, passed=dev <= tol))
+            chains.append(MixedPartialChain(component, index_sum, pairs, vals,
+                                            *_verdict(vals, tol)))
     return SecondOrderReport(point=point, step=step, tol=tol, chains=tuple(chains))

@@ -145,19 +145,16 @@ def _one_operand(args) -> PentaComplex:
     return _penta(doc, "u")
 
 
+def _unary(compute, emit=_emit_penta):
+    """The handler of a command on one element u: emit compute(u, args)."""
+    return lambda args: emit(args, compute(_one_operand(args), args))
+
+
 def _cmd_mul(args):
     doc = _operands(args, 2, "need two operands (or --input with u and v)")
     if args.input is not None:
         doc = _fields(doc, ("u", "v"), 'input payload must be {"u": [...], "v": [...]}')
     _emit_penta(args, multiply(_penta(doc[0], "u"), _penta(doc[1], "v")))
-
-
-def _cmd_inv(args):
-    _emit_penta(args, inverse(_one_operand(args), args.tol))
-
-
-def _cmd_canonical(args):
-    _emit_json(args, to_canonical(_one_operand(args)).to_dict())
 
 
 _CANON_KEYS = tuple(f.name for f in fields(CanonicalForm))
@@ -169,26 +166,6 @@ def _cmd_canonical_from(args):
                                        "with vplus, v1, tv1, v2 and tv2")
     cf = CanonicalForm(*(_real(x, k) for k, x in zip(_CANON_KEYS, values)))
     _emit_penta(args, from_canonical(cf))
-
-
-def _cmd_polar(args):
-    _emit_json(args, polar_form(_one_operand(args), args.tol).to_dict())
-
-
-def _cmd_exp(args):
-    _emit_penta(args, elementary.exp(_one_operand(args)))
-
-
-def _cmd_log(args):
-    _emit_penta(args, elementary.log(_one_operand(args)))
-
-
-def _cmd_pow(args):
-    _emit_penta(args, elementary.pow_real(_one_operand(args), args.exponent))
-
-
-def _cmd_trig(args):
-    _emit_penta(args, BUILTIN_FUNCTIONS[args.fn](_one_operand(args)))
 
 
 def _cmd_cosexp_table(args):
@@ -355,26 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_io(sub.add_parser("mul", help="ring product of two numbers"), _cmd_mul,
             operands=True, pretty=True)
-    _add_io(sub.add_parser("inv", help="multiplicative inverse"), _cmd_inv,
-            operands=True, tol=True, pretty=True)
+    _add_io(sub.add_parser("inv", help="multiplicative inverse"),
+            _unary(lambda u, a: inverse(u, a.tol)), operands=True, tol=True, pretty=True)
     _add_io(sub.add_parser("canonical", help="canonical variables of a number"),
-            _cmd_canonical, operands=True)
+            _unary(lambda u, a: to_canonical(u).to_dict(), _emit_json), operands=True)
     _add_io(sub.add_parser("canonical-from", help="number from canonical variables"),
             _cmd_canonical_from, operands=True, pretty=True)
     _add_io(sub.add_parser("polar", help="modulus, amplitude, radii and angles"),
-            _cmd_polar, operands=True, tol=True)
-    _add_io(sub.add_parser("exp", help="exponential"), _cmd_exp, operands=True, pretty=True)
-    _add_io(sub.add_parser("log", help="principal logarithm"), _cmd_log,
+            _unary(lambda u, a: polar_form(u, a.tol).to_dict(), _emit_json),
+            operands=True, tol=True)
+    _add_io(sub.add_parser("exp", help="exponential"), _unary(lambda u, a: elementary.exp(u)),
             operands=True, pretty=True)
+    _add_io(sub.add_parser("log", help="principal logarithm"),
+            _unary(lambda u, a: elementary.log(u)), operands=True, pretty=True)
 
     sp = sub.add_parser("pow", help="real power")
     _option(sp, "exponent", _FINITE)
-    _add_io(sp, _cmd_pow, operands=True, pretty=True)
+    _add_io(sp, _unary(lambda u, a: elementary.pow_real(u, a.exponent)),
+            operands=True, pretty=True)
 
     sp = sub.add_parser("trig", help="trigonometric/hyperbolic function")
     sp.add_argument("--fn", choices=[f.__name__ for f in elementary._LIFTED
                                      if f is not elementary.exp], required=True)
-    _add_io(sp, _cmd_trig, operands=True, pretty=True)
+    _add_io(sp, _unary(lambda u, a: BUILTIN_FUNCTIONS[a.fn](u)), operands=True, pretty=True)
 
     sp = sub.add_parser("cosexp-table",
                         help="CSV table of the five cosexponential functions")

@@ -107,8 +107,12 @@ class Path:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Path":
-        return cls(tuple(PentaComplex.from_list(v) for v in data["vertices"]),
-                   bool(data.get("closed", False)))
+        """The path of `to_dict`'s data; `closed` is a bool, and open where
+        it is missing."""
+        closed = data.get("closed", False)
+        if not isinstance(closed, bool):
+            raise ValueError(f"closed must be true or false, got {closed!r}")
+        return cls(tuple(PentaComplex.from_list(v) for v in data["vertices"]), closed)
 
 
 class PlaneProjection:

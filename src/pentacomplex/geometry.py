@@ -53,8 +53,9 @@ class PolarForm:
 
 
 def modulus(u: PentaComplex) -> float:
-    """Euclidean norm of the five components."""
-    return abs(u)
+    """Euclidean norm of the five components; beyond the floating-point
+    range it raises Overflow, as `polar_form` does."""
+    return _modulus(u)
 
 
 # the smallest normal float

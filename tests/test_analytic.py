@@ -277,6 +277,37 @@ def test_shifted_points_have_float_components():
     for u in seen:
         assert all(type(x) is float for x in u.components), u
 
+
+def _reference_first_order(f, point, step, tol=1e-6):
+    """check_cr_relations' report built field by field: each derivative
+    by its own central difference."""
+    from pentacomplex.analytic import _shifted
+
+    def partial(component, axis):
+        fp = f(_shifted(point, axis, step))[component]
+        fm = f(_shifted(point, axis, -step))[component]
+        return (fp - fm) / (2.0 * step)
+
+    groups = []
+    for shift in range(5):
+        vals = [partial((shift + j) % 5, j) for j in range(5)]
+        dev = max(vals) - min(vals)
+        groups.append({"shift": shift, "derivatives": vals, "deviation": dev,
+                       "passed": dev <= tol})
+    return {"point": point.to_list(), "step": step, "tol": tol,
+            "passed": all(g["passed"] for g in groups), "groups": groups}
+
+
+def test_first_order_report_serializes_field_by_field():
+    rng = np.random.default_rng(141)
+    proj0 = lambda u: PentaComplex(u.x0, 0, 0, 0, 0)  # noqa: E731
+    for g in (exp, sin, lambda u: multiply(u, u), proj0):
+        for step in (1e-6, 1e-3):
+            point = rand(rng)
+            got = check_cr_relations(g, point, step=step).to_dict()
+            assert repr(got) == repr(_reference_first_order(g, point, step))
+
+
 def _reference_second_order(f, point, step=3e-4, tol=1e-4):
     """check_second_order as it was written before its stencil table: each
     chain value re-evaluates f at its own stencil points."""

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from pentacomplex import ZERO, cosexp_values, plane_circle
+from pentacomplex import (ZERO, PentaComplex, cos, cosexp_values, exp, inverse, log,
+                          plane_circle, polar_form, pow_real, to_canonical)
 from pentacomplex.cli import main
 
 
@@ -318,6 +319,7 @@ ONE_ARG = "[1,0,0,0,0]"
 # each command with valid operands, so the flag is the only fault
 COMMANDS = {
     "mul": ("mul", ONE_ARG, ONE_ARG),
+    "inv": ("inv", ONE_ARG),
     "canonical": ("canonical", ONE_ARG),
     "canonical-from": ("canonical-from", '{"vplus": 1, "v1": 1, "tv1": 0, "v2": 1, "tv2": 0}'),
     "polar": ("polar", ONE_ARG),
@@ -332,6 +334,35 @@ REMOVED_FLAGS = [
                                                  "exp", "log", "pow", "trig", "factor")),
     *((*COMMANDS[cmd], "--pretty") for cmd in ("canonical", "polar", "factor")),
 ]
+
+
+# the library call behind each command on one element, as COMMANDS runs it
+ONE_OPERAND = {
+    "inv": inverse,
+    "canonical": lambda u: to_canonical(u).to_dict(),
+    "polar": lambda u: polar_form(u).to_dict(),
+    "exp": exp,
+    "log": log,
+    "pow": lambda u: pow_real(u, 2.0),
+    "trig": cos,
+}
+
+
+@pytest.mark.parametrize("cmd", ONE_OPERAND)
+def test_one_operand_command_prints_the_library_result(tmp_path, capsys, cmd):
+    u = [1.5, 0.2, -0.1, 0.3, 0.1]
+    argv = (*COMMANDS[cmd][:-1], json.dumps(u))
+    want = ONE_OPERAND[cmd](PentaComplex(*u))
+    code, out, err = run(capsys, *argv)
+    if isinstance(want, dict):
+        assert (code, out, err) == (0, json.dumps(want) + "\n", "")
+    else:
+        assert (code, out, err) == (0, json.dumps(want.to_list()) + "\n", "")
+        assert run(capsys, *argv, "--pretty") == (0, str(want) + "\n", "")
+    # an --input payload holding the operand under "u" prints the same
+    payload = tmp_path / "u.json"
+    payload.write_text(json.dumps({"u": u}))
+    assert run(capsys, *argv[:-1], "--input", str(payload)) == (0, out, "")
 
 
 @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)

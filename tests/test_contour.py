@@ -52,6 +52,16 @@ def test_path_serialization_roundtrip():
     assert Path.from_dict(p.to_dict()) == p
 
 
+def test_path_from_dict_takes_only_a_bool_for_closed():
+    verts = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+    assert Path.from_dict({"vertices": verts}).closed is False
+    assert Path.from_dict({"vertices": verts, "closed": True}).closed is True
+    # bool("false") is True: a JSON string once built a closed loop
+    for closed in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(ValueError, match="closed must be true or false"):
+            Path.from_dict({"vertices": verts, "closed": closed})
+
+
 def pair_loop_rejects(verts, closed):
     """The per-pair Python check that Path's array comparison replaced, kept
     as its reference."""

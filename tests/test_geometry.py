@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pentacomplex import (H1, H2, ONE, AngleUndefined, PentaComplex,
+from pentacomplex import (H1, H2, ONE, AngleUndefined, Overflow, PentaComplex,
                           amplitude, modulus, modulus_product_bound, multiply,
                           polar_form, to_canonical)
 from pentacomplex.canonical import E_PLUS
@@ -19,6 +19,16 @@ def test_modulus_examples():
     assert modulus(ONE) == 1.0
     assert abs(modulus(E_PLUS) - 1 / SQRT5) <= 1e-16
     assert abs(modulus(H1 + H2) - math.sqrt(2)) <= 1e-16
+
+
+def test_modulus_beyond_the_float_range_raises_overflow_like_polar_form():
+    u = PentaComplex(*[1e308] * 5)
+    assert abs(u) == math.inf  # the plain hypot keeps its inf
+    for f in (modulus, polar_form, lambda u: modulus_product_bound(u, ONE)):
+        with pytest.raises(Overflow):
+            f(u)
+    half = 0.5 * u  # its modulus, about 1.1e308, is representable
+    assert modulus(half) == abs(half) < math.inf
 
 
 def test_polar_form_of_unit():

@@ -79,12 +79,30 @@ def test_elementwise_calls_load_no_numpy():
                                  "pentacomplex.errors", "pentacomplex.geometry"]
 
 
+# the ring product and the seven commands on one element; CI runs the same list
+ELEMENT_COMMANDS = [
+    ["mul", "[1,2,3,4,5]", "[0,1,0,0,0]"],
+    ["inv", "[1,2,3,4,5]"],
+    ["canonical", "[1,2,3,4,5]"],
+    ["polar", "[1,2,3,4,5]"],
+    ["exp", "[1,2,3,4,5]"],
+    ["log", "[1,2,3,4,5]"],
+    ["pow", "0.5", "[1,2,3,4,5]"],
+    ["trig", "--fn", "sin", "[1,2,3,4,5]"],
+]
+
+
 def test_cli_mul_loads_no_numpy():
+    # in one interpreter, in order: the first command that loads numpy
+    # is the first whose entry reads True
     proc = fresh_python("import sys; from pentacomplex.cli import main; "
-                        "code = main(['mul', '[1,2,3,4,5]', '[0,1,0,0,0]']); "
-                        "print('numpy' in sys.modules, code)")
+                        "status = [(a[0], main(a), 'numpy' in sys.modules) "
+                        f"for a in {ELEMENT_COMMANDS!r}]; print(status)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[5.0, 1.0, 2.0, 3.0, 4.0]", "False 0"]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[5.0, 1.0, 2.0, 3.0, 4.0]"
+    assert len(lines) == len(ELEMENT_COMMANDS) + 1
+    assert eval(lines[-1]) == [(a[0], 0, False) for a in ELEMENT_COMMANDS]
 
 
 def test_contour_loads_neither_analytic_nor_statistics():
