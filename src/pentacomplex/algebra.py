@@ -245,6 +245,28 @@ def _scalar(x: Real, what: str = "scalar operand") -> float:
         raise Overflow(f"{what} exceeds the floating-point range") from exc
 
 
+def _number(x, what: str) -> float:
+    """A JSON number as a finite float; anything else raises ValueError
+    naming `what`."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    try:
+        x = float(x)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} is beyond the floating-point range") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
+
+
+def _element(data, what: str) -> PentaComplex:
+    """A JSON array of five numbers as an element; anything else raises
+    ValueError naming `what` and, for a bad number, its component."""
+    if not isinstance(data, list) or len(data) != DIM:
+        raise ValueError(f"{what} must be a JSON array of 5 numbers, got {data!r}")
+    return PentaComplex(*(_number(x, f"{what} component {i}") for i, x in enumerate(data)))
+
+
 def _check_tol(tol: float) -> None:
     """The one rule for a tolerance given explicitly: >= 0.  A nan or
     negative cutoff would silently switch its test off, so it raises

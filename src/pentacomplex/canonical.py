@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .algebra import DIM, PentaComplex, _check_tol, _new, _result, _set_canon
+from .algebra import DIM, PentaComplex, _check_tol, _new, _number, _result, _set_canon
 from .errors import NonInvertible, Overflow
 
 TYPE_CHECKING = False
@@ -52,7 +52,13 @@ class CanonicalForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CanonicalForm":
-        return cls(*(float(data[f.name]) for f in fields(cls)))
+        """The form of `to_dict`'s data: every field a finite JSON number,
+        else ValueError naming the field."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(data, dict) or any(k not in data for k in names):
+            raise ValueError("canonical input must be a JSON object "
+                             "with vplus, v1, tv1, v2 and tv2")
+        return cls(*(_number(data[k], k) for k in names))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Numbers travel as JSON arrays of five reals [x0, x1, x2, x3, x4].  Exit
 codes: 0 success, 1 usage/validation error, 2 domain error (non-invertible
 element, logarithm domain, pole on path, ...).  Every command reads its
-JSON through one reader and writes through one emitter, and the parser
-checks each numeric option's domain.  --tol overrides the default tolerance
-where a command takes one (inv, polar, check-analytic and integrate); it
-must be a finite number >= 0.
+JSON through one reader and each record through that record's own reader,
+whose ValueError is a usage error; it writes through one emitter, and the
+parser checks each numeric option's domain.  --tol overrides the default
+tolerance where a command takes one (inv, polar, check-analytic and
+integrate); it must be a finite number >= 0.
 
 Only the commands that use them load analytic, contour, cosexp, polyfactor
 and selftest, so the elementwise commands start without numpy.
@@ -19,10 +20,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
 
 from . import elementary
-from .algebra import PentaComplex, inverse, multiply
+from .algebra import PentaComplex, _element, inverse, multiply
 from .canonical import CanonicalForm, from_canonical, to_canonical
 from .errors import PentaError
 from .geometry import polar_form
@@ -70,33 +70,6 @@ def _operands(args, count: int, usage: str):
     return docs[0] if count == 1 else docs
 
 
-def _fields(doc, keys: tuple, shape: str) -> list:
-    """The values of `keys` in the JSON object `doc`; else a usage error
-    naming the expected `shape`."""
-    if not isinstance(doc, dict) or any(k not in doc for k in keys):
-        raise UsageError(shape)
-    return [doc[k] for k in keys]
-
-
-def _real(x, what: str) -> float:
-    """A JSON number as a finite float; anything else is a usage error."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise UsageError(f"{what} must be a number, got {x!r}")
-    try:
-        x = float(x)
-    except OverflowError:  # an integer beyond the float range
-        raise UsageError(f"{what} is beyond the floating-point range") from None
-    if not math.isfinite(x):
-        raise UsageError(f"{what} must be finite, got {x!r}")
-    return x
-
-
-def _penta(obj, what: str) -> PentaComplex:
-    if not isinstance(obj, list) or len(obj) != 5:
-        raise UsageError(f"{what} must be a JSON array of 5 numbers, got {obj!r}")
-    return PentaComplex(*(_real(x, f"{what} component {i}") for i, x in enumerate(obj)))
-
-
 def _emit(args, text: str):
     """text and a newline, to --output or else to stdout."""
     if args.output is None:
@@ -142,7 +115,7 @@ def _one_operand(args) -> PentaComplex:
     doc = _operands(args, 1, "need one operand (or --input)")
     if args.input is not None and isinstance(doc, dict) and "u" in doc:
         doc = doc["u"]
-    return _penta(doc, "u")
+    return _element(doc, "u")
 
 
 def _unary(compute, emit=_emit_penta):
@@ -153,19 +126,15 @@ def _unary(compute, emit=_emit_penta):
 def _cmd_mul(args):
     doc = _operands(args, 2, "need two operands (or --input with u and v)")
     if args.input is not None:
-        doc = _fields(doc, ("u", "v"), 'input payload must be {"u": [...], "v": [...]}')
-    _emit_penta(args, multiply(_penta(doc[0], "u"), _penta(doc[1], "v")))
-
-
-_CANON_KEYS = tuple(f.name for f in fields(CanonicalForm))
+        if not isinstance(doc, dict) or "u" not in doc or "v" not in doc:
+            raise UsageError('input payload must be {"u": [...], "v": [...]}')
+        doc = (doc["u"], doc["v"])
+    _emit_penta(args, multiply(_element(doc[0], "u"), _element(doc[1], "v")))
 
 
 def _cmd_canonical_from(args):
     doc = _operands(args, 1, "need one canonical JSON object")
-    values = _fields(doc, _CANON_KEYS, "canonical input must be a JSON object "
-                                       "with vplus, v1, tv1, v2 and tv2")
-    cf = CanonicalForm(*(_real(x, k) for k, x in zip(_CANON_KEYS, values)))
-    _emit_penta(args, from_canonical(cf))
+    _emit_penta(args, from_canonical(CanonicalForm.from_dict(doc)))
 
 
 def _cmd_cosexp_table(args):
@@ -190,14 +159,11 @@ def _cmd_check_analytic(args):
     from . import analytic
 
     f = _builtin(args.fn)
-    point = _penta(_parse_json(args.point, "point"), "point")
+    point = _element(_parse_json(args.point, "point"), "point")
     check = analytic.check_second_order if args.order == 2 else analytic.check_cr_relations
     # an option left out keeps the check's own default
     kwargs = {k: v for k, v in (("step", args.step), ("tol", args.tol)) if v is not None}
     _emit_json(args, check(f, point, **kwargs).to_dict())
-
-
-_PATH_SHAPE = 'path file must be {"vertices": [[5 reals], ...], "closed": true or false}'
 
 
 def _cmd_integrate(args):
@@ -205,19 +171,10 @@ def _cmd_integrate(args):
         raise UsageError(f"--samples must be at most {_MAX_SAMPLES}, got {args.samples}")
     from . import contour
 
-    data = _read_json(args.path, "path file")
-    (verts,) = _fields(data, ("vertices",), _PATH_SHAPE)
-    closed = data.get("closed", False)
-    if not isinstance(verts, list) or not isinstance(closed, bool):
-        raise UsageError(_PATH_SHAPE)
-    try:
-        path = contour.Path(tuple(_penta(v, f"vertex {i}") for i, v in enumerate(verts)),
-                            closed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    path = contour.Path.from_dict(_read_json(args.path, "path file"))
     f = _builtin(args.fn)
     if args.pole is not None:
-        pole = _penta(_parse_json(args.pole, "pole"), "pole")
+        pole = _element(_parse_json(args.pole, "pole"), "pole")
         lhs, rhs, windings = contour._pole_identity(f, path, pole, args.samples, args.tol)
         _emit_json(args, {"lhs": lhs.to_list(), "rhs": rhs.to_list(),
                           "windings": list(windings)})
@@ -226,20 +183,11 @@ def _cmd_integrate(args):
         _emit_json(args, {"integral": value.to_list()})
 
 
-_POLY_SHAPE = 'polynomial payload must be {"coeffs": [[5 reals], ...]}'
-
-
 def _cmd_factor(args):
     from . import polyfactor
 
     doc = _operands(args, 1, 'need a JSON {"coeffs": [[5 reals], ...]} payload')
-    (coeffs,) = _fields(doc, ("coeffs",), _POLY_SHAPE)
-    if not isinstance(coeffs, list):
-        raise UsageError(_POLY_SHAPE)
-    if not coeffs:
-        raise UsageError("polynomial needs at least one coefficient (degree >= 1)")
-    poly = polyfactor.PentaPolynomial(tuple(_penta(a, f"coefficient {i}")
-                                            for i, a in enumerate(coeffs)))
+    poly = polyfactor.PentaPolynomial.from_dict(doc)
     factors = polyfactor.factor(poly)
     rebuilt = polyfactor.expand_factors(factors)
     residual = max(max(abs(x - y) for x, y in zip(a, b))

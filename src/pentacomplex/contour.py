@@ -27,7 +27,7 @@ from numbers import Real
 import numpy as np
 
 from .algebra import (DIM, Evaluator, PentaComplex, _call, _check_count, _check_index,
-                      _check_tol, _result)
+                      _check_tol, _element, _result)
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
                         _CANON_ROWS, _assemble, _canon, _to_canon_comps, rotated_coords,
                         rotation_matrix)
@@ -75,6 +75,7 @@ class Path:
     closed: bool = False
 
     def __post_init__(self):
+        _check_closed(self.closed)
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
@@ -107,12 +108,14 @@ class Path:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Path":
-        """The path of `to_dict`'s data; `closed` is a bool, and open where
-        it is missing."""
-        closed = data.get("closed", False)
-        if not isinstance(closed, bool):
-            raise ValueError(f"closed must be true or false, got {closed!r}")
-        return cls(tuple(PentaComplex.from_list(v) for v in data["vertices"]), closed)
+        """The path of `to_dict`'s data, open where `closed` is missing;
+        anything else raises ValueError naming the field."""
+        verts = data.get("vertices") if isinstance(data, dict) else None
+        if not isinstance(verts, list):
+            raise ValueError('path file must be {"vertices": [[5 reals], ...], '
+                             '"closed": true or false}')
+        return cls(tuple(_element(v, f"vertex {i}") for i, v in enumerate(verts)),
+                   data.get("closed", False))
 
 
 class PlaneProjection:
@@ -131,10 +134,11 @@ class PlaneProjection:
             xy = np.array(points, dtype=float)
             if xy.shape == (0,):  # no points
                 xy = xy.reshape(0, 2)
-            if xy.ndim != 2 or xy.shape[1] != 2:
+            if xy.ndim != 2 or xy.shape[1] != 2 or not np.isfinite(xy).all():
                 raise ValueError
         except (TypeError, ValueError):
-            raise ValueError("every projected point needs two real coordinates") from None
+            raise ValueError("every projected point needs two finite real coordinates") from None
+        _check_closed(closed)
         self._set(xy.view(np.complex128).ravel(), plane, closed)
 
     def _set(self, z: np.ndarray, plane: int, closed: bool) -> None:
@@ -177,6 +181,12 @@ class PlaneProjection:
 
     def __reduce__(self):
         return (type(self), self._fields())
+
+
+def _check_closed(closed) -> None:
+    """The one rule for `closed`: a bool; anything else raises ValueError."""
+    if not isinstance(closed, bool):
+        raise ValueError(f"closed must be true or false, got {closed!r}")
 
 
 def _ends(rows: np.ndarray, closed: bool) -> np.ndarray:

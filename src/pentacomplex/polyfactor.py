@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ONE, PentaComplex, _result, inverse, multiply
+from .algebra import ONE, PentaComplex, _element, _result, inverse, multiply
 from .analytic import ComponentPolynomials, PowerSeries, _component_polys, series_eval
 # kept as a module global: perfbench's traced runs patch it here
 from .analytic import coefficient_spectrum  # noqa: F401
@@ -54,7 +54,7 @@ class PentaPolynomial:
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
         if not coeffs:
-            raise ValueError("a polynomial needs degree >= 1")
+            raise ValueError("polynomial needs at least one coefficient (degree >= 1)")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -91,7 +91,12 @@ class PentaPolynomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PentaPolynomial":
-        return cls(tuple(PentaComplex.from_list(a) for a in data["coeffs"]))
+        """The polynomial of `to_dict`'s data: `coeffs` an array of
+        elements, else ValueError naming the coefficient."""
+        coeffs = data.get("coeffs") if isinstance(data, dict) else None
+        if not isinstance(coeffs, list):
+            raise ValueError('polynomial payload must be {"coeffs": [[5 reals], ...]}')
+        return cls(tuple(_element(a, f"coefficient {i}") for i, a in enumerate(coeffs)))
 
 
 @dataclass(frozen=True)

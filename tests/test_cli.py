@@ -436,6 +436,7 @@ MESSAGES = {
     "inv NaN": "u component 0 must be finite, got nan",
     "inv Infinity": "u component 0 must be finite, got inf",
     "cosexp-table --to below --from": "--to must not be below --from",
+    "integrate closed string": "penta: error: closed must be true or false, got 'no'",
     "integrate repeated vertex": "consecutive path vertices must be distinct",
     "factor no coeffs": "polynomial needs at least one coefficient (degree >= 1)",
     "integrate --samples beyond the cap": "--samples must be at most 1048576, got 1000000000000",

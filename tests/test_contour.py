@@ -62,6 +62,22 @@ def test_path_from_dict_takes_only_a_bool_for_closed():
             Path.from_dict({"vertices": verts, "closed": closed})
 
 
+def test_path_and_plane_projection_take_only_a_bool_for_closed():
+    verts = (ZERO, ONE, ONE + E1)
+    pts = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
+    # bool("false") is True, so a truthiness test would build a closed loop
+    # whose to_dict() from_dict refuses
+    for closed in ("false", "no", 0, 1, None, np.True_):
+        with pytest.raises(ValueError, match="^closed must be true or false, got "):
+            Path(verts, closed)
+        with pytest.raises(ValueError, match="^closed must be true or false, got "):
+            PlaneProjection(pts, 1, closed)
+    for closed in (False, True):
+        p = Path(verts, closed)
+        assert Path.from_dict(p.to_dict()) == p
+        assert PlaneProjection(pts, 1, closed).closed is closed
+
+
 def pair_loop_rejects(verts, closed):
     """The per-pair Python check that Path's array comparison replaced, kept
     as its reference."""
@@ -220,7 +236,8 @@ def test_plane_projection_fields_equality_hash_repr_and_pickle():
         with pytest.raises(FrozenInstanceError):
             delattr(proj, name)
     for bad in ([(1.0, 2.0, 3.0)], [(1.0,)], [(1.0, 2.0), (3.0,)], [[]], [1.0, 2.0],
-                [("x", 1.0)]):
+                [("x", 1.0)], [(1, 0), (math.nan, 1), (-1, 0)], [(1, 0), (math.inf, 1), (-1, 0)],
+                [(1, 0), (0, -math.inf), (-1, 0)]):
         with pytest.raises(ValueError):
             PlaneProjection(bad, 1)
 
