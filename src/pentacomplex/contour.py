@@ -29,8 +29,7 @@ import numpy as np
 from .algebra import (DIM, Evaluator, PentaComplex, _call, _check_count, _check_index,
                       _check_tol, _element, _result)
 from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
-                        _CANON_ROWS, _assemble, _canon, _to_canon_comps, rotated_coords,
-                        rotation_matrix)
+                        _CANON_ROWS, _assemble, _canon, rotated_coords, rotation_matrix)
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -42,14 +41,15 @@ PANEL = 8
 
 # canonical._to_canon_comps as a matrix, for arrays of elements (one per row)
 _CANON = np.array(_CANON_ROWS)
+# its transpose, contiguous: rows of components times it are rows of
+# canonical coordinates (numpy's product takes twice as long on _CANON.T)
+_CANON_T = np.ascontiguousarray(_CANON.T)
 # rows are the rotated orthonormal axes
 _ROT = rotation_matrix()
 
 # canonical._from_canon_comps as a matrix: rows of canonical coordinates
 # times it are rows of components
 _FROM_CANON = np.array([e.components for e in (E_PLUS, E1, E1_TILDE, E2, E2_TILDE)])
-# the ring's 1 in canonical coordinates
-_ONE = np.array(_to_canon_comps((1.0, 0.0, 0.0, 0.0, 0.0)))
 # winding works at a quarter scale where a vertex is this far from the
 # point: below it every coordinate of a difference or an edge, and every
 # distance, is finite
@@ -59,11 +59,10 @@ _CEILING = 2.0 ** 1022
 # edge's bound clears twice the cutoff by _EDGE_ROUNDING times it
 _FLOOR = 2.0 ** -1000
 _EDGE_ROUNDING = 16 * np.finfo(float).eps
-# 1/sqrt2 rounded down
-_SQRT_HALF = 0.7071067811865475
-# |canonical rows| times it: |vplus|, |v1| + |tv1|, |v2| + |tv2| and their sum
-_SCREEN_SUMS = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1]],
-                        dtype=float)
+# a batch whose line values and planes' real and imaginary parts are all
+# at most this in magnitude has finite components: none exceeds
+# (0.2 + 0.8*sqrt2) * _PART_MAX < 1.4 * 2**1020
+_PART_MAX = 2.0 ** 1020
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,27 @@ class Path:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError(f"a path needs at least 2 vertices, got {len(verts)}")
-        # the vertex components as rows, built once for project and
-        # integrate; not a field, so equality, hash and repr see only vertices
+        # built once, for project and integrate, and not fields, so
+        # equality, hash and repr see only vertices: the vertex components
+        # as rows, each plane's projection (x + i*y per vertex), and the
+        # edge vectors as component rows and as canonical parts
         arr = np.fromiter(chain.from_iterable(v.components for v in verts), float,
                           DIM * len(verts)).reshape(-1, DIM)
-        arr.flags.writeable = False
-        object.__setattr__(self, "_array", arr)
         ends = _ends(arr, self.closed)
         if (arr[:len(ends)] == ends).all(axis=1).any():
             raise ValueError("consecutive path vertices must be distinct")
+        # a value beyond the float range becomes inf or nan, which integrate
+        # and winding report
+        with np.errstate(all="ignore"):
+            steps = ends - arr[:len(ends)]
+            edges = (steps, *_split(steps @ _CANON_T))
+            shadows = tuple((arr @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
+                            for k in (1, 2))
+        for a in (arr, *edges, *shadows):
+            a.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_shadows", shadows)
 
     def __getstate__(self):
         return {"vertices": self.vertices, "closed": self.closed}
@@ -139,7 +150,8 @@ class PlaneProjection:
         except (TypeError, ValueError):
             raise ValueError("every projected point needs two finite real coordinates") from None
         _check_closed(closed)
-        self._set(xy.view(np.complex128).ravel(), plane, closed)
+        self._set(xy.view(np.complex128).ravel(), _check_index("plane index", plane, 1, 2),
+                  closed)
 
     def _set(self, z: np.ndarray, plane: int, closed: bool) -> None:
         z.flags.writeable = False
@@ -197,8 +209,7 @@ def _ends(rows: np.ndarray, closed: bool) -> np.ndarray:
 def project(path: Path, k: int) -> PlaneProjection:
     """Project every vertex onto canonical plane k (k = 1 or 2)."""
     k = _check_index("plane index", k, 1, 2)
-    xy = path._array @ _ROT[2 * k - 1:2 * k + 1].T
-    return PlaneProjection._wrap(xy.view(np.complex128).ravel(), k, path.closed)
+    return PlaneProjection._wrap(path._shadows[k - 1], k, path.closed)
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
@@ -319,78 +330,99 @@ def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _planes(a: np.ndarray) -> np.ndarray:
-    """Columns 1-4 of rows of five as two complex columns, a view: (z1, z2)
-    of canonical rows, (x1 + i*x2, x3 + i*x4) of component rows."""
-    return a[:, 1:].view(np.complex128)
+@functools.lru_cache(maxsize=32)
+def _lerp(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node rule as a real and a complex matrix, each of rows
+    (1, ..., 1), t and w: the row (start, step) of a segment times the
+    first two rows gives its nodes start + t*step, and step times the last
+    its du, w*step.  As products of matrices the two run in one numpy call
+    each, where broadcasting would loop over segments; read-only."""
+    t, w = _segment_rule(n)
+    m = np.array((np.ones(n), t, w))
+    mc = m.astype(np.complex128)
+    m.flags.writeable = False
+    mc.flags.writeable = False
+    return m, mc
 
 
-def _parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The line column and the two plane columns of rows of five, as 1-D
-    views.  numpy never gets the (n, 2) plane view: its rows are 40 bytes
-    apart, so there numpy's inner loop would cover only a row's two entries."""
-    z = _planes(a)
-    return a[:, 0], z[:, 0], z[:, 1]
+def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of canonical coordinates (one per node, vertex or edge) as a
+    batch's parts: the line column, and the plane columns v_k + i*tv_k
+    stacked as (2, n), both contiguous copies."""
+    return rows[:, 0].copy(), rows[:, 1:].view(np.complex128).T.copy()
 
 
-def _by_part(fns, a: np.ndarray, *others: np.ndarray) -> np.ndarray:
-    """New rows like a: fns[k] gets part k of a, of each of others (which
-    broadcast against a) and last, as a ufunc's out, of the new rows."""
-    out = np.empty_like(a)
-    for fn, cols in zip(fns, zip(*map(_parts, (a, *others, out)))):
-        fn(*cols)
-    return out
+def _join(line: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """A batch's parts as rows of canonical coordinates, one per node."""
+    rows = np.empty((line.size, DIM))
+    rows[:, 0] = line
+    rows[:, 1:].view(np.complex128)[:] = planes.T
+    return rows
 
 
-def _rows(x, unit: np.ndarray | None = None) -> np.ndarray:
-    """Canonical coordinates of an operand of a batch, as rows to broadcast
-    against it: a batch's own, an element's as one row and, given `unit`, a
-    real scalar's as x * unit."""
+def _column(canon) -> tuple[np.ndarray, np.ndarray]:
+    """One element's canonical coordinates as parts that broadcast against
+    a batch's: a line of one value and planes of shape (2, 1)."""
+    c = np.array(canon, dtype=float)
+    return c[:1], c[1:].view(np.complex128).reshape(2, 1)
+
+
+def _operand(x, scalars: bool = False) -> tuple:
+    """The parts of an operand of a batch, to broadcast against its own: a
+    batch's, an element's and, given `scalars`, a real scalar's as x times
+    the ring's 1 (1 on the line and 1 + 0i on each plane)."""
     if isinstance(x, _Batch):
-        return x.canon
+        return x.line, x.planes
     if isinstance(x, PentaComplex):
-        return np.array([_canon(x)])
-    if unit is not None and isinstance(x, Real):
-        return float(x) * unit
+        return _column(_canon(x))
+    if scalars and isinstance(x, Real):
+        x = float(x)
+        return x, complex(x, x * 0.0)
     raise TypeError(f"unsupported operand for a batch of elements: {type(x).__name__}")
 
 
 class _Batch:
-    """Ring elements at many nodes, held as one (n, 5) array of canonical
-    coordinates.  There the ring is R x C x C, so its arithmetic is
-    elementwise: a real product on the line and a complex product on each
-    plane.  The operators are those of PentaComplex: +, -, unary - and *
-    with a batch, a PentaComplex or a real scalar, and / by a real scalar;
-    multiply, elementary's builtins and analytic's component polynomials
-    reach `product`, `lift` and `horner`.  A batch has no components, so an
-    evaluator that reads them raises.  Nothing is checked on the way: a
-    value beyond the float range becomes inf or nan, which _evaluate tests
-    once, on the result."""
+    """Ring elements at many nodes, held in canonical coordinates as two
+    contiguous parts: `line`, a float64 array of the n line values, and
+    `planes`, a complex128 array of shape (2, n) whose rows are the two
+    planes.  There the ring is R x C x C, so its arithmetic is elementwise,
+    and each operation is one numpy call on the line and one on the
+    stacked planes.  The operators are those of PentaComplex: +, -, unary -
+    and * with a batch, a PentaComplex or a real scalar, and / by a real
+    scalar; multiply, elementary's builtins and analytic's component
+    polynomials reach `product`, `lift` and `horner`.  A batch has no
+    components, so an evaluator that reads them raises.  Nothing is checked
+    on the way: a value beyond the float range becomes inf or nan, which
+    _evaluate tests once, on the result."""
 
-    __slots__ = ("canon",)
+    __slots__ = ("line", "planes")
     __array_ufunc__ = None  # a numpy operand defers to these operators
     __hash__ = None
 
-    def __init__(self, canon: np.ndarray):
-        self.canon = canon
+    def __init__(self, line: np.ndarray, planes: np.ndarray):
+        self.line = line
+        self.planes = planes
 
     def __add__(self, other):
-        return _Batch(self.canon + _rows(other, _ONE))
+        line, planes = _operand(other, True)
+        return _Batch(self.line + line, self.planes + planes)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _Batch(self.canon - _rows(other, _ONE))
+        line, planes = _operand(other, True)
+        return _Batch(self.line - line, self.planes - planes)
 
     def __rsub__(self, other):
-        return _Batch(_rows(other, _ONE) - self.canon)
+        line, planes = _operand(other, True)
+        return _Batch(line - self.line, planes - self.planes)
 
     def __neg__(self):
-        return _Batch(-self.canon)
+        return _Batch(-self.line, -self.planes)
 
     def __mul__(self, other):
         if isinstance(other, Real):
-            return _Batch(self.canon * float(other))
+            return self._scaled(float(other))
         return self.product(other)
 
     __rmul__ = __mul__
@@ -400,83 +432,111 @@ class _Batch:
             raise TypeError(f"a batch of elements divides only by a real scalar, "
                             f"not {type(other).__name__}")
         # as PentaComplex: times the reciprocal, and a zero raises
-        return _Batch(self.canon * (1.0 / float(other)))
+        return self._scaled(1.0 / float(other))
 
     def __eq__(self, other):
         # the nodes' values differ, so no single truth value is right
         raise TypeError("a batch of elements cannot be compared")
 
+    def _scaled(self, x: float) -> "_Batch":
+        # the planes' real and imaginary parts each times x: a complex
+        # product with x + 0i would add 0 * the other part (nan beside an inf)
+        return _Batch(self.line * x, (self.planes.view(np.float64) * x).view(np.complex128))
+
     def product(self, other) -> "_Batch":
         """The ring product with a batch or an element (multiply)."""
-        return _Batch(_by_part((np.multiply,) * 3, self.canon, _rows(other)))
+        line, planes = _operand(other)
+        return _Batch(self.line * line, self.planes * planes)
 
     def lift(self, line_fn, plane_fn) -> "_Batch":
-        """line_fn on the line and plane_fn on each plane, each applied to
-        the columns as the numpy ufunc of the same name (elementary's
-        builtins)."""
-        plane = getattr(np, plane_fn.__name__)
-        return _Batch(_by_part((getattr(np, line_fn.__name__), plane, plane), self.canon))
+        """line_fn on the line and plane_fn on the planes, each applied as
+        the numpy ufunc of the same name (elementary's builtins)."""
+        return _Batch(getattr(np, line_fn.__name__)(self.line),
+                      getattr(np, plane_fn.__name__)(self.planes))
 
     def horner(self, pplus, p1, p2) -> "_Batch":
         """The real polynomial pplus on the line and the complex p1, p2 on
-        the planes, coefficients descending, by np.polyval on each part
-        (ComponentPolynomials.evaluate): its y = y*x + c runs out of place,
-        and numpy's in-place complex product may differ in the last bit."""
-        return _Batch(_by_part([lambda x, out, c=c: np.copyto(out, np.polyval(c, x))
-                                for c in (pplus, p1, p2)], self.canon))
+        the planes, coefficients descending (ComponentPolynomials.evaluate):
+        one loop on the line, and one on the stacked planes against the
+        coefficient columns (p1[j], p2[j]), converted once.  Each step is
+        np.polyval's y = y*x + c from y = 0, the product out of place (an
+        in-place complex product may take another numpy loop) and the sum,
+        exactly rounded either way, in place; so the bits are np.polyval's
+        on each part."""
+        x, z = self.line, self.planes
+        wp = np.zeros_like(x)
+        for a in np.array(pplus, dtype=float):
+            wp = wp * x
+            wp += a
+        w = np.zeros_like(z)
+        for col in np.array((p1, p2), dtype=complex).T[:, :, None]:
+            w = w * z
+            w += col
+        return _Batch(wp, w)
+
+    def _finite(self) -> bool:
+        """Whether every component is finite.  A batch whose line values and
+        planes' real and imaginary parts are all at most _PART_MAX in
+        magnitude passes at once; otherwise the components are assembled
+        and tested."""
+        if (np.abs(self.line).max() <= _PART_MAX
+                and np.abs(self.planes.view(np.float64)).max() <= _PART_MAX):
+            return True
+        return bool(np.isfinite(_join(self.line, self.planes) @ _FROM_CANON).all())
 
 
-def _evaluate(f: Evaluator, nodes: np.ndarray, canon: np.ndarray) -> np.ndarray:
-    """Canonical components of f at every node (rows of `nodes`, whose
-    canonical coordinates are `canon`), under integrate's np.errstate.
+def _evaluate(f: Evaluator, nodes: _Batch, rows) -> _Batch:
+    """f's values at every node of the batch `nodes`, as a batch, under
+    integrate's np.errstate; rows() gives the nodes' component rows.
 
-    f is called once with the batch of all nodes.  Its value is used when it
-    is a batch of the same shape whose entries reassemble to components that
-    are all finite; a non-finite entry gives a non-finite component (inf
-    times 0 is nan), so that one test covers both.  Otherwise (f raised,
-    returned anything else, or a value is not finite) f is called at each
-    node, where a failure raises the typed error of the scalar route.
+    f is called once with the batch.  Its value is used when it is a batch
+    of the same shape whose components are all finite (see
+    _Batch._finite).  Otherwise (f raised, returned anything else, or a
+    component is not finite) f is called at each node of rows(), where a
+    failure raises the typed error of the scalar route.
     """
     try:
-        out = f(_Batch(canon))
+        out = f(nodes)
     except Exception:  # whatever went wrong, the per-node calls report it
         out = None
-    if (isinstance(out, _Batch) and out.canon.shape == canon.shape
-            and np.isfinite(out.canon @ _FROM_CANON).all()):
-        return out.canon
-    values = chain.from_iterable(_call(f, _result(*c)).components for c in nodes.tolist())
-    return np.fromiter(values, float, nodes.size).reshape(-1, DIM) @ _CANON.T
+    if (isinstance(out, _Batch) and out.line.shape == nodes.line.shape
+            and out.planes.shape == nodes.planes.shape and out._finite()):
+        return out
+    values = chain.from_iterable(_call(f, _result(*c)).components for c in rows().tolist())
+    return _Batch(*_split(np.fromiter(values, float, nodes.line.size * DIM).reshape(-1, DIM)
+                          @ _CANON_T))
 
 
-def _invertible(rel: np.ndarray, rel_c: np.ndarray, nodes: int) -> None:
-    """inverse's divisor-of-zero test on every row: rel holds u - u0 at
-    the quadrature nodes and then at the path's vertices (from row `nodes`
-    on), rel_c its canonical coordinates.  A row beyond the float range
-    raises Overflow."""
-    # a screen without hypot first.  With s_k = |v_k| + |tv_k|, rho_k is
-    # at least s_k/sqrt2, and |u|^2 = (vplus^2 + 2*rho1^2 + 2*rho2^2)/5 puts
-    # |u| below |vplus| + s1 + s2; the factor 2 covers the rounding.  A
-    # row that passes passes the test below; inf and nan rows fail it
-    s = np.abs(rel_c) @ _SCREEN_SUMS
-    least = np.minimum(s[:, 0], np.minimum(s[:, 1], s[:, 2]) * _SQRT_HALF)
-    if (least > (2.0 * TAU_REL) * s[:, 3]).all():
+def _invertible(line: np.ndarray, planes: np.ndarray, rows, nodes: int) -> None:
+    """inverse's divisor-of-zero test on u - u0 at the quadrature nodes and
+    then at the path's vertices (from entry `nodes` on), given as canonical
+    parts (line and (2, n) planes); rows() gives u - u0's component rows,
+    built only where the screen leaves the verdict open.  A value beyond
+    the float range raises Overflow.  This array guard keeps its own test:
+    canonical._guard is the scalar route's, and a change to the one does
+    not carry over to the other."""
+    # the screen, on the parts alone.  |u|^2 = (vplus^2 + 2*rho1^2 +
+    # 2*rho2^2)/5 puts |u| below 0.64*(|vplus| + rho1 + rho2); the factor 2
+    # covers the rounding.  A value that passes passes the test below; inf
+    # and nan fail it
+    a, r = np.abs(line), np.abs(planes)
+    least = np.minimum(a, np.minimum(r[0], r[1]))
+    if (least > (2.0 * TAU_REL) * (a + r[0] + r[1])).all():
         return
 
     def at(i: int) -> str:
         return f"quadrature node {i}" if i < nodes else f"vertex {i - nodes}"
 
-    # u - u0 or its transform overflowed (a non-finite row of rel gives a
-    # non-finite row of rel_c)
-    finite = np.isfinite(rel_c).all(axis=1)
+    rel = rows()
+    finite = np.isfinite(rel).all(axis=1) & np.isfinite(line) & np.isfinite(planes).all(axis=0)
     if not finite.all():
         raise Overflow(f"u - u0 exceeds the floating-point range at {at(int(finite.argmin()))}")
     # moduli by hypot (a complex abs is one), so no square under- or
     # overflows; |p1| is hypot(x1, x2) and |p2| hypot(x3, x4).  fmin skips a
     # NaN as `or` would
-    x0, p1, p2 = _parts(rel)
-    tol = TAU_REL * np.hypot(x0, np.hypot(np.abs(p1), np.abs(p2)))
-    line, z1, z2 = _parts(rel_c)
-    bad = np.fmin(np.abs(line), np.fmin(np.abs(z1), np.abs(z2))) <= tol
+    p = np.abs(rel[:, 1:].view(np.complex128))
+    tol = TAU_REL * np.hypot(rel[:, 0], np.hypot(p[:, 0], p[:, 1]))
+    bad = np.fmin(a, np.fmin(r[0], r[1])) <= tol
     if bad.any():
         i = int(bad.argmax())
         raise NonInvertibleOnPath(f"u - u0 = {PentaComplex(*rel[i])!r} is a divisor "
@@ -507,39 +567,56 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     called once, with the batch of all nodes, and at each node only where
     that call gives no finite batch of values (see _evaluate).  A count
     that is not a whole number >= 1 raises ValueError.
+
+    The work runs on the canonical parts.  u - u0 at the vertices is
+    formed in components and transformed, one row per vertex; the edge
+    vectors were formed and transformed once, with the path.  The nodes
+    (relative to u0) and du follow on each part as start + t*step and
+    w*step, as a contiguous line array and (2, n) planes, and the kernel,
+    f(u0)'s subtraction and the sums run on them.  Component rows of the
+    nodes are built only for the per-node route and the exact
+    divisor-of-zero test.
     """
     samples_per_segment = _check_count("samples_per_segment", samples_per_segment, 1)
     pole = None
     if isinstance(f, _PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
     verts = path._array
-    ends = _ends(verts, path.closed)
-    starts = verts[:len(ends)]
-    t, w = _segment_rule(samples_per_segment)
+    steps, step_line, step_planes = path._edges
+    s = len(steps)
+    m, mc = _lerp(samples_per_segment)
     origin = np.zeros(DIM) if pole is None else np.array(pole.components)
+
+    def node_rows() -> np.ndarray:
+        return (verts[:s, None, :] + m[1, :, None] * steps[:, None, :]).reshape(-1, DIM)
+
     # a value beyond the float range becomes inf or nan without a warning;
     # the divisor-of-zero guard, _evaluate and _assemble raise typed errors
     # for it
     with np.errstate(all="ignore"):
-        steps = ends - starts
-        nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
-        du = (w[:, None] * steps[:, None, :]).reshape(-1, DIM)
-        # around a pole the vertices follow the nodes: one transform and one
-        # divisor-of-zero guard for both
-        rel = nodes if pole is None else np.concatenate((nodes, verts)) - origin
-        canon = np.concatenate((rel, du)) @ _CANON.T
-        rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
+        # u - u0 at the vertices, formed in components and transformed; the
+        # nodes (relative to u0) and du from the rows (start, step) of the
+        # segments, on each part
+        rel_line, rel_planes = _split((verts if pole is None else verts - origin) @ _CANON_T)
+        nodes = _Batch((np.column_stack((rel_line[:s], step_line)) @ m[:2]).ravel(),
+                       (np.stack((rel_planes[:, :s], step_planes), axis=2).reshape(-1, 2)
+                        @ mc[:2]).reshape(2, -1))
+        # du, which around a pole becomes the kernel du / (u - u0)
+        kernel = _Batch((step_line[:, None] @ m[2:]).ravel(),
+                        (step_planes.reshape(-1, 1) @ mc[2:]).reshape(2, -1))
         if pole is not None:
-            _invertible(rel, canon[:len(rel)], len(nodes))
-            kernel = _by_part((np.divide,) * 3, kernel, rel_c)
-        values = _evaluate(f, nodes, rel_c + _CANON @ origin)
+            # one guard for the nodes and the vertices
+            _invertible(np.concatenate((nodes.line, rel_line)),
+                        np.concatenate((nodes.planes, rel_planes), axis=1),
+                        lambda: np.concatenate((node_rows(), verts)) - origin, nodes.line.size)
+            kernel = _Batch(kernel.line / nodes.line, kernel.planes / nodes.planes)
+            nodes = nodes + _Batch(*_column(origin @ _CANON_T))
+        values = _evaluate(f, nodes, node_rows)
         if pole is not None:
-            values -= _CANON @ np.array(f_pole.components)  # the smooth remainder
-        (lv, v1, v2), (lk, k1, k2) = _parts(values), _parts(kernel)
-        line = float((lv * lk).sum())
-        # each plane's products are summed in row order, the order of a sum
-        # along the rows of their (n, 2) array
-        z1, z2 = (complex(np.add.accumulate(v * k)[-1]) for v, k in ((v1, k1), (v2, k2)))
+            # the smooth remainder
+            values = values - _Batch(*_column(np.array(f_pole.components) @ _CANON_T))
+        line = float(values.line @ kernel.line)
+        z1, z2 = (values.planes * kernel.planes).sum(axis=1).tolist()
     return _assemble(line, z1, z2)
 
 

@@ -78,6 +78,16 @@ def test_path_and_plane_projection_take_only_a_bool_for_closed():
         assert PlaneProjection(pts, 1, closed).closed is closed
 
 
+def test_plane_projection_takes_only_plane_1_or_2():
+    # by project's rule; a plane of 7 or "x" once built a projection
+    pts = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
+    for plane in (7, 0, 3, -1, 1.5, "x", "1", None):
+        with pytest.raises(ValueError, match="^plane index must be 1 or 2, got "):
+            PlaneProjection(pts, plane, True)
+    assert PlaneProjection(pts, 2.0, True).plane == 2
+    assert PlaneProjection(pts, np.int64(1), True) == PlaneProjection(pts, 1, True)
+
+
 def pair_loop_rejects(verts, closed):
     """The per-pair Python check that Path's array comparison replaced, kept
     as its reference."""
@@ -710,6 +720,30 @@ def test_overflow_at_the_nodes_raises_the_per_node_error():
     assert errors[0].startswith(f"evaluator raised at {first!r}: ")
 
 
+def plane_view(a):
+    """Columns 1-4 of rows of five as two complex columns, a view: (z1, z2)
+    of canonical rows, (x1 + i*x2, x3 + i*x4) of component rows.  The
+    references in this file hold one canonical row per node and read the
+    planes through it."""
+    return a[:, 1:].view(np.complex128)
+
+
+def batch_of(canon):
+    """The batch of nodes whose canonical coordinates are the rows of canon."""
+    return contour._Batch(*contour._split(canon))
+
+
+def rows_of(batch):
+    """A batch's canonical coordinates as rows, one per node."""
+    return contour._join(batch.line, batch.planes)
+
+
+def evaluate_rows(f, nodes, canon):
+    """contour._evaluate on rows: nodes are the component rows, canon their
+    canonical coordinates; the values come back as canonical rows."""
+    return rows_of(contour._evaluate(f, batch_of(canon), lambda: nodes))
+
+
 def loop_evaluate(f, nodes):
     """The per-row loop the callable path replaced, kept as its reference."""
     out = np.empty_like(nodes)
@@ -728,38 +762,45 @@ def test_callable_path_is_bit_identical_to_the_per_row_loop():
     for f in (lambda u: multiply(u, u) + u.x0 * u,
               lambda u: exp(u) if u.x1 >= 0.0 else -u,
               lambda u: pow_real(u, 2) + 3.0 * u):
-        got = contour._evaluate(f, nodes, nodes @ _CANON.T)
+        got = evaluate_rows(f, nodes, nodes @ _CANON.T)
         assert got.tobytes() == loop_evaluate(f, nodes).tobytes()
         want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
         assert got.tobytes() == want.tobytes()
 
 
 def test_column_ops_match_the_plane_view():
-    # _by_part (so _Batch.product, _Batch.lift and integrate's kernel) runs
-    # one plane column at a time; the bits are those of one numpy call on
-    # the (n, 2) plane view
+    # a batch's product, its lift and integrate's kernel (the parts of du
+    # over those of u - u0) run on the line array and the stacked (2, n)
+    # planes; the bits are those of one numpy call on the (n, 2) plane view
+    # of canonical rows
     rng = np.random.default_rng(305)
     a, b = rng.standard_normal((2, 300, 5)) * 10.0 ** rng.integers(-2, 2, (2, 300, 5))
     a[0, 1:] = -0.0
-    planes = contour._planes
+    batch = batch_of(a)
     for op in (np.multiply, np.divide):
         for other in (b, b[:1]):
             want = np.empty_like(a)
             want[:, 0] = op(a[:, 0], other[:, 0])
-            planes(want)[:] = op(planes(a), planes(other))
-            assert contour._by_part((op,) * 3, a, other).tobytes() == want.tobytes()
+            plane_view(want)[:] = op(plane_view(a), plane_view(other))
+            # b[:1] as integrate's pole: a one-node column that broadcasts
+            line, planes = contour._column(other[0]) if len(other) == 1 else contour._split(other)
+            got = contour._join(op(batch.line, line), op(batch.planes, planes))
+            assert got.tobytes() == want.tobytes()
+            if op is np.multiply:
+                got = rows_of(batch.product(contour._Batch(line, planes)))
+                assert got.tobytes() == want.tobytes()
     for name in ("exp", "sin", "cos", "sinh", "cosh"):
         want = np.empty_like(a)
         want[:, 0] = getattr(np, name)(a[:, 0])
-        planes(want)[:] = getattr(np, name)(planes(a))
-        assert getattr(elementary, name)(contour._Batch(a)).canon.tobytes() == want.tobytes()
+        plane_view(want)[:] = getattr(np, name)(plane_view(a))
+        assert rows_of(getattr(elementary, name)(batch)).tobytes() == want.tobytes()
 
 
 def plane_view_horner(canon, pplus, p1, p2):
     """_Batch.horner as it ran on the (n, 2) plane view, whose numpy inner
     loop covers a row's two entries: the reference for its bits."""
     line = canon[:, 0]
-    z = contour._planes(canon)
+    z = plane_view(canon)
     wp = np.zeros_like(line)
     w = np.zeros_like(z)
     for ap, a1, a2 in zip(pplus, p1, p2):
@@ -767,7 +808,7 @@ def plane_view_horner(canon, pplus, p1, p2):
         w = w * z + (a1, a2)
     out = np.empty_like(canon)
     out[:, 0] = wp
-    contour._planes(out)[:] = w
+    plane_view(out)[:] = w
     return out
 
 
@@ -782,12 +823,14 @@ def test_batch_horner_is_bit_identical_to_the_plane_view(degree, rows, seed):
     pplus = tuple(c[:, 0].tolist())
     p1, p2 = (tuple(complex(a, b) for a, b in c[:, cols].tolist()) for cols in ([1, 2], [3, 4]))
     with np.errstate(all="ignore"):
-        got = contour._Batch(canon).horner(pplus, p1, p2).canon
+        batch = batch_of(canon)
+        got = batch.horner(pplus, p1, p2)
         want = plane_view_horner(canon, pplus, p1, p2)
         # each part is np.polyval's on that column
-        for part, x, p in zip(contour._parts(got), contour._parts(canon), (pplus, p1, p2)):
-            assert part.tobytes() == np.polyval(p, x).tobytes()
-    assert got.tobytes() == want.tobytes()
+        assert got.line.tobytes() == np.polyval(pplus, batch.line).tobytes()
+        for k, p in enumerate((p1, p2)):
+            assert got.planes[k].tobytes() == np.polyval(p, batch.planes[k]).tobytes()
+    assert rows_of(got).tobytes() == want.tobytes()
 
 
 def test_evaluators_that_fail_on_a_batch_run_per_node():
@@ -809,7 +852,7 @@ def test_evaluators_that_fail_on_a_batch_run_per_node():
 
     for f in (raises_on_a_batch, constant):
         calls.clear()
-        got = contour._evaluate(f, nodes, nodes @ _CANON.T)
+        got = evaluate_rows(f, nodes, nodes @ _CANON.T)
         assert isinstance(calls[0], contour._Batch), f.__name__
         assert len(calls) == 1 + len(nodes), f.__name__
         assert got.tobytes() == loop_evaluate(f, nodes).tobytes(), f.__name__
@@ -832,9 +875,9 @@ def test_batch_values_match_the_per_node_values_on_the_contour_pools(seed, monke
     captured = []
     evaluate = contour._evaluate
 
-    def capture(f, nodes, canon):
-        captured.append((nodes, canon))
-        return evaluate(f, nodes, canon)
+    def capture(f, nodes, rows):
+        captured.append((rows(), nodes))
+        return evaluate(f, nodes, rows)
 
     monkeypatch.setattr(contour, "_evaluate", capture)
     items = gen.contour_pool(seed)
@@ -844,11 +887,11 @@ def test_batch_values_match_the_per_node_values_on_the_contour_pools(seed, monke
         captured.clear()
         residue_formula(f, workloads.build_loop(item.loop), PentaComplex(*item.loop.pole),
                         samples=1024)
-        (nodes, canon), = captured
-        batch = f(contour._Batch(canon))
-        assert isinstance(batch, contour._Batch) and batch.canon.shape == canon.shape
+        (nodes, batch), = captured
+        values = f(batch)
+        assert isinstance(values, contour._Batch) and rows_of(values).shape == nodes.shape
         want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
-        err = np.abs(batch.canon - want).max(axis=1)
+        err = np.abs(rows_of(values) - want).max(axis=1)
         assert (err <= 8 * np.finfo(float).eps * np.abs(want).max()).all(), item
 
 
@@ -862,14 +905,14 @@ def test_series_and_ring_arithmetic_take_the_batch_route():
     for f in (lambda u: series_eval(series, u),
               lambda u: (2 - u) * a - (a + u) / 4 + 1.5 * (-u) - multiply(a, u),
               lambda u: sinh(u) * cos(u) - multiply(u + 1, cosh(u)) + 3):
-        batch = f(contour._Batch(nodes @ _CANON.T))
+        batch = f(batch_of(nodes @ _CANON.T))
         assert isinstance(batch, contour._Batch)
         want = loop_evaluate(f, nodes)
-        assert np.abs(batch.canon - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
-        assert contour._evaluate(f, nodes, nodes @ _CANON.T).tobytes() == batch.canon.tobytes()
+        assert np.abs(rows_of(batch) - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+        assert evaluate_rows(f, nodes, nodes @ _CANON.T).tobytes() == rows_of(batch).tobytes()
     # operations a PentaComplex lacks, or whose value differs from node to
     # node, raise on a batch
-    batch = contour._Batch(nodes @ _CANON.T)
+    batch = batch_of(nodes @ _CANON.T)
     for g in (lambda u: u.x0, lambda u: 1 / u, lambda u: u / a, lambda u: u == ZERO,
               lambda u: multiply(u, 2.0), lambda u: u + "1", lambda u: abs(u)):
         with pytest.raises((AttributeError, TypeError)):
@@ -892,9 +935,9 @@ def test_component_polynomials_take_the_batch_route():
     residue_formula(f, loop, u0, samples=256)
     batches = [u for u in seen if isinstance(u, contour._Batch)]
     assert len(seen) == 2 and len(batches) == 1
-    nodes = batches[0].canon @ _FROM_CANON
+    nodes = rows_of(batches[0]) @ _FROM_CANON
     want = loop_evaluate(lambda u: series_eval_components(series, u), nodes)
-    got = series_eval_components(series, batches[0]).canon
+    got = rows_of(series_eval_components(series, batches[0]))
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
 
 
@@ -910,8 +953,9 @@ def test_vertex_array_is_the_row_list():
 
 def test_callable_nodes_and_results_have_float_components():
     # f is called at u0 and once with the batch of each integral's nodes,
-    # whose canonical array is float64; an evaluator that reads a component
-    # falls back and is then called at every node with float components
+    # whose line is float64 and planes complex128; an evaluator that reads
+    # a component falls back and is then called at every node with float
+    # components
     u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
     seen = []
 
@@ -930,10 +974,42 @@ def test_callable_nodes_and_results_have_float_components():
         val = integrate(g, Path((ZERO, ONE + E1), closed=False), 8)
         assert len(seen) == calls, g.__name__
         batches = [u for u in seen if isinstance(u, contour._Batch)]
-        assert len(batches) == 2 and all(b.canon.dtype == np.float64 for b in batches)
+        assert len(batches) == 2
+        assert all(b.line.dtype == np.float64 and b.planes.dtype == np.complex128
+                   for b in batches)
         for u in [u for u in seen if not isinstance(u, contour._Batch)] + [lhs, rhs, val]:
             assert type(u) is PentaComplex
             assert all(type(x) is float for x in u.components), u
+
+
+def test_batches_hold_contiguous_parts():
+    # the batch integrate hands the evaluator, every batch its operations
+    # make and the per-node route's values hold C-contiguous arrays: a
+    # line of n floats and (2, n) complex planes
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    a = PentaComplex(0.5, -0.25, 0.125, 0.0, 1.0)
+    series = PowerSeries((a, ONE, -0.5 * a))
+    seen = []
+
+    def f(u):
+        made = [u, u + 1, 1 - u, u - a, -u, 2.0 * u, u / 4, multiply(u, u), multiply(a, u),
+                exp(u), sinh(u), series_eval_components(series, u)]
+        seen.extend(made)
+        return made[-1]
+
+    def per_node(u):
+        return multiply(u, u) + 0.0 * u.x0
+
+    residue_formula(f, plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16), u0, samples=64)
+    integrate(f, Path((ZERO, ONE + E1, E2), closed=False), 9)
+    rows = np.random.default_rng(70).uniform(-1.0, 1.0, (16, 5))
+    seen.append(contour._evaluate(per_node, batch_of(rows @ _CANON.T), lambda: rows))
+    batches = [u for u in seen if isinstance(u, contour._Batch)]
+    assert len(batches) == 2 * 12 + 1
+    for batch in batches:
+        n = batch.line.shape[0]
+        assert batch.line.shape == (n,) and batch.planes.shape == (2, n)
+        assert batch.line.flags.c_contiguous and batch.planes.flags.c_contiguous
 
 
 @pytest.mark.parametrize("s", [1e160, 1e-170])
@@ -1065,6 +1141,14 @@ def reference_winding(point, polygon, tol=None):
     return round(float(np.angle(b / a).sum()) / TWO_PI)
 
 
+def plane_divide(a, b):
+    """Rows a / b on the line column and on each plane, as complex numbers."""
+    out = np.empty_like(a)
+    out[:, 0] = a[:, 0] / b[:, 0]
+    plane_view(out)[:] = plane_view(a) / plane_view(b)
+    return out
+
+
 def reference_invertible(rel, rel_c, nodes):
     """_invertible without its screen: a row beyond the float range raises
     Overflow first, then the divisor-of-zero test runs on every row."""
@@ -1074,9 +1158,9 @@ def reference_invertible(rel, rel_c, nodes):
     overflow = ~np.isfinite(rel_c).all(axis=1)
     if overflow.any():
         raise Overflow(f"u - u0 exceeds the floating-point range at {at(int(overflow.argmax()))}")
-    pairs = np.abs(contour._planes(rel))
+    pairs = np.abs(plane_view(rel))
     tol = contour.TAU_REL * np.hypot(rel[:, 0], np.hypot(pairs[:, 0], pairs[:, 1]))
-    radii = np.abs(contour._planes(rel_c))
+    radii = np.abs(plane_view(rel_c))
     bad = (np.abs(rel_c[:, 0]) <= tol) | (radii <= tol[:, None]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -1105,6 +1189,12 @@ def guard_rows(draw):
     return np.array(rows), draw(st.integers(0, n))
 
 
+def parts_invertible(rel, rel_c, nodes):
+    """contour._invertible on rows: rel are the component rows, rel_c their
+    canonical coordinates."""
+    contour._invertible(*contour._split(rel_c), lambda: rel, nodes)
+
+
 def guard_outcome(fn, rel, nodes):
     try:
         with np.errstate(all="ignore"):
@@ -1118,7 +1208,7 @@ def guard_outcome(fn, rel, nodes):
 @given(guard_rows())
 def test_invertible_screen_raises_exactly_when_the_reference_does(rows):
     rel, nodes = rows
-    assert guard_outcome(contour._invertible, rel, nodes) == guard_outcome(
+    assert guard_outcome(parts_invertible, rel, nodes) == guard_outcome(
         reference_invertible, rel, nodes)
 
 
@@ -1193,11 +1283,11 @@ def test_winding_screen_gives_the_exact_outcome(case):
 
 
 def reference_pole_integral(rel_c):
-    args = np.angle(contour._planes(rel_c))
+    args = np.angle(plane_view(rel_c))
     wraps = np.rint(np.diff(args, axis=0) / TWO_PI).sum(axis=0)
     ends = rel_c[[0, -1]]
     mant, expo = np.frexp(np.column_stack((np.abs(ends[:, 0]),
-                                           np.abs(contour._planes(ends)))))
+                                           np.abs(plane_view(ends)))))
     out = np.empty(5)
     out[[0, 1, 3]] = np.log(mant[1] / mant[0]) + math.log(2.0) * (expo[1] - expo[0])
     out[[2, 4]] = args[-1] - args[0] - TWO_PI * wraps
@@ -1205,8 +1295,10 @@ def reference_pole_integral(rel_c):
 
 
 def reference_integrate(f, path, n):
-    """integrate() before the slice concatenation and the trimmed guard:
-    np.roll for the segment ends; around a pole, the remainder alone."""
+    """integrate() before its nodes moved onto the canonical parts, the
+    slice concatenation and the trimmed guard: the nodes built in
+    components and transformed row by row, np.roll for the segment ends;
+    around a pole, the remainder alone."""
     pole = None
     if isinstance(f, contour._PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
@@ -1223,12 +1315,12 @@ def reference_integrate(f, path, n):
     rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
     if pole is not None:
         reference_invertible(rel, canon[:len(rel)], len(nodes))
-        kernel = contour._by_part((np.divide,) * 3, kernel, rel_c)
-    values = contour._evaluate(f, nodes, rel_c + _CANON @ origin)
+        kernel = plane_divide(kernel, rel_c)
+    values = evaluate_rows(f, nodes, rel_c + _CANON @ origin)
     if pole is not None:
         values -= _CANON @ np.array(f_pole.components)
     line = float((values[:, 0] * kernel[:, 0]).sum())
-    z1, z2 = (contour._planes(values) * contour._planes(kernel)).sum(axis=0).tolist()
+    z1, z2 = (plane_view(values) * plane_view(kernel)).sum(axis=0).tolist()
     return _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
 
 
@@ -1265,15 +1357,48 @@ def seeded_loops(seed):
         yield u0, jittered_loop(u0, vertices, rng)
 
 
+EPS = np.finfo(float).eps
+
+
+def check_against_the_reference(cases, rounding=0.0):
+    """cases: (value, the reference's value, the exact value), as component
+    tuples, with scale max(1, |exact|).  Where the reference has converged
+    (its error at most 1e-12 of the scale, so that rounding decides it),
+    the value's error exceeds the reference's by at most 4 eps of the
+    scale, and over those cases the median error is no larger than the
+    reference's.  Elsewhere the value is the reference's to 1e-9 of the
+    reference's error, or to `rounding` eps of the scale where that is more
+    (the same rule, rounded differently)."""
+    errors = []
+    for got, ref, exact in cases:
+        scale = max(1.0, max(map(abs, exact)))
+        err, ref_err = dev(got, exact), dev(ref, exact)
+        if ref_err <= 1e-12 * scale:
+            assert err <= ref_err + 4 * EPS * scale, (got, ref, exact)
+            errors.append((err, ref_err))
+        else:
+            assert dev(got, ref) <= max(1e-9 * ref_err, rounding * EPS * scale), (got, ref, exact)
+    median, ref_median = np.median(errors, axis=0)
+    assert median <= ref_median, (median, ref_median)
+
+
 @pytest.mark.parametrize("seed", [301, 302])
-def test_residue_formula_is_bit_identical_to_the_reference(seed):
+def test_residue_formula_matches_the_reference_arithmetic(seed):
+    # the reference is the old order of float operations (nodes built in
+    # components, then transformed row by row); the canonical parts give
+    # the same windings and rhs bit for bit, and an lhs no less accurate
+    cases = []
     for u0, loop in seeded_loops(seed):
+        for k in (1, 2):
+            point, proj = project_point(u0, k), project(loop, k)
+            assert winding(point, proj) == reference_winding(point, proj)
         for f in (exp, sin, lambda u: multiply(u, u) - 2.0 * u):
             for samples in (64, 256, 1024):
                 lhs, rhs = residue_formula(f, loop, u0, samples=samples)
                 want_lhs, want_rhs = reference_residue_formula(f, loop, u0, samples)
-                assert lhs.components == want_lhs.components, (seed, samples)
                 assert rhs.components == want_rhs.components, (seed, samples)
+                cases.append((lhs.components, want_lhs.components, rhs.components))
+    check_against_the_reference(cases)
 
 
 def value_or_error(fn, *args):
@@ -1283,19 +1408,33 @@ def value_or_error(fn, *args):
         return str(exc)
 
 
-def test_integrate_and_winding_are_bit_identical_to_the_reference():
+def test_integrate_and_winding_match_the_reference_arithmetic():
+    # integrate against the reference's arithmetic where the exact value is
+    # known: 0 round a closed loop, and on an open path from a to b,
+    # sinh(b) - sinh(a) for cosh and (b*b - a*a)/2 for u.  The pole
+    # integrand's value is known only up to f(u0)'s own rounding, a few eps
+    # (the pole identity's test measures it): the two agree to rounding, or
+    # raise the same error.  winding is unchanged
     rng = np.random.default_rng(303)
+    cases = []
     for u0, loop in seeded_loops(304):
         opened = Path(loop.vertices[:int(rng.integers(2, len(loop.vertices) + 1))],
                       closed=False)
         for path in (loop, opened):
+            a, b = path.vertices[0], path.vertices[-1]
+            exact = ((cosh, ZERO if path.closed else sinh(b) - sinh(a)),
+                     (lambda u: u, ZERO if path.closed else (b * b - a * a) / 2))
             for n in (1, 2, 5, 9, 17):
-                for f in (cosh, lambda u: u):
-                    assert (integrate(f, path, n).components
-                            == reference_integrate(f, path, n).components)
+                for f, want in exact:
+                    cases.append((integrate(f, path, n).components,
+                                  reference_integrate(f, path, n).components, want.components))
                 pole = contour._PoleIntegrand(exp, u0, exp(u0))
-                assert (value_or_error(integrate, pole, path, n)
-                        == value_or_error(reference_integrate, pole, path, n))
+                got = value_or_error(integrate, pole, path, n)
+                ref = value_or_error(reference_integrate, pole, path, n)
+                if isinstance(got, str) or isinstance(ref, str):
+                    assert got == ref
+                else:
+                    assert dev(got, ref) <= 32 * EPS * max(1.0, max(map(abs, ref)))
         for k in (1, 2):
             proj = project(loop, k)
             points = [project_point(u0, k), (0.0, 0.0), *proj.points[:2]]
@@ -1303,6 +1442,24 @@ def test_integrate_and_winding_are_bit_identical_to_the_reference():
                 for tol in (None, 0.05):
                     assert (outcome(winding, q, proj, tol)
                             == outcome(reference_winding, q, proj, tol)), (k, q, tol)
+    check_against_the_reference(cases, rounding=32)
+
+
+def test_integral_of_u_is_exact_on_open_paths():
+    # u du is linear along each segment, which Gauss-Legendre integrates
+    # exactly at every node count: the sum telescopes to (b*b - a*a)/2 from
+    # the first vertex a to the last b, up to rounding of a few eps per
+    # segment at the scale of the largest vertex component squared (these
+    # paths reach 3.3 eps, and 4.4 with the nodes built in components)
+    rng = np.random.default_rng(306)
+    for _ in range(30):
+        verts = rng.uniform(-2.0, 2.0, (int(rng.integers(2, 9)), 5))
+        path = Path(tuple(PentaComplex(*v) for v in verts.tolist()))
+        a, b = path.vertices[0], path.vertices[-1]
+        want = (b * b - a * a) / 2
+        bound = 8 * EPS * (len(verts) - 1) * np.abs(verts).max() ** 2
+        for n in (1, 2, 3, 7, 8, 9, 16, 17, 64):
+            assert dev(integrate(lambda u: u, path, n), want) <= bound, n
 
 
 def error_of(fn, *args, **kwargs):
