@@ -52,11 +52,17 @@ class ComponentPolynomials:
     """Scalar component polynomials, coefficients descending: a real one on
     the line and a complex one per plane.  From polyfactor's `decompose`
     they are monic; from a series (`series_eval_components`) they are its
-    coefficients reversed, with no implicit leading 1."""
+    coefficients reversed, with no implicit leading 1.  Lists of different
+    lengths raise ValueError."""
 
     pplus: tuple[float, ...]
     p1: tuple[complex, ...]
     p2: tuple[complex, ...]
+
+    def __post_init__(self):
+        if not len(self.pplus) == len(self.p1) == len(self.p2):
+            raise ValueError(f"pplus, p1 and p2 need the same number of coefficients, got "
+                             f"{len(self.pplus)}, {len(self.p1)} and {len(self.p2)}")
 
     def evaluate(self, u: PentaComplex) -> PentaComplex:
         """Horner on each canonical component of u, reassembled once; a

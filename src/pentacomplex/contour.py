@@ -81,10 +81,11 @@ class Path:
             raise ValueError(f"a path needs at least 2 vertices, got {len(verts)}")
         # built once, for project and integrate, and not fields, so
         # equality, hash and repr see only vertices: the vertex components
-        # as rows, each plane's projection (x + i*y per vertex), and the
-        # edge vectors as component rows and as canonical parts
+        # as rows and (5, v) columns, each plane's projection (x + i*y per
+        # vertex), and the edge vectors as component rows and canonical parts
         arr = np.fromiter(chain.from_iterable(v.components for v in verts), float,
                           DIM * len(verts)).reshape(-1, DIM)
+        cols = np.ascontiguousarray(arr.T)
         ends = _ends(arr, self.closed)
         if (arr[:len(ends)] == ends).all(axis=1).any():
             raise ValueError("consecutive path vertices must be distinct")
@@ -95,9 +96,10 @@ class Path:
             edges = (steps, *_split(steps @ _CANON_T))
             shadows = tuple((arr @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
                             for k in (1, 2))
-        for a in (arr, *edges, *shadows):
+        for a in (arr, cols, *edges, *shadows):
             a.flags.writeable = False
         object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "_columns", cols)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_shadows", shadows)
 
@@ -284,9 +286,9 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
             if close.any():
                 raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge "
                                  f"{int(close.argmax())}")
-        # halved first (exactly): numpy's quotient of two near the float
-        # ceiling overflows inside and comes back nan
-        q = (0.5 * b) / (0.5 * a)
+        # halved first (exactly) at the quarter scale: numpy's quotient of two
+        # near the float ceiling overflows inside, of two below 2**1022 not
+        q = b / a if scale == 1.0 else (0.5 * b) / (0.5 * a)
         turns = float(np.arctan2(q.imag, q.real).sum()) / TWO_PI
     return round(turns)
 
@@ -330,25 +332,9 @@ def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=32)
-def _lerp(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node rule as a real and a complex matrix, each of rows
-    (1, ..., 1), t and w: the row (start, step) of a segment times the
-    first two rows gives its nodes start + t*step, and step times the last
-    its du, w*step.  As products of matrices the two run in one numpy call
-    each, where broadcasting would loop over segments; read-only."""
-    t, w = _segment_rule(n)
-    m = np.array((np.ones(n), t, w))
-    mc = m.astype(np.complex128)
-    m.flags.writeable = False
-    mc.flags.writeable = False
-    return m, mc
-
-
 def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of canonical coordinates (one per node, vertex or edge) as a
-    batch's parts: the line column, and the plane columns v_k + i*tv_k
-    stacked as (2, n), both contiguous copies."""
+    """Rows of canonical coordinates (one per node or edge) as a batch's
+    parts: the line column and the planes v_k + i*tv_k as (2, n), contiguous copies."""
     return rows[:, 0].copy(), rows[:, 1:].view(np.complex128).T.copy()
 
 
@@ -568,14 +554,14 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     that call gives no finite batch of values (see _evaluate).  A count
     that is not a whole number >= 1 raises ValueError.
 
-    The work runs on the canonical parts.  u - u0 at the vertices is
-    formed in components and transformed, one row per vertex; the edge
-    vectors were formed and transformed once, with the path.  The nodes
-    (relative to u0) and du follow on each part as start + t*step and
-    w*step, as a contiguous line array and (2, n) planes, and the kernel,
-    f(u0)'s subtraction and the sums run on them.  Component rows of the
-    nodes are built only for the per-node route and the exact
-    divisor-of-zero test.
+    The work runs on the canonical parts.  u - u0 is formed in components
+    on the path's (5, v) vertex columns and transformed; the edge vectors
+    were formed and transformed once, with the path.  The nodes (relative
+    to u0) and du follow on each part by broadcasting, start + step*t and
+    step*w, as a contiguous line array and (2, n) planes, and the kernel,
+    the shift by u0, f(u0)'s subtraction and the sums run on them.
+    Component rows of the nodes are built only for the per-node route and
+    the exact divisor-of-zero test.
     """
     samples_per_segment = _check_count("samples_per_segment", samples_per_segment, 1)
     pole = None
@@ -584,39 +570,48 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     verts = path._array
     steps, step_line, step_planes = path._edges
     s = len(steps)
-    m, mc = _lerp(samples_per_segment)
+    t, w = _segment_rule(samples_per_segment)
     origin = np.zeros(DIM) if pole is None else np.array(pole.components)
 
     def node_rows() -> np.ndarray:
-        return (verts[:s, None, :] + m[1, :, None] * steps[:, None, :]).reshape(-1, DIM)
+        return (verts[:s, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
 
     # a value beyond the float range becomes inf or nan without a warning;
     # the divisor-of-zero guard, _evaluate and _assemble raise typed errors
     # for it
     with np.errstate(all="ignore"):
-        # u - u0 at the vertices, formed in components and transformed; the
-        # nodes (relative to u0) and du from the rows (start, step) of the
-        # segments, on each part
-        rel_line, rel_planes = _split((verts if pole is None else verts - origin) @ _CANON_T)
-        nodes = _Batch((np.column_stack((rel_line[:s], step_line)) @ m[:2]).ravel(),
-                       (np.stack((rel_planes[:, :s], step_planes), axis=2).reshape(-1, 2)
-                        @ mc[:2]).reshape(2, -1))
+        # u - u0 at the vertices, formed in components and transformed:
+        # row 0 is the line, rows 1-4 the planes' real and imaginary parts
+        rel = _CANON @ (path._columns if pole is None else path._columns - origin[:, None])
+        rel_line, rel_planes = rel[0], np.empty((2, rel.shape[1]), np.complex128)
+        rel_planes.real, rel_planes.imag = rel[1::2], rel[2::2]
+        # the nodes (relative to u0) and du, segment by segment on each part
+        node_line = step_line[:, None] * t
+        node_line += rel_line[:s, None]
+        node_planes = step_planes[..., None] * t
+        node_planes += rel_planes[:, :s, None]
+        node_line, node_planes = node_line.ravel(), node_planes.reshape(2, -1)
         # du, which around a pole becomes the kernel du / (u - u0)
-        kernel = _Batch((step_line[:, None] @ m[2:]).ravel(),
-                        (step_planes.reshape(-1, 1) @ mc[2:]).reshape(2, -1))
+        du_line = (step_line[:, None] * w).ravel()
+        du_planes = (step_planes[..., None] * w).reshape(2, -1)
         if pole is not None:
             # one guard for the nodes and the vertices
-            _invertible(np.concatenate((nodes.line, rel_line)),
-                        np.concatenate((nodes.planes, rel_planes), axis=1),
-                        lambda: np.concatenate((node_rows(), verts)) - origin, nodes.line.size)
-            kernel = _Batch(kernel.line / nodes.line, kernel.planes / nodes.planes)
-            nodes = nodes + _Batch(*_column(origin @ _CANON_T))
-        values = _evaluate(f, nodes, node_rows)
+            _invertible(np.concatenate((node_line, rel_line)),
+                        np.concatenate((node_planes, rel_planes), axis=1),
+                        lambda: np.concatenate((node_rows(), verts)) - origin, node_line.size)
+            du_line /= node_line
+            du_planes /= node_planes
+            o_line, o_planes = _column(origin @ _CANON_T)
+            node_line += o_line
+            node_planes += o_planes
+        values = _evaluate(f, _Batch(node_line, node_planes), node_rows)
+        line, planes = values.line, values.planes
         if pole is not None:
             # the smooth remainder
-            values = values - _Batch(*_column(np.array(f_pole.components) @ _CANON_T))
-        line = float(values.line @ kernel.line)
-        z1, z2 = (values.planes * kernel.planes).sum(axis=1).tolist()
+            f_line, f_planes = _column(np.array(f_pole.components) @ _CANON_T)
+            line, planes = line - f_line, planes - f_planes
+        z1, z2 = (planes * du_planes).sum(axis=1).tolist()
+        line = float(line @ du_line)
     return _assemble(line, z1, z2)
 
 
@@ -666,10 +661,9 @@ def _pole_identity(f: Evaluator, path: Path, u0: PentaComplex, samples: int,
     f_u0 = _call(f, u0)
     # only the azimuths are cyclic: around the loop the pole term
     # f(u0) * (u - u0)^-1 du integrates to 2*pi*i*n_k on plane k and to 0
-    # on the line
-    lhs = (integrate(_PoleIntegrand(f, u0, f_u0), path, _nodes_per_segment(samples, path))
-           + f_u0 * _assemble(0.0, complex(0.0, TWO_PI * n1), complex(0.0, TWO_PI * n2)))
+    # on the line, which is rhs
     rhs = TWO_PI * (f_u0 * (n1 * E1_TILDE + n2 * E2_TILDE))
+    lhs = integrate(_PoleIntegrand(f, u0, f_u0), path, _nodes_per_segment(samples, path)) + rhs
     return lhs, rhs, (n1, n2)
 
 

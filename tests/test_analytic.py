@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentacomplex import (ONE, ZERO, EvaluationFailed, InsufficientTerms,
-                          Overflow, PentaComplex, PowerSeries, ZeroTail,
+from pentacomplex import (ONE, ZERO, ComponentPolynomials, EvaluationFailed,
+                          InsufficientTerms, Overflow, PentaComplex, PowerSeries, ZeroTail,
                           check_cr_relations, check_second_order,
                           coefficient_spectrum, convergence_radii, exp,
                           inverse, multiply, series_eval,
@@ -49,6 +49,17 @@ def test_horner_and_component_evaluation_agree():
         a = series_eval(s, u)
         b = series_eval_components(s, u)
         assert dev(a, b) <= 1e-12 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("parts", [((1.0,), (1 + 0j, 0j), (1 + 0j, 0j)),
+                                   ((1.0, 0.0), (1 + 0j,), (1 + 0j, 0j)),
+                                   ((1.0, 0.0), (1 + 0j, 0j), ()),
+                                   ((), (1 + 0j,), (1 + 0j,))])
+def test_component_polynomials_of_different_lengths_raise(parts):
+    # zip would cut the longer ones short: the first case evaluated to 1,
+    # where the planes' polynomial is z
+    with pytest.raises(ValueError, match="same number of coefficients"):
+        ComponentPolynomials(*parts)
 
 
 def test_coefficient_spectrum_examples():

@@ -127,12 +127,16 @@ def test_path_equality_hash_repr_and_pickle_see_only_the_fields():
     assert p == Path(list(verts), closed=True) and p != Path(verts, closed=False)
     assert hash(p) == hash((verts, True))
     assert repr(p) == f"Path(vertices={verts!r}, closed=True)"
-    # the pickled state is the two fields, as before the array existed
+    # the pickled state is the two fields, as before the arrays existed;
+    # pickle, copy and from_dict rebuild the rows and the columns
     assert p.__reduce_ex__(4)[2] == {"vertices": verts, "closed": True}
-    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
+              Path.from_dict(p.to_dict())):
         assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
-        assert not q._array.flags.writeable
-        assert q._array.tobytes() == p._array.tobytes()
+        for name in ("_array", "_columns"):
+            got, want = getattr(q, name), getattr(p, name)
+            assert got is not want and not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_project_constant_and_circle():
@@ -942,13 +946,14 @@ def test_component_polynomials_take_the_batch_route():
 
 
 def test_vertex_array_is_the_row_list():
+    # and the vertex columns are its transpose, contiguous
     path = plane_circle(PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15), 2, 1.0, vertices=97)
-    want = np.array([v.components for v in path.vertices])
-    got = path._array
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert not got.flags.writeable
-    with pytest.raises(ValueError):
-        got[0, 0] = 1.0
+    rows = np.array([v.components for v in path.vertices])
+    for got, want in ((path._array, rows), (path._columns, np.ascontiguousarray(rows.T))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
 
 
 def test_callable_nodes_and_results_have_float_components():
@@ -1010,6 +1015,38 @@ def test_batches_hold_contiguous_parts():
         n = batch.line.shape[0]
         assert batch.line.shape == (n,) and batch.planes.shape == (2, n)
         assert batch.line.flags.c_contiguous and batch.planes.flags.c_contiguous
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_node_batch_is_the_transformed_node_rows(closed):
+    # integrate broadcasts a segment's start and step against the rule's t
+    # on each canonical part; at every node count up to two panels and one
+    # more, with and without a pole, the batch f sees is the component node
+    # rows start + t*step transformed, to 4 eps of the scale
+    rng = np.random.default_rng(71)
+    path = Path(tuple(PentaComplex(*rng.uniform(-2.0, 2.0, 5)) for _ in range(7)), closed)
+    u0 = PentaComplex(*rng.uniform(-0.5, 0.5, 5))
+    verts = path._array
+    steps = contour._ends(verts, closed) - verts[:len(verts) - (not closed)]
+    seen = []
+
+    def f(u):
+        seen.append(u)
+        return u
+
+    for n in range(1, 2 * contour.PANEL + 2):
+        t = contour._segment_rule(n)[0]
+        rows = (verts[:len(steps), None, :] + t[:, None] * steps[:, None, :]).reshape(-1, 5)
+        line, planes = contour._split(rows @ contour._CANON_T)
+        scale = max(np.abs(line).max(), np.abs(planes.view(float)).max())
+        for integrand in (f, contour._PoleIntegrand(f, u0, u0)):
+            seen.clear()
+            integrate(integrand, path, n)
+            (batch,) = seen
+            assert batch.line.shape == line.shape and batch.planes.shape == planes.shape
+            err = max(np.abs(batch.line - line).max(),
+                      np.abs((batch.planes - planes).view(float)).max())
+            assert err <= 4 * np.finfo(float).eps * scale, (n, integrand)
 
 
 @pytest.mark.parametrize("s", [1e160, 1e-170])
