@@ -267,12 +267,13 @@ def _element(data, what: str) -> PentaComplex:
     return PentaComplex(*(_number(x, f"{what} component {i}") for i, x in enumerate(data)))
 
 
-def _check_tol(tol: float) -> None:
-    """The one rule for a tolerance given explicitly: >= 0.  A nan or
-    negative cutoff would silently switch its test off, so it raises
-    ValueError."""
+def _check_tol(tol: float) -> float:
+    """The one rule for a tolerance given explicitly: >= 0, returned as
+    given.  A nan or negative cutoff would silently switch its test off, so
+    it raises ValueError."""
     if not tol >= 0.0:
         raise ValueError(f"tol must be None or >= 0, got {tol}")
+    return tol
 
 
 def _whole(n) -> bool:
@@ -372,10 +373,7 @@ def from_matrix(m: np.ndarray, tol: float | None = None) -> PentaComplex:
     m = np.asarray(m, dtype=float)
     if m.shape != (DIM, DIM):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
-    if tol is None:
-        tol = TAU_CIRC * np.abs(m).max()
-    else:
-        _check_tol(tol)
+    tol = TAU_CIRC * np.abs(m).max() if tol is None else _check_tol(tol)
     first = m[0]
     for row in range(1, DIM):
         expected = np.array([first[(col - row) % DIM] for col in range(DIM)])

@@ -179,10 +179,7 @@ def _guard(u: PentaComplex, vp: float | None, v1: float, tv1: float, v2: float,
     radius beyond the float range."""
     r1 = math.hypot(v1, tv1)
     r2 = math.hypot(v2, tv2)
-    if tol is None:
-        tol = TAU_REL * _modulus(u)
-    else:
-        _check_tol(tol)
+    tol = TAU_REL * _modulus(u) if tol is None else _check_tol(tol)
     if vp is not None:
         if error is NonInvertible:
             if abs(vp) <= tol:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
 
@@ -131,70 +131,53 @@ class Path:
                    data.get("closed", False))
 
 
+@dataclass(frozen=True)
 class PlaneProjection:
     """2D shadow of a path on one canonical plane (unit-length axes).
 
-    The vertices are held as one read-only complex array x + i*y; `points`
-    gives them as (x, y) float tuples, built when read.  Equality, hash and
-    repr are those of the fields (points, plane, closed), and instances are
-    immutable.
+    The vertices are also held as one read-only complex array x + i*y,
+    which `winding` reads; a projection from `project` builds `points` from
+    it when they are first read.
     """
 
-    __slots__ = ("_z", "plane", "closed")
+    points: tuple[tuple[float, float], ...]
+    plane: int
+    closed: bool = False
 
-    def __init__(self, points, plane: int, closed: bool = False):
+    def __post_init__(self):
         try:
-            xy = np.array(points, dtype=float)
+            xy = np.array(self.points, dtype=float)
             if xy.shape == (0,):  # no points
                 xy = xy.reshape(0, 2)
             if xy.ndim != 2 or xy.shape[1] != 2 or not np.isfinite(xy).all():
                 raise ValueError
         except (TypeError, ValueError):
             raise ValueError("every projected point needs two finite real coordinates") from None
-        _check_closed(closed)
-        self._set(xy.view(np.complex128).ravel(), _check_index("plane index", plane, 1, 2),
-                  closed)
-
-    def _set(self, z: np.ndarray, plane: int, closed: bool) -> None:
+        _check_closed(self.closed)
+        plane = _check_index("plane index", self.plane, 1, 2)
+        z = xy.view(np.complex128).ravel()
         z.flags.writeable = False
-        object.__setattr__(self, "_z", z)
-        object.__setattr__(self, "plane", plane)
-        object.__setattr__(self, "closed", closed)
+        self.__dict__.update(points=tuple(map(tuple, xy.tolist())), plane=plane, _z=z)
 
     @classmethod
     def _wrap(cls, z: np.ndarray, plane: int, closed: bool) -> "PlaneProjection":
-        """A projection on the complex vertex array z, which it keeps."""
+        """A projection on the read-only complex vertex array z, which it
+        keeps; its points are built when first read."""
         self = object.__new__(cls)
-        self._set(z, plane, closed)
+        self.__dict__.update(_z=z, plane=plane, closed=closed)
         return self
 
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(map(tuple, self._z.view(float).reshape(-1, 2).tolist()))
-
-    def _fields(self) -> tuple:
-        return (self.points, self.plane, self.closed)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(points={self.points!r}, plane={self.plane!r}, "
-                f"closed={self.closed!r})")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __getattr__(self, name):
+        # reached only for a missing attribute: the points of a _wrap, or
+        # Python's usual AttributeError
+        if name != "points":
+            return object.__getattribute__(self, name)
+        xy = self._z.view(float).reshape(-1, 2).tolist()
+        points = self.__dict__["points"] = tuple(map(tuple, xy))
+        return points
 
     def __reduce__(self):
-        return (type(self), self._fields())
+        return (type(self), (self.points, self.plane, self.closed))
 
 
 def _check_closed(closed) -> None:

@@ -140,10 +140,7 @@ def polar_form(u: PentaComplex, tol: float | None = None) -> PolarForm:
     """
     vp, v1, tv1, v2, tv2 = _canon(u)
     d = _modulus(u)
-    if tol is None:
-        tol = TAU_REL * d
-    else:
-        _check_tol(tol)
+    tol = TAU_REL * d if tol is None else _check_tol(tol)
     rho1 = math.hypot(v1, tv1)
     rho2 = math.hypot(v2, tv2)
     az1, az2 = _azimuths(rho1, rho2, v1, tv1, v2, tv2)

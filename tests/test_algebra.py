@@ -281,6 +281,16 @@ def test_every_component_is_immutable():
     assert u.components == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
+def test_multiply_re_raises_an_operand_without_components():
+    # the batch sniffer hands on only a batch's product: any other operand
+    # without components raises the AttributeError of its own lookup
+    bad = object()
+    for u, v in ((bad, ONE), (ONE, bad)):
+        with pytest.raises(AttributeError, match="'components'") as exc:
+            multiply(u, v)
+        assert exc.value.obj is bad
+
+
 def test_operators_and_serialization():
     u = PentaComplex(1, 2, 3, 4, 5)
     assert (-u).components == (-1, -2, -3, -4, -5)

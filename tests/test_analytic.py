@@ -62,6 +62,15 @@ def test_component_polynomials_of_different_lengths_raise(parts):
         ComponentPolynomials(*parts)
 
 
+def test_component_evaluation_re_raises_an_argument_without_components():
+    # the batch sniffer hands on only a batch's horner: any other argument
+    # raises the AttributeError of its own lookup
+    bad = object()
+    with pytest.raises(AttributeError, match="'_canon'") as exc:
+        ComponentPolynomials((1.0,), (1 + 0j,), (1 + 0j,)).evaluate(bad)
+    assert exc.value.obj is bad
+
+
 def test_coefficient_spectrum_examples():
     sp = coefficient_spectrum(ONE)
     assert (sp.vplus, sp.v1, sp.tv1, sp.v2, sp.tv2) == (1, 1, 0, 1, 0)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertibleOnPath,
-                          OnBoundary, Overflow, Path, PentaComplex, PoleOnPath,
-                          PowerSeries, contour, cos, cosh, elementary, exp,
-                          integrate, multiply, plane_circle, pow_real, project,
-                          project_point, residue_formula, series_eval, sin, sinh,
-                          winding)
+from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertible,
+                          NonInvertibleOnPath, OnBoundary, Overflow, Path,
+                          PentaComplex, PoleOnPath, PowerSeries, contour, cos,
+                          cosh, elementary, exp, integrate, inverse, multiply,
+                          plane_circle, pow_real, project, project_point,
+                          residue_formula, series_eval, sin, sinh, winding)
 from pentacomplex.algebra import _result
 from pentacomplex.analytic import series_eval_components
 from pentacomplex.canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
@@ -1247,6 +1247,62 @@ def test_invertible_screen_raises_exactly_when_the_reference_does(rows):
     rel, nodes = rows
     assert guard_outcome(parts_invertible, rel, nodes) == guard_outcome(
         reference_invertible, rel, nodes)
+
+
+def scalar_verdict(u):
+    """Whether inverse finds u a divisor of zero; an Overflow of its result
+    means u passed the guard."""
+    try:
+        inverse(u)
+    except NonInvertible:
+        return True
+    except Overflow:
+        pass
+    return False
+
+
+def path_verdict(row):
+    """Whether _invertible finds the component row u a divisor of zero."""
+    rows = row[None]
+    try:
+        contour._invertible(*contour._split(rows @ contour._CANON_T), lambda: rows, 0)
+    except NonInvertibleOnPath:
+        return True
+    return False
+
+
+def test_inverse_and_the_path_guard_give_one_verdict_near_the_divisor_set():
+    # the scalar guard (canonical._guard, through inverse) and the array
+    # guard (_invertible) each hold u's canonical parts against TAU_REL*|u|:
+    # the smallest part, on the line and then on each plane, at 1e-3 to
+    # 1e-15 times |u| and at 0.25 to 4 cutoffs, at scales 1e-290 to 1e290.
+    # The two routes transform u with different roundings, of about
+    # eps*|u| each, so only a part within 4*eps*|u| of the cutoff (here
+    # 1e-13 = TAU_REL times |u|) may get two verdicts
+    rng = np.random.default_rng(31)
+    factors = [10.0 ** -k for k in range(3, 16)]
+    factors += [c * contour.TAU_REL for c in (0.25, 0.5, 2.0, 4.0)]
+    eps = np.finfo(float).eps
+    verdicts = []
+    for _ in range(3):
+        base = np.array([rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0),
+                         *(rng.uniform(0.5, 2.0, 2) * np.exp(1j * rng.uniform(0, TWO_PI, 2)))])
+        for part in range(3):
+            parts = base.copy()
+            for factor in factors:
+                parts[part] = 0.0
+                # |u|^2 = (vplus^2 + 2*rho1^2 + 2*rho2^2)/5
+                size = math.sqrt((abs(parts[0]) ** 2 + 2 * abs(parts[1]) ** 2
+                                  + 2 * abs(parts[2]) ** 2) / 5)
+                parts[part] = factor * size * base[part] / abs(base[part])
+                at_cutoff = abs(factor - contour.TAU_REL) <= 4 * eps
+                canon = np.array([parts[0].real, *parts[1:].view(float)])
+                for scale in 10.0 ** np.arange(-290, 291, 58):
+                    row = (canon * scale) @ _FROM_CANON
+                    verdict = scalar_verdict(PentaComplex(*row))
+                    assert path_verdict(row) is verdict or at_cutoff, (part, factor, scale)
+                    verdicts.append(verdict)
+    assert len(verdicts) == 3 * 3 * 17 * 11 and 0 < sum(verdicts) < len(verdicts)
 
 
 def exact_winding(point, polygon, tol=None):

@@ -75,6 +75,16 @@ def test_exp_overflow():
         exp(PentaComplex.scalar(1000.0))
 
 
+def test_a_lifted_builtin_re_raises_an_argument_without_components():
+    # the batch sniffer hands on only a batch's lift: any other argument
+    # raises the AttributeError of its own lookup
+    bad = object()
+    for f in (exp, cos, sin, cosh, sinh):
+        with pytest.raises(AttributeError, match="'_canon'") as exc:
+            f(bad)
+        assert exc.value.obj is bad
+
+
 def test_log_unit_and_roundtrips():
     assert dev(log(ONE), ZERO) <= 1e-15
     rng = np.random.default_rng(43)

@@ -457,6 +457,17 @@ def test_gate_rejects_a_moved_root(monkeypatch):
     component_roots(decompose(poly))
 
 
+def test_failed_companion_eigenvalues_are_no_convergence(monkeypatch):
+    def fails(p):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", fails)
+    with pytest.raises(NoConvergence, match="^companion eigenvalues failed: Eigenvalues did "
+                                            "not converge$") as exc:
+        component_roots(decompose(u2_minus_1()))
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_factor_rejects_a_complex_line_root_without_its_conjugate(monkeypatch):
     broken = RootSet((complex(1, -2), complex(1, 1)), (1j, -1j), (2.0, -2.0))
     monkeypatch.setattr(polyfactor, "component_roots", lambda cp: broken)
