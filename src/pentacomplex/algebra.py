@@ -46,7 +46,7 @@ class PentaComplex:
             x2 = float(x2)
             x3 = float(x3)
             x4 = float(x4)
-        except OverflowError:  # an integer beyond the float range
+        except (OverflowError, TypeError, ValueError):  # 10**400, None, [1], 1j, "x"
             # the components before it are floats by now, so it fails again
             for k, val in enumerate((x0, x1, x2, x3, x4)):
                 _scalar(val, f"component x{k}")
@@ -238,11 +238,13 @@ def _call(f: Evaluator, u: PentaComplex) -> PentaComplex:
 
 def _scalar(x: Real, what: str = "scalar operand") -> float:
     """A real scalar operand as float; an int beyond the float range is
-    Overflow."""
+    Overflow, and what float() refuses is a ValueError."""
     try:
         return float(x)
     except OverflowError as exc:
         raise Overflow(f"{what} exceeds the floating-point range") from exc
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a real number, got {x!r}") from None
 
 
 def _number(x, what: str) -> float:

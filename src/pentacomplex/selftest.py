@@ -34,6 +34,7 @@ class SuiteResult:
     checks: int
     seconds: float
     failures: list = field(default_factory=list)
+    worst: float = 0.0  # the largest err/tol of its `within` checks; not printed
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -47,18 +48,20 @@ class _Checker:
     def __init__(self):
         self.checks = 0
         self.failures = []
+        self.worst = 0.0
 
     def check(self, cond: bool, msg: str):
         self.checks += 1
         if not cond and len(self.failures) < 10:
             self.failures.append(msg)
 
-    def close(self, got: float, want: float, tol: float, msg: str):
-        self.check(abs(got - want) <= tol, f"{msg}: got {got!r}, want {want!r}")
-
-    def close_penta(self, got: PentaComplex, want: PentaComplex, tol: float, msg: str):
-        dev = max(abs(g - w) for g, w in zip(got, want))
-        self.check(dev <= tol, f"{msg}: deviation {dev:.3e} > {tol:.1e}")
+    def within(self, err, tol, msg: str):
+        """One check of err <= tol (tol > 0); a NaN error fails, and worst becomes inf."""
+        self.checks += 1
+        ratio = float(err / tol)
+        self.worst = max(self.worst, math.inf if math.isnan(ratio) else ratio)
+        if not err <= tol and len(self.failures) < 10:
+            self.failures.append(f"{msg}: error {float(err):.3e} above {float(tol):.3e}")
 
 
 SUITES = []
@@ -66,17 +69,20 @@ SUITES = []
 
 def _suite(name: str):
     """Declare the check body `def suite_x(c)` as the suite `name`: the
-    public `suite_x()` runs the body on a fresh _Checker, timed, and is
-    appended to SUITES."""
+    public `suite_x()` runs the body on a fresh _Checker, timed (a body that
+    raises fails one more check), and is appended to SUITES."""
 
     def declare(body):
         def suite() -> SuiteResult:
             c = _Checker()
             start = time.perf_counter()
-            body(c)
+            try:
+                body(c)
+            except Exception as exc:
+                c.check(False, f"raised {type(exc).__name__}: {exc}")
             elapsed = time.perf_counter() - start
             return SuiteResult(name=name, passed=not c.failures, checks=c.checks,
-                               seconds=elapsed, failures=c.failures)
+                               seconds=elapsed, failures=c.failures, worst=c.worst)
 
         suite.__name__ = suite.__qualname__ = body.__name__
         SUITES.append(suite)
@@ -89,9 +95,13 @@ def _rand_penta(rng, lo=-10.0, hi=10.0) -> PentaComplex:
     return PentaComplex(*rng.uniform(lo, hi, 5).tolist())
 
 
+def _dev(got, want) -> float:
+    """The largest componentwise |got - want|."""
+    return max(abs(g - w) for g, w in zip(got, want))
+
+
 def _rel_dev(got: PentaComplex, want: PentaComplex) -> float:
-    scale = max(1.0, abs(want))
-    return max(abs(g - w) for g, w in zip(got, want)) / scale
+    return _dev(got, want) / max(1.0, abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +151,10 @@ def suite_ring_axioms(c: _Checker):
         scale = 1e-12 * (1.0 + abs(u) * abs(v) * abs(w))
         lhs = multiply(multiply(u, v), w)
         rhs = multiply(u, multiply(v, w))
-        c.check(max(abs(a - b) for a, b in zip(lhs, rhs)) <= scale,
-                "associativity deviation")
+        c.within(_dev(lhs, rhs), scale, "associativity deviation")
         lhs = multiply(u, v + w)
         rhs = multiply(u, v) + multiply(u, w)
-        c.check(max(abs(a - b) for a, b in zip(lhs, rhs)) <= scale,
-                "distributivity deviation")
+        c.within(_dev(lhs, rhs), scale, "distributivity deviation")
     c.check(time.perf_counter() - t0 < 1.0, "ring axiom suite exceeded 1 s")
 
 
@@ -163,8 +171,7 @@ def suite_matrix_rep(c: _Checker):
         mprod = to_matrix(multiply(u, v))
         dense = to_matrix(u) @ to_matrix(v)
         scale = max(1.0, float(np.linalg.norm(dense)))
-        c.check(float(np.linalg.norm(mprod - dense)) <= 1e-12 * scale,
-                "matrix homomorphism deviation")
+        c.within(float(np.linalg.norm(mprod - dense)), 1e-12 * scale, "matrix homomorphism")
     for _ in range(200):
         u = _rand_penta(rng)
         U = to_matrix(u)
@@ -176,8 +183,8 @@ def suite_matrix_rep(c: _Checker):
         want[3:5, 3:5] = rep.v2_block
         off = B - want
         scale = max(1.0, float(np.linalg.norm(U)))
-        c.check(float(np.abs(off).max()) <= 1e-12 * scale,
-                "irreducible block-diagonalization off-block mass")
+        c.within(float(np.abs(off).max()), 1e-12 * scale,
+                 "irreducible block-diagonalization off-block mass")
 
 
 # ---------------------------------------------------------------------------
@@ -204,31 +211,23 @@ def suite_canonical(c: _Checker):
         (E1_TILDE, E2_TILDE, zero, "~e1*~e2 = 0"),
     ]
     for a, b, want, label in relations:
-        c.close_penta(multiply(a, b), want, 1e-14, label)
-    c.close_penta(E_PLUS + E1 + E2, ONE, 1e-14, "e+ + e1 + e2 = 1")
-    c.close(abs(E_PLUS), 1.0 / SQRT5, 1e-15, "|e+|")
+        c.within(_dev(multiply(a, b), want), 1e-14, label)
+    c.within(_dev(E_PLUS + E1 + E2, ONE), 1e-14, "e+ + e1 + e2 = 1")
+    c.within(abs(abs(E_PLUS) - 1.0 / SQRT5), 1e-15, "|e+|")
     for e in (E1, E1_TILDE, E2, E2_TILDE):
-        c.close(abs(e), math.sqrt(0.4), 1e-15, "plane basis modulus")
+        c.within(abs(abs(e) - math.sqrt(0.4)), 1e-15, "plane basis modulus")
     rng = np.random.default_rng(103)
     for _ in range(1000):
         u = _rand_penta(rng)
         v = _rand_penta(rng)
-        got = canonical_multiply(to_canonical(u), to_canonical(v))
-        want = to_canonical(multiply(u, v))
-        scale = max(1.0, abs(want.vplus), abs(want.v1), abs(want.tv1),
-                    abs(want.v2), abs(want.tv2))
-        dev = max(abs(got.vplus - want.vplus), abs(got.v1 - want.v1),
-                  abs(got.tv1 - want.tv1), abs(got.v2 - want.v2),
-                  abs(got.tv2 - want.tv2))
-        c.check(dev <= 1e-12 * scale, f"canonical multiplication deviates by {dev:.2e}")
+        # the forms' fields, in order
+        got = vars(canonical_multiply(to_canonical(u), to_canonical(v))).values()
+        want = vars(to_canonical(multiply(u, v))).values()
+        c.within(_dev(got, want), 1e-12 * max(1.0, *map(abs, want)), "canonical multiplication")
 
 
 # ---------------------------------------------------------------------------
 # 5. cosexponential triple agreement
-
-def _agree(c: _Checker, x: float, y: float, tol: float, msg: str):
-    c.check(abs(x - y) <= tol * max(1.0, abs(x), abs(y)), f"{msg}: {x!r} vs {y!r}")
-
 
 @_suite("cosexp-triple-agreement")
 def suite_cosexp_triple(c: _Checker):
@@ -239,16 +238,18 @@ def suite_cosexp_triple(c: _Checker):
             series = cosexp.g5_series(k, y, 60)
             closed = cosexp.g5_closed(k, y)
             radical = cosexp.g5_closed_radical(k, y)
-            _agree(c, series, closed, 1e-10, f"series vs closed at k={k}, y={y}")
-            _agree(c, closed, radical, 1e-10, f"closed vs radical at k={k}, y={y}")
-            _agree(c, series, radical, 1e-10, f"series vs radical at k={k}, y={y}")
+            c.within(abs(series - closed), 1e-10 * max(1.0, abs(series), abs(closed)),
+                     f"series vs closed at k={k}, y={y}")
+            c.within(abs(closed - radical), 1e-10 * max(1.0, abs(closed), abs(radical)),
+                     f"closed vs radical at k={k}, y={y}")
+            c.within(abs(series - radical), 1e-10 * max(1.0, abs(series), abs(radical)),
+                     f"series vs radical at k={k}, y={y}")
     c.check(time.perf_counter() - t0 < 1.0, "triple agreement exceeded 1 s")
-    # _agree is absolute below 1, so the package's values are also held to
-    # 1 ulp of the exact rational series where they come from the series
+    # the agreement is absolute below 1, so the package's values are also
+    # held to 1 ulp of the exact rational series where they come from it
     for y in (1e-8, -1e-5, 1e-2, -0.5, 1.5):
         for k, got in enumerate(cosexp.cosexp_values(y).g):
-            err = _ulps_off(got, _exact_g5(k, y))
-            c.check(err <= 1, f"cosexp_values g5{k}({y}) is {float(err):.3g} ulp off")
+            c.within(_ulps_off(got, _exact_g5(k, y)), 1, f"cosexp_values g5{k}({y}) in ulp")
     # and exp((h1 +- h4) y) = exp(h1 y) exp(h4 (+-y)), whose h4^m is h_{-m},
     # up to the |y| where exp_h1_minus_h4 sums its series
     for y in (1e-8, -1e-4, 0.1, -0.6, 1.0):
@@ -256,8 +257,8 @@ def suite_cosexp_triple(c: _Checker):
         for sign, f in ((1, cosexp.exp_h1_plus_h4), (-1, cosexp.exp_h1_minus_h4)):
             h = [_exact_g5(m, sign * y) for m in range(5)]
             for j, got in enumerate(f(y)):
-                err = _ulps_off(got, sum(g[(j + m) % 5] * h[m] for m in range(5)))
-                c.check(err <= 1, f"{f.__name__}({y}) h{j} is {float(err):.3g} ulp off")
+                c.within(_ulps_off(got, sum(g[(j + m) % 5] * h[m] for m in range(5))), 1,
+                         f"{f.__name__}({y}) h{j} in ulp")
 
 
 def _exact_g5(k: int, y: float) -> Fraction:
@@ -276,11 +277,14 @@ def suite_cosexp_identities(c: _Checker):
     for i in range(-50, 51):
         y = i / 10.0
         gs = [cosexp.g5_closed(k, y) for k in range(5)]
-        _agree(c, sum(gs), math.exp(y), 1e-11, f"sum identity at y={y}")
+        total, want = sum(gs), math.exp(y)
+        c.within(abs(total - want), 1e-11 * max(1.0, abs(total), abs(want)),
+                 f"sum identity at y={y}")
         sumsq = sum(g * g for g in gs)
         want = (math.exp(2 * y) / 5.0 + 0.4 * math.exp((SQRT5 - 1.0) * y / 2.0)
                 + 0.4 * math.exp(-(SQRT5 + 1.0) * y / 2.0))
-        _agree(c, sumsq, want, 1e-11, f"sum-of-squares identity at y={y}")
+        c.within(abs(sumsq - want), 1e-11 * max(1.0, abs(sumsq), abs(want)),
+                 f"sum-of-squares identity at y={y}")
 
     rng = np.random.default_rng(104)
     for _ in range(200):
@@ -290,7 +294,8 @@ def suite_cosexp_identities(c: _Checker):
         for k in range(5):
             lhs = cosexp.g5_closed(k, y + z)
             rhs = sum(gy[i] * gz[(k - i) % 5] for i in range(5))
-            _agree(c, lhs, rhs, 1e-11, f"addition theorem k={k}")
+            c.within(abs(lhs - rhs), 1e-11 * max(1.0, abs(lhs), abs(rhs)),
+                     f"addition theorem k={k}")
 
     step = 1e-6
     for i in range(-6, 7):
@@ -298,7 +303,8 @@ def suite_cosexp_identities(c: _Checker):
         for k in range(5):
             der = (cosexp.g5_closed(k, y + step) - cosexp.g5_closed(k, y - step)) / (2 * step)
             want = cosexp.g5_closed((k - 1) % 5, y)
-            c.close(der, want, 1e-6 * max(1.0, abs(want)), f"derivative chain k={k}, y={y}")
+            c.within(abs(der - want), 1e-6 * max(1.0, abs(want)),
+                     f"derivative chain k={k}, y={y}")
 
     for perm in range(1, 5):
         for y in (0.7, -0.4):
@@ -306,14 +312,14 @@ def suite_cosexp_identities(c: _Checker):
             power = ONE
             for l in range(6):
                 got = cosexp.cosexp_power(perm, y, l)
-                c.check(_rel_dev(got, power) <= 1e-10, f"power identity perm={perm}, l={l}")
+                c.within(_rel_dev(got, power), 1e-10, f"power identity perm={perm}, l={l}")
                 power = multiply(power, base)
 
     # product construction: exp((h1+h4)y) * exp((h1-h4)y) = exp(h1*2y)
     for y in (0.3, -0.8, 1.1):
         prod = multiply(cosexp.exp_h1_plus_h4(y), cosexp.exp_h1_minus_h4(y))
-        c.check(_rel_dev(prod, cosexp.exp_basis(1, 2 * y)) <= 1e-10,
-                f"product construction at y={y}")
+        c.within(_rel_dev(prod, cosexp.exp_basis(1, 2 * y)), 1e-10,
+                 f"product construction at y={y}")
 
     seeds = {"A": (3, 3), "B": (3, 1), "C": (3, 0),
              "D": (2, 10), "E": (2, 5),
@@ -365,48 +371,43 @@ def _sample_log_domain(rng, n, lo=-3.0, hi=3.0):
 def suite_elementary(c: _Checker):
     rng = np.random.default_rng(105)
     for u in _sample_log_domain(rng, 500):
-        c.check(_rel_dev(elementary.exp(elementary.log(u)), u) <= 1e-10,
-                "exp(log u) != u")
+        c.within(_rel_dev(elementary.exp(elementary.log(u)), u), 1e-10, "exp(log u) != u")
     for _ in range(500):
         cf = CanonicalForm(rng.uniform(-2, 2), rng.uniform(-2, 2),
                            rng.uniform(0.05, TWO_PI - 0.05), rng.uniform(-2, 2),
                            rng.uniform(0.05, TWO_PI - 0.05))
         u = from_canonical(cf)
-        c.check(_rel_dev(elementary.log(elementary.exp(u)), u) <= 1e-10,
-                "log(exp u) != u")
+        c.within(_rel_dev(elementary.log(elementary.exp(u)), u), 1e-10, "log(exp u) != u")
     for _ in range(200):
         u = _rand_penta(rng, -2.0, 2.0)
         got = to_matrix(elementary.exp(u))
         want = _matrix_exp(to_matrix(u))
         scale = max(1.0, float(np.abs(want).max()))
-        c.check(float(np.abs(got - want).max()) <= 1e-9 * scale,
-                "exp vs matrix exponential")
+        c.within(float(np.abs(got - want).max()), 1e-9 * scale, "exp vs matrix exponential")
     for _ in range(200):
         # the Pythagorean identities cancel catastrophically for large
         # arguments; components in [-1, 1] keep cosh^2 below ~1e3
         u = _rand_penta(rng, -1.0, 1.0)
         s = elementary.sin(u)
         co = elementary.cos(u)
-        c.check(_rel_dev(multiply(s, s) + multiply(co, co), ONE) <= 1e-11,
-                "sin^2 + cos^2 != 1")
+        c.within(_rel_dev(multiply(s, s) + multiply(co, co), ONE), 1e-11, "sin^2 + cos^2 != 1")
         sh = elementary.sinh(u)
         ch = elementary.cosh(u)
-        c.check(_rel_dev(multiply(ch, ch) - multiply(sh, sh), ONE) <= 1e-11,
-                "cosh^2 - sinh^2 != 1")
+        c.within(_rel_dev(multiply(ch, ch) - multiply(sh, sh), ONE), 1e-11,
+                 "cosh^2 - sinh^2 != 1")
     for u in _sample_log_domain(rng, 200):
         ef = elementary.exponential_form(u)
-        c.check(_rel_dev(ef.reconstruct(), u) <= 1e-10,
-                "exponential form does not reconstruct")
+        c.within(_rel_dev(ef.reconstruct(), u), 1e-10, "exponential form does not reconstruct")
         d, rhs = elementary.modulus_amplitude_relation(u)
-        c.close(rhs, d, 1e-10 * max(1.0, d), "modulus-amplitude relation")
+        c.within(abs(rhs - d), 1e-10 * max(1.0, d), "modulus-amplitude relation")
     count = 0
     while count < 200:
         u = _rand_penta(rng, -3.0, 3.0)
         cf = to_canonical(u)
         if (math.hypot(cf.v1, cf.tv1) > 0.05 and math.hypot(cf.v2, cf.tv2) > 0.05
                 and abs(cf.vplus) > 0.05):
-            c.check(_rel_dev(elementary.trigonometric_form(u), u) <= 1e-10,
-                    "trigonometric form does not reconstruct")
+            c.within(_rel_dev(elementary.trigonometric_form(u), u), 1e-10,
+                     "trigonometric form does not reconstruct")
             count += 1
 
 
@@ -434,12 +435,12 @@ def suite_geometry(c: _Checker):
         d2 = abs(u) ** 2
         r1sq = cf.v1 ** 2 + cf.tv1 ** 2
         r2sq = cf.v2 ** 2 + cf.tv2 ** 2
-        c.close(cf.vplus ** 2 / 5.0 + 0.4 * (r1sq + r2sq), d2,
-                1e-12 * max(1.0, d2), "norm split identity")
+        c.within(abs(cf.vplus ** 2 / 5.0 + 0.4 * (r1sq + r2sq) - d2),
+                 1e-12 * max(1.0, d2), "norm split identity")
         pf = polar_form(u)
-        c.close(pf.rho ** 5, cf.vplus * r1sq * r2sq,
-                1e-12 * max(1.0, abs(cf.vplus * r1sq * r2sq)),
-                "amplitude fifth-power identity")
+        c.within(abs(pf.rho ** 5 - cf.vplus * r1sq * r2sq),
+                 1e-12 * max(1.0, abs(cf.vplus * r1sq * r2sq)),
+                 "amplitude fifth-power identity")
     violations = 0
     for _ in range(10000):
         u = _rand_penta(rng)
@@ -458,23 +459,25 @@ def suite_geometry(c: _Checker):
         ca = to_canonical(up)
         cb = to_canonical(upp)
         cp = to_canonical(prod)
-        c.close(cp.vplus, ca.vplus * cb.vplus,
-                1e-10 * max(1.0, abs(cp.vplus)), "vplus multiplicativity")
-        c.close(p.rho1, a.rho1 * b.rho1, 1e-10 * max(1.0, p.rho1), "rho1 multiplicativity")
-        c.close(p.rho2, a.rho2 * b.rho2, 1e-10 * max(1.0, p.rho2), "rho2 multiplicativity")
+        c.within(abs(cp.vplus - ca.vplus * cb.vplus),
+                 1e-10 * max(1.0, abs(cp.vplus)), "vplus multiplicativity")
+        c.within(abs(p.rho1 - a.rho1 * b.rho1), 1e-10 * max(1.0, p.rho1),
+                 "rho1 multiplicativity")
+        c.within(abs(p.rho2 - a.rho2 * b.rho2), 1e-10 * max(1.0, p.rho2),
+                 "rho2 multiplicativity")
         tan_p = math.tan(p.require("thetaplus"))
         tan_ab = math.tan(a.require("thetaplus")) * math.tan(b.require("thetaplus"))
-        c.close(tan_p, tan_ab / math.sqrt(2.0), 1e-10 * max(1.0, abs(tan_p)),
-                "polar angle tangent law")
+        c.within(abs(tan_p - tan_ab / math.sqrt(2.0)), 1e-10 * max(1.0, abs(tan_p)),
+                 "polar angle tangent law")
         tan_p = math.tan(p.require("psi1"))
         tan_ab = math.tan(a.require("psi1")) * math.tan(b.require("psi1"))
-        c.close(tan_p, tan_ab, 1e-10 * max(1.0, abs(tan_p)), "planar angle tangent law")
+        c.within(abs(tan_p - tan_ab), 1e-10 * max(1.0, abs(tan_p)), "planar angle tangent law")
         for name in ("phi1", "phi2"):
             diff = (a.require(name) + b.require(name) - p.require(name)) % TWO_PI
             circ = min(diff, TWO_PI - diff)
-            c.check(circ <= 1e-10, f"{name} additivity off by {circ:.2e}")
-        c.close(p.rho, a.rho * b.rho, 1e-10 * max(1.0, abs(p.rho)),
-                "amplitude multiplicativity")
+            c.within(circ, 1e-10, f"{name} additivity")
+        c.within(abs(p.rho - a.rho * b.rho), 1e-10 * max(1.0, abs(p.rho)),
+                 "amplitude multiplicativity")
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +536,7 @@ def suite_residues(c: _Checker):
                 lhs, rhs, windings = contour._pole_identity(f, path, pole, 4096, None)
                 c.check(windings == want_winding,
                         f"{label}: winding {windings} != {want_winding}")
-                dev = max(abs(a - b) for a, b in zip(lhs, rhs))
-                c.check(dev <= 1e-5, f"{label}, f={fname}: |lhs-rhs| = {dev:.2e}")
+                c.within(_dev(lhs, rhs), 1e-5, f"{label}, f={fname}: |lhs-rhs|")
 
     # Gauss-Legendre order on a closed loop: with the pole term integrated
     # exactly, each added node per segment cuts the remainder's error for
@@ -549,27 +551,24 @@ def suite_residues(c: _Checker):
         errors = []
         for sps in (1, 2, 3, 4, 8):
             lhs, rhs = contour.residue_formula(exp4, path, u0, samples=sps * 8)
-            errors.append(max(abs(a - b) for a, b in zip(lhs, rhs)) / max(1.0, abs(rhs)))
+            errors.append(_rel_dev(lhs, rhs))
         for sps, ratio, e0, e1 in zip((1, 2, 3), (5.0, 50.0, 200.0), errors, errors[1:]):
             c.check(e0 >= ratio * e1, f"plane-{plane} 8-gon, {sps} -> {sps + 1} nodes per "
                                       f"segment: error only {e0:.2e} -> {e1:.2e}")
-        c.check(errors[-1] <= 1e-12,
-                f"plane-{plane} 8-gon, 8 nodes per segment: error {errors[-1]:.2e}")
+        c.within(errors[-1], 1e-12, f"plane-{plane} 8-gon, 8 nodes per segment")
     path = contour.plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16)
     lhs, rhs = contour.residue_formula(elementary.exp, path, u0, samples=8 * 16)
-    dev = max(abs(a - b) for a, b in zip(lhs, rhs))
-    c.check(dev <= 1e-13, f"16-gon, 8 nodes per segment: |lhs-rhs| = {dev:.2e}")
+    c.within(_dev(lhs, rhs), 1e-13, "16-gon, 8 nodes per segment: |lhs-rhs|")
 
     # the same order without a pole, where every node counts: half a 16-gon
     # as an open path, on which exp integrates to exp(b) - exp(a)
     path = contour.Path(contour.plane_circle(u0, 2, 1.0, vertices=16).vertices[:9])
     want = elementary.exp(path.vertices[-1]) - elementary.exp(path.vertices[0])
-    errors = [max(abs(a - b) for a, b in zip(contour.integrate(elementary.exp, path, n), want))
-              for n in (1, 2, 3, 4, 8)]
+    errors = [_dev(contour.integrate(elementary.exp, path, n), want) for n in (1, 2, 3, 4, 8)]
     for e0, e1 in zip(errors[:3], errors[1:4]):
         c.check(e0 / max(e1, 1e-300) >= 50.0,
                 f"pole-free: one more node reduced error only {e0:.2e} -> {e1:.2e}")
-    c.check(errors[-1] <= 1e-14, f"pole-free, 8 nodes per segment: error {errors[-1]:.2e}")
+    c.within(errors[-1], 1e-14, "pole-free, 8 nodes per segment")
     c.check(time.perf_counter() - t0 < 5.0, "residue suite exceeded 5 s")
 
 
@@ -593,8 +592,9 @@ def suite_factorization(c: _Checker):
     rs = polyfactor.component_roots(polyfactor.decompose(poly))
     for roots, name in ((rs.vplus_roots, "line"), (rs.plane1_roots, "plane1"),
                         (rs.plane2_roots, "plane2")):
-        c.check(abs(roots[0] - (-1.0)) < 1e-12 and abs(roots[1] - 1.0) < 1e-12,
-                f"{name} roots of u^2-1 are not -1, +1")
+        # the largest float below the bound: each root lies strictly within it
+        c.within(_dev(roots, (-1.0, 1.0)), math.nextafter(1e-12, 0.0),
+                 f"{name} roots of u^2-1 are not -1, +1")
     for s1 in (1, -1):
         for s2 in (1, -1):
             i1 = 1 if s1 == 1 else 0
@@ -602,8 +602,8 @@ def suite_factorization(c: _Checker):
             pairing = [(1, i1, i2), (0, 1 - i1, 1 - i2)]
             u1, u2 = polyfactor.assemble_roots(rs, pairing)
             want = expected[(s1, s2)]
-            c.close_penta(u1, want, 1e-12, f"root for signs ({s1},{s2})")
-            c.close_penta(u2, -1.0 * want, 1e-12, f"negated root for signs ({s1},{s2})")
+            c.within(_dev(u1, want), 1e-12, f"root for signs ({s1},{s2})")
+            c.within(_dev(u2, -1.0 * want), 1e-12, f"negated root for signs ({s1},{s2})")
     c.check(polyfactor.count_factorizations(poly) == 4,
             "u^2 - 1 should have 4 factorizations")
 
@@ -611,8 +611,7 @@ def suite_factorization(c: _Checker):
         for s1 in (1, -1):
             for s2 in (1, -1):
                 r = s0 * E_PLUS + s1 * E1 + s2 * E2
-                c.close_penta(multiply(r, r), ONE, 1e-15,
-                              f"sign identity ({s0},{s1},{s2})")
+                c.within(_dev(multiply(r, r), ONE), 1e-15, f"sign identity ({s0},{s1},{s2})")
 
     rng = np.random.default_rng(109)
     for degree in range(1, 7):
@@ -623,15 +622,12 @@ def suite_factorization(c: _Checker):
             rebuilt = polyfactor.expand_factors(factors)
             scale = 1.0 + max(abs(a) for a in coeffs)
             for a, b in zip(poly.coeffs, rebuilt.coeffs):
-                dev = max(abs(x - y) for x, y in zip(a, b))
-                c.check(dev <= 1e-8 * scale,
-                        f"degree-{degree} reconstruction deviates by {dev:.2e}")
+                c.within(_dev(a, b), 1e-8 * scale, f"degree-{degree} reconstruction")
             norm = math.sqrt(sum(abs(a) ** 2 for a in coeffs)) + 1.0
             for f in factors:
                 if isinstance(f, polyfactor.LinearFactor):
-                    resid = abs(poly.evaluate(f.root))
-                    c.check(resid <= 1e-8 * norm,
-                            f"root residual {resid:.2e} (degree {degree})")
+                    c.within(abs(poly.evaluate(f.root)), 1e-8 * norm,
+                             f"root residual (degree {degree})")
 
     double = polyfactor.PentaPolynomial.from_scalar_roots([1.0, 1.0])
     try:

@@ -261,6 +261,16 @@ def test_construction_accepts_numbers_and_numeric_strings():
     assert PentaComplex().components == (0.0,) * 5
     with pytest.raises(ValueError):
         PentaComplex("one")
+    assert PentaComplex(True).components == (1.0,) + (0.0,) * 4
+
+
+@pytest.mark.parametrize("bad", [None, [1], 1j, "x"])
+def test_construction_names_a_component_that_is_no_real_number(bad):
+    with pytest.raises(ValueError) as info:
+        PentaComplex(bad)
+    assert str(info.value) == f"component x0 must be a real number, got {bad!r}"
+    with pytest.raises(ValueError, match=r"^component x3 must be a real number, got None$"):
+        PentaComplex(1.0, "2", 3, None, "x")
 
 
 def test_immutability():
