@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -58,7 +59,7 @@ _CEILING = 2.0 ** 1022
 # above _FLOOR, so that every rounding error is relative to it, and every
 # edge's bound clears twice the cutoff by _EDGE_ROUNDING times it
 _FLOOR = 2.0 ** -1000
-_EDGE_ROUNDING = 16 * np.finfo(float).eps
+_EDGE_ROUNDING = 16 * sys.float_info.epsilon
 # a batch whose line values and planes' real and imaginary parts are all
 # at most this in magnitude has finite components: none exceeds
 # (0.2 + 0.8*sqrt2) * _PART_MAX < 1.4 * 2**1020
@@ -82,7 +83,8 @@ class Path:
         # built once, for project and integrate, and not fields, so
         # equality, hash and repr see only vertices: the vertex components
         # as rows and (5, v) columns, each plane's projection (x + i*y per
-        # vertex), and the edge vectors as component rows and canonical parts
+        # vertex) with its edge lengths, and the edge vectors as component
+        # rows and canonical parts
         arr = np.fromiter(chain.from_iterable(v.components for v in verts), float,
                           DIM * len(verts)).reshape(-1, DIM)
         cols = np.ascontiguousarray(arr.T)
@@ -96,12 +98,14 @@ class Path:
             edges = (steps, *_split(steps @ _CANON_T))
             shadows = tuple((arr @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
                             for k in (1, 2))
-        for a in (arr, cols, *edges, *shadows):
+            lengths = tuple(_edge_lengths(z, self.closed) for z in shadows)
+        for a in (arr, cols, *edges, *shadows, *lengths):
             a.flags.writeable = False
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_columns", cols)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_shadows", shadows)
+        object.__setattr__(self, "_lengths", lengths)
 
     def __getstate__(self):
         return {"vertices": self.vertices, "closed": self.closed}
@@ -135,9 +139,9 @@ class Path:
 class PlaneProjection:
     """2D shadow of a path on one canonical plane (unit-length axes).
 
-    The vertices are also held as one read-only complex array x + i*y,
-    which `winding` reads; a projection from `project` builds `points` from
-    it when they are first read.
+    The vertices are also held as one read-only complex array x + i*y, and
+    the edge lengths as another, which `winding` reads; a projection from
+    `project` builds `points` from the vertices when they are first read.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -156,15 +160,21 @@ class PlaneProjection:
         _check_closed(self.closed)
         plane = _check_index("plane index", self.plane, 1, 2)
         z = xy.view(np.complex128).ravel()
-        z.flags.writeable = False
-        self.__dict__.update(points=tuple(map(tuple, xy.tolist())), plane=plane, _z=z)
+        with np.errstate(over="ignore"):  # an edge beyond the float range is inf long
+            lengths = _edge_lengths(z, self.closed)
+        for a in (z, lengths):
+            a.flags.writeable = False
+        self.__dict__.update(points=tuple(map(tuple, xy.tolist())), plane=plane, _z=z,
+                             _lengths=lengths)
 
     @classmethod
-    def _wrap(cls, z: np.ndarray, plane: int, closed: bool) -> "PlaneProjection":
-        """A projection on the read-only complex vertex array z, which it
-        keeps; its points are built when first read."""
+    def _wrap(cls, z: np.ndarray, lengths: np.ndarray, plane: int,
+              closed: bool) -> "PlaneProjection":
+        """A projection on the read-only complex vertex array z and its
+        read-only edge lengths, which it keeps; its points are built when
+        first read."""
         self = object.__new__(cls)
-        self.__dict__.update(_z=z, plane=plane, closed=closed)
+        self.__dict__.update(_z=z, _lengths=lengths, plane=plane, closed=closed)
         return self
 
     def __getattr__(self, name):
@@ -191,10 +201,16 @@ def _ends(rows: np.ndarray, closed: bool) -> np.ndarray:
     return np.concatenate((rows[1:], rows[:1])) if closed else rows[1:]
 
 
+def _edge_lengths(z: np.ndarray, closed: bool) -> np.ndarray:
+    """The length of each edge of a polyline with complex vertices z."""
+    ends = _ends(z, closed)
+    return np.abs(ends - z[:len(ends)])
+
+
 def project(path: Path, k: int) -> PlaneProjection:
     """Project every vertex onto canonical plane k (k = 1 or 2)."""
     k = _check_index("plane index", k, 1, 2)
-    return PlaneProjection._wrap(path._shadows[k - 1], k, path.closed)
+    return PlaneProjection._wrap(path._shadows[k - 1], path._lengths[k - 1], k, path.closed)
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
@@ -221,16 +237,25 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     scale, so no difference or distance overflows up to the float ceiling.
 
     The edge test is screened first.  With a the vertices relative to the
-    point and d the edges, no point of edge i is nearer the point than
-    |a_i| - |d_i| (the triangle inequality).  Where the largest distance
-    `far` lies between 2**-1000 and 2**1022 and every edge's bound exceeds
-    twice the cutoff by 16*eps*far, the test is skipped: between those
-    scales every rounding error is relative to `far`, the computed bounds
-    lie at most 4*eps*far above the true ones and the distances the test
-    computes at most 3*eps*far below, so none of them could reach the
-    cutoff and the result is the one the test would give.  Otherwise (a
-    point near an edge, edges longer than the point's distance from them,
-    far = 0 or far outside that range) the test runs.
+    point, no point of edge i is nearer the point than |a_i| minus the
+    edge's length (the triangle inequality); the lengths are the ones the
+    polygon carries, built once with it from its own vertices.  Where the
+    largest distance `far` lies between 2**-1000 and 2**1022 and every
+    edge's bound exceeds twice the cutoff by 16*eps*far, the test is
+    skipped: between those scales every rounding error is relative to
+    `far` or to an edge, and no edge is longer than 2*far.  A distance
+    |a_i| lies at most eps*far above the true one, a stored length (the
+    rounded modulus of the rounded difference of two vertices) at most
+    2*eps*far below, and their difference rounds by at most eps*far, so
+    the computed bounds lie at most 4*eps*far above the true ones; the
+    distances the test computes lie at most 3*eps*far below, so none of
+    them could reach the cutoff and the result is the one the test would
+    give.  A length taken from a longer vector, such as the 5-D edge
+    whose shadow the projected edge is, would round relative to that
+    vector and could fall below the true one by more than the margin.
+    Otherwise (a point near an edge, edges longer than the point's distance
+    from them, far = 0 or far outside that range) the test runs, on the
+    edge vectors d formed there.
 
     A point that is not finite, or a tol that is nan or negative, raises
     ValueError.
@@ -246,7 +271,7 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = polygon._z - complex(x, y)
         dist = np.abs(a)
-        far = dist.max(initial=0.0)
+        far = float(np.maximum.reduce(dist, initial=0.0))
         screen = _FLOOR < far < _CEILING
         if not far < _CEILING:
             # a difference, an edge or a distance may be beyond the float
@@ -254,15 +279,16 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
             # distances scaled back where they are compared
             scale = 4.0
             a = 0.25 * polygon._z - complex(0.25 * x, 0.25 * y)
-            far = np.abs(a).max(initial=0.0)
+            far = float(np.maximum.reduce(np.abs(a), initial=0.0))
         b = _ends(a, True)
-        d = b - a
         cutoff = TAU_EDGE * far * scale if tol is None else tol
-        if not (screen and (dist - np.abs(d)).min() > 2.0 * cutoff + _EDGE_ROUNDING * far):
+        if not (screen and np.minimum.reduce(dist - polygon._lengths)
+                > 2.0 * cutoff + _EDGE_ROUNDING * far):
             # nearest point of each edge to the origin (the point) at
             # a + t*d, with t = -(a . d)/|d|^2 = -Re(a/d), clipped (a
             # quotient beyond the float range clips to an end); a
             # zero-length edge is its own nearest point
+            d = b - a
             t = np.minimum(np.maximum(-(a / d).real, 0.0), 1.0)
             t[d == 0.0] = 0.0
             close = np.abs(a + t * d) * scale <= cutoff
@@ -272,7 +298,7 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
         # halved first (exactly) at the quarter scale: numpy's quotient of two
         # near the float ceiling overflows inside, of two below 2**1022 not
         q = b / a if scale == 1.0 else (0.5 * b) / (0.5 * a)
-        turns = float(np.arctan2(q.imag, q.real).sum()) / TWO_PI
+        turns = float(np.add.reduce(np.arctan2(q.imag, q.real))) / TWO_PI
     return round(turns)
 
 
@@ -332,7 +358,7 @@ def _join(line: np.ndarray, planes: np.ndarray) -> np.ndarray:
 def _column(canon) -> tuple[np.ndarray, np.ndarray]:
     """One element's canonical coordinates as parts that broadcast against
     a batch's: a line of one value and planes of shape (2, 1)."""
-    c = np.array(canon, dtype=float)
+    c = np.asarray(canon, dtype=float)
     return c[:1], c[1:].view(np.complex128).reshape(2, 1)
 
 
@@ -512,16 +538,16 @@ def _invertible(line: np.ndarray, planes: np.ndarray, rows, nodes: int) -> None:
                                   f"of zero at {at(i)}")
 
 
-@dataclass(frozen=True)
 class _PoleIntegrand:
     """The integrand f(u) * (u - pole)^-1 of the pole identity, of which
     integrate returns the smooth remainder's part, applying the kernel to
     all nodes at once in canonical coordinates.  f_pole is f(pole), which
     the caller has already evaluated."""
 
-    f: Evaluator
-    pole: PentaComplex
-    f_pole: PentaComplex
+    __slots__ = ("f", "pole", "f_pole")
+
+    def __init__(self, f: Evaluator, pole: PentaComplex, f_pole: PentaComplex):
+        self.f, self.pole, self.f_pole = f, pole, f_pole
 
 
 def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaComplex:
@@ -593,7 +619,7 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
             # the smooth remainder
             f_line, f_planes = _column(np.array(f_pole.components) @ _CANON_T)
             line, planes = line - f_line, planes - f_planes
-        z1, z2 = (planes * du_planes).sum(axis=1).tolist()
+        z1, z2 = np.add.reduce(planes * du_planes, axis=1).tolist()
         line = float(line @ du_line)
     return _assemble(line, z1, z2)
 
@@ -626,6 +652,12 @@ def residue_formula(f: Evaluator, path: Path, u0: PentaComplex,
     return _pole_identity(f, path, u0, samples, tol_edge)[:2]
 
 
+@functools.lru_cache(maxsize=16)
+def _pole_direction(n1: int, n2: int) -> PentaComplex:
+    """~e1*n1 + ~e2*n2, the pole term's direction for the windings (n1, n2)."""
+    return n1 * E1_TILDE + n2 * E2_TILDE
+
+
 def _pole_identity(f: Evaluator, path: Path, u0: PentaComplex, samples: int,
                    tol_edge: float | None) -> tuple[PentaComplex, PentaComplex, tuple[int, int]]:
     """residue_formula's (lhs, rhs), and the windings (n1, n2) it took."""
@@ -645,7 +677,7 @@ def _pole_identity(f: Evaluator, path: Path, u0: PentaComplex, samples: int,
     # only the azimuths are cyclic: around the loop the pole term
     # f(u0) * (u - u0)^-1 du integrates to 2*pi*i*n_k on plane k and to 0
     # on the line, which is rhs
-    rhs = TWO_PI * (f_u0 * (n1 * E1_TILDE + n2 * E2_TILDE))
+    rhs = TWO_PI * (f_u0 * _pole_direction(n1, n2))
     lhs = integrate(_PoleIntegrand(f, u0, f_u0), path, _nodes_per_segment(samples, path)) + rhs
     return lhs, rhs, (n1, n2)
 

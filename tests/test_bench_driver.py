@@ -85,6 +85,48 @@ def test_every_tree_is_byte_compiled_before_the_first_run(monkeypatch, tmp_path)
     assert "byte-compiled" in json.loads(out.read_text())["compiled"]
 
 
+def test_each_row_records_the_iqr_of_each_tree_and_the_second_tree_s_wins(
+        monkeypatch, tmp_path, capsys):
+    # per tree, each round's value of every row; the change ties round 1
+    # and loses round 3 on a higher-is-better row, and on a lower-is-better
+    # one wins round 3 alone
+    series = {"parent": [100.0, 110.0, 120.0, 130.0], "change": [105.0, 110.0, 125.0, 120.0]}
+    seen = {label: [] for label in series}
+
+    def perfbench(tree, workload, trace, seconds, names):
+        label = os.path.basename(tree)
+        if trace == 0:
+            seen[label].append(None)
+        value = series[label][len(seen[label]) - 1]
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {k: value for k in names}}
+
+    monkeypatch.setattr(bench, "perfbench", perfbench)
+    monkeypatch.setattr(bench.compileall, "compile_dir", lambda path, **kw: None)
+    for label in series:
+        os.makedirs(tmp_path / label / "perfbench")
+        (tmp_path / label / "perfbench" / "run.py").touch()
+    out = tmp_path / "bench.json"
+    bench.main(["--workload", "contour", "--pairs", "4", "--out", str(out),
+                *(f"--src={label}={tmp_path / label}" for label in series)])
+    rows = json.loads(out.read_text())["rows"]
+    higher, lower = rows["items_per_s"], rows["item_p50_ms"]
+    assert (higher["parent"], higher["change"]) == (115.0, 115.0)
+    # inclusive quartiles: 107.5 and 122.5 for the parent, 108.75 and 121.25 for the change
+    assert higher["iqr"] == {"parent": 15.0, "change": 12.5}
+    assert (higher["wins"], lower["wins"]) == (2, 1)
+    printed = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("items_per_s "))
+    assert "(IQR 15)" in printed and "(IQR 12.5)" in printed
+    assert "change wins 2/4" in printed
+
+
+def test_one_run_has_a_zero_iqr_and_a_tie_or_a_nan_wins_for_neither():
+    assert bench.iqr([3.0]) == 0.0
+    assert bench.wins([1.0, 2.0, math.nan], [2.0, 2.0, 5.0], "higher") == 1
+    assert bench.wins([1.0, 2.0, math.nan], [0.5, 2.0, 5.0], "lower") == 1
+
+
 def load_workloads():
     """perfbench/workloads.py as a module, loaded read-only: no bytecode is
     written into perfbench/, and its sibling modules are on the path only

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import math
 import os
@@ -1313,11 +1314,15 @@ def exact_winding(point, polygon, tol=None):
         return winding(point, polygon, tol)
 
 
+WINDING_POWERS = st.one_of(st.integers(-997, 997), st.sampled_from((1022, 1023)))
+
+
 @st.composite
-def winding_cases(draw):
+def winding_cases(draw, powers=WINDING_POWERS):
     """A point, a closed polygon, a tolerance and the power of two k they
-    are scaled by: k from -997 to 997 (about 1e-300 to 1e300), or 1022 and
-    1023, where the largest distance reaches 2**1022.  The polygon is
+    are scaled by, drawn from `powers`: by default k from -997 to 997
+    (about 1e-300 to 1e300), or 1022 and 1023, where the largest distance
+    reaches 2**1022.  The polygon is
     random, regular, a fan, or collapsed to one point give or take a few
     ulp (a loop in one plane seen from the other: its edges have zero
     length or rounding length).  The point is anywhere, or 0.5 to 4 cutoffs
@@ -1358,7 +1363,7 @@ def winding_cases(draw):
         normal = np.array((-edge[1], edge[0])) / length if length else np.array((1.0, 0.0))
         away = draw(st.floats(0.5, 4.0)) * (cutoff or np.finfo(float).eps * far)
         point = point + draw(st.sampled_from((-1.0, 1.0))) * away * normal
-    k = draw(st.one_of(st.integers(-997, 997), st.sampled_from((1022, 1023))))
+    k = draw(powers)
     scale = 2.0 ** k
     return (tuple((point * scale).tolist()), PlaneProjection(pts * scale, 1, True),
             None if tol is None else tol * scale, k)
@@ -1373,6 +1378,110 @@ def test_winding_screen_gives_the_exact_outcome(case):
     assert got == outcome(exact_winding, point, polygon, tol)
     if k <= 997:  # the reference predates the quarter scale at 2**1022
         assert got == outcome(reference_winding, point, polygon, tol)
+
+
+def reference_outcome(point, polygon, tol):
+    """reference_winding's outcome, without numpy's warnings (winding's
+    quotients of subnormal numbers overflow inside numpy too, silently).
+    Where a vertex lies 2**1022 or more from the point, beyond the
+    reference's range, it winds the point, polygon and tol at a quarter
+    (exact), and its message quotes them at full scale, as winding's does."""
+    x, y = point
+    with np.errstate(all="ignore"):
+        if np.abs(polygon._z - complex(x, y)).max() < 2.0 ** 1022:
+            return outcome(reference_winding, point, polygon, tol)
+        quarter = PlaneProjection(np.array(polygon.points) / 4, polygon.plane, True)
+        got = outcome(reference_winding, (x / 4, y / 4), quarter,
+                      None if tol is None else tol / 4)
+    if not isinstance(got, str):
+        return got
+    cutoff = (4 * contour.TAU_EDGE * np.abs(quarter._z - complex(x / 4, y / 4)).max()
+              if tol is None else tol)
+    return f"point {point} is within {cutoff:.3g} of edge {got.rsplit(' ', 1)[1]}"
+
+
+@st.composite
+def spiral_loop_cases(draw):
+    """A point, the plane-k projection of a 5-D loop and a tolerance: the
+    loop's shadow is 1e-10 wide, its far vertex 0 is a unit step along e+
+    from its neighbours, and the point lies 0 to 4 cutoffs (about 1e-19)
+    from edge 0, rho (1e-18 to 5e-17) short of that edge's end.  From
+    vertex 1 the shadow spirals away from the point, each edge shorter than
+    its start's distance from the point, so only edge 0's bound keeps the
+    screen from skipping the edge test.  A length of edge 0 taken from its
+    5-D edge would round relative to that edge, by up to about 1e-16, some
+    1e8 times the screen's margin of 16*eps*far, and could let it skip.
+    The tolerance is the default or an explicit one near it."""
+    k = draw(st.sampled_from((1, 2)))
+    rho = 10.0 ** draw(st.floats(-18.0, -16.3))
+    growth = draw(st.floats(1.3, 1.7))
+    turn = draw(st.floats(0.0, TWO_PI))
+    m = math.ceil(math.log(1e-10 / rho) / math.log(growth))
+    shadow = [1.2e-10 * cmath.exp(1j * turn)] + [
+        rho * growth ** j * cmath.exp(1j * (turn + math.pi * (1 - j / m))) for j in range(m + 1)]
+    # plane-k coordinates are sqrt(2/5) times the canonical parts
+    ek, tek = (E1, E1_TILDE) if k == 1 else (E2, E2_TILDE)
+    verts = [math.sqrt(2.5) * (c.real * ek + c.imag * tek) for c in shadow]
+    verts[0] = verts[0] + E_PLUS
+    proj = project(Path(tuple(verts), closed=True), k)
+    z = proj._z
+    along = (z[0] - z[1]) / abs(z[0] - z[1])
+    point = z[1] + draw(st.floats(0.05, 1.0)) * rho * along
+    default = contour.TAU_EDGE * float(np.abs(z - point).max())
+    tol = draw(st.sampled_from((None, None, "explicit")))
+    if tol == "explicit":
+        tol = draw(st.floats(0.5, 2.0)) * default
+    away = draw(st.floats(0.0, 4.0)) * (default if tol is None else tol)
+    point += draw(st.sampled_from((-1.0, 1.0))) * away * 1j * along
+    return (float(point.real), float(point.imag)), proj, tol
+
+
+def outcome_or_value_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(spiral_loop_cases(),
+                 # the quarter scale, and the unscreened scales below 2**-1000
+                 winding_cases(st.sampled_from((1022, 1023))).map(lambda c: c[:3]),
+                 winding_cases(st.integers(-1040, -1003)).map(lambda c: c[:3])))
+def test_winding_on_stored_lengths_gives_the_reference_outcome(case):
+    # the same winding number, or OnBoundary with the same message.  Where
+    # a vertex lies within about 2**-1024 of the point, numpy's complex
+    # quotient overflows inside, in winding and in the reference alike:
+    # both take the same wrong angle, or raise the same ValueError on a NaN
+    # sum of angles
+    point, polygon, tol = case
+    assert (outcome_or_value_error(outcome, winding, point, polygon, tol)
+            == outcome_or_value_error(reference_outcome, point, polygon, tol))
+
+
+def test_projections_carry_their_edge_lengths():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = both_planes_loop(u0, vertices=16)
+    hand = PlaneProjection(((1.0, 0.0), (0.0, 1e-300), (-1.5e308, 0.0), (1.5e308, -1.0)), 2, True)
+    projections = [project(path, k) for path in (loop, Path(loop.vertices, closed=False))
+                   for k in (1, 2)]
+    for proj in projections + [hand, PlaneProjection(hand.points, 2)]:
+        z = proj._z
+        ends = contour._ends(z, proj.closed)
+        with np.errstate(over="ignore"):
+            assert proj._lengths.tobytes() == np.abs(ends - z[:len(ends)]).tobytes()
+        assert not proj._lengths.flags.writeable
+    assert np.isinf(hand._lengths[2]) and len(projections[2]._lengths) == 15
+    # pickle, copy and from_dict rebuild them
+    for path in (pickle.loads(pickle.dumps(loop)), copy.copy(loop), copy.deepcopy(loop),
+                 Path.from_dict(loop.to_dict())):
+        for k in (1, 2):
+            got, want = project(path, k)._lengths, project(loop, k)._lengths
+            assert got is not want and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+    for other in (pickle.loads(pickle.dumps(hand)), copy.copy(hand), copy.deepcopy(hand)):
+        assert other._lengths is not hand._lengths and not other._lengths.flags.writeable
+        assert other._lengths.tobytes() == hand._lengths.tobytes()
 
 
 def reference_pole_integral(rel_c):
@@ -1423,7 +1532,8 @@ def reference_residue_formula(f, path, u0, samples):
         z = (path._array @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
         try:
             windings.append(reference_winding(project_point(u0, k),
-                                              PlaneProjection._wrap(z, k, True)))
+                                              PlaneProjection(z.view(float).reshape(-1, 2),
+                                                              k, True)))
         except OnBoundary as exc:
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     per_segment = max(1, round(samples / len(path.vertices)))

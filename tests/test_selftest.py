@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pentacomplex import selftest
+from pentacomplex import analytic, selftest
 from pentacomplex.cli import main
 from pentacomplex.errors import NoConvergence
 
@@ -15,9 +15,9 @@ CHECKS = {
     "cosexp-identities": 1639, "elementary-functions": 2200, "geometry": 4401,
     "analyticity": 91, "residues": 50, "factorization": 142,
 }
-# suites with no tolerance check: basis-table holds exact products and a
-# time budget, analyticity the relation checks' own verdicts
-NO_TOLERANCE = {"basis-table", "analyticity"}
+# the suite with no tolerance check: basis-table holds exact products and a
+# time budget
+NO_TOLERANCE = {"basis-table"}
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +89,25 @@ def test_the_cli_reports_a_raising_suite_and_the_others(monkeypatch, capsys):
     assert lines[10].endswith(" :: raised NoConvergence: simulated")
     assert lines[11].startswith("10/11 suites passed (")
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("deviations", [(0.0, 1e-9), (0.0, math.inf), (0.0, 1.0),
+                                        (math.nan, 0.0), (0.0, math.nan)])
+def test_analyticity_fails_exactly_where_a_relation_report_does(monkeypatch, deviations):
+    # the second-order checks see reports with these chain deviations; a
+    # NaN fails them wherever it stands, as it fails the report
+    def check_second_order(f, point):
+        chains = tuple(analytic.MixedPartialChain(0, i, (), (), d, d <= 1e-6)
+                       for i, d in enumerate(deviations))
+        return analytic.SecondOrderReport(point, 1e-4, 1e-6, chains)
+
+    monkeypatch.setattr(selftest.analytic, "check_second_order", check_second_order)
+    passed = check_second_order(None, None).passed
+    result = selftest.suite_analytic()
+    assert result.checks == CHECKS["analyticity"]
+    assert result.passed is passed
+    assert all(msg.startswith("second-order chains fail for ") for msg in result.failures)
+    if passed:
+        assert 0.0 < result.worst <= 1.0
+    else:
+        assert result.worst > 1.0

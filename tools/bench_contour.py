@@ -16,9 +16,14 @@ host's speed falls on all alike.  Before the first run each tree's src/ is
 byte-compiled once: where PYTHONDONTWRITEBYTECODE is set, an import writes
 no bytecode, so a module without current bytecode would be compiled again
 in every run, in its setup and import times.  The record holds the
-machine, these rows of every run as perfbench printed them, and per tree
-the median of each row over its runs; names, units and directions are
-those of this checkout's BENCHMARK.json.  The script exits non-zero,
+machine, these rows of every run as perfbench printed them, and per row
+each tree's median and interquartile range over its runs (`iqr`; the
+quartiles interpolated inclusively, 0 for a single run) and, with two
+trees, `wins`: in how many rounds the second tree's run beat the first's
+by the row's `better` direction, ties counting for neither.  These are the
+inputs of the rule for claiming a gain: wins in nine of ten rounds and
+medians further apart than the first tree's IQR.  Names, units and
+directions are those of this checkout's BENCHMARK.json.  The script exits non-zero,
 naming them, when a row has no finite median for some tree or the machine
 record lacks a field of MACHINE_FIELDS.  --smoke runs each tree once for
 one second, to check that the script runs.
@@ -68,6 +73,20 @@ def gaps(record: dict) -> list:
     return ([name for name, row in record["rows"].items()
              if not all(math.isfinite(row[label]) for label in record["trees"])]
             + [f"machine.{k}" for k in MACHINE_FIELDS if k not in record["machine"]])
+
+
+def iqr(values: list) -> float:
+    """The distance between the quartiles of the values (0 for one value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def wins(first: list, second: list, better: str) -> int:
+    """In how many rounds the second value beats the first, by `better`
+    ("higher" or "lower"); a tie, or a nan, counts for neither."""
+    return sum(b > a if better == "higher" else b < a for a, b in zip(first, second))
 
 
 def perfbench(tree: str, workload: str, trace: int, seconds: float, names) -> dict:
@@ -120,10 +139,15 @@ def main(argv=None) -> int:
 
     rows = {}
     for name, (unit, better, trace) in wanted.items():
-        row = {"unit": unit, "better": better, "trace": trace}
-        for label, _ in trees:
-            values = [r[f"trace{trace}"]["metrics"][name] for r in runs[label]]
-            row[label] = statistics.median(values) if all(map(math.isfinite, values)) else math.nan
+        row = {"unit": unit, "better": better, "trace": trace, "iqr": {}}
+        values = {label: [r[f"trace{trace}"]["metrics"][name] for r in runs[label]]
+                  for label, _ in trees}
+        for label, vals in values.items():
+            finite = all(map(math.isfinite, vals))
+            row[label] = statistics.median(vals) if finite else math.nan
+            row["iqr"][label] = iqr(vals) if finite else math.nan
+        if len(trees) == 2:
+            row["wins"] = wins(*values.values(), better)
         rows[name] = row
     record = {"script": "tools/bench_contour.py", "machine": run.machine(),
               "workload": args.workload, "seed": SEED, "seconds": seconds, "pairs": pairs,
@@ -135,7 +159,10 @@ def main(argv=None) -> int:
             fh.write(json.dumps(record, indent=1) + "\n")
     width = max(map(len, rows))
     for name, row in rows.items():
-        values = "  ".join(f"{label} {row[label]:10.4g}" for label, _ in trees)
+        values = "  ".join(f"{label} {row[label]:10.4g} (IQR {row['iqr'][label]:.3g})"
+                           for label, _ in trees)
+        if "wins" in row:
+            values += f"  {trees[1][0]} wins {row['wins']}/{pairs}"
         print(f"{name:{width}s}  {values}  {row['unit']}")
     missing = gaps(record)
     if missing:
