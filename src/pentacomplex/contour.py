@@ -51,13 +51,12 @@ _ROT = rotation_matrix()
 # canonical._from_canon_comps as a matrix: rows of canonical coordinates
 # times it are rows of components
 _FROM_CANON = np.array([e.components for e in (E_PLUS, E1, E1_TILDE, E2, E2_TILDE)])
-# winding works at a quarter scale where a vertex is this far from the
-# point: below it every coordinate of a difference or an edge, and every
-# distance, is finite
+# winding works on the vertices as given where the largest distance from
+# the point to a vertex lies between _FLOOR and _CEILING, and otherwise
+# scales everything by a power of two; its edge screen runs only in that
+# range, where every rounding error is relative to the largest distance, and
+# every edge's bound must clear twice the cutoff by _EDGE_ROUNDING times it
 _CEILING = 2.0 ** 1022
-# winding skips its exact edge test only where the largest distance lies
-# above _FLOOR, so that every rounding error is relative to it, and every
-# edge's bound clears twice the cutoff by _EDGE_ROUNDING times it
 _FLOOR = 2.0 ** -1000
 _EDGE_ROUNDING = 16 * sys.float_info.epsilon
 # a batch whose line values and planes' real and imaginary parts are all
@@ -82,9 +81,8 @@ class Path:
             raise ValueError(f"a path needs at least 2 vertices, got {len(verts)}")
         # built once, for project and integrate, and not fields, so
         # equality, hash and repr see only vertices: the vertex components
-        # as rows and (5, v) columns, each plane's projection (x + i*y per
-        # vertex) with its edge lengths, and the edge vectors as component
-        # rows and canonical parts
+        # as rows and (5, v) columns, the edge vectors as component rows
+        # and canonical parts, and the two plane projections
         arr = np.fromiter(chain.from_iterable(v.components for v in verts), float,
                           DIM * len(verts)).reshape(-1, DIM)
         cols = np.ascontiguousarray(arr.T)
@@ -96,16 +94,15 @@ class Path:
         with np.errstate(all="ignore"):
             steps = ends - arr[:len(ends)]
             edges = (steps, *_split(steps @ _CANON_T))
-            shadows = tuple((arr @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
-                            for k in (1, 2))
-            lengths = tuple(_edge_lengths(z, self.closed) for z in shadows)
-        for a in (arr, cols, *edges, *shadows, *lengths):
+            projections = tuple(PlaneProjection._wrap(
+                (arr @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel(), k, self.closed)
+                for k in (1, 2))
+        for a in (arr, cols, *edges):
             a.flags.writeable = False
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_columns", cols)
         object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_shadows", shadows)
-        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_projections", projections)
 
     def __getstate__(self):
         return {"vertices": self.vertices, "closed": self.closed}
@@ -140,8 +137,8 @@ class PlaneProjection:
     """2D shadow of a path on one canonical plane (unit-length axes).
 
     The vertices are also held as one read-only complex array x + i*y, and
-    the edge lengths as another, which `winding` reads; a projection from
-    `project` builds `points` from the vertices when they are first read.
+    the edge lengths as another, which `winding` reads; a Path builds its
+    two projections once, and their `points` when first read.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -159,20 +156,18 @@ class PlaneProjection:
             raise ValueError("every projected point needs two finite real coordinates") from None
         _check_closed(self.closed)
         plane = _check_index("plane index", self.plane, 1, 2)
-        z = xy.view(np.complex128).ravel()
         with np.errstate(over="ignore"):  # an edge beyond the float range is inf long
-            lengths = _edge_lengths(z, self.closed)
-        for a in (z, lengths):
-            a.flags.writeable = False
-        self.__dict__.update(points=tuple(map(tuple, xy.tolist())), plane=plane, _z=z,
-                             _lengths=lengths)
+            built = self._wrap(xy.view(np.complex128).ravel(), plane, self.closed)
+        self.__dict__.update(vars(built), points=tuple(map(tuple, xy.tolist())))
 
     @classmethod
-    def _wrap(cls, z: np.ndarray, lengths: np.ndarray, plane: int,
-              closed: bool) -> "PlaneProjection":
-        """A projection on the read-only complex vertex array z and its
-        read-only edge lengths, which it keeps; its points are built when
-        first read."""
+    def _wrap(cls, z: np.ndarray, plane: int, closed: bool) -> "PlaneProjection":
+        """The projection on the complex vertex array z, which it keeps, with
+        its edge lengths |_ends(z) - z|, both made read-only, under the
+        caller's np.errstate; its points are built when first read."""
+        ends = _ends(z, closed)
+        lengths = np.abs(ends - z[:len(ends)])
+        z.flags.writeable = lengths.flags.writeable = False
         self = object.__new__(cls)
         self.__dict__.update(_z=z, _lengths=lengths, plane=plane, closed=closed)
         return self
@@ -201,16 +196,10 @@ def _ends(rows: np.ndarray, closed: bool) -> np.ndarray:
     return np.concatenate((rows[1:], rows[:1])) if closed else rows[1:]
 
 
-def _edge_lengths(z: np.ndarray, closed: bool) -> np.ndarray:
-    """The length of each edge of a polyline with complex vertices z."""
-    ends = _ends(z, closed)
-    return np.abs(ends - z[:len(ends)])
-
-
 def project(path: Path, k: int) -> PlaneProjection:
-    """Project every vertex onto canonical plane k (k = 1 or 2)."""
-    k = _check_index("plane index", k, 1, 2)
-    return PlaneProjection._wrap(path._shadows[k - 1], path._lengths[k - 1], k, path.closed)
+    """The path's projection onto canonical plane k (k = 1 or 2), built
+    with the path."""
+    return path._projections[_check_index("plane index", k, 1, 2) - 1]
 
 
 def project_point(u: PentaComplex, k: int) -> tuple[float, float]:
@@ -228,34 +217,38 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     positively oriented loop this is 1 inside and 0 outside; self-crossing
     loops get the full signed count.  Raises OnBoundary if the point is
     within `tol` of an edge; the default tolerance, None, is TAU_EDGE times
-    the largest distance from the point to a vertex, so it scales with the
-    polygon; the message quotes the cutoff applied.  The edge parameters and
-    the angles are quotients of the vertices relative to the point (complex
-    numbers), so they stay in range at scales where products of
-    coordinates under- or overflow (beyond about 1e+-154).  Where a vertex
-    is 2**1022 or more from the point, the work runs at a quarter of the
-    scale, so no difference or distance overflows up to the float ceiling.
+    the largest distance `far` from the point to a vertex, so it scales with
+    the polygon; the message quotes the cutoff applied.  The edge parameters
+    and the angles are quotients of the vertices relative to the point
+    (complex numbers), so they stay in range at scales where products of
+    coordinates under- or overflow (beyond about 1e+-154).
 
-    The edge test is screened first.  With a the vertices relative to the
-    point, no point of edge i is nearer the point than |a_i| minus the
-    edge's length (the triangle inequality); the lengths are the ones the
-    polygon carries, built once with it from its own vertices.  Where the
-    largest distance `far` lies between 2**-1000 and 2**1022 and every
-    edge's bound exceeds twice the cutoff by 16*eps*far, the test is
-    skipped: between those scales every rounding error is relative to
-    `far` or to an edge, and no edge is longer than 2*far.  A distance
-    |a_i| lies at most eps*far above the true one, a stored length (the
-    rounded modulus of the rounded difference of two vertices) at most
-    2*eps*far below, and their difference rounds by at most eps*far, so
-    the computed bounds lie at most 4*eps*far above the true ones; the
-    distances the test computes lie at most 3*eps*far below, so none of
-    them could reach the cutoff and the result is the one the test would
-    give.  A length taken from a longer vector, such as the 5-D edge
-    whose shadow the projected edge is, would round relative to that
-    vector and could fall below the true one by more than the margin.
-    Otherwise (a point near an edge, edges longer than the point's distance
-    from them, far = 0 or far outside that range) the test runs, on the
-    edge vectors d formed there.
+    One rescale rule covers both ends of the float range.  Where `far` lies
+    outside (2**-1000, 2**1022), the point, the vertices and the cutoff are
+    scaled by the power of two 2**-e that brings the largest coordinate
+    into [0.5, 1) (np.ldexp, exact but for parts that fall below 2**-1074
+    there), so no difference, distance or edge overflows and no quotient
+    divides by a subnormal number; the message quotes the cutoff scaled
+    back.  Inside that range nothing is scaled.
+
+    The edge test is screened there first.  With a the vertices relative
+    to the point, no point of edge i is nearer the point than |a_i| minus
+    the edge's length (the triangle inequality); the lengths are the ones
+    the polygon carries, built once with it from its own vertices.  Where
+    every edge's bound exceeds twice the cutoff by 16*eps*far, the test is
+    skipped: in that range every rounding error is relative to `far` or to
+    an edge, and no edge is longer than 2*far.  A distance |a_i| lies at
+    most eps*far above the true one, a stored length (the rounded modulus
+    of the rounded difference of two vertices) at most 2*eps*far below,
+    and their difference rounds by at most eps*far, so the computed bounds
+    lie at most 4*eps*far above the true ones; the distances the test
+    computes lie at most 3*eps*far below, so none of them could reach the
+    cutoff and the result is the one the test would give.  A length taken
+    from a longer vector, such as the 5-D edge whose shadow the projected
+    edge is, would round relative to that vector and could fall below the
+    true one by more than the margin.  Otherwise (a point near an edge,
+    edges longer than the point's distance from them, or a rescaled
+    polygon) the test runs, on the edge vectors d formed there.
 
     A point that is not finite, or a tol that is nan or negative, raises
     ValueError.
@@ -267,21 +260,21 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
         raise ValueError(f"point must be finite, got {point}")
     if tol is not None:
         _check_tol(tol)
-    scale = 1.0
+    z = polygon._z
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = polygon._z - complex(x, y)
+        a = z - complex(x, y)
         dist = np.abs(a)
         far = float(np.maximum.reduce(dist, initial=0.0))
         screen = _FLOOR < far < _CEILING
-        if not far < _CEILING:
-            # a difference, an edge or a distance may be beyond the float
-            # range: everything at a quarter (exact at this size), the
-            # distances scaled back where they are compared
-            scale = 4.0
-            a = 0.25 * polygon._z - complex(0.25 * x, 0.25 * y)
+        e = 0
+        if not screen:
+            largest = np.maximum.reduce(np.abs(z.view(float)), initial=max(abs(x), abs(y)))
+            e = math.frexp(largest)[1]
+            a = np.ldexp(z.view(float), -e).view(np.complex128) - complex(math.ldexp(x, -e),
+                                                                            math.ldexp(y, -e))
             far = float(np.maximum.reduce(np.abs(a), initial=0.0))
         b = _ends(a, True)
-        cutoff = TAU_EDGE * far * scale if tol is None else tol
+        cutoff = TAU_EDGE * far if tol is None else float(np.ldexp(tol, -e))
         if not (screen and np.minimum.reduce(dist - polygon._lengths)
                 > 2.0 * cutoff + _EDGE_ROUNDING * far):
             # nearest point of each edge to the origin (the point) at
@@ -291,13 +284,12 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
             d = b - a
             t = np.minimum(np.maximum(-(a / d).real, 0.0), 1.0)
             t[d == 0.0] = 0.0
-            close = np.abs(a + t * d) * scale <= cutoff
+            close = np.abs(a + t * d) <= cutoff
             if close.any():
-                raise OnBoundary(f"point {point} is within {cutoff:.3g} of edge "
+                shown = math.ldexp(cutoff, e) if tol is None else tol
+                raise OnBoundary(f"point {point} is within {shown:.3g} of edge "
                                  f"{int(close.argmax())}")
-        # halved first (exactly) at the quarter scale: numpy's quotient of two
-        # near the float ceiling overflows inside, of two below 2**1022 not
-        q = b / a if scale == 1.0 else (0.5 * b) / (0.5 * a)
+        q = b / a
         turns = float(np.add.reduce(np.arctan2(q.imag, q.real))) / TWO_PI
     return round(turns)
 

@@ -179,24 +179,24 @@ def exp_basis(k: int, y: float) -> PentaComplex:
     return PentaComplex(*comps)
 
 
-def exp_h1_plus_h4(y: float) -> PentaComplex:
-    """exp((h1 + h4) * y): the ring series (_exp_series) for |y| <=
-    SERIES_UP_TO, where the lift's O(1) terms cancel to components of size
+def _exp_along(y: float, s: int, up_to: float) -> PentaComplex:
+    """exp((h1 + s*h4) * y), s = 1 or -1: the ring series (_exp_series) for
+    |y| <= up_to, where the lift's O(1) terms cancel to components of size
     y^2, and the lift `elementary.exp` beyond."""
-    if abs(y) <= SERIES_UP_TO:
-        return PentaComplex(*_exp_series(y, 1))
+    if abs(y) <= up_to:
+        return PentaComplex(*_exp_series(y, s))
     _check_finite(y)
-    return exp(PentaComplex(0.0, y, 0.0, 0.0, y))
+    return exp(PentaComplex(0.0, y, 0.0, 0.0, s * y))
+
+
+def exp_h1_plus_h4(y: float) -> PentaComplex:
+    """exp((h1 + h4) * y), by the ring series for |y| <= SERIES_UP_TO."""
+    return _exp_along(y, 1, SERIES_UP_TO)
 
 
 def exp_h1_minus_h4(y: float) -> PentaComplex:
-    """exp((h1 - h4) * y): the ring series (_exp_series) for |y| <= 1,
-    where the lift's O(1) terms cancel to components of size y^2, and the
-    lift `elementary.exp` beyond."""
-    if abs(y) <= _MINUS_SERIES_UP_TO:
-        return PentaComplex(*_exp_series(y, -1))
-    _check_finite(y)
-    return exp(PentaComplex(0.0, y, 0.0, 0.0, -y))
+    """exp((h1 - h4) * y), by the ring series for |y| <= 1."""
+    return _exp_along(y, -1, _MINUS_SERIES_UP_TO)
 
 
 def cosexp_power(perm: int, y: float, l: int) -> PentaComplex:

@@ -1380,22 +1380,25 @@ def test_winding_screen_gives_the_exact_outcome(case):
         assert got == outcome(reference_winding, point, polygon, tol)
 
 
-def reference_outcome(point, polygon, tol):
-    """reference_winding's outcome, without numpy's warnings (winding's
-    quotients of subnormal numbers overflow inside numpy too, silently).
-    Where a vertex lies 2**1022 or more from the point, beyond the
-    reference's range, it winds the point, polygon and tol at a quarter
-    (exact), and its message quotes them at full scale, as winding's does."""
+def reference_outcome(point, polygon, tol, k=None):
+    """reference_winding's outcome, without numpy's warnings, on the case
+    scaled by 2**-k (exact), its message quoting the point and the cutoff at
+    full scale, as winding's does.  By default k is 2 (a quarter) where a
+    vertex lies 2**1022 or more from the point, beyond the reference's
+    range, and 0 elsewhere."""
     x, y = point
     with np.errstate(all="ignore"):
-        if np.abs(polygon._z - complex(x, y)).max() < 2.0 ** 1022:
+        if k is None:
+            k = 2 if np.abs(polygon._z - complex(x, y)).max() >= 2.0 ** 1022 else 0
+        if k == 0:
             return outcome(reference_winding, point, polygon, tol)
-        quarter = PlaneProjection(np.array(polygon.points) / 4, polygon.plane, True)
-        got = outcome(reference_winding, (x / 4, y / 4), quarter,
-                      None if tol is None else tol / 4)
+        scaled = PlaneProjection(np.ldexp(np.array(polygon.points), -k), polygon.plane, True)
+        sx, sy = math.ldexp(x, -k), math.ldexp(y, -k)
+        got = outcome(reference_winding, (sx, sy), scaled,
+                      None if tol is None else math.ldexp(tol, -k))
     if not isinstance(got, str):
         return got
-    cutoff = (4 * contour.TAU_EDGE * np.abs(quarter._z - complex(x / 4, y / 4)).max()
+    cutoff = (math.ldexp(contour.TAU_EDGE * np.abs(scaled._z - complex(sx, sy)).max(), k)
               if tol is None else tol)
     return f"point {point} is within {cutoff:.3g} of edge {got.rsplit(' ', 1)[1]}"
 
@@ -1436,27 +1439,19 @@ def spiral_loop_cases(draw):
     return (float(point.real), float(point.imag)), proj, tol
 
 
-def outcome_or_value_error(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(st.one_of(spiral_loop_cases(),
-                 # the quarter scale, and the unscreened scales below 2**-1000
-                 winding_cases(st.sampled_from((1022, 1023))).map(lambda c: c[:3]),
-                 winding_cases(st.integers(-1040, -1003)).map(lambda c: c[:3])))
+@given(st.one_of(spiral_loop_cases().map(lambda c: (*c, None)),
+                 # the scales outside (2**-1000, 2**1022), which winding
+                 # rescales: near the float ceiling against the reference
+                 # at a quarter, and at 2**-1040 to 2**-1003 (subnormal
+                 # vertices from 2**-1022 down) against the reference on the
+                 # case scaled back up by 2**-k, which is exact
+                 winding_cases(st.sampled_from((1022, 1023))).map(lambda c: (*c[:3], None)),
+                 winding_cases(st.integers(-1040, -1003))))
 def test_winding_on_stored_lengths_gives_the_reference_outcome(case):
-    # the same winding number, or OnBoundary with the same message.  Where
-    # a vertex lies within about 2**-1024 of the point, numpy's complex
-    # quotient overflows inside, in winding and in the reference alike:
-    # both take the same wrong angle, or raise the same ValueError on a NaN
-    # sum of angles
-    point, polygon, tol = case
-    assert (outcome_or_value_error(outcome, winding, point, polygon, tol)
-            == outcome_or_value_error(reference_outcome, point, polygon, tol))
+    # the same winding number, or OnBoundary with the same message
+    point, polygon, tol, k = case
+    assert outcome(winding, point, polygon, tol) == reference_outcome(point, polygon, tol, k)
 
 
 def test_projections_carry_their_edge_lengths():
@@ -1482,6 +1477,61 @@ def test_projections_carry_their_edge_lengths():
     for other in (pickle.loads(pickle.dumps(hand)), copy.copy(hand), copy.deepcopy(hand)):
         assert other._lengths is not hand._lengths and not other._lengths.flags.writeable
         assert other._lengths.tobytes() == hand._lengths.tobytes()
+
+
+def test_a_path_builds_its_projections_once():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = both_planes_loop(u0, vertices=16)
+    for path in (loop, Path(loop.vertices, closed=False)):
+        for k in (1, 2):
+            proj = project(path, k)
+            assert project(path, k) is proj and proj.plane == k and proj.closed == path.closed
+            z = (path._array @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
+            ends = contour._ends(z, path.closed)
+            assert proj._z.tobytes() == z.tobytes()
+            assert proj._lengths.tobytes() == np.abs(ends - z[:len(ends)]).tobytes()
+            assert not proj._z.flags.writeable and not proj._lengths.flags.writeable
+            # a projection built by hand from its points is the same one
+            hand = PlaneProjection(proj.points, k, path.closed)
+            assert hand == proj
+            assert hand._z.tobytes() == z.tobytes()
+            assert hand._lengths.tobytes() == proj._lengths.tobytes()
+    # pickle, copy, deepcopy and from_dict rebuild them (the lengths:
+    # test_projections_carry_their_edge_lengths)
+    for path in (pickle.loads(pickle.dumps(loop)), copy.copy(loop), copy.deepcopy(loop),
+                 Path.from_dict(loop.to_dict())):
+        for k in (1, 2):
+            got, want = project(path, k), project(loop, k)
+            assert got is not want and got == want
+            assert got._z is not want._z and got._z.tobytes() == want._z.tobytes()
+
+
+def subnormal_winding_cases(count, seed):
+    """Random 3- to 11-gons with vertices in [-1, 1]**2 and points in
+    [-1.5, 1.5]**2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng.uniform(-1.0, 1.0, (int(rng.integers(3, 12)), 2)), rng.uniform(-1.5, 1.5, 2)
+
+
+@pytest.mark.parametrize("k", [-1025, -1030, -1040, -1060])
+def test_winding_below_the_normal_range_is_the_unit_scale_outcome(k):
+    # a vertex within about 2**-1024 of the point made numpy's complex
+    # quotient overflow inside (1/a of a subnormal a): wrong windings, or a
+    # ValueError on a nan sum of angles.  Each case is rounded at scale 2**k
+    # and wound there and scaled back up by 2**-k, which is exact
+    mismatches = 0
+    for pts, point in subnormal_winding_cases(400, 99):
+        tiny = PlaneProjection(np.ldexp(pts, k), 1, True)
+        tx, ty = np.ldexp(point, k).tolist()
+        unit = PlaneProjection(np.ldexp(np.array(tiny.points), -k), 1, True)
+        got = winding_outcome((tx, ty), tiny, None)
+        want = winding_outcome((math.ldexp(tx, -k), math.ldexp(ty, -k)), unit, None)
+        mismatches += got != want
+    assert mismatches == 0
+    r = 2.0 ** -1024
+    square = PlaneProjection([(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)], 1, True)
+    assert winding((0.0, 0.0), square) == 1
 
 
 def reference_pole_integral(rel_c):
