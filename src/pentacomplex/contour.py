@@ -63,6 +63,18 @@ _EDGE_ROUNDING = 16 * sys.float_info.epsilon
 # at most this in magnitude has finite components: none exceeds
 # (0.2 + 0.8*sqrt2) * _PART_MAX < 1.4 * 2**1020
 _PART_MAX = 2.0 ** 1020
+# integrate forms u - u0 as the nodes' canonical parts minus u0's.  With B
+# the largest |component| of the path's vertices plus that of u0, each part
+# lies within 100*eps*B of u - u0 formed in components and transformed (the
+# transform's rows sum to at most 5 in magnitude, and each route's parts lie
+# within 55*eps*B of the exact ones), so each modulus the
+# screen takes lies within 190*eps*B, and a screen that clears the parts by
+# _DIFF_ROUNDING*B clears the component route's.  Where B lies outside
+# (_FLOOR, _DIFF_CEILING) the exact test always runs: above, a part could
+# overflow (each is at most 22*B); below, underflow's absolute errors could
+# reach the margin
+_DIFF_ROUNDING = 512 * sys.float_info.epsilon
+_DIFF_CEILING = 2.0 ** 1015
 
 
 @dataclass(frozen=True)
@@ -81,8 +93,10 @@ class Path:
             raise ValueError(f"a path needs at least 2 vertices, got {len(verts)}")
         # built once, for project and integrate, and not fields, so
         # equality, hash and repr see only vertices: the vertex components
-        # as rows and (5, v) columns, the edge vectors as component rows
-        # and canonical parts, and the two plane projections
+        # as rows and (5, v) columns and their largest magnitude, the
+        # vertices' canonical parts (a line array and (2, v) planes), the
+        # edge vectors as component rows and canonical parts, and the two
+        # plane projections
         arr = np.fromiter(chain.from_iterable(v.components for v in verts), float,
                           DIM * len(verts)).reshape(-1, DIM)
         cols = np.ascontiguousarray(arr.T)
@@ -92,15 +106,20 @@ class Path:
         # a value beyond the float range becomes inf or nan, which integrate
         # and winding report
         with np.errstate(all="ignore"):
+            canon = _CANON @ cols
+            parts = (canon[0], np.empty((2, len(verts)), np.complex128))
+            parts[1].real, parts[1].imag = canon[1::2], canon[2::2]
             steps = ends - arr[:len(ends)]
             edges = (steps, *_split(steps @ _CANON_T))
             projections = tuple(PlaneProjection._wrap(
                 (arr @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel(), k, self.closed)
                 for k in (1, 2))
-        for a in (arr, cols, *edges):
+        for a in (arr, cols, *parts, *edges):
             a.flags.writeable = False
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_columns", cols)
+        object.__setattr__(self, "_reach", float(np.abs(arr).max()))
+        object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_projections", projections)
 
@@ -136,9 +155,10 @@ class Path:
 class PlaneProjection:
     """2D shadow of a path on one canonical plane (unit-length axes).
 
-    The vertices are also held as one read-only complex array x + i*y, and
-    the edge lengths as another, which `winding` reads; a Path builds its
-    two projections once, and their `points` when first read.
+    The vertices are also held as one read-only complex array x + i*y, the
+    edge lengths as another, and a disc holding every vertex, all of which
+    `winding` reads; a Path builds its two projections once, and their
+    `points` when first read.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -163,13 +183,21 @@ class PlaneProjection:
     @classmethod
     def _wrap(cls, z: np.ndarray, plane: int, closed: bool) -> "PlaneProjection":
         """The projection on the complex vertex array z, which it keeps, with
-        its edge lengths |_ends(z) - z|, both made read-only, under the
-        caller's np.errstate; its points are built when first read."""
+        its edge lengths |_ends(z) - z|, both made read-only, and its disc
+        (x, y, R): the middle of the vertices' bounding box and the largest
+        distance from it to a vertex, all under the caller's np.errstate
+        (no vertex, or one that is not finite, gives a nan in the disc);
+        its points are built when first read."""
         ends = _ends(z, closed)
         lengths = np.abs(ends - z[:len(ends)])
         z.flags.writeable = lengths.flags.writeable = False
+        xy = z.view(float).reshape(-1, 2)
+        (x0, y0), (x1, y1) = (np.minimum.reduce(xy, initial=math.inf).tolist(),
+                              np.maximum.reduce(xy, initial=-math.inf).tolist())
+        x, y = 0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1
+        disc = (x, y, float(np.maximum.reduce(np.abs(z - complex(x, y)), initial=0.0)))
         self = object.__new__(cls)
-        self.__dict__.update(_z=z, _lengths=lengths, plane=plane, closed=closed)
+        self.__dict__.update(_z=z, _lengths=lengths, _disc=disc, plane=plane, closed=closed)
         return self
 
     def __getattr__(self, name):
@@ -231,6 +259,19 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
     divides by a subnormal number; the message quotes the cutoff scaled
     back.  Inside that range nothing is scaled.
 
+    A point outside the polygon's disc is answered first, from the disc
+    alone (a bounding-volume rejection).  With d the point's distance from
+    the disc's centre and R the disc's radius, where d + R and d - R lie
+    inside that range and d exceeds R by more than twice the cutoff plus
+    16*eps*(d + R), the result is 0 and no vertex is read; the cutoff there
+    is tol, or TAU_EDGE*(d + R), which is at least TAU_EDGE*far.  That is
+    the result the arrays would give: the point lies outside the convex
+    hull of the vertices, so the subtended angles sum to 0, and no point of
+    an edge comes nearer it than d - R, which rounding (a few eps of d + R
+    in d, R and the distances the test computes) cannot bring within the
+    cutoff.  A projection onto the plane a loop does not wind in collapses
+    to about a point, which the projected pole lies outside of.
+
     The edge test is screened there first.  With a the vertices relative
     to the point, no point of edge i is nearer the point than |a_i| minus
     the edge's length (the triangle inequality); the lengths are the ones
@@ -260,6 +301,12 @@ def winding(point: tuple[float, float], polygon: PlaneProjection,
         raise ValueError(f"point must be finite, got {point}")
     if tol is not None:
         _check_tol(tol)
+    cx, cy, radius = polygon._disc
+    d = math.hypot(x - cx, y - cy)
+    gap, reach = d - radius, d + radius
+    if (_FLOOR < gap and reach < _CEILING
+            and gap > 2.0 * (TAU_EDGE * reach if tol is None else tol) + _EDGE_ROUNDING * reach):
+        return 0
     z = polygon._z
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = z - complex(x, y)
@@ -494,21 +541,32 @@ def _evaluate(f: Evaluator, nodes: _Batch, rows) -> _Batch:
                           @ _CANON_T))
 
 
+def _cleared(line: np.ndarray, planes: np.ndarray, margin: float) -> bool:
+    """The divisor-of-zero screen on canonical parts of u - u0 (a line and
+    (2, n) planes): whether every entry's least modulus exceeds 2*TAU_REL
+    times the sum of its moduli by more than `margin`.  |u|^2 = (vplus^2 +
+    2*rho1^2 + 2*rho2^2)/5 puts |u| below 0.64*(|vplus| + rho1 + rho2); the
+    factor 2 covers the rounding, so at margin 0 an entry that passes
+    passes _invertible's exact test (a difference of two floats is
+    positive exactly when the first is larger).  inf and nan fail it (the
+    least difference is then -inf or nan)."""
+    a, r = np.abs(line), np.abs(planes)
+    least = np.minimum(a, np.minimum(r[0], r[1]))
+    return np.minimum.reduce(least - (2.0 * TAU_REL) * (a + r[0] + r[1])) > margin
+
+
 def _invertible(line: np.ndarray, planes: np.ndarray, rows, nodes: int) -> None:
     """inverse's divisor-of-zero test on u - u0 at the quadrature nodes and
     then at the path's vertices (from entry `nodes` on), given as canonical
     parts (line and (2, n) planes); rows() gives u - u0's component rows,
-    built only where the screen leaves the verdict open.  A value beyond
-    the float range raises Overflow.  This array guard keeps its own test:
+    built only where the screen (_cleared at margin 0) leaves the verdict
+    open.  A value beyond the float range raises Overflow.  integrate calls
+    it only where its own screen, at a margin for the rounding of u - u0
+    formed from canonical parts, could not clear them, and then on u - u0
+    formed in components.  This array guard keeps its own test:
     canonical._guard is the scalar route's, and a change to the one does
     not carry over to the other."""
-    # the screen, on the parts alone.  |u|^2 = (vplus^2 + 2*rho1^2 +
-    # 2*rho2^2)/5 puts |u| below 0.64*(|vplus| + rho1 + rho2); the factor 2
-    # covers the rounding.  A value that passes passes the test below; inf
-    # and nan fail it
-    a, r = np.abs(line), np.abs(planes)
-    least = np.minimum(a, np.minimum(r[0], r[1]))
-    if (least > (2.0 * TAU_REL) * (a + r[0] + r[1])).all():
+    if _cleared(line, planes, 0.0):
         return
 
     def at(i: int) -> str:
@@ -521,6 +579,7 @@ def _invertible(line: np.ndarray, planes: np.ndarray, rows, nodes: int) -> None:
     # moduli by hypot (a complex abs is one), so no square under- or
     # overflows; |p1| is hypot(x1, x2) and |p2| hypot(x3, x4).  fmin skips a
     # NaN as `or` would
+    a, r = np.abs(line), np.abs(planes)
     p = np.abs(rel[:, 1:].view(np.complex128))
     tol = TAU_REL * np.hypot(rel[:, 0], np.hypot(p[:, 0], p[:, 1]))
     bad = np.fmin(a, np.fmin(r[0], r[1])) <= tol
@@ -555,24 +614,37 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     that call gives no finite batch of values (see _evaluate).  A count
     that is not a whole number >= 1 raises ValueError.
 
-    The work runs on the canonical parts.  u - u0 is formed in components
-    on the path's (5, v) vertex columns and transformed; the edge vectors
-    were formed and transformed once, with the path.  The nodes (relative
-    to u0) and du follow on each part by broadcasting, start + step*t and
-    step*w, as a contiguous line array and (2, n) planes, and the kernel,
-    the shift by u0, f(u0)'s subtraction and the sums run on them.
-    Component rows of the nodes are built only for the per-node route and
-    the exact divisor-of-zero test.
+    The work runs on the canonical parts.  The vertices' parts and the
+    edge vectors were formed and transformed once, with the path; the
+    nodes f sees and du follow on each part by broadcasting, vertex +
+    step*t and step*w, as a contiguous line array and (2, n) planes, and
+    the kernel, f(u0)'s subtraction and the sums run on them.  Around a
+    pole, u - u0 at the nodes and then at the vertices is those parts minus
+    u0's (its `_canon` parts), in one preallocated line and one (2, n + v)
+    planes buffer, so it is consistent with the nodes f sees; it is exact
+    wherever a node's part and u0's lie within a factor 2 of each other
+    (Sterbenz's lemma), and otherwise rounds relative to |u| + |u0|, not
+    |u - u0|.  The divisor-of-zero screen (_cleared) therefore clears it
+    only by a margin of _DIFF_ROUNDING times the largest |component| of the
+    vertices and of u0, beyond the gap to u - u0 formed in components and
+    transformed.  Where the screen cannot clear every entry, u - u0 is
+    formed that way in the same buffers: in components on the path's
+    (5, v) vertex columns, transformed, and the nodes broadcast from it;
+    the exact test (_invertible) and the kernel run on it, so every
+    NonInvertibleOnPath and Overflow verdict and message is that of the
+    component route.  Component rows of the nodes are built only for the
+    per-node route and the exact divisor-of-zero test.
     """
     samples_per_segment = _check_count("samples_per_segment", samples_per_segment, 1)
     pole = None
     if isinstance(f, _PoleIntegrand):
         f, pole, f_pole = f.f, f.pole, f.f_pole
     verts = path._array
+    vert_line, vert_planes = path._parts
     steps, step_line, step_planes = path._edges
-    s = len(steps)
+    s, v = len(steps), len(verts)
     t, w = _segment_rule(samples_per_segment)
-    origin = np.zeros(DIM) if pole is None else np.array(pole.components)
+    n = s * t.size
 
     def node_rows() -> np.ndarray:
         return (verts[:s, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, DIM)
@@ -581,35 +653,47 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
     # the divisor-of-zero guard, _evaluate and _assemble raise typed errors
     # for it
     with np.errstate(all="ignore"):
-        # u - u0 at the vertices, formed in components and transformed:
-        # row 0 is the line, rows 1-4 the planes' real and imaginary parts
-        rel = _CANON @ (path._columns if pole is None else path._columns - origin[:, None])
-        rel_line, rel_planes = rel[0], np.empty((2, rel.shape[1]), np.complex128)
-        rel_planes.real, rel_planes.imag = rel[1::2], rel[2::2]
-        # the nodes (relative to u0) and du, segment by segment on each part
+        # the nodes and du, segment by segment on each part
         node_line = step_line[:, None] * t
-        node_line += rel_line[:s, None]
+        node_line += vert_line[:s, None]
         node_planes = step_planes[..., None] * t
-        node_planes += rel_planes[:, :s, None]
+        node_planes += vert_planes[:, :s, None]
         node_line, node_planes = node_line.ravel(), node_planes.reshape(2, -1)
         # du, which around a pole becomes the kernel du / (u - u0)
         du_line = (step_line[:, None] * w).ravel()
         du_planes = (step_planes[..., None] * w).reshape(2, -1)
         if pole is not None:
-            # one guard for the nodes and the vertices
-            _invertible(np.concatenate((node_line, rel_line)),
-                        np.concatenate((node_planes, rel_planes), axis=1),
-                        lambda: np.concatenate((node_rows(), verts)) - origin, node_line.size)
-            du_line /= node_line
-            du_planes /= node_planes
-            o_line, o_planes = _column(origin @ _CANON_T)
-            node_line += o_line
-            node_planes += o_planes
+            # u - u0 at the nodes, then at the vertices: their parts minus
+            # u0's, which rounds relative to |u| + |u0|, so the screen's
+            # margin covers the gap to u - u0 formed in components
+            o_line, o_planes = _column(_canon(pole))
+            rel_line, rel_planes = np.empty(n + v), np.empty((2, n + v), np.complex128)
+            np.subtract(node_line, o_line, out=rel_line[:n])
+            np.subtract(vert_line, o_line, out=rel_line[n:])
+            np.subtract(node_planes, o_planes, out=rel_planes[:, :n])
+            np.subtract(vert_planes, o_planes, out=rel_planes[:, n:])
+            reach = path._reach + max(map(abs, pole.components))
+            margin = _DIFF_ROUNDING * reach if _FLOOR < reach < _DIFF_CEILING else math.inf
+            if not _cleared(rel_line, rel_planes, margin):
+                # the screen cannot clear every entry: the exact test and
+                # the kernel take u - u0 formed in components on the vertex
+                # columns, transformed, and the nodes broadcast from it
+                origin = np.array(pole.components)
+                rel = _CANON @ (path._columns - origin[:, None])
+                rel_line[n:] = rel[0]
+                rel_planes[:, n:].real, rel_planes[:, n:].imag = rel[1::2], rel[2::2]
+                rel_line[:n] = (step_line[:, None] * t + rel_line[n:n + s, None]).ravel()
+                rel_planes[:, :n] = (step_planes[..., None] * t
+                                     + rel_planes[:, n:n + s, None]).reshape(2, -1)
+                _invertible(rel_line, rel_planes,
+                            lambda: np.concatenate((node_rows(), verts)) - origin, n)
+            du_line /= rel_line[:n]
+            du_planes /= rel_planes[:, :n]
         values = _evaluate(f, _Batch(node_line, node_planes), node_rows)
         line, planes = values.line, values.planes
         if pole is not None:
             # the smooth remainder
-            f_line, f_planes = _column(np.array(f_pole.components) @ _CANON_T)
+            f_line, f_planes = _column(_canon(f_pole))
             line, planes = line - f_line, planes - f_planes
         z1, z2 = np.add.reduce(planes * du_planes, axis=1).tolist()
         line = float(line @ du_line)

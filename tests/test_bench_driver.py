@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -49,7 +50,7 @@ def test_gaps_names_a_row_without_a_finite_median_and_a_missing_machine_field():
 
 
 def test_the_driver_exits_non_zero_naming_a_row_a_run_did_not_report(monkeypatch, capsys):
-    def perfbench(tree, workload, trace, seconds, names):
+    def perfbench(tree, workload, seed, trace, seconds, names):
         # as perfbench() reads a run whose last line lacks that row
         return {"correct": True, "attempted": 1, "failed": 0,
                 "metrics": {k: math.nan if k == "polyfactor.factor.d64.ms" else 1.0
@@ -64,7 +65,7 @@ def test_the_driver_exits_non_zero_naming_a_row_a_run_did_not_report(monkeypatch
 def test_every_tree_is_byte_compiled_before_the_first_run(monkeypatch, tmp_path):
     events = []
 
-    def perfbench(tree, workload, trace, seconds, names):
+    def perfbench(tree, workload, seed, trace, seconds, names):
         events.append(("run", tree))
         return {"correct": True, "attempted": 1, "failed": 0,
                 "metrics": {k: 1.0 for k in names}}
@@ -93,7 +94,7 @@ def test_each_row_records_the_iqr_of_each_tree_and_the_second_tree_s_wins(
     series = {"parent": [100.0, 110.0, 120.0, 130.0], "change": [105.0, 110.0, 125.0, 120.0]}
     seen = {label: [] for label in series}
 
-    def perfbench(tree, workload, trace, seconds, names):
+    def perfbench(tree, workload, seed, trace, seconds, names):
         label = os.path.basename(tree)
         if trace == 0:
             seen[label].append(None)
@@ -119,6 +120,29 @@ def test_each_row_records_the_iqr_of_each_tree_and_the_second_tree_s_wins(
                    if line.startswith("items_per_s "))
     assert "(IQR 15)" in printed and "(IQR 12.5)" in printed
     assert "change wins 2/4" in printed
+
+
+def test_the_seed_reaches_every_perfbench_argv_and_the_record(monkeypatch, tmp_path):
+    argvs = []
+
+    def run(cmd, **kw):
+        # as a perfbench run whose last line reports every metric as 1
+        argvs.append(cmd)
+        metrics = {name: {"value": 1.0} for name in bench.rows_wanted("factor")}
+        line = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(line) + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setattr(bench.compileall, "compile_dir", lambda path, **kw: None)
+    out = tmp_path / "bench.json"
+    bench.main(["--smoke", "--workload", "factor", "--seed", "7", "--out", str(out),
+                "--src", f"change={ROOT}"])
+    assert len(argvs) == 2
+    for cmd in argvs:
+        assert cmd[cmd.index("--seed") + 1] == "7", cmd
+    assert json.loads(out.read_text())["seed"] == 7
+    bench.main(["--smoke", "--workload", "factor", "--src", f"change={ROOT}"])
+    assert argvs[-1][argvs[-1].index("--seed") + 1] == "1"
 
 
 def test_one_run_has_a_zero_iqr_and_a_tie_or_a_nan_wins_for_neither():

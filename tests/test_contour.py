@@ -1306,6 +1306,33 @@ def test_inverse_and_the_path_guard_give_one_verdict_near_the_divisor_set():
     assert len(verdicts) == 3 * 3 * 17 * 11 and 0 < sum(verdicts) < len(verdicts)
 
 
+# where the component route's guard raises NonInvertibleOnPath around a
+# pole s*(0.3, -0.1, 0.2, 0.05, -0.15), on a 64-gon in plane 1 whose line
+# part clears the pole's by k*1e-13: k -> the node or vertex it names
+FAR_POLE_VERDICTS = {
+    1.0: {0.3: "quadrature node 0", 0.6: "quadrature node 0"},
+    1e3: {0.3: "quadrature node 0", 0.6: "quadrature node 0", 0.9: "quadrature node 0",
+          1.1: "quadrature node 67"},
+    1e6: {k: "vertex 28" for k in (0.3, 0.6, 0.9, 1.1, 1.5, 3, 10, 100)},
+}
+
+
+@pytest.mark.parametrize("s", sorted(FAR_POLE_VERDICTS))
+def test_the_guard_around_a_far_pole_gives_the_component_route_verdict(s):
+    # u - u0 formed from canonical parts rounds relative to |u| + |u0|: at
+    # s = 1e3 and k = 1.5 a guard on it alone would call node 142 a divisor
+    # of zero, which it is not to rounding in components
+    pole = s * PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    verdicts = {}
+    for k in (0.3, 0.6, 0.9, 1.1, 1.5, 3, 10, 100):
+        loop = plane_circle(pole, 1, 1.0, line_offset=k * 1e-13, other_offset=0.75, vertices=64)
+        try:
+            residue_formula(lambda u: u * u, loop, pole, samples=256)
+        except NonInvertibleOnPath as exc:
+            verdicts[k] = str(exc).rsplit(" at ", 1)[1]
+    assert verdicts == FAR_POLE_VERDICTS[s]
+
+
 def exact_winding(point, polygon, tol=None):
     """winding with its screen switched off: the exact edge test on every
     call."""
@@ -1532,6 +1559,108 @@ def test_winding_below_the_normal_range_is_the_unit_scale_outcome(k):
     r = 2.0 ** -1024
     square = PlaneProjection([(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)], 1, True)
     assert winding((0.0, 0.0), square) == 1
+
+
+@st.composite
+def disc_cases(draw):
+    """A point, a closed polygon, a tolerance and the power of two k they
+    are scaled by, drawn from WINDING_POWERS.  The polygon is random,
+    regular, or collapsed to one point give or take a few ulp, with
+    vertices in [-0.5, 0.5]**2.  The point lies in any direction from the
+    centre of the polygon's disc: anywhere outside it (up to 1.2 from the
+    centre), just outside (half to one and a half times as far beyond the
+    radius as the disc test needs, so on both sides of its threshold), or
+    just inside.  The tolerance is the default, 0, one below eps times the
+    largest distance, or 1e-3."""
+    n = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(("random", "regular", "collapsed")))
+    if kind == "random":
+        pts = np.array(draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                                     min_size=n, max_size=n)))
+    elif kind == "regular":
+        angles = TWO_PI * (np.arange(n) + draw(st.floats(0.0, 1.0))) / n
+        pts = 0.5 * np.column_stack((np.cos(angles), np.sin(angles)))
+    else:
+        ulps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                             min_size=n, max_size=n))
+        pts = np.array(draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+                       ) + 2.0 ** -55 * np.array(ulps)
+    cx, cy, r = PlaneProjection(pts, 1, True)._disc
+    tol = draw(st.sampled_from((None, 0.0, "below eps", 1e-3)))
+    if tol == "below eps":
+        # the largest distance is about 2r near the disc
+        tol = draw(st.floats(0.0, 1.0, exclude_max=True)) * np.finfo(float).eps * 2.0 * r
+    where = draw(st.sampled_from(("outside", "just outside", "just inside")))
+    if where == "outside":
+        d = r + draw(st.floats(0.0, 1.0)) * (1.2 - r)
+    elif where == "just inside":
+        d = r * draw(st.floats(0.9, 1.0))
+    else:
+        # d - r = 2*cutoff + 16*eps*(d + r), solved for d
+        x = 16.0 * np.finfo(float).eps + (2.0 * contour.TAU_EDGE if tol is None else 0.0)
+        threshold = (r * (1.0 + x) + (0.0 if tol is None else 2.0 * tol)) / (1.0 - x)
+        d = threshold + draw(st.floats(-0.5, 0.5)) * (threshold - r)
+    phi = draw(st.floats(0.0, TWO_PI))
+    point = np.array((cx + d * math.cos(phi), cy + d * math.sin(phi)))
+    k = draw(WINDING_POWERS)
+    scale = 2.0 ** k
+    return (tuple((point * scale).tolist()), PlaneProjection(pts * scale, 1, True),
+            None if tol is None else tol * scale, k)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(disc_cases())
+def test_winding_around_the_disc_gives_the_reference_outcome(case):
+    # the same winding number, or OnBoundary with the same message, on the
+    # case scaled by 2**-k (exact), where the reference needs no rescale
+    point, polygon, tol, k = case
+    assert outcome(winding, point, polygon, tol) == reference_outcome(point, polygon, tol, k)
+
+
+def test_a_point_outside_a_collapsed_projection_is_answered_by_the_disc(monkeypatch):
+    # a loop in one plane projects onto the other to about a point, which
+    # the projected pole lies outside of: winding answers without reading
+    # the vertex arrays
+    pole = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loops = [(plane_circle(center, k, radius, offset, 2.0, vertices=v), center, k)
+             for center, radius, offset, v in ((pole, 1.0, None, 64), (1e6 * pole, 1e-3, 0.5, 257))
+             for k in (1, 2)]
+    for loop, center, k in loops:
+        assert winding(project_point(center, k), project(loop, k)) == 1
+
+    def arctan2(*args, **kwargs):
+        raise AssertionError("winding read the vertex arrays")
+
+    monkeypatch.setattr(contour.np, "arctan2", arctan2)
+    for loop, center, k in loops:
+        for tol in (None, 0.0, 1e-12):
+            assert winding(project_point(center, 3 - k), project(loop, 3 - k), tol) == 0
+        with pytest.raises(AssertionError, match="vertex arrays"):
+            winding(project_point(center, k), project(loop, k))
+
+
+def test_projections_carry_their_disc():
+    u0 = PentaComplex(0.3, -0.1, 0.2, 0.05, -0.15)
+    loop = both_planes_loop(u0, vertices=16)
+    for path in (loop, plane_circle(u0, 1, 1.0, vertices=16)):
+        for k in (1, 2):
+            proj = project(path, k)
+            x, y = proj._z.real, proj._z.imag
+            cx, cy = 0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()
+            radius = float(np.abs(proj._z - complex(cx, cy)).max())
+            assert proj._disc == (cx, cy, radius)
+            # a projection built by hand, pickled, copied or deep-copied,
+            # and one of the path rebuilt, carries the same disc
+            others = [PlaneProjection(proj.points, k, True), pickle.loads(pickle.dumps(proj)),
+                      copy.copy(proj), copy.deepcopy(proj)]
+            others += [project(copied, k) for copied in (
+                pickle.loads(pickle.dumps(path)), copy.copy(path), copy.deepcopy(path))]
+            for other in others:
+                assert other is not proj and other._disc == proj._disc
+    # no vertex: a nan centre, which no point passes, and the arrays' 0
+    empty = PlaneProjection((), 1, True)
+    assert math.isnan(empty._disc[0]) and empty._disc[2] == 0.0
+    assert winding((1.0, 2.0), empty) == 0
 
 
 def reference_pole_integral(rel_c):

@@ -7,7 +7,8 @@ Usage, from the root of a checkout:
 
 with W one of contour (the default), elementwise, factor and cli.  Each
 --src LABEL=DIR names a checkout.  The script runs that checkout's own
-perfbench/run.py on the workload at seed 1, each run a fresh process: once
+perfbench/run.py on the workload at the seed --seed gives (default 1), the
+record's `seed`, each run a fresh process: once
 with --trace 0, whose last line holds the end-to-end metrics (items_per_s
 and the rest), and once with --trace 1, whose last line holds the
 per-layer rows of the layers LAYERS gives the workload, and the trace.*
@@ -44,7 +45,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run  # noqa: E402  (perfbench/run.py: machine())
 
-SEED = 1
 # the layers whose per-layer rows the record of each workload's traced run
 # holds (every traced run measures all layers); cli runs check-analytic, and
 # every workload also owns the trace.* rows, its traced run's overhead
@@ -89,11 +89,11 @@ def wins(first: list, second: list, better: str) -> int:
     return sum(b > a if better == "higher" else b < a for a, b in zip(first, second))
 
 
-def perfbench(tree: str, workload: str, trace: int, seconds: float, names) -> dict:
+def perfbench(tree: str, workload: str, seed: int, trace: int, seconds: float, names) -> dict:
     """The last JSON line of one run of the tree's perfbench/run.py, with
     only the metrics in names; nan for one the run did not report."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode:
         sys.exit(f"{' '.join(cmd)} failed:\n{out.stderr}")
@@ -110,6 +110,7 @@ def main(argv=None) -> int:
                    help="the perfbench workload to run (default: contour)")
     p.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
                    help="a checkout to run, under a label; repeat for each tree")
+    p.add_argument("--seed", type=int, default=1, help="perfbench --seed of each run (default: 1)")
     p.add_argument("--pairs", type=int, default=3, help="rounds of runs per tree")
     p.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds per run")
     p.add_argument("--out", help="write the JSON record here (default: stdout only)")
@@ -134,7 +135,8 @@ def main(argv=None) -> int:
     runs = {label: [] for label, _ in trees}
     for i in range(pairs):
         for label, path in trees if i % 2 == 0 else trees[::-1]:
-            runs[label].append({f"trace{t}": perfbench(path, args.workload, t, seconds, names[t])
+            runs[label].append({f"trace{t}": perfbench(path, args.workload, args.seed, t, seconds,
+                                                       names[t])
                                 for t in (0, 1)})
 
     rows = {}
@@ -150,7 +152,7 @@ def main(argv=None) -> int:
             row["wins"] = wins(*values.values(), better)
         rows[name] = row
     record = {"script": "tools/bench_contour.py", "machine": run.machine(),
-              "workload": args.workload, "seed": SEED, "seconds": seconds, "pairs": pairs,
+              "workload": args.workload, "seed": args.seed, "seconds": seconds, "pairs": pairs,
               "smoke": args.smoke, "trees": [label for label, _ in trees],
               "compiled": "each tree's src/ byte-compiled before its first run",
               "rows": rows, "runs": runs}
