@@ -86,9 +86,12 @@ class IrreducibleRep:
 
 
 def _to_canon_comps(c: tuple) -> tuple:
-    """(x0..x4) -> (vplus, v1, tv1, v2, tv2) on raw tuples.  Components near
-    the float ceiling can take a coordinate beyond the floating-point range,
-    which raises Overflow."""
+    """(x0..x4) -> (vplus, v1, tv1, v2, tv2), on five floats or elementwise
+    on five numpy arrays (such as the rows of a (5, n) array), with the same
+    roundings: the package's one canonical transform.  On floats, components
+    near the float ceiling can take a coordinate beyond the floating-point
+    range, which raises Overflow; arrays are not checked, and such a
+    coordinate becomes inf or nan there, which their caller reports."""
     x0, x1, x2, x3, x4 = c
     s14 = x1 + x4
     d14 = x1 - x4
@@ -99,7 +102,7 @@ def _to_canon_comps(c: tuple) -> tuple:
     tv1 = Q * d14 + Q2 * d23
     v2 = x0 + P2 * s14 + P * s23
     tv2 = Q2 * d14 - Q * d23
-    if vp * 0.0 + v1 * 0.0 + tv1 * 0.0 + v2 * 0.0 + tv2 * 0.0 != 0.0:
+    if vp.__class__ is float and vp * 0.0 + v1 * 0.0 + tv1 * 0.0 + v2 * 0.0 + tv2 * 0.0 != 0.0:
         raise Overflow("canonical coordinates exceed the floating-point range")
     return vp, v1, tv1, v2, tv2
 
@@ -127,7 +130,8 @@ _P4, _P24, _Q4, _Q24 = _E1[1], _E1[2], _TE1[1], _TE1[2]
 
 
 def _from_canon_comps(w: tuple) -> tuple:
-    """(vplus, v1, tv1, v2, tv2) -> (x0..x4) on raw tuples.
+    """(vplus, v1, tv1, v2, tv2) -> (x0..x4), on five floats or elementwise
+    on five numpy arrays, with the same roundings; nothing is checked.
 
     Row i is _E_PLUS[i]*vp + _E1[i]*v1 + _TE1[i]*tv1 + _E2[i]*v2 + _TE2[i]*tv2
     summed left to right, unrolled; a negative coefficient is written as a

@@ -29,8 +29,9 @@ import numpy as np
 
 from .algebra import (DIM, Evaluator, PentaComplex, _call, _check_count, _check_index,
                       _check_tol, _element, _result)
-from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI,
-                        _CANON_ROWS, _assemble, _canon, rotated_coords, rotation_matrix)
+from .canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, TAU_REL, TWO_PI, _SQ25,
+                        _assemble, _canon, _from_canon_comps, _to_canon_comps,
+                        rotated_coords)
 from .errors import NonInvertibleOnPath, OnBoundary, Overflow, PoleOnPath
 
 # projected pole/point must stay this far from every projected edge
@@ -40,17 +41,6 @@ TAU_EDGE = 1e-9
 # ceil(n / PANEL) panels of equal width
 PANEL = 8
 
-# canonical._to_canon_comps as a matrix, for arrays of elements (one per row)
-_CANON = np.array(_CANON_ROWS)
-# its transpose, contiguous: rows of components times it are rows of
-# canonical coordinates (numpy's product takes twice as long on _CANON.T)
-_CANON_T = np.ascontiguousarray(_CANON.T)
-# rows are the rotated orthonormal axes
-_ROT = rotation_matrix()
-
-# canonical._from_canon_comps as a matrix: rows of canonical coordinates
-# times it are rows of components
-_FROM_CANON = np.array([e.components for e in (E_PLUS, E1, E1_TILDE, E2, E2_TILDE)])
 # winding works on the vertices as given where the largest distance from
 # the point to a vertex lies between _FLOOR and _CEILING, and otherwise
 # scales everything by a power of two; its edge screen runs only in that
@@ -95,8 +85,8 @@ class Path:
         # equality, hash and repr see only vertices: the vertex components
         # as rows and (5, v) columns and their largest magnitude, the
         # vertices' canonical parts (a line array and (2, v) planes), the
-        # edge vectors as component rows and canonical parts, and the two
-        # plane projections
+        # edge vectors as component rows and canonical parts, all parts
+        # from one transform, and the two plane projections
         arr = np.fromiter(chain.from_iterable(v.components for v in verts), float,
                           DIM * len(verts)).reshape(-1, DIM)
         cols = np.ascontiguousarray(arr.T)
@@ -106,14 +96,17 @@ class Path:
         # a value beyond the float range becomes inf or nan, which integrate
         # and winding report
         with np.errstate(all="ignore"):
-            canon = _CANON @ cols
-            parts = (canon[0], np.empty((2, len(verts)), np.complex128))
-            parts[1].real, parts[1].imag = canon[1::2], canon[2::2]
             steps = ends - arr[:len(ends)]
-            edges = (steps, *_split(steps @ _CANON_T))
-            projections = tuple(PlaneProjection._wrap(
-                (arr @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel(), k, self.closed)
-                for k in (1, 2))
+            line, planes = _parts(np.concatenate((cols, steps.T), axis=1))
+            v = len(verts)
+            parts = (line[:v], planes[:, :v])
+            edges = (steps, line[v:], planes[:, v:])
+            # the planes on unit-length axes, the float view scaled as
+            # rotated_coords scales the pole's parts (a complex product
+            # would add 0 * inf), so equal points project to equal bits
+            shadows = (planes[:, :v].view(np.float64) * _SQ25).view(np.complex128)
+            projections = tuple(PlaneProjection._wrap(z, k, self.closed)
+                                for k, z in zip((1, 2), shadows))
         for a in (arr, cols, *parts, *edges):
             a.flags.writeable = False
         object.__setattr__(self, "_array", arr)
@@ -191,10 +184,8 @@ class PlaneProjection:
         ends = _ends(z, closed)
         lengths = np.abs(ends - z[:len(ends)])
         z.flags.writeable = lengths.flags.writeable = False
-        xy = z.view(float).reshape(-1, 2)
-        (x0, y0), (x1, y1) = (np.minimum.reduce(xy, initial=math.inf).tolist(),
-                              np.maximum.reduce(xy, initial=-math.inf).tolist())
-        x, y = 0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1
+        x, y = (0.5 * float(np.minimum.reduce(c, initial=math.inf))
+                + 0.5 * float(np.maximum.reduce(c, initial=-math.inf)) for c in (z.real, z.imag))
         disc = (x, y, float(np.maximum.reduce(np.abs(z - complex(x, y)), initial=0.0)))
         self = object.__new__(cls)
         self.__dict__.update(_z=z, _lengths=lengths, _disc=disc, plane=plane, closed=closed)
@@ -380,18 +371,15 @@ def _segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of canonical coordinates (one per node or edge) as a batch's
-    parts: the line column and the planes v_k + i*tv_k as (2, n), contiguous copies."""
-    return rows[:, 0].copy(), rows[:, 1:].view(np.complex128).T.copy()
-
-
-def _join(line: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """A batch's parts as rows of canonical coordinates, one per node."""
-    rows = np.empty((line.size, DIM))
-    rows[:, 0] = line
-    rows[:, 1:].view(np.complex128)[:] = planes.T
-    return rows
+def _parts(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Five component columns (the rows of a (5, n) array, one column per
+    node or edge) as a batch's canonical parts, by canonical's transform:
+    the line array and the planes v_k + i*tv_k as (2, n), contiguous."""
+    vp, v1, tv1, v2, tv2 = _to_canon_comps(columns)
+    planes = np.empty((2, vp.size), np.complex128)
+    z1, z2 = planes
+    z1.real, z1.imag, z2.real, z2.imag = v1, tv1, v2, tv2
+    return vp, planes
 
 
 def _column(canon) -> tuple[np.ndarray, np.ndarray]:
@@ -484,7 +472,12 @@ class _Batch:
 
     def lift(self, line_fn, plane_fn) -> "_Batch":
         """line_fn on the line and plane_fn on the planes, each applied as
-        the numpy ufunc of the same name (elementary's builtins)."""
+        the numpy ufunc of the same name (elementary's builtins).  The
+        scalar route lifts through math and cmath instead, which may round
+        differently on the line: on 20000 values uniform in [-20, 20]
+        (numpy 2.4, x86-64) np.exp differs from math.exp on 880, np.sinh on
+        5183 and np.cosh on 4794, and sin and cos agree; on the planes
+        (imaginary parts uniform there too) all five agree bit for bit."""
         return _Batch(getattr(np, line_fn.__name__)(self.line),
                       getattr(np, plane_fn.__name__)(self.planes))
 
@@ -511,12 +504,14 @@ class _Batch:
     def _finite(self) -> bool:
         """Whether every component is finite.  A batch whose line values and
         planes' real and imaginary parts are all at most _PART_MAX in
-        magnitude passes at once; otherwise the components are assembled
-        and tested."""
+        magnitude passes at once; otherwise the components are assembled by
+        the sum _assemble takes and tested."""
         if (np.abs(self.line).max() <= _PART_MAX
                 and np.abs(self.planes.view(np.float64)).max() <= _PART_MAX):
             return True
-        return bool(np.isfinite(_join(self.line, self.planes) @ _FROM_CANON).all())
+        z1, z2 = self.planes
+        return bool(np.isfinite(_from_canon_comps((self.line, z1.real, z1.imag,
+                                                   z2.real, z2.imag))).all())
 
 
 def _evaluate(f: Evaluator, nodes: _Batch, rows) -> _Batch:
@@ -537,8 +532,7 @@ def _evaluate(f: Evaluator, nodes: _Batch, rows) -> _Batch:
             and out.planes.shape == nodes.planes.shape and out._finite()):
         return out
     values = chain.from_iterable(_call(f, _result(*c)).components for c in rows().tolist())
-    return _Batch(*_split(np.fromiter(values, float, nodes.line.size * DIM).reshape(-1, DIM)
-                          @ _CANON_T))
+    return _Batch(*_parts(np.fromiter(values, float, nodes.line.size * DIM).reshape(-1, DIM).T))
 
 
 def _cleared(line: np.ndarray, planes: np.ndarray, margin: float) -> bool:
@@ -679,9 +673,7 @@ def integrate(f: Evaluator, path: Path, samples_per_segment: int = 64) -> PentaC
                 # the kernel take u - u0 formed in components on the vertex
                 # columns, transformed, and the nodes broadcast from it
                 origin = np.array(pole.components)
-                rel = _CANON @ (path._columns - origin[:, None])
-                rel_line[n:] = rel[0]
-                rel_planes[:, n:].real, rel_planes[:, n:].imag = rel[1::2], rel[2::2]
+                rel_line[n:], rel_planes[:, n:] = _parts(path._columns - origin[:, None])
                 rel_line[:n] = (step_line[:, None] * t + rel_line[n:n + s, None]).ravel()
                 rel_planes[:, :n] = (step_planes[..., None] * t
                                      + rel_planes[:, n:n + s, None]).reshape(2, -1)

@@ -179,3 +179,50 @@ def test_every_patch_target_of_the_benchmark_exists():
         assert hasattr(module, attr), span
     from pentacomplex import analytic, polyfactor
     assert polyfactor.coefficient_spectrum is analytic.coefficient_spectrum
+
+
+_fresh_spec = importlib.util.spec_from_file_location(
+    "bench_fresh", os.path.join(ROOT, "tools", "bench_fresh.py"))
+fresh = importlib.util.module_from_spec(_fresh_spec)
+_fresh_spec.loader.exec_module(fresh)
+
+
+def test_the_fresh_path_driver_takes_turns_and_records_each_row(monkeypatch, tmp_path):
+    # per tree, each run's rows; the trees run ABBA, and the change wins the
+    # rounds where its time is lower
+    series = {"parent": [400.0, 410.0, 390.0, 420.0], "change": [350.0, 415.0, 340.0, 345.0]}
+    order = []
+
+    def run_worker(tree, seeds, repeats):
+        label = os.path.basename(tree)
+        order.append(label)
+        value = series[label][order.count(label) - 1]
+        return {"build_us": value / 2, "identity_us": value / 2, "total_us": value}
+
+    monkeypatch.setattr(fresh, "run_worker", run_worker)
+    monkeypatch.setattr(fresh.compileall, "compile_dir", lambda path, **kw: None)
+    for label in series:
+        os.makedirs(tmp_path / label / "perfbench")
+        (tmp_path / label / "perfbench" / "workloads.py").touch()
+    out = tmp_path / "fresh.json"
+    fresh.main(["--rounds", "4", "--out", str(out),
+                *(f"--src={label}={tmp_path / label}" for label in series)])
+    assert order == ["parent", "change", "change", "parent"] * 2
+    record = json.loads(out.read_text())
+    assert set(bench.MACHINE_FIELDS) <= set(record["machine"])
+    assert record["trees"] == ["parent", "change"] and record["rounds"] == 4
+    total = record["rows"]["total_us"]
+    assert (total["parent"], total["change"]) == (405.0, 347.5)
+    assert total["iqr"]["parent"] == bench.iqr(series["parent"]) and total["wins"] == 3
+    assert set(record["rows"]) == set(fresh.ROWS)
+
+
+def test_a_fresh_path_worker_times_every_item_of_a_pool():
+    # one run of the worker on this checkout, as --smoke runs it: every
+    # row is a positive time, and build plus identity is the total
+    cmd = [sys.executable, os.path.join(ROOT, "tools", "bench_fresh.py"), "--worker", ROOT,
+           "--repeats", "1", "--seeds", "1"]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    rows = json.loads(out.stdout.splitlines()[-1])
+    assert set(rows) == set(fresh.ROWS) and all(x > 0 for x in rows.values())
+    assert math.isclose(rows["build_us"] + rows["identity_us"], rows["total_us"])

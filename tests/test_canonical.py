@@ -248,8 +248,7 @@ def test_canonical_form_serialization():
 def test_derived_tables_are_bit_identical_to_the_literal_tables():
     # the tables as they were written out by hand before being derived from
     # _to_canon_comps; every byte must agree
-    from pentacomplex.canonical import P2, Q2
-    from pentacomplex.contour import _CANON
+    from pentacomplex.canonical import _CANON_ROWS, P2, Q2
 
     canon = np.array([
         [1.0] * 5,
@@ -272,7 +271,7 @@ def test_derived_tables_are_bit_identical_to_the_literal_tables():
              (0.0, q4, q24, -q24, -q4),
              (0.4, p24, p4, p4, p24),
              (0.0, q24, -q4, q4, -q24))
-    assert _CANON.tobytes() == canon.tobytes()
+    assert np.array(_CANON_ROWS).tobytes() == canon.tobytes()
     assert rotation_matrix().tobytes() == rot.tobytes()
     got = (_E_PLUS, _E1, _TE1, _E2, _TE2)
     assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in basis]

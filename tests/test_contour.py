@@ -19,9 +19,9 @@ from pentacomplex import (ONE, ZERO, EvaluationFailed, NonInvertible,
                           residue_formula, series_eval, sin, sinh, winding)
 from pentacomplex.algebra import _result
 from pentacomplex.analytic import series_eval_components
-from pentacomplex.canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS,
-                                    _from_canon_comps)
-from pentacomplex.contour import _CANON, _FROM_CANON, _ROT, PlaneProjection
+from pentacomplex.canonical import (E1, E1_TILDE, E2, E2_TILDE, E_PLUS, _canon,
+                                    _from_canon_comps, _to_canon_comps)
+from pentacomplex.contour import PlaneProjection
 
 TWO_PI = 2 * math.pi
 
@@ -264,7 +264,7 @@ def test_project_points_are_the_rotated_rows():
                  open_path):
         for k in (1, 2):
             proj = project(path, k)
-            want = tuple(map(tuple, (path._array @ _ROT[2 * k - 1:2 * k + 1].T).tolist()))
+            want = tuple(project_point(u, k) for u in path.vertices)
             assert proj.points == want
             assert proj == PlaneProjection(want, k, path.closed)
             assert (proj.plane, proj.closed) == (k, path.closed)
@@ -733,14 +733,43 @@ def plane_view(a):
     return a[:, 1:].view(np.complex128)
 
 
+def canon_rows(rows):
+    """Component rows as canonical rows, one per row: the scalar transform's
+    expressions (canonical._to_canon_comps) on the columns.  Like a matrix
+    product, it lets a value beyond the float range become inf or nan."""
+    with np.errstate(all="ignore"):
+        return np.column_stack(_to_canon_comps(rows.T))
+
+
+def component_rows(canon):
+    """Canonical rows as component rows (canonical._from_canon_comps on the
+    columns)."""
+    with np.errstate(all="ignore"):
+        return np.column_stack(_from_canon_comps(canon.T))
+
+
+def split_rows(canon):
+    """Canonical rows as a batch's parts: the line column and the planes
+    v_k + i*tv_k as (2, n), contiguous copies."""
+    return canon[:, 0].copy(), plane_view(canon).T.copy()
+
+
+def join_rows(line, planes):
+    """A batch's parts as canonical rows, one per node."""
+    rows = np.empty((line.size, 5))
+    rows[:, 0] = line
+    plane_view(rows)[:] = planes.T
+    return rows
+
+
 def batch_of(canon):
     """The batch of nodes whose canonical coordinates are the rows of canon."""
-    return contour._Batch(*contour._split(canon))
+    return contour._Batch(*split_rows(canon))
 
 
 def rows_of(batch):
     """A batch's canonical coordinates as rows, one per node."""
-    return contour._join(batch.line, batch.planes)
+    return join_rows(batch.line, batch.planes)
 
 
 def evaluate_rows(f, nodes, canon):
@@ -754,7 +783,7 @@ def loop_evaluate(f, nodes):
     out = np.empty_like(nodes)
     for i, comps in enumerate(nodes.tolist()):
         out[i] = f(PentaComplex(*comps)).components
-    return out @ _CANON.T
+    return canon_rows(out)
 
 
 def test_callable_path_is_bit_identical_to_the_per_row_loop():
@@ -767,9 +796,9 @@ def test_callable_path_is_bit_identical_to_the_per_row_loop():
     for f in (lambda u: multiply(u, u) + u.x0 * u,
               lambda u: exp(u) if u.x1 >= 0.0 else -u,
               lambda u: pow_real(u, 2) + 3.0 * u):
-        got = evaluate_rows(f, nodes, nodes @ _CANON.T)
+        got = evaluate_rows(f, nodes, canon_rows(nodes))
         assert got.tobytes() == loop_evaluate(f, nodes).tobytes()
-        want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
+        want = canon_rows(np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]))
         assert got.tobytes() == want.tobytes()
 
 
@@ -788,8 +817,8 @@ def test_column_ops_match_the_plane_view():
             want[:, 0] = op(a[:, 0], other[:, 0])
             plane_view(want)[:] = op(plane_view(a), plane_view(other))
             # b[:1] as integrate's pole: a one-node column that broadcasts
-            line, planes = contour._column(other[0]) if len(other) == 1 else contour._split(other)
-            got = contour._join(op(batch.line, line), op(batch.planes, planes))
+            line, planes = contour._column(other[0]) if len(other) == 1 else split_rows(other)
+            got = join_rows(op(batch.line, line), op(batch.planes, planes))
             assert got.tobytes() == want.tobytes()
             if op is np.multiply:
                 got = rows_of(batch.product(contour._Batch(line, planes)))
@@ -857,7 +886,7 @@ def test_evaluators_that_fail_on_a_batch_run_per_node():
 
     for f in (raises_on_a_batch, constant):
         calls.clear()
-        got = evaluate_rows(f, nodes, nodes @ _CANON.T)
+        got = evaluate_rows(f, nodes, canon_rows(nodes))
         assert isinstance(calls[0], contour._Batch), f.__name__
         assert len(calls) == 1 + len(nodes), f.__name__
         assert got.tobytes() == loop_evaluate(f, nodes).tobytes(), f.__name__
@@ -895,7 +924,7 @@ def test_batch_values_match_the_per_node_values_on_the_contour_pools(seed, monke
         (nodes, batch), = captured
         values = f(batch)
         assert isinstance(values, contour._Batch) and rows_of(values).shape == nodes.shape
-        want = np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]) @ _CANON.T
+        want = canon_rows(np.array([f(PentaComplex(*c)).components for c in nodes.tolist()]))
         err = np.abs(rows_of(values) - want).max(axis=1)
         assert (err <= 8 * np.finfo(float).eps * np.abs(want).max()).all(), item
 
@@ -910,14 +939,14 @@ def test_series_and_ring_arithmetic_take_the_batch_route():
     for f in (lambda u: series_eval(series, u),
               lambda u: (2 - u) * a - (a + u) / 4 + 1.5 * (-u) - multiply(a, u),
               lambda u: sinh(u) * cos(u) - multiply(u + 1, cosh(u)) + 3):
-        batch = f(batch_of(nodes @ _CANON.T))
+        batch = f(batch_of(canon_rows(nodes)))
         assert isinstance(batch, contour._Batch)
         want = loop_evaluate(f, nodes)
         assert np.abs(rows_of(batch) - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
-        assert evaluate_rows(f, nodes, nodes @ _CANON.T).tobytes() == rows_of(batch).tobytes()
+        assert evaluate_rows(f, nodes, canon_rows(nodes)).tobytes() == rows_of(batch).tobytes()
     # operations a PentaComplex lacks, or whose value differs from node to
     # node, raise on a batch
-    batch = batch_of(nodes @ _CANON.T)
+    batch = batch_of(canon_rows(nodes))
     for g in (lambda u: u.x0, lambda u: 1 / u, lambda u: u / a, lambda u: u == ZERO,
               lambda u: multiply(u, 2.0), lambda u: u + "1", lambda u: abs(u)):
         with pytest.raises((AttributeError, TypeError)):
@@ -940,7 +969,7 @@ def test_component_polynomials_take_the_batch_route():
     residue_formula(f, loop, u0, samples=256)
     batches = [u for u in seen if isinstance(u, contour._Batch)]
     assert len(seen) == 2 and len(batches) == 1
-    nodes = rows_of(batches[0]) @ _FROM_CANON
+    nodes = component_rows(rows_of(batches[0]))
     want = loop_evaluate(lambda u: series_eval_components(series, u), nodes)
     got = rows_of(series_eval_components(series, batches[0]))
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
@@ -955,6 +984,32 @@ def test_vertex_array_is_the_row_list():
         assert got.flags.c_contiguous and not got.flags.writeable
         with pytest.raises(ValueError):
             got[0, 0] = 1.0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(2, 40), st.booleans(), st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
+def test_path_parts_and_per_node_values_are_the_scalar_transform(v, closed, k, seed):
+    # one transform for elements and arrays: on a random path scaled by
+    # 2**k, the path's canonical parts are each vertex's _canon, each
+    # projection's points are project_point's (the pole's route), and the
+    # per-node route's values are transformed as _canon transforms each
+    # value, all bit for bit
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, (v, 5)) * 2.0 ** k
+    verts = tuple(PentaComplex(*row) for row in rows.tolist())
+    path = Path(verts, closed)
+    assert join_rows(*path._parts).tobytes() == np.array([_canon(u) for u in verts]).tobytes()
+    for plane in (1, 2):
+        want = np.array([complex(*project_point(u, plane)) for u in verts])
+        assert project(path, plane)._z.tobytes() == want.tobytes()
+    a = PentaComplex(0.5, -0.25, 0.125, 0.0, 1.0)
+
+    def per_node(u):
+        return multiply(u, a) + 0.0 * u.x0
+
+    values = contour._evaluate(per_node, contour._Batch(*path._parts), lambda: path._array)
+    want = np.array([_canon(per_node(u)) for u in verts])
+    assert rows_of(values).tobytes() == want.tobytes()
 
 
 def test_callable_nodes_and_results_have_float_components():
@@ -1009,7 +1064,7 @@ def test_batches_hold_contiguous_parts():
     residue_formula(f, plane_circle(u0, 1, 1.0, 0.8, 0.7, vertices=16), u0, samples=64)
     integrate(f, Path((ZERO, ONE + E1, E2), closed=False), 9)
     rows = np.random.default_rng(70).uniform(-1.0, 1.0, (16, 5))
-    seen.append(contour._evaluate(per_node, batch_of(rows @ _CANON.T), lambda: rows))
+    seen.append(contour._evaluate(per_node, batch_of(canon_rows(rows)), lambda: rows))
     batches = [u for u in seen if isinstance(u, contour._Batch)]
     assert len(batches) == 2 * 12 + 1
     for batch in batches:
@@ -1038,7 +1093,7 @@ def test_node_batch_is_the_transformed_node_rows(closed):
     for n in range(1, 2 * contour.PANEL + 2):
         t = contour._segment_rule(n)[0]
         rows = (verts[:len(steps), None, :] + t[:, None] * steps[:, None, :]).reshape(-1, 5)
-        line, planes = contour._split(rows @ contour._CANON_T)
+        line, planes = split_rows(canon_rows(rows))
         scale = max(np.abs(line).max(), np.abs(planes.view(float)).max())
         for integrand in (f, contour._PoleIntegrand(f, u0, u0)):
             seen.clear()
@@ -1219,7 +1274,8 @@ def guard_rows(draw):
         if part is not None:
             cols = [0] if part == 0 else [2 * part - 1, 2 * part]
             canon[cols] *= draw(st.floats(0.25, 4.0)) * contour.TAU_REL
-        row = (canon * 2.0 ** draw(st.integers(-1000, 1000))) @ _FROM_CANON
+        scale = 2.0 ** draw(st.integers(-1000, 1000))
+        row = np.array(_from_canon_comps((canon * scale).tolist()))
         special = draw(st.sampled_from((None,) * 27 + (math.inf, -math.inf, math.nan)))
         if special is not None:
             row[draw(st.integers(0, 4))] = special
@@ -1230,13 +1286,13 @@ def guard_rows(draw):
 def parts_invertible(rel, rel_c, nodes):
     """contour._invertible on rows: rel are the component rows, rel_c their
     canonical coordinates."""
-    contour._invertible(*contour._split(rel_c), lambda: rel, nodes)
+    contour._invertible(*split_rows(rel_c), lambda: rel, nodes)
 
 
 def guard_outcome(fn, rel, nodes):
     try:
         with np.errstate(all="ignore"):
-            fn(rel, rel @ _CANON.T, nodes)
+            fn(rel, canon_rows(rel), nodes)
     except (NonInvertibleOnPath, Overflow) as exc:
         return type(exc), str(exc)
     return None
@@ -1263,10 +1319,11 @@ def scalar_verdict(u):
 
 
 def path_verdict(row):
-    """Whether _invertible finds the component row u a divisor of zero."""
+    """Whether _invertible finds the component row u a divisor of zero, on
+    the parts integrate's component route gives it (contour._parts)."""
     rows = row[None]
     try:
-        contour._invertible(*contour._split(rows @ contour._CANON_T), lambda: rows, 0)
+        contour._invertible(*contour._parts(rows.T), lambda: rows, 0)
     except NonInvertibleOnPath:
         return True
     return False
@@ -1277,13 +1334,11 @@ def test_inverse_and_the_path_guard_give_one_verdict_near_the_divisor_set():
     # guard (_invertible) each hold u's canonical parts against TAU_REL*|u|:
     # the smallest part, on the line and then on each plane, at 1e-3 to
     # 1e-15 times |u| and at 0.25 to 4 cutoffs, at scales 1e-290 to 1e290.
-    # The two routes transform u with different roundings, of about
-    # eps*|u| each, so only a part within 4*eps*|u| of the cutoff (here
-    # 1e-13 = TAU_REL times |u|) may get two verdicts
+    # Both take the parts of one transform, so they agree on every row,
+    # those at the cutoff (here 1e-13 = TAU_REL times |u|) included
     rng = np.random.default_rng(31)
     factors = [10.0 ** -k for k in range(3, 16)]
     factors += [c * contour.TAU_REL for c in (0.25, 0.5, 2.0, 4.0)]
-    eps = np.finfo(float).eps
     verdicts = []
     for _ in range(3):
         base = np.array([rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0),
@@ -1296,12 +1351,11 @@ def test_inverse_and_the_path_guard_give_one_verdict_near_the_divisor_set():
                 size = math.sqrt((abs(parts[0]) ** 2 + 2 * abs(parts[1]) ** 2
                                   + 2 * abs(parts[2]) ** 2) / 5)
                 parts[part] = factor * size * base[part] / abs(base[part])
-                at_cutoff = abs(factor - contour.TAU_REL) <= 4 * eps
                 canon = np.array([parts[0].real, *parts[1:].view(float)])
                 for scale in 10.0 ** np.arange(-290, 291, 58):
-                    row = (canon * scale) @ _FROM_CANON
+                    row = np.array(_from_canon_comps((canon * scale).tolist()))
                     verdict = scalar_verdict(PentaComplex(*row))
-                    assert path_verdict(row) is verdict or at_cutoff, (part, factor, scale)
+                    assert path_verdict(row) is verdict, (part, factor, scale)
                     verdicts.append(verdict)
     assert len(verdicts) == 3 * 3 * 17 * 11 and 0 < sum(verdicts) < len(verdicts)
 
@@ -1513,7 +1567,7 @@ def test_a_path_builds_its_projections_once():
         for k in (1, 2):
             proj = project(path, k)
             assert project(path, k) is proj and proj.plane == k and proj.closed == path.closed
-            z = (path._array @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
+            z = np.array([complex(*project_point(u, k)) for u in path.vertices])
             ends = contour._ends(z, path.closed)
             assert proj._z.tobytes() == z.tobytes()
             assert proj._lengths.tobytes() == np.abs(ends - z[:len(ends)]).tobytes()
@@ -1692,14 +1746,14 @@ def reference_integrate(f, path, n):
     du = (w[:, None] * steps[:, None, :]).reshape(-1, 5)
     origin = np.zeros(5) if pole is None else np.array(pole.components)
     rel = nodes if pole is None else np.concatenate((nodes, starts, ends[-1:])) - origin
-    canon = np.concatenate((rel, du)) @ _CANON.T
+    canon = canon_rows(np.concatenate((rel, du)))
     rel_c, kernel = canon[:len(nodes)], canon[len(rel):]
     if pole is not None:
         reference_invertible(rel, canon[:len(rel)], len(nodes))
         kernel = plane_divide(kernel, rel_c)
-    values = evaluate_rows(f, nodes, rel_c + _CANON @ origin)
+    values = evaluate_rows(f, nodes, rel_c + canon_rows(origin[None]))
     if pole is not None:
-        values -= _CANON @ np.array(f_pole.components)
+        values -= canon_rows(np.array([f_pole.components]))
     line = float((values[:, 0] * kernel[:, 0]).sum())
     z1, z2 = (plane_view(values) * plane_view(kernel)).sum(axis=0).tolist()
     return _result(*_from_canon_comps((line, z1.real, z1.imag, z2.real, z2.imag)))
@@ -1708,11 +1762,10 @@ def reference_integrate(f, path, n):
 def reference_residue_formula(f, path, u0, samples):
     windings = []
     for k in (1, 2):
-        z = (path._array @ _ROT[2 * k - 1:2 * k + 1].T).view(np.complex128).ravel()
+        points = [project_point(u, k) for u in path.vertices]
         try:
             windings.append(reference_winding(project_point(u0, k),
-                                              PlaneProjection(z.view(float).reshape(-1, 2),
-                                                              k, True)))
+                                              PlaneProjection(points, k, True)))
         except OnBoundary as exc:
             raise PoleOnPath(f"projected pole touches the plane-{k} projection") from exc
     per_segment = max(1, round(samples / len(path.vertices)))
@@ -1721,7 +1774,7 @@ def reference_residue_formula(f, path, u0, samples):
     # the pole term from the logs of the loop's canonical coordinates
     # relative to u0, the first vertex repeated last
     rows = np.concatenate((path._array, path._array[:1])) - np.array(u0.components)
-    exact = reference_pole_integral(rows @ _CANON.T)
+    exact = reference_pole_integral(canon_rows(rows))
     lhs = remainder + f_u0 * _result(*_from_canon_comps(exact.tolist()))
     return lhs, TWO_PI * (f_u0 * (windings[0] * E1_TILDE + windings[1] * E2_TILDE))
 
@@ -1742,21 +1795,58 @@ def seeded_loops(seed):
 EPS = np.finfo(float).eps
 
 
+def rule_value(f, path, n):
+    """The composite rule's own value on the path with n nodes per segment,
+    sum w * f(u) du over the nodes integrate uses, computed in extended
+    precision (np.longdouble, whose 64-bit significand leaves its rounding
+    far below an eps of the sum's terms): f applies to long-double arrays,
+    the line's and the stacked planes'.  Only rounding separates the
+    value and the reference's from it, where the rule's own error (its
+    distance from the exact integral) can be hundreds of eps."""
+    ld = np.longdouble
+    assert np.finfo(ld).eps < 1e-18, "the rule's value needs a long double wider than double"
+    sq5 = np.sqrt(ld(5))
+    p, q = (sq5 - 1) / 4, np.sqrt((5 + sq5) / 8)
+    p2, q2 = 2 * p * p - 1, 2 * p * q
+    transform = np.array([[1, 1, 1, 1, 1], [1, p, p2, p2, p], [0, q, q2, -q2, -q],
+                          [1, p2, p, p, p2], [0, q2, -q, q, -q2]], dtype=ld)
+    verts = path._array.astype(ld)
+    ends = np.roll(verts, -1, axis=0) if path.closed else verts[1:]
+    starts = verts[:len(ends)]
+    steps = ends - starts
+    t, w = (x.astype(ld) for x in contour._segment_rule(n))
+    nodes = (starts[:, None, :] + t[:, None] * steps[:, None, :]).reshape(-1, 5) @ transform.T
+    du = (w[:, None] * steps[:, None, :]).reshape(-1, 5) @ transform.T
+
+    def planes(c):
+        return c[:, 1::2] + 1j * c[:, 2::2]
+
+    line = (f(nodes[:, 0]) * du[:, 0]).sum()
+    z1, z2 = (f(planes(nodes)) * planes(du)).sum(axis=0)
+    # the canonical basis: the transform's rows times 1/5 (line) and 2/5
+    basis = transform * (np.array([1, 2, 2, 2, 2], dtype=ld) / 5)[:, None]
+    return tuple(float(x) for x in np.array([line, z1.real, z1.imag, z2.real, z2.imag]) @ basis)
+
+
 def check_against_the_reference(cases, rounding=0.0):
-    """cases: (value, the reference's value, the exact value), as component
-    tuples, with scale max(1, |exact|).  Where the reference has converged
-    (its error at most 1e-12 of the scale, so that rounding decides it),
-    the value's error exceeds the reference's by at most 4 eps of the
-    scale, and over those cases the median error is no larger than the
-    reference's.  Elsewhere the value is the reference's to 1e-9 of the
+    """cases: (value, the reference's value, the exact value, and
+    optionally the rule's value), as component tuples, with scale
+    max(1, |exact|).  Where the reference has converged (its error at most
+    1e-12 of the scale), rounding decides it: both errors are measured from
+    the rule's value (rule_value) where the case gives it, the exact value
+    otherwise, the value's error exceeds the reference's by at most 4 eps
+    of the scale, and over those cases the median error is no larger than
+    the reference's.  Elsewhere the value is the reference's to 1e-9 of the
     reference's error, or to `rounding` eps of the scale where that is more
     (the same rule, rounded differently)."""
     errors = []
-    for got, ref, exact in cases:
+    for got, ref, exact, *rule in cases:
         scale = max(1.0, max(map(abs, exact)))
-        err, ref_err = dev(got, exact), dev(ref, exact)
+        ref_err = dev(ref, exact)
         if ref_err <= 1e-12 * scale:
-            assert err <= ref_err + 4 * EPS * scale, (got, ref, exact)
+            target = rule[0] if rule else exact
+            err, ref_err = dev(got, target), dev(ref, target)
+            assert err <= ref_err + 4 * EPS * scale, (got, ref, exact, target)
             errors.append((err, ref_err))
         else:
             assert dev(got, ref) <= max(1e-9 * ref_err, rounding * EPS * scale), (got, ref, exact)
@@ -1793,10 +1883,13 @@ def value_or_error(fn, *args):
 def test_integrate_and_winding_match_the_reference_arithmetic():
     # integrate against the reference's arithmetic where the exact value is
     # known: 0 round a closed loop, and on an open path from a to b,
-    # sinh(b) - sinh(a) for cosh and (b*b - a*a)/2 for u.  The pole
-    # integrand's value is known only up to f(u0)'s own rounding, a few eps
-    # (the pole identity's test measures it): the two agree to rounding, or
-    # raise the same error.  winding is unchanged
+    # sinh(b) - sinh(a) for cosh and (b*b - a*a)/2 for u; where the
+    # reference has converged, both are measured from the rule's own value
+    # (on a closed 3-gon with 17 nodes per segment, cosh's rule lies 1214
+    # eps from the integral, and the two within 3.2 and 2.7 eps of it).
+    # The pole integrand's value is known only up to f(u0)'s own rounding,
+    # a few eps (the pole identity's test measures it): the two agree to
+    # rounding, or raise the same error.  winding is unchanged
     rng = np.random.default_rng(303)
     cases = []
     for u0, loop in seeded_loops(304):
@@ -1804,12 +1897,13 @@ def test_integrate_and_winding_match_the_reference_arithmetic():
                       closed=False)
         for path in (loop, opened):
             a, b = path.vertices[0], path.vertices[-1]
-            exact = ((cosh, ZERO if path.closed else sinh(b) - sinh(a)),
-                     (lambda u: u, ZERO if path.closed else (b * b - a * a) / 2))
+            exact = ((cosh, np.cosh, ZERO if path.closed else sinh(b) - sinh(a)),
+                     (lambda u: u, lambda x: x, ZERO if path.closed else (b * b - a * a) / 2))
             for n in (1, 2, 5, 9, 17):
-                for f, want in exact:
+                for f, f_parts, want in exact:
                     cases.append((integrate(f, path, n).components,
-                                  reference_integrate(f, path, n).components, want.components))
+                                  reference_integrate(f, path, n).components, want.components,
+                                  rule_value(f_parts, path, n)))
                 pole = contour._PoleIntegrand(exp, u0, exp(u0))
                 got = value_or_error(integrate, pole, path, n)
                 ref = value_or_error(reference_integrate, pole, path, n)
